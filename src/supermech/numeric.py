@@ -7,20 +7,48 @@ subsets with the usual alternating sign and vanish on overlap, so
 symbolic identities evaluate exactly (up to roundoff) without any
 re-ordering logic here: canonical ordering happens upstream.
 
-Integration is classic fixed-step fourth-order Runge-Kutta on the flat
-coordinate vector of all subset coefficients.
+Every product, of two ``GrassmannValue`` objects or of whole batches of
+them, goes through one routine: a per-``n`` table of the disjoint subset
+pairs ``(left mask, right mask, target mask, sign)``, built on first use
+and cached, whose terms are gathered, multiplied and summed into their
+targets in the order a double loop over the left and then the right
+mask would add them.  Results are therefore the same, bit for bit, as
+that loop's.
+
+Polynomials are compiled once against a coordinate order into a plan:
+each term is a float coefficient times a chain of factor slots (the
+coordinates, their powers, and the unit for constants), with even powers
+formed before they multiply in and odd factors in canonical order, just
+as ``evaluate`` groups them.  A plan evaluates on a leading batch axis of
+states ``(batch, coordinates, 2**n)``.  Integration is classic
+fixed-step fourth-order Runge-Kutta on one such array per step, and the
+trajectory is stored as one ``(steps + 1, coordinates, 2**n)`` array;
+the conservation and constraint reports evaluate their plans over all
+stored states, in chunks along time whose temporaries hold about
+``_CHUNK_BYTES`` at once.
+
+Checks: the initial state's parity is checked when the ``NumericState``
+is built and its constraints before the first step; finiteness is
+checked after every step; the parity support of every stored state is
+checked once, by one mask test over the whole trajectory array; drift is
+measured on every stored state.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .algebra import GeneratorSymbol, Parity, SuperExpr
 from .lagrangian import Dynamics
+
+# bound on the bytes that the temporaries of one batched evaluation hold
+# at once; it keeps peak memory flat however long the trajectory
+_CHUNK_BYTES = 1 << 18
 
 
 class NumericError(Exception):
@@ -43,15 +71,65 @@ class IntegrationError(NumericError):
     pass
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=None)
-def _merge_sign(left_mask: int, right_mask: int) -> int:
-    """Sign of concatenating two ordered subsets, counting the swaps that
-    interleave them into one ordered word."""
-    crossings = 0
-    for i in range(right_mask.bit_length()):
-        if right_mask >> i & 1:
-            crossings += (left_mask >> (i + 1)).bit_count()
-    return -1 if crossings % 2 else 1
+def _subset_sizes(directions: int) -> np.ndarray:
+    """Number of directions in each of the ``2**directions`` subsets."""
+    masks = np.arange(1 << directions)
+    sizes = np.zeros(1 << directions, dtype=np.intp)
+    for i in range(directions):
+        sizes += masks >> i & 1
+    return _frozen(sizes)
+
+
+@lru_cache(maxsize=None)
+def _odd_subsets(directions: int) -> np.ndarray:
+    """Boolean mask over the subsets: odd size."""
+    return _frozen(_subset_sizes(directions) % 2 == 1)
+
+
+@lru_cache(maxsize=None)
+def _product_table(directions: int) -> np.ndarray:
+    """Rows: left masks, right masks, target masks and signs of all
+    disjoint subset pairs, ordered by left mask and then right mask.  The
+    sign counts the swaps that interleave the two ordered subsets."""
+    masks = np.arange(1 << directions, dtype=np.uint16)
+    sizes = _subset_sizes(directions)
+    left, right = np.nonzero((masks[:, None] & masks) == 0)
+    crossings = np.zeros(len(left), dtype=np.intp)
+    for i in range(directions):
+        crossings += (right >> i & 1) * sizes[left >> (i + 1)]
+    return _frozen(np.stack([left, right, left | right, 1 - 2 * (crossings & 1)]))
+
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise exterior products of two ``(rows, 2**n)`` arrays.
+
+    Pairs whose left or right coefficient is zero in every row are
+    dropped, as a loop over nonzero coefficients skips them.  ``bincount``
+    adds its weights to their bins in input order, so each target
+    coefficient is summed from zero over its pairs in table order.
+    Rows go in blocks whose two gathers and bins fit ``_CHUNK_BYTES``.
+    """
+    rows, size = left.shape
+    table = _product_table(size.bit_length() - 1)
+    table = table[:, left.any(axis=0)[table[0]] & right.any(axis=0)[table[1]]]
+    block = max(1, _CHUNK_BYTES // max(24 * table.shape[1], 1))
+    out = np.empty((rows, size))
+    for lo in range(0, rows, block):
+        hi = min(rows, lo + block)
+        terms = left[lo:hi, table[0]]
+        terms *= right[lo:hi, table[1]]
+        terms *= table[3]
+        bins = table[2]
+        if hi - lo > 1:
+            bins = (np.arange(0, (hi - lo) * size, size)[:, None] + bins).ravel()
+        out[lo:hi] = np.bincount(bins, terms.ravel(), (hi - lo) * size).reshape(-1, size)
+    return out
 
 
 class GrassmannValue:
@@ -96,10 +174,17 @@ class GrassmannValue:
         indices kill a term and odd permutations flip its sign."""
         out = GrassmannValue(directions)
         for value, indices in terms:
-            acc = GrassmannValue.scalar(value, directions)
+            mask, sign = 0, 1.0
             for index in indices:
-                acc = acc * GrassmannValue.direction(index, directions)
-            out = out + acc
+                if not 0 <= index < directions:
+                    raise NumericError(f"direction index {index} out of range")
+                if (mask >> (index + 1)).bit_count() % 2:
+                    sign = -sign
+                if mask >> index & 1:
+                    sign = 0.0
+                mask |= 1 << index
+            if sign:
+                out.coeffs[mask] += sign * float(value)
         return out
 
     def body(self) -> float:
@@ -109,16 +194,10 @@ class GrassmannValue:
         return float(np.max(np.abs(self.coeffs)))
 
     def is_even_support(self) -> bool:
-        return all(
-            mask.bit_count() % 2 == 0 or value == 0.0
-            for mask, value in enumerate(self.coeffs)
-        )
+        return not self.coeffs[_odd_subsets(self.directions)].any()
 
     def is_odd_support(self) -> bool:
-        return all(
-            mask.bit_count() % 2 == 1 or value == 0.0
-            for mask, value in enumerate(self.coeffs)
-        )
+        return not self.coeffs[~_odd_subsets(self.directions)].any()
 
     def supports_parity(self, parity: Parity) -> bool:
         return self.is_even_support() if parity is Parity.EVEN else self.is_odd_support()
@@ -135,23 +214,16 @@ class GrassmannValue:
         return GrassmannValue(self.directions, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return GrassmannValue(self.directions, self.coeffs * other)
+        if isinstance(other, numbers.Real):
+            return GrassmannValue(self.directions, self.coeffs * float(other))
         self._compatible(other)
-        out = np.zeros_like(self.coeffs)
-        left_nonzero = np.nonzero(self.coeffs)[0]
-        right_nonzero = np.nonzero(other.coeffs)[0]
-        for a in left_nonzero:
-            xa = self.coeffs[a]
-            for b in right_nonzero:
-                if a & b:
-                    continue
-                out[a | b] += _merge_sign(int(a), int(b)) * xa * other.coeffs[b]
-        return GrassmannValue(self.directions, out)
+        return GrassmannValue(
+            self.directions, _product(self.coeffs[None], other.coeffs[None])[0]
+        )
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return GrassmannValue(self.directions, self.coeffs * other)
+        if isinstance(other, numbers.Real):
+            return GrassmannValue(self.directions, self.coeffs * float(other))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "GrassmannValue":
@@ -211,50 +283,193 @@ class NumericState:
             raise MissingValue(f"no value for coordinate {gen}") from None
 
 
-def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
-    """Evaluate a polynomial expression on a state.  Factors multiply in
-    canonical order, so this is an algebra homomorphism."""
-    out = GrassmannValue(state.directions)
-    for (even, odd), coeff in expr.items():
-        acc = GrassmannValue.scalar(float(coeff), state.directions)
-        for gen, exponent in even:
-            acc = acc * state.get(gen) ** exponent
-        for gen in odd:
-            acc = acc * state.get(gen)
-        out = out + acc
+def _stack(state: NumericState, coordinates: Sequence[GeneratorSymbol]) -> np.ndarray:
+    """The ``(coordinates, 2**n)`` array of the listed values."""
+    out = np.empty((len(coordinates), 1 << state.directions))
+    for row, gen in enumerate(coordinates):
+        out[row] = state.get(gen).coeffs
     return out
 
 
-@dataclass(frozen=True)
+class _Plan:
+    """Polynomials compiled against a coordinate order.
+
+    Slots hold, per state, the coordinates, then the unit when a
+    polynomial has a constant term, then the powers of even coordinates
+    above the first, each formed from the one below it.  A term is a
+    coefficient times a chain of slots, multiplied left to right in
+    lockstep with the other terms: round 0 scales every term's first
+    slot, round ``j`` multiplies in the ``j``-th slot of the terms that
+    have one, which are kept first.
+    """
+
+    def __init__(
+        self,
+        exprs: Sequence[SuperExpr],
+        coordinates: Sequence[GeneratorSymbol],
+        directions: int,
+    ):
+        index = {gen: row for row, gen in enumerate(coordinates)}
+        terms = []
+        top: dict[int, int] = {}
+        for which, expr in enumerate(exprs):
+            for (even, odd), coeff in expr.items():
+                chain = [(_row(index, gen), exponent) for gen, exponent in even]
+                chain += [(_row(index, gen), 1) for gen in odd]
+                for row, exponent in chain:
+                    top[row] = max(top.get(row, 1), exponent)
+                terms.append((which, float(coeff), chain))
+
+        count = len(coordinates)
+        slot = {(row, 1): row for row in range(count)}
+        self.unit = None
+        if any(not chain for _, _, chain in terms):
+            self.unit, count = count, count + 1
+        self.powers: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        exponent = 2
+        while rows := [row for row in sorted(top) if top[row] >= exponent]:
+            for offset, row in enumerate(rows):
+                slot[row, exponent] = count + offset
+            below = np.array([slot[row, exponent - 1] for row in rows])
+            self.powers.append((count, count + len(rows), below, np.array(rows)))
+            count += len(rows)
+            exponent += 1
+        self.slots = count
+
+        chains = [
+            [slot[factor] for factor in chain] or [self.unit] for _, _, chain in terms
+        ]
+        order = sorted(range(len(terms)), key=lambda t: -len(chains[t]))
+        depth = max((len(chain) for chain in chains), default=0)
+        self.coeffs = np.array([terms[t][1] for t in order]).reshape(-1, 1)
+        self.factors = np.array(
+            [chains[t] + [0] * (depth - len(chains[t])) for t in order], dtype=np.intp
+        ).reshape(len(terms), depth)
+        self.rounds = [sum(len(chain) > j for chain in chains) for j in range(1, depth)]
+        # each output sums its terms in their original order
+        self.restore = None if order == list(range(len(terms))) else np.argsort(order)
+        self.targets = np.array([which for which, _, _ in terms], dtype=np.intp)
+        self.outputs = len(exprs)
+        self.size = 1 << directions
+        self._bins: dict[int, np.ndarray] = {}
+
+        # terms and their sum bins, slots and outputs; products bound
+        # their own temporaries
+        per_state = (2 * len(terms) + self.slots + self.outputs) * self.size
+        self.chunk = max(1, _CHUNK_BYTES // (8 * per_state))
+
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        """Evaluate on ``(batch, coordinates, 2**n)``; returns
+        ``(batch, len(exprs), 2**n)``."""
+        batch, size = len(states), self.size
+        if not len(self.targets):
+            return np.zeros((batch, self.outputs, size))
+        if self.slots == states.shape[1]:
+            slots = states
+        else:
+            slots = np.zeros((batch, self.slots, size))
+            slots[:, : states.shape[1]] = states
+            if self.unit is not None:
+                slots[:, self.unit, 0] = 1.0
+            for lo, hi, below, rows in self.powers:
+                slots[:, lo:hi] = _product(
+                    slots[:, below].reshape(-1, size), slots[:, rows].reshape(-1, size)
+                ).reshape(batch, hi - lo, size)
+        terms = self.coeffs * slots[:, self.factors[:, 0]]
+        for j, count in enumerate(self.rounds, start=1):
+            terms[:, :count] = _product(
+                terms[:, :count].reshape(-1, size),
+                slots[:, self.factors[:count, j]].reshape(-1, size),
+            ).reshape(batch, count, size)
+        if self.restore is not None:
+            terms = terms[:, self.restore]
+        return np.bincount(
+            self._sum_bins(batch), terms.ravel(), batch * self.outputs * size
+        ).reshape(batch, self.outputs, size)
+
+    def _sum_bins(self, batch: int) -> np.ndarray:
+        if batch not in self._bins:
+            rows = np.arange(batch)[:, None] * self.outputs + self.targets
+            self._bins[batch] = (rows[..., None] * self.size + np.arange(self.size)).ravel()
+        return self._bins[batch]
+
+    def chunks(self, states: np.ndarray) -> Iterator[np.ndarray]:
+        """Evaluate on every state, a chunk of states at a time."""
+        for lo in range(0, len(states), self.chunk):
+            yield self(states[lo : lo + self.chunk])
+
+
+def _row(index: Mapping[GeneratorSymbol, int], gen: GeneratorSymbol) -> int:
+    try:
+        return index[gen]
+    except KeyError:
+        raise MissingValue(f"no value for coordinate {gen}") from None
+
+
+def _worst(norms: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The largest norms, at least zero; NaN norms are skipped, as the
+    builtin ``max`` skips them when they come after a number."""
+    return np.max(norms, axis=axis, initial=0.0, where=~np.isnan(norms))
+
+
+def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
+    """Evaluate a polynomial expression on a state.  Factors multiply in
+    canonical order, so this is an algebra homomorphism."""
+    coordinates = tuple(state.values)
+    plan = _Plan([expr], coordinates, state.directions)
+    return GrassmannValue(state.directions, plan(_stack(state, coordinates)[None])[0, 0])
+
+
+def _constraint_residuals(dynamics: Dynamics):
+    gens = [gen for gen in dynamics.constraints if gen.jet_order <= dynamics.order]
+    return gens, [SuperExpr.generator(gen) - dynamics.constraints[gen] for gen in gens]
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A fixed-step run: ``values[i, c]`` holds the coefficients of
+    ``coordinates[c]`` at ``times[i]``."""
+
     dynamics: Dynamics
     times: tuple[float, ...]
-    states: tuple[NumericState, ...]
+    coordinates: tuple[GeneratorSymbol, ...]
+    values: np.ndarray
+    directions: int
+
+    @cached_property
+    def states(self) -> tuple[NumericState, ...]:
+        """The stored states as ``NumericState`` objects, built on first
+        use; their values are read-only views of ``values``."""
+        return tuple(
+            NumericState(
+                time,
+                {
+                    gen: GrassmannValue(self.directions, row)
+                    for gen, row in zip(self.coordinates, rows)
+                },
+                self.directions,
+            )
+            for time, rows in zip(self.times, self.values)
+        )
 
     def constraint_drift(self) -> float:
         """Largest constraint residual over the whole run (zero when the
         dynamics has no constraints)."""
-        worst = 0.0
-        residuals = [
-            SuperExpr.generator(gen) - value
-            for gen, value in self.dynamics.constraints.items()
-            if gen.jet_order <= self.dynamics.order
-        ]
-        for state in self.states:
-            for residual in residuals:
-                worst = max(worst, evaluate(residual, state).sup_norm())
-        return worst
+        _, residuals = _constraint_residuals(self.dynamics)
+        if not residuals:
+            return 0.0
+        plan = _Plan(residuals, self.coordinates, self.directions)
+        return max(
+            float(_worst(np.abs(chunk).max(axis=-1))) for chunk in plan.chunks(self.values)
+        )
 
     def export_rows(self) -> list[str]:
         """Tab-separated rows: time, coordinate, subset mask, coefficient."""
         rows = ["time\tcoordinate\tmask\tvalue"]
-        chart = self.dynamics.lagrangian.chart
-        coords = chart.at_order(self.dynamics.order).coordinates()
-        for time, state in zip(self.times, self.states):
-            for gen in coords:
-                value = state.get(gen)
-                for mask, coeff in enumerate(value.coeffs):
-                    rows.append(f"{time!r}\t{gen}\t{mask}\t{float(coeff)!r}")
+        for time, values in zip(self.times, self.values.tolist()):
+            for gen, coeffs in zip(self.coordinates, values):
+                for mask, coeff in enumerate(coeffs):
+                    rows.append(f"{time!r}\t{gen}\t{mask}\t{coeff!r}")
         return rows
 
 
@@ -280,53 +495,48 @@ def integrate(
         raise IntegrationError(
             f"the span {span} is not a positive whole number of steps of {dt}"
         )
-    chart = dynamics.lagrangian.chart
-    order = dynamics.order
-    coords = chart.at_order(order).coordinates()
-    for gen in coords:
-        initial.get(gen)
-
-    for gen, value in dynamics.constraints.items():
-        if gen.jet_order > order:
-            continue
-        residual = evaluate(SuperExpr.generator(gen) - value, initial)
-        if residual.sup_norm() > constraint_tol:
-            raise ConstraintViolation(
-                f"initial data violates {gen} constraint by {residual.sup_norm():.3e}"
-            )
-
-    components = {gen: dynamics.field().component(gen) for gen in coords}
+    coordinates = dynamics.lagrangian.chart.at_order(dynamics.order).coordinates()
     directions = initial.directions
+    start = _stack(initial, coordinates)[None]
 
-    def rhs(values: dict[GeneratorSymbol, GrassmannValue], time: float):
-        state = NumericState(time, values, directions)
-        return {gen: evaluate(expr, state) for gen, expr in components.items()}
+    gens, residuals = _constraint_residuals(dynamics)
+    if residuals:
+        norms = np.abs(_Plan(residuals, coordinates, directions)(start)[0]).max(axis=-1)
+        for gen, norm in zip(gens, norms):
+            if norm > constraint_tol:
+                raise ConstraintViolation(
+                    f"initial data violates {gen} constraint by {norm:.3e}"
+                )
 
-    def shift(values, slopes, factor):
-        return {gen: values[gen] + slopes[gen] * factor for gen in values}
+    field = dynamics.field()
+    rhs = _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
 
     times = [initial.time]
-    states = [initial]
-    current = dict(initial.values)
-    time = initial.time
+    values = np.empty((steps + 1,) + start.shape[1:])
+    values[0] = start[0]
+    current = start
     for step in range(steps):
-        k1 = rhs(current, time)
-        k2 = rhs(shift(current, k1, dt / 2), time + dt / 2)
-        k3 = rhs(shift(current, k2, dt / 2), time + dt / 2)
-        k4 = rhs(shift(current, k3, dt), time + dt)
-        current = {
-            gen: current[gen]
-            + (k1[gen] + 2.0 * k2[gen] + 2.0 * k3[gen] + k4[gen]) * (dt / 6)
-            for gen in current
-        }
-        time = initial.time + (step + 1) * dt
-        for gen, value in current.items():
-            if not np.all(np.isfinite(value.coeffs)):
-                raise IntegrationError(f"non-finite value for {gen} at step {step + 1}")
-        state = NumericState(time, dict(current), directions)
-        times.append(time)
-        states.append(state)
-    return Trajectory(dynamics, tuple(times), tuple(states))
+        k1 = rhs(current)
+        k2 = rhs(current + k1 * (dt / 2))
+        k3 = rhs(current + k2 * (dt / 2))
+        k4 = rhs(current + k3 * dt)
+        current = current + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6)
+        if not np.isfinite(current).all():
+            bad = coordinates[int(np.argmin(np.isfinite(current[0]).all(axis=-1)))]
+            raise IntegrationError(f"non-finite value for {bad} at step {step + 1}")
+        values[step + 1] = current[0]
+        times.append(initial.time + (step + 1) * dt)
+
+    odd = _odd_subsets(directions)
+    wrong = np.array([odd if gen.parity is Parity.EVEN else ~odd for gen in coordinates])
+    misplaced = values != 0
+    misplaced &= wrong
+    if misplaced.any():
+        step, row, _ = np.argwhere(misplaced)[0]
+        raise ParityViolation(
+            f"value for {coordinates[row]} has support of the wrong parity at step {step}"
+        )
+    return Trajectory(dynamics, tuple(times), coordinates, _frozen(values), directions)
 
 
 def conservation_report(
@@ -334,11 +544,15 @@ def conservation_report(
 ) -> dict[str, float]:
     """Largest deviation of each quantity from its initial value, in the
     coefficient-wise sup norm."""
-    report: dict[str, float] = {}
-    for name, expr in quantities.items():
-        start = evaluate(expr, trajectory.states[0])
-        worst = 0.0
-        for state in trajectory.states[1:]:
-            worst = max(worst, (evaluate(expr, state) - start).sup_norm())
-        report[name] = worst
-    return report
+    names = list(quantities)
+    plan = _Plan(
+        [quantities[name] for name in names], trajectory.coordinates, trajectory.directions
+    )
+    start = None
+    worst = np.zeros(len(names))
+    for chunk in plan.chunks(trajectory.values):
+        if start is None:
+            start, chunk = chunk[0], chunk[1:]
+        norms = np.abs(chunk - start).max(axis=-1)
+        worst = np.maximum(worst, _worst(norms, axis=0))
+    return {name: float(value) for name, value in zip(names, worst)}

@@ -1,17 +1,22 @@
 """Shared test utilities.
 
-Two kinds of helpers live here: seeded random generators for expressions,
-forms, and fields, and a small independent polynomial calculator for the
-one-even-coordinate case.  The calculator represents polynomials as plain
-exponent-tuple dictionaries and knows nothing about the package
-internals, so momenta and field equations computed with it are a second
-opinion, not an echo.
+Three kinds of helpers live here: seeded random generators for
+expressions, forms, and fields; a small independent polynomial calculator
+for the one-even-coordinate case; and a reference Grassmann product,
+evaluator and Runge-Kutta stepper for the numeric layer.  The calculator
+represents polynomials as plain exponent-tuple dictionaries and knows
+nothing about the package internals, so momenta and field equations
+computed with it are a second opinion, not an echo.  The numeric
+references loop over coefficients one pair at a time instead of using
+the package's product tables.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from supermech import (
     Chart,
@@ -249,3 +254,79 @@ def random_field(
     if not components:
         return None
     return VectorFieldAlong(chart, source, target, components, parity)
+
+
+# -- independent reference: Grassmann products and RK4 ----------------------
+# Values are coefficient arrays indexed by subset bitmask, as in
+# GrassmannValue.coeffs; the loops below add terms in the order the
+# package's product tables use, so results agree bit for bit.
+
+
+def merge_sign(left_mask: int, right_mask: int) -> int:
+    """Sign of concatenating two ordered subsets, counting the swaps that
+    interleave them into one ordered word."""
+    crossings = 0
+    for i in range(right_mask.bit_length()):
+        if right_mask >> i & 1:
+            crossings += (left_mask >> (i + 1)).bit_count()
+    return -1 if crossings % 2 else 1
+
+
+def oracle_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Exterior product by a double loop over the nonzero coefficients."""
+    out = np.zeros_like(left)
+    for a in np.nonzero(left)[0]:
+        for b in np.nonzero(right)[0]:
+            if a & b:
+                continue
+            out[a | b] += merge_sign(int(a), int(b)) * left[a] * right[b]
+    return out
+
+
+def oracle_evaluate(expr: SuperExpr, values: dict, directions: int) -> np.ndarray:
+    """Evaluate term by term: each even power is formed first and then
+    multiplied in, odd factors follow in canonical order."""
+    size = 1 << directions
+    unit = np.zeros(size)
+    unit[0] = 1.0
+    out = np.zeros(size)
+    for (even, odd), coeff in expr.items():
+        acc = unit * float(coeff)
+        for gen, exponent in even:
+            power = unit
+            for _ in range(exponent):
+                power = oracle_product(power, values[gen])
+            acc = oracle_product(acc, power)
+        for gen in odd:
+            acc = oracle_product(acc, values[gen])
+        out = out + acc
+    return out
+
+
+def reference_rk4(dynamics, initial: dict, directions: int, dt: float, steps: int) -> list:
+    """Classic RK4 on dicts of coefficient arrays; returns every state."""
+    field = dynamics.field()
+    components = {gen: field.component(gen) for gen in initial}
+
+    def rhs(values):
+        return {
+            gen: oracle_evaluate(expr, values, directions)
+            for gen, expr in components.items()
+        }
+
+    def shift(values, slopes, factor):
+        return {gen: values[gen] + slopes[gen] * factor for gen in values}
+
+    states = [dict(initial)]
+    current = dict(initial)
+    for _ in range(steps):
+        k1 = rhs(current)
+        k2 = rhs(shift(current, k1, dt / 2))
+        k3 = rhs(shift(current, k2, dt / 2))
+        k4 = rhs(shift(current, k3, dt))
+        current = {
+            gen: current[gen] + (k1[gen] + 2.0 * k2[gen] + 2.0 * k3[gen] + k4[gen]) * (dt / 6)
+            for gen in current
+        }
+        states.append(current)
+    return states

@@ -1,6 +1,7 @@
 """Command line behavior: report shapes, exit codes, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +240,16 @@ def test_simulate_trajectory_out(problem_file, tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "time\tcoordinate\tmask\tvalue"
     assert len(lines) == 1 + 1001 * 2
+
+
+@pytest.mark.parametrize("name", ["oscillator", "ostrogradski", "superparticle"])
+def test_simulate_output_is_fixed(name, capsys):
+    # the expected reports fix every drift value to the last bit
+    root = Path(__file__).parent
+    code = main(["simulate", str(root.parent / "problems" / f"{name}.sm")])
+    assert code == 0
+    expected = (root / "data" / f"{name}.simulate.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 # -- usage and input errors ------------------------------------------------
