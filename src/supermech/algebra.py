@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class Parity(Enum):
@@ -207,18 +207,15 @@ class SuperExpr:
             (even_terms if len(key[1]) % 2 == 0 else odd_terms)[key] = coeff
         return SuperExpr(even_terms), SuperExpr(odd_terms)
 
+    @staticmethod
+    def sum(exprs: Iterable["SuperExpr"]) -> "SuperExpr":
+        """Add many expressions into one term dict."""
+        return _collect(term for expr in exprs for term in expr._terms.items())
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        other = _coerce(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return SuperExpr(terms)
+        return _collect(_coerce(other)._terms.items(), self._terms)
 
     __radd__ = __add__
 
@@ -232,21 +229,7 @@ class SuperExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        other = _coerce(other)
-        terms: dict[TermKey, Fraction] = {}
-        for (ev1, od1), c1 in self._terms.items():
-            for (ev2, od2), c2 in other._terms.items():
-                merged = _merge_odd_words(od1, od2)
-                if merged is None:
-                    continue
-                sign, odd = merged
-                key = (_merge_even(ev1, ev2), odd)
-                acc = terms.get(key, Fraction(0)) + sign * c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        return SuperExpr(terms)
+        return _collect(_product_terms(self, _coerce(other)))
 
     def __rmul__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
         return _coerce(other) * self
@@ -308,6 +291,30 @@ class SuperExpr:
         return f"SuperExpr({self})"
 
 
+def _collect(
+    terms: Iterable[tuple[TermKey, Fraction]], base: Mapping[TermKey, Fraction] | None = None
+) -> SuperExpr:
+    """Add ``(key, coefficient)`` pairs into one dict, a copy of ``base``
+    when given, dropping keys whose coefficients cancel."""
+    out: dict[TermKey, Fraction] = dict(base) if base else {}
+    for key, coeff in terms:
+        acc = out[key] + coeff if key in out else coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return SuperExpr(out)
+
+
+def _product_terms(left: SuperExpr, right: SuperExpr) -> Iterator[tuple[TermKey, Fraction]]:
+    for (ev1, od1), c1 in left._terms.items():
+        for (ev2, od2), c2 in right._terms.items():
+            merged = _merge_odd_words(od1, od2)
+            if merged is not None:
+                sign, odd = merged
+                yield (_merge_even(ev1, ev2), odd), sign * c1 * c2
+
+
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
     if isinstance(value, SuperExpr):
         return value
@@ -339,7 +346,7 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
     term.  When ``declared`` is given, every factor must belong to it.
     """
     allowed = set(declared) if declared is not None else None
-    out = SuperExpr.zero()
+    terms: list[tuple[TermKey, Fraction]] = []
     for coeff, factors in raw:
         evens: list[GeneratorSymbol] = []
         odds: list[GeneratorSymbol] = []
@@ -355,8 +362,8 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
         for gen in evens:
             exps[gen] = exps.get(gen, 0) + 1
         even_mono = tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
-        out = out + SuperExpr({(even_mono, odd_word): Fraction(coeff) * sign})
-    return out
+        terms.append(((even_mono, odd_word), Fraction(coeff) * sign))
+    return _collect(terms)
 
 
 def parity_of(expr: SuperExpr) -> Parity:
@@ -389,7 +396,7 @@ def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
     For an odd generator the factor is moved to the front of its word,
     collecting a Koszul sign, and then removed.
     """
-    terms: dict[TermKey, Fraction] = {}
+    terms: list[tuple[TermKey, Fraction]] = []
     for (even, odd), coeff in expr._terms.items():
         if gen.parity is Parity.EVEN:
             exps = dict(even)
@@ -408,12 +415,8 @@ def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
             pos = odd.index(gen)
             key = (even, odd[:pos] + odd[pos + 1:])
             value = coeff * (-1) ** pos
-        acc = terms.get(key, Fraction(0)) + value
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
-    return SuperExpr(terms)
+        terms.append((key, value))
+    return _collect(terms)
 
 
 def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr | Scalar]) -> SuperExpr:
@@ -429,12 +432,12 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
         if not has_parity(value, gen.parity):
             raise ParityMismatch(f"value {value} assigned to {gen} is not {gen.parity}")
         values[gen] = value
-    out = SuperExpr.zero()
+    terms: list[SuperExpr] = []
     for (even, odd), coeff in expr._terms.items():
         term = SuperExpr.constant(coeff)
         for gen, exp in even:
             term = term * values.get(gen, SuperExpr.generator(gen)) ** exp
         for gen in odd:
             term = term * values.get(gen, SuperExpr.generator(gen))
-        out = out + term
-    return out
+        terms.append(term)
+    return SuperExpr.sum(terms)

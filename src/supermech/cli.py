@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Mapping
@@ -33,12 +34,9 @@ from .lagrangian import (
     NotSymmetry,
     Regularity,
     cartan_data,
-    check_constant_of_motion,
+    check_symmetry,
     noether_charge,
     noether_inverse,
-    check_symmetry,
-    regularity,
-    solve_dynamics,
 )
 from .numeric import NumericError, conservation_report, integrate
 from .problems import (
@@ -95,12 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="integrate the dynamics and report drift")
     simulate.add_argument("problem", help="path to a problem file")
     simulate.add_argument(
-        "--tol", type=float, default=1e-6, help="conservation tolerance (default 1e-6)"
+        "--tol", type=_tolerance, default=1e-6, help="conservation tolerance (default 1e-6)"
     )
     simulate.add_argument(
         "--trajectory-out", metavar="PATH", help="write the sampled trajectory to a file"
     )
     return parser
+
+
+def _tolerance(text: str) -> float:
+    """A finite, non-negative tolerance; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -157,18 +166,17 @@ def _render(report: dict) -> str:
 def run_derive(problem: ProblemFile, emit: str = "json"):
     lag = problem.lagrangian()
     data = cartan_data(lag)
-    report_verdict = regularity(lag)
-    regular = report_verdict.verdict is Regularity.REGULAR
+    regular = data.regularity.verdict is Regularity.REGULAR
     code = 0 if regular else 1
 
     if emit == "latex":
-        return _derive_latex(problem, data, report_verdict), code
+        return _derive_latex(data), code
 
     chart = lag.chart
     forces: dict[str, str] = {}
     constraints: dict[str, str] = {}
     if regular:
-        dynamics = solve_dynamics(lag, data)
+        dynamics = data.dynamics
         forces = {
             str(gen): str(expr)
             for gen, expr in sorted(dynamics.forces.items(), key=lambda it: it[0].sort_key)
@@ -195,7 +203,7 @@ def run_derive(problem: ProblemFile, emit: str = "json"):
             gen.name: str(data.delta_check.component(gen))
             for gen in chart.at_order(0).coordinates()
         },
-        "regularity": report_verdict.verdict.value,
+        "regularity": data.regularity.verdict.value,
         "regular": regular,
         "forces": forces,
         "constraints": constraints,
@@ -203,7 +211,7 @@ def run_derive(problem: ProblemFile, emit: str = "json"):
     return _render(report), code
 
 
-def _derive_latex(problem: ProblemFile, data: CartanData, verdict) -> str:
+def _derive_latex(data: CartanData) -> str:
     chart = data.lagrangian.chart
     lines = [
         f"L = {latex_expr(data.lagrangian.expr)}",
@@ -216,7 +224,7 @@ def _derive_latex(problem: ProblemFile, data: CartanData, verdict) -> str:
         lines.append(
             f"\\delta L / \\delta {latex_name(gen.name)} = {latex_expr(component)}"
         )
-    lines.append(f"\\text{{regularity: {verdict.verdict.value}}}")
+    lines.append(f"\\text{{regularity: {data.regularity.verdict.value}}}")
     return "\n".join(lines)
 
 
@@ -245,10 +253,8 @@ def run_noether(problem: ProblemFile, symmetry: str | None, from_charge: str | N
             }
             return _render(report), 1
         charge = noether_charge(field, generating, lag, data)
-        conserved = None
-        if regularity(lag).verdict is Regularity.REGULAR:
-            dynamics = solve_dynamics(lag, data)
-            conserved = check_constant_of_motion(charge, dynamics)
+        # noether_charge has checked conservation when the system is regular
+        conserved = True if data.regularity.verdict is Regularity.REGULAR else None
         report = {
             "schema": SCHEMA_VERSION,
             "command": "noether",
@@ -290,7 +296,7 @@ def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
     lag = problem.lagrangian()
     data = cartan_data(lag)
     try:
-        dynamics = solve_dynamics(lag, data)
+        dynamics = data.dynamics
     except NotRegular as exc:
         raise _MathFailure(str(exc)) from exc
 

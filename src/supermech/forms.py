@@ -370,12 +370,9 @@ def pair(x_field: VectorFieldAlong, check: CheckForm) -> SuperExpr:
             f"field along T^{x_field.source_order} cannot pair with level {check.level} components"
         )
     x_parity = x_field.parity.value
-    out = SuperExpr.zero()
-    for gen, coeff in check.components.items():
-        value = x_field.component(gen)
-        if value.is_zero():
-            continue
-        for part, part_parity in _parity_parts(coeff):
-            sign = -1 if (x_parity and part_parity) else 1
-            out = out + sign * part * value
-    return out
+    return SuperExpr.sum(
+        (-1 if (x_parity and part_parity) else 1) * part * x_field.component(gen)
+        for gen, coeff in check.components.items()
+        if gen in x_field.components
+        for part, part_parity in _parity_parts(coeff)
+    )

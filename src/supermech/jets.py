@@ -3,8 +3,7 @@
 A chart of order k carries one generator per base coordinate and
 derivative subscript 0..k.  Charts of different orders over the same base
 share generator symbols, so pulling an expression back along a projection
-is pure bookkeeping: we only check that the expression really lives at the
-lower order.
+leaves it unchanged.
 
 Vector fields along a projection map functions at the source order to
 expressions at the target order; they act through left partial
@@ -110,56 +109,18 @@ class Chart:
                 raise OrderExceeded(f"{g} exceeds jet order {top}")
 
 
-@dataclass(frozen=True)
-class Projection:
-    """The order-lowering projection from T^source to T^target."""
-
-    source_order: int
-    target_order: int
-
-    def __post_init__(self):
-        if not 0 <= self.target_order <= self.source_order:
-            raise ValueError(
-                f"projection needs 0 <= target <= source, got {self.source_order} -> {self.target_order}"
-            )
-
-
-def pullback(expr: SuperExpr, proj: Projection) -> SuperExpr:
-    """Pull a function on T^target back to T^source.
-
-    Shared generator symbols make this the identity on the data; the call
-    checks that the expression actually lives at the target order.
-    """
-    top = expr.max_jet_order()
-    if top > proj.target_order:
-        raise OrderExceeded(
-            f"expression of jet order {top} does not live on T^{proj.target_order}"
-        )
-    return expr
-
-
 def total_derivative(expr: SuperExpr) -> SuperExpr:
     """The total time derivative: shifts each subscript up through the
     graded chain rule.  Output lives one order higher than the input."""
-    out = SuperExpr.zero()
-    for g in expr.generators():
-        out = out + SuperExpr.generator(g.shifted()) * left_partial(expr, g)
-    return out
+    return SuperExpr.sum(
+        SuperExpr.generator(g.shifted()) * left_partial(expr, g) for g in expr.generators()
+    )
 
 
 def iterated_total_derivative(expr: SuperExpr, times: int) -> SuperExpr:
     for _ in range(times):
         expr = total_derivative(expr)
     return expr
-
-
-def lifted_function(f: SuperExpr, j: int, k: int) -> SuperExpr:
-    """The j-th lift of a base function, presented on T^k (needs j <= k)."""
-    if j < 0 or j > k:
-        raise OrderExceeded(f"lift index {j} outside 0..{k}")
-    if f.max_jet_order() > 0:
-        raise OrderExceeded("lifted_function expects a function of the base coordinates")
-    return iterated_total_derivative(f, j)
 
 
 @dataclass(frozen=True)
@@ -213,10 +174,7 @@ class VectorFieldAlong:
             raise DomainMismatch(
                 f"argument of jet order {f.max_jet_order()} is not a function on T^{self.source_order}"
             )
-        out = SuperExpr.zero()
-        for gen in f.generators():
-            out = out + self.component(gen) * left_partial(f, gen)
-        return out
+        return SuperExpr.sum(self.component(gen) * left_partial(f, gen) for gen in f.generators())
 
     def widen_target(self, new_target: int) -> "VectorFieldAlong":
         """View the same components along a taller projection."""
@@ -239,11 +197,6 @@ class VectorFieldAlong:
     def scale(self, factor: SuperExpr | int | Fraction) -> "VectorFieldAlong":
         comps = {gen: factor * comp for gen, comp in self.components.items()}
         return VectorFieldAlong(self.chart, self.source_order, self.target_order, comps)
-
-
-def coordinate_field(chart: Chart, order: int, gen: GeneratorSymbol) -> VectorFieldAlong:
-    """The basis field d/dx on T^order."""
-    return VectorFieldAlong(chart, order, order, {gen: SuperExpr.constant(1)}, gen.parity)
 
 
 def total_derivative_field(chart: Chart, source_order: int) -> VectorFieldAlong:
@@ -275,23 +228,6 @@ def lift_vector_field(x_field: VectorFieldAlong, l: int) -> VectorFieldAlong:
             if not comp.is_zero():
                 comps[base_gen.shifted(j)] = iterated_total_derivative(comp, j)
     return VectorFieldAlong(chart, l, x_field.target_order + l, comps, x_field.parity)
-
-
-def vertical_lift_function(f: SuperExpr, k: int) -> SuperExpr:
-    """Vertical lift of a function on T^(k-1) to a function on T^k.
-
-    Each subscript-j partial is paired with the subscript-(j+1) coordinate
-    and weighted by 1/(j+1); partials act from the left.
-    """
-    if k < 1:
-        raise OrderExceeded("vertical lift needs order k >= 1")
-    if f.max_jet_order() > k - 1:
-        raise OrderExceeded("vertical lift expects a function on T^(k-1)")
-    out = SuperExpr.zero()
-    for gen in f.generators():
-        j = gen.jet_order
-        out = out + Fraction(1, j + 1) * left_partial(f, gen) * SuperExpr.generator(gen.shifted())
-    return out
 
 
 def vertical_lift_field(x_field: VectorFieldAlong) -> VectorFieldAlong:

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -107,84 +108,79 @@ def variational_derivative(expr: SuperExpr, base_gen: GeneratorSymbol) -> SuperE
     exactly on total time derivatives."""
     if base_gen.jet_order != 0:
         raise ValueError("variational derivatives are taken per base coordinate")
-    out = SuperExpr.zero()
-    for j in range(expr.max_jet_order() + 1):
-        term = left_partial(expr, base_gen.shifted(j))
-        out = out + (-1) ** j * iterated_total_derivative(term, j)
-    return out
+    return SuperExpr.sum(
+        (-1) ** j * iterated_total_derivative(left_partial(expr, base_gen.shifted(j)), j)
+        for j in range(expr.max_jet_order() + 1)
+    )
 
 
 # -- Cartan package --------------------------------------------------------
 
 
+def _momentum(lag: SuperLagrangian) -> tuple[GradedForm, CheckForm]:
+    """The momentum one-form on T^(2k-1) and its components, certified
+    semibasic at level k-1."""
+    theta = cartan_operator(exterior_d(lag.expr), lag.order)
+    return theta, semibasic_check(theta, lag.order - 1)
+
+
 def cartan_one_form(lag: SuperLagrangian) -> GradedForm:
     """The momentum one-form on T^(2k-1); semibasic at level k-1."""
-    theta = cartan_operator(exterior_d(lag.expr), lag.order)
-    semibasic_check(theta, lag.order - 1)
-    return theta
-
-
-def cartan_two_form(lag: SuperLagrangian) -> GradedForm:
-    return -exterior_d(cartan_one_form(lag))
-
-
-def energy(lag: SuperLagrangian) -> SuperExpr:
-    """Pair the momentum components against the total-derivative field and
-    subtract the Lagrangian."""
-    k = lag.order
-    theta_check = semibasic_check(cartan_one_form(lag), k - 1)
-    t_field = total_derivative_field(lag.chart, k - 1).widen_target(2 * k - 1)
-    return pair(t_field, theta_check) - lag.expr
-
-
-def euler_lagrange_form(lag: SuperLagrangian) -> GradedForm:
-    """The variational one-form on T^(2k): dL minus the total derivative
-    of the momentum form.  Semibasic over the base; its components are the
-    graded field equations.
-
-    The alternative route through the two-form and the energy must agree,
-    and is checked on every call.
-    """
-    k = lag.order
-    theta = cartan_one_form(lag)
-    delta = exterior_d(lag.expr) - form_total_derivative(theta)
-    semibasic_check(delta, 0)
-
-    omega = -exterior_d(theta)
-    t_field = total_derivative_field(lag.chart, 2 * k - 1)
-    chain = interior(t_field, omega) - exterior_d(energy(lag))
-    if chain != delta:
-        raise LagrangianError("internal identity failure relating the variational form to the two-form")
-    return delta
+    return _momentum(lag)[0]
 
 
 @dataclass(frozen=True)
 class CartanData:
-    """The derived geometry of one Lagrangian, computed once."""
+    """The derived geometry of one Lagrangian, each piece computed once.
+
+    ``energy`` pairs the momentum components against the total-derivative
+    field and subtracts the Lagrangian; ``delta`` is the variational
+    one-form on T^(2k), dL minus the total derivative of the momentum
+    form, whose components (``delta_check``) are the graded field
+    equations.  The solve plan with its regularity report, and the solved
+    dynamics, are computed on first use and kept.
+    """
 
     lagrangian: SuperLagrangian
     theta: GradedForm
+    theta_check: CheckForm
     omega: GradedForm
     energy: SuperExpr
     delta: GradedForm
+    delta_check: CheckForm
+
+    @cached_property
+    def _plan(self) -> "_SolvePlan":
+        return _solve_plan(self.lagrangian, self.delta_check)
 
     @property
-    def theta_check(self) -> CheckForm:
-        return semibasic_check(self.theta, self.lagrangian.order - 1)
+    def regularity(self) -> "RegularityReport":
+        return self._plan.report
 
-    @property
-    def delta_check(self) -> CheckForm:
-        return semibasic_check(self.delta, 0)
+    @cached_property
+    def dynamics(self) -> "Dynamics":
+        """The solved dynamics; raises NotRegular unless the report is
+        regular."""
+        return _solve_dynamics(self)
 
 
 def cartan_data(lag: SuperLagrangian) -> CartanData:
-    return CartanData(
-        lagrangian=lag,
-        theta=cartan_one_form(lag),
-        omega=cartan_two_form(lag),
-        energy=energy(lag),
-        delta=euler_lagrange_form(lag),
-    )
+    """Build the momentum form once and derive the two-form, the energy
+    and the variational form from it.  The alternative route to the
+    variational form, through the two-form and the energy, must agree and
+    is checked here."""
+    k = lag.order
+    chart = lag.chart
+    theta, theta_check = _momentum(lag)
+    omega = -exterior_d(theta)
+    t_field = total_derivative_field(chart, k - 1).widen_target(2 * k - 1)
+    energy = pair(t_field, theta_check) - lag.expr
+    delta = exterior_d(lag.expr) - form_total_derivative(theta)
+    delta_check = semibasic_check(delta, 0)
+    chain = interior(total_derivative_field(chart, 2 * k - 1), omega) - exterior_d(energy)
+    if chain != delta:
+        raise LagrangianError("internal identity failure relating the variational form to the two-form")
+    return CartanData(lag, theta, theta_check, omega, energy, delta, delta_check)
 
 
 # -- linear algebra over the superalgebra ----------------------------------
@@ -201,14 +197,11 @@ def _det(matrix: Sequence[Sequence[SuperExpr]]) -> SuperExpr:
         return SuperExpr.constant(1)
     if n == 1:
         return matrix[0][0]
-    out = SuperExpr.zero()
-    for col in range(n):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != col] for row in matrix[1:]]
-        out = out + (-1) ** col * entry * _det(minor)
-    return out
+    return SuperExpr.sum(
+        (-1) ** col * entry * _det([[row[c] for c in range(n) if c != col] for row in matrix[1:]])
+        for col, entry in enumerate(matrix[0])
+        if not entry.is_zero()
+    )
 
 
 def _adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> list[list[SuperExpr]]:
@@ -228,22 +221,11 @@ def _adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> list[list[SuperExpr]]:
 
 
 def _mat_mul(a: Sequence[Sequence[SuperExpr]], b: Sequence[Sequence[SuperExpr]]) -> list[list[SuperExpr]]:
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[SuperExpr.zero()] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = SuperExpr.zero()
-            for l in range(mid):
-                acc = acc + a[i][l] * b[l][j]
-            out[i][j] = acc
-    return out
+    return [[SuperExpr.sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _mat_vec(a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr]) -> list[SuperExpr]:
-    return [
-        sum((a[i][l] * v[l] for l in range(len(v))), SuperExpr.zero())
-        for i in range(len(a))
-    ]
+    return [SuperExpr.sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def _solve_affine(
@@ -276,18 +258,17 @@ def _solve_affine(
         u = [a + b for a, b in zip(u, term)]
     else:
         raise SingularSystem("nilpotent correction failed to terminate")
-    residual = [
-        sum((matrix[i][j] * u[j] for j in range(n)), SuperExpr.zero()) - rhs[i]
-        for i in range(n)
-    ]
+    residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
     if any(not r.is_zero() for r in residual):
         raise SingularSystem("affine solve verification failed")
     return u
 
 
-def _affine_split(
-    expr: SuperExpr, unknowns: set[GeneratorSymbol]
-) -> tuple[SuperExpr, dict[GeneratorSymbol, SuperExpr]]:
+# an expression as its part free of the unknowns and the coefficient of each
+_Split = tuple[SuperExpr, dict[GeneratorSymbol, SuperExpr]]
+
+
+def _affine_split(expr: SuperExpr, unknowns: set[GeneratorSymbol]) -> _Split:
     """Write ``expr = rest + sum coeff[u] * u`` with each unknown moved to
     the right end of its term.  Fails when an unknown appears nonlinearly
     or two unknowns share a term."""
@@ -389,96 +370,82 @@ class Dynamics:
 
 @dataclass(frozen=True)
 class _SolvePlan:
+    """The field equations split for solving.
+
+    Each dynamical equation reads ``rest + sum coeffs[u] * u`` over the
+    top-order unknowns; each lower-order (odd) equation is split the same
+    way over the odd coordinates at the highest jet order those equations
+    reach.
+    """
+
     report: RegularityReport
-    dynamical: tuple[tuple[GeneratorSymbol, SuperExpr, dict[GeneratorSymbol, SuperExpr]], ...]
-    dyn_unknowns: tuple[GeneratorSymbol, ...]
-    constraint_rows: tuple[tuple[GeneratorSymbol, SuperExpr], ...]
+    dynamical: tuple[_Split, ...] = ()
+    dyn_unknowns: tuple[GeneratorSymbol, ...] = ()
+    constraints: tuple[_Split, ...] = ()
+    con_unknowns: tuple[GeneratorSymbol, ...] = ()
+
+
+def _degenerate(note: str, determinants: Sequence[SuperExpr] = ()) -> _SolvePlan:
+    return _SolvePlan(RegularityReport(Regularity.DEGENERATE, tuple(determinants), note))
+
+
+def _matrix(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> list[list[SuperExpr]]:
+    return [[coeffs.get(u, SuperExpr.zero()) for u in unknowns] for _, coeffs in rows]
+
+
+def _body_det(matrix: Sequence[Sequence[SuperExpr]]) -> SuperExpr:
+    return _det([[_body(e) for e in row] for row in matrix])
 
 
 def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
     chart = lag.chart
     k = lag.order
     tops = {g.shifted(2 * k) for g in chart.at_order(0).coordinates()}
-    determinants: list[SuperExpr] = []
 
     dynamical = []
-    constraint_rows = []
+    lower = []
     dyn_unknowns: set[GeneratorSymbol] = set()
     for base in chart.at_order(0).coordinates():
         eq = delta_check.component(base)
         if eq.is_zero():
-            return _SolvePlan(
-                RegularityReport(
-                    Regularity.DEGENERATE, (), f"no field equation for {base.name}"
-                ),
-                (), (), (),
-            )
+            return _degenerate(f"no field equation for {base.name}")
         rest, coeffs = _affine_split(eq, tops)
         if coeffs:
-            dynamical.append((base, rest, coeffs))
+            dynamical.append((rest, coeffs))
             dyn_unknowns.update(coeffs)
+        elif base.parity is Parity.EVEN:
+            return _degenerate(f"even equation for {base.name} is lower order")
         else:
-            if base.parity is Parity.EVEN:
-                return _SolvePlan(
-                    RegularityReport(
-                        Regularity.DEGENERATE, (), f"even equation for {base.name} is lower order"
-                    ),
-                    (), (), (),
-                )
-            constraint_rows.append((base, rest))
+            lower.append(rest)
 
     unknown_list = tuple(sorted(dyn_unknowns, key=lambda g: g.sort_key))
     if len(unknown_list) != len(dynamical):
-        return _SolvePlan(
-            RegularityReport(
-                Regularity.DEGENERATE,
-                (),
-                f"{len(dynamical)} equations determine {len(unknown_list)} top coordinates",
-            ),
-            (), (), (),
-        )
+        return _degenerate(f"{len(dynamical)} equations determine {len(unknown_list)} top coordinates")
 
-    matrix = [
-        [_body(coeffs.get(u, SuperExpr.zero())) for u in unknown_list]
-        for _, _, coeffs in dynamical
-    ]
-    if matrix:
-        determinants.append(_det(matrix))
+    determinants: list[SuperExpr] = []
+    if dynamical:
+        determinants.append(_body_det(_matrix(dynamical, unknown_list)))
 
-    if constraint_rows:
-        level = max(r.max_jet_order() for _, r in constraint_rows)
-        con_unknowns = sorted(
+    constraints: tuple[_Split, ...] = ()
+    con_unknowns: tuple[GeneratorSymbol, ...] = ()
+    if lower:
+        level = max(r.max_jet_order() for r in lower)
+        con_unknowns = tuple(sorted(
             {
                 g
-                for _, r in constraint_rows
+                for r in lower
                 for g in r.generators()
                 if g.jet_order == level and g.parity is Parity.ODD
             },
             key=lambda g: g.sort_key,
-        )
-        if len(con_unknowns) != len(constraint_rows):
-            return _SolvePlan(
-                RegularityReport(
-                    Regularity.DEGENERATE, tuple(determinants), "constraint sector is not square"
-                ),
-                (), (), (),
-            )
+        ))
+        if len(con_unknowns) != len(lower):
+            return _degenerate("constraint sector is not square", determinants)
         try:
-            con_matrix = [
-                [
-                    _body(_affine_split(r, set(con_unknowns))[1].get(u, SuperExpr.zero()))
-                    for u in con_unknowns
-                ]
-                for _, r in constraint_rows
-            ]
+            constraints = tuple(_affine_split(r, set(con_unknowns)) for r in lower)
         except SingularSystem:
-            return _SolvePlan(
-                RegularityReport(
-                    Regularity.DEGENERATE, tuple(determinants), "constraint sector is not affine"
-                ),
-                (), (), (),
-            )
-        determinants.append(_det(con_matrix))
+            return _degenerate("constraint sector is not affine", determinants)
+        determinants.append(_body_det(_matrix(constraints, con_unknowns)))
 
     dets = tuple(determinants)
     if any(d.is_zero() for d in dets):
@@ -488,10 +455,7 @@ def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
     else:
         verdict = Regularity.REGULAR
     return _SolvePlan(
-        RegularityReport(verdict, dets),
-        tuple(dynamical),
-        unknown_list,
-        tuple(constraint_rows),
+        RegularityReport(verdict, dets), tuple(dynamical), unknown_list, constraints, con_unknowns
     )
 
 
@@ -504,8 +468,7 @@ def regularity(lag: SuperLagrangian) -> RegularityReport:
     Indeterminate: a determinant is a nonconstant expression, so
     invertibility depends on the point; reported, not decided.
     """
-    data = cartan_data(lag)
-    return _solve_plan(lag, data.delta_check).report
+    return cartan_data(lag).regularity
 
 
 def solve_dynamics(lag: SuperLagrangian, data: CartanData | None = None) -> Dynamics:
@@ -515,63 +478,49 @@ def solve_dynamics(lag: SuperLagrangian, data: CartanData | None = None) -> Dyna
     equations are solved as constraints and prolonged by total
     differentiation up to top order.  The result is post-verified: the
     field is even, second-order-type, and the contraction identity against
-    the two-form and the energy differential reduces to zero.
+    the two-form and the energy differential reduces to zero.  The
+    solution is kept on ``data`` and returned again on later calls.
     """
-    data = data or cartan_data(lag)
+    return (data or cartan_data(lag)).dynamics
+
+
+def _solve_sector(
+    rows: Sequence[_Split],
+    unknowns: Sequence[GeneratorSymbol],
+    cap: int,
+    what: str,
+) -> dict[GeneratorSymbol, SuperExpr]:
+    solution = _solve_affine(_matrix(rows, unknowns), [-rest for rest, _ in rows], cap)
+    for gen, value in zip(unknowns, solution):
+        if not has_parity(value, gen.parity):
+            raise SingularSystem(f"{what} for {gen} has the wrong parity")
+    return dict(zip(unknowns, solution))
+
+
+def _solve_dynamics(data: CartanData) -> Dynamics:
+    lag = data.lagrangian
     chart = lag.chart
     k = lag.order
-    plan = _solve_plan(lag, data.delta_check)
+    plan = data._plan
     if plan.report.verdict is not Regularity.REGULAR:
         raise NotRegular(plan.report)
 
     n_odd_symbols = len(chart.base_odd) * (2 * k + 1)
-    forces: dict[GeneratorSymbol, SuperExpr] = {}
-    if plan.dynamical:
-        matrix = [
-            [coeffs.get(u, SuperExpr.zero()) for u in plan.dyn_unknowns]
-            for _, _, coeffs in plan.dynamical
-        ]
-        rhs = [-rest for _, rest, _ in plan.dynamical]
-        solution = _solve_affine(matrix, rhs, n_odd_symbols)
-        for gen, value in zip(plan.dyn_unknowns, solution):
-            if not has_parity(value, gen.parity):
-                raise SingularSystem(f"force for {gen} has the wrong parity")
-            forces[gen] = value
-
-    constraints: dict[GeneratorSymbol, SuperExpr] = {}
-    if plan.constraint_rows:
-        level = max(r.max_jet_order() for _, r in plan.constraint_rows)
-        con_unknowns = sorted(
-            {
-                g
-                for _, r in plan.constraint_rows
-                for g in r.generators()
-                if g.jet_order == level and g.parity is Parity.ODD
-            },
-            key=lambda g: g.sort_key,
-        )
-        matrix = []
-        rhs = []
-        for _, r in plan.constraint_rows:
-            rest, coeffs = _affine_split(r, set(con_unknowns))
-            matrix.append([coeffs.get(u, SuperExpr.zero()) for u in con_unknowns])
-            rhs.append(-rest)
-        solution = _solve_affine(matrix, rhs, n_odd_symbols)
-        for gen, value in zip(con_unknowns, solution):
-            if not has_parity(value, gen.parity):
-                raise SingularSystem(f"constraint value for {gen} has the wrong parity")
-            constraints[gen] = value
-        # prolong each solved relation up to top order; the top level
-        # supplies the otherwise undetermined odd forces
-        for gen in con_unknowns:
-            value = constraints[gen]
-            for j in range(gen.jet_order + 1, 2 * k + 1):
-                value = expr_total_derivative(value)
-                target = gen.shifted(j - gen.jet_order)
-                if target.jet_order == 2 * k:
-                    forces.setdefault(target, value)
-                else:
-                    constraints.setdefault(target, value)
+    forces = _solve_sector(plan.dynamical, plan.dyn_unknowns, n_odd_symbols, "force")
+    constraints = _solve_sector(
+        plan.constraints, plan.con_unknowns, n_odd_symbols, "constraint value"
+    )
+    # prolong each solved relation up to top order; the top level
+    # supplies the otherwise undetermined odd forces
+    for gen in plan.con_unknowns:
+        value = constraints[gen]
+        for j in range(gen.jet_order + 1, 2 * k + 1):
+            value = expr_total_derivative(value)
+            target = gen.shifted(j - gen.jet_order)
+            if target.jet_order == 2 * k:
+                forces.setdefault(target, value)
+            else:
+                constraints.setdefault(target, value)
 
     missing = [
         g.shifted(2 * k)
@@ -761,10 +710,7 @@ def _integrate_total_derivative(target: SuperExpr, chart: Chart, order: int) -> 
     solution = _solve_rational(columns, target)
     if solution is None:
         raise LagrangianError("total-derivative inversion failed on an exact expression")
-    out = SuperExpr.zero()
-    for mono, coeff in zip(monos, solution):
-        out = out + coeff * mono
-    return out
+    return SuperExpr.sum(coeff * mono for mono, coeff in zip(monos, solution))
 
 
 def check_symmetry(
@@ -815,10 +761,9 @@ def noether_charge(
         raise NotProjectable(
             f"charge involves jet order {charge.max_jet_order()}, above {2 * k - 1}"
         )
-    if verify and _solve_plan(lag, data.delta_check).report.verdict is Regularity.REGULAR:
-        dyn = solve_dynamics(lag, data)
-        if not check_constant_of_motion(charge, dyn):
-            raise LagrangianError("charge verification failed: not constant along the dynamics")
+    regular = data.regularity.verdict is Regularity.REGULAR
+    if verify and regular and not check_constant_of_motion(charge, data.dynamics):
+        raise LagrangianError("charge verification failed: not constant along the dynamics")
     return charge
 
 

@@ -27,7 +27,6 @@ from supermech import (
     certify_symmetry,
     check_constant_of_motion,
     conservation_report,
-    energy,
     exterior_d,
     form_total_derivative,
     integrate,
@@ -378,7 +377,7 @@ def test_guarantee_7_numeric_conservation():
         dyn = solve_dynamics(osc)
         initial = scalar_state(osc.chart, 1, {("q", 0): 1.0, ("q", 1): 0.0})
         traj = integrate(dyn, initial, dt=1e-3, t_end=1.0)
-        report = conservation_report(traj, {"energy": energy(osc)})
+        report = conservation_report(traj, {"energy": cartan_data(osc).energy})
         assert report["energy"] <= 1e-6
 
     chain = stiff_chain()
@@ -390,7 +389,7 @@ def test_guarantee_7_numeric_conservation():
             {("q", 0): 1.0, ("q", 1): 0.5, ("q", 2): 0.25, ("q", 3): 0.125},
         )
         traj = integrate(dyn, initial, dt=1e-3, t_end=1.0)
-        report = conservation_report(traj, {"energy": energy(chain)})
+        report = conservation_report(traj, {"energy": cartan_data(chain).energy})
         assert report["energy"] <= 1e-6
 
     susy = superparticle()
@@ -411,7 +410,7 @@ def test_guarantee_7_numeric_conservation():
         report = conservation_report(
             traj,
             {
-                "energy": energy(susy),
+                "energy": cartan_data(susy).energy,
                 "susy": chart.coord("q", 1) * chart.coord("th", 0),
             },
         )
@@ -442,7 +441,7 @@ def test_guarantee_8_fourth_order_convergence():
         for dt in (4e-3, 2e-3, 1e-3):
             initial = scalar_state(chart, 1, {("q", 0): 1.0, ("q", 1): 0.0})
             traj = integrate(dyn, initial, dt=dt, t_end=1.0)
-            drifts.append(conservation_report(traj, {"energy": energy(lag)})["energy"])
+            drifts.append(conservation_report(traj, {"energy": cartan_data(lag).energy})["energy"])
         assert drifts[0] > drifts[1] > drifts[2] > 0
         for coarse, fine in zip(drifts, drifts[1:]):
             assert 8.0 <= coarse / fine <= 32.0

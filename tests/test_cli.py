@@ -1,11 +1,17 @@
 """Command line behavior: report shapes, exit codes, and determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from supermech import lagrangian
 from supermech.cli import main
+
+ROOT = Path(__file__).parent
+PROBLEMS = ROOT.parent / "problems"
+REFERENCE = ROOT.parent / "perfbench" / "reference"
 
 OSCILLATOR = """
 order 1;
@@ -208,6 +214,15 @@ def test_simulate_report(problem_file, capsys):
     assert report["drift"]["energy"] < 1e-12
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_simulate_rejects_a_bad_tolerance(problem_file, capsys, tol):
+    code = main(["simulate", problem_file(OSCILLATOR), "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "tolerance must be a finite number >= 0" in captured.err
+
+
 def test_simulate_tolerance_failure(problem_file, capsys):
     code = main(["simulate", problem_file(OSCILLATOR), "--tol", "1e-18"])
     report = json.loads(capsys.readouterr().out)
@@ -242,14 +257,71 @@ def test_simulate_trajectory_out(problem_file, tmp_path, capsys):
     assert len(lines) == 1 + 1001 * 2
 
 
-@pytest.mark.parametrize("name", ["oscillator", "ostrogradski", "superparticle"])
-def test_simulate_output_is_fixed(name, capsys):
+def _fixed_outputs():
+    """Every command on each shipped problem with the output it must print:
+    simulate reports in tests/data, derive and noether reports in the
+    benchmark's reference outputs.  An inverse command starts from the
+    charge its symmetry command printed."""
+    cases = []
+    for name in ("oscillator", "ostrogradski", "superparticle"):
+        problem = str(PROBLEMS / f"{name}.sm")
+        cases += [
+            pytest.param(["simulate", problem], ROOT / "data" / f"{name}.simulate.json", id=name),
+            pytest.param(["derive", problem], REFERENCE / f"{name}.derive.txt", id=f"{name}.derive"),
+            pytest.param(
+                ["derive", problem, "--emit", "latex"],
+                REFERENCE / f"{name}.derive.latex.txt",
+                id=f"{name}.derive.latex",
+            ),
+        ]
+        for path in sorted(REFERENCE.glob(f"{name}.noether_symmetry.*.txt")):
+            symmetry = path.name.split(".")[2]
+            charge = json.loads(path.read_text(encoding="utf-8"))["charge"]
+            inverse = REFERENCE / f"{name}.noether_inverse.{symmetry}.txt"
+            cases += [
+                pytest.param(["noether", problem, "--symmetry", symmetry], path, id=path.stem),
+                pytest.param(
+                    ["noether", problem, f"--from-charge={charge}"], inverse, id=inverse.stem
+                ),
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("argv, expected", _fixed_outputs())
+def test_simulate_output_is_fixed(argv, expected, capsys):
     # the expected reports fix every drift value to the last bit
-    root = Path(__file__).parent
-    code = main(["simulate", str(root.parent / "problems" / f"{name}.sm")])
+    code = main(argv)
     assert code == 0
-    expected = (root / "data" / f"{name}.simulate.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (["derive"], (1, 1, 1, 0)),
+        (["derive", "--emit", "latex"], (1, 1, 0, 0)),
+        (["noether", "--symmetry", "susy"], (1, 1, 1, 1)),
+        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0)),
+        (["simulate"], (1, 1, 1, 0)),
+    ],
+    ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
+)
+def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
+    # theta built, solve plan run, dynamics solved, conservation checked
+    stages = ("cartan_operator", "_solve_plan", "_solve_dynamics", "check_constant_of_motion")
+    calls = Counter()
+    for stage in stages:
+        real = getattr(lagrangian, stage)
+
+        def counted(*args, _stage=stage, _real=real, **kwargs):
+            calls[_stage] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lagrangian, stage, counted)
+    code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert tuple(calls[stage] for stage in stages) == counts
 
 
 # -- usage and input errors ------------------------------------------------

@@ -2,7 +2,6 @@
 endomorphism."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,22 +10,17 @@ from supermech import (
     DomainMismatch,
     OrderExceeded,
     Parity,
-    Projection,
     SuperExpr,
     UndeclaredGenerator,
     VectorFieldAlong,
-    coordinate_field,
     iterated_total_derivative,
     lift_vector_field,
-    lifted_function,
     liouville_field,
     parity_of,
-    pullback,
     total_derivative,
     total_derivative_field,
     vertical_endomorphism,
     vertical_lift_field,
-    vertical_lift_function,
 )
 
 from helpers import random_expr, random_field
@@ -71,22 +65,6 @@ def test_chart_validate():
         small.validate(other.coord("x", 0))
 
 
-# -- projections and pullback ----------------------------------------------
-
-
-def test_pullback_is_identity_on_shared_symbols():
-    proj = Projection(3, 1)
-    e = coord("q", 1) + coord("th", 0)
-    assert pullback(e, proj) == e
-
-
-def test_pullback_checks_the_source_level():
-    with pytest.raises(OrderExceeded):
-        pullback(coord("q", 2), Projection(3, 1))
-    with pytest.raises(ValueError):
-        Projection(1, 2)
-
-
 # -- total derivative ------------------------------------------------------
 
 
@@ -118,18 +96,6 @@ def test_iterated_total_derivative():
     assert iterated_total_derivative(coord("q", 0) ** 2, 2) == (
         2 * coord("q", 1) ** 2 + 2 * coord("q", 0) * coord("q", 2)
     )
-
-
-def test_lifted_function_bounds():
-    f = coord("q", 0) * coord("th", 0)
-    assert lifted_function(f, 0, 2) == f
-    assert lifted_function(f, 1, 2) == coord("q", 1) * coord("th", 0) + coord(
-        "q", 0
-    ) * coord("th", 1)
-    with pytest.raises(OrderExceeded):
-        lifted_function(f, 3, 2)
-    with pytest.raises(OrderExceeded):
-        lifted_function(coord("q", 1), 0, 2)
 
 
 # -- vector fields along projections ---------------------------------------
@@ -182,15 +148,20 @@ def test_field_apply_graded_derivation_randomized():
         assert x.apply(f * g) == x.apply(f) * g + sign * (f * x.apply(g))
 
 
+def basis_field(order, g):
+    """The coordinate field d/dg on T^order."""
+    return VectorFieldAlong(CHART.at_order(order), order, order, {g: SuperExpr.constant(1)})
+
+
 def test_field_addition_and_scaling():
-    x = coordinate_field(CHART.at_order(1), 1, gen("q", 0))
-    y = coordinate_field(CHART.at_order(1), 1, gen("q", 1))
+    x = basis_field(1, gen("q", 0))
+    y = basis_field(1, gen("q", 1))
     both = x + y
     assert both.component(gen("q", 0)) == SuperExpr.constant(1)
     assert both.component(gen("q", 1)) == SuperExpr.constant(1)
     assert x.scale(3).apply(coord("q", 0)) == SuperExpr.constant(3)
     with pytest.raises(DomainMismatch):
-        x + coordinate_field(CHART.at_order(2), 2, gen("q", 0))
+        x + basis_field(2, gen("q", 0))
 
 
 def test_total_derivative_field_matches_total_derivative():
@@ -239,19 +210,6 @@ def test_lift_intertwines_total_derivative():
 # -- vertical structures ---------------------------------------------------
 
 
-def test_vertical_lift_function_examples():
-    f = coord("q", 0) * coord("q", 1)
-    assert vertical_lift_function(f, 2) == (
-        coord("q", 1) ** 2 + Fraction(1, 2) * coord("q", 0) * coord("q", 2)
-    )
-    odd = coord("th", 0) * coord("th", 1)
-    assert vertical_lift_function(odd, 2) == -Fraction(1, 2) * coord("th", 0) * coord(
-        "th", 2
-    )
-    with pytest.raises(OrderExceeded):
-        vertical_lift_function(coord("q", 2), 2)
-
-
 def test_vertical_lift_field_shifts_and_weights():
     t_field = total_derivative_field(CHART, 1)
     lifted = vertical_lift_field(t_field)
@@ -259,7 +217,7 @@ def test_vertical_lift_field_shifts_and_weights():
     assert lifted.component(gen("q", 2)) == 2 * coord("q", 2)
     assert lifted.component(gen("q", 0)).is_zero()
     with pytest.raises(DomainMismatch):
-        vertical_lift_field(coordinate_field(CHART.at_order(1), 1, gen("q", 0)))
+        vertical_lift_field(basis_field(1, gen("q", 0)))
 
 
 def test_liouville_field_components():

@@ -17,11 +17,8 @@ from supermech import (
     SuperLagrangian,
     cartan_data,
     cartan_one_form,
-    cartan_two_form,
     check_constant_of_motion,
     conservation_witness,
-    energy,
-    euler_lagrange_form,
     exterior_d,
     interior,
     is_sode,
@@ -113,6 +110,7 @@ def test_superparticle_cartan_package():
     assert str(data.omega) == "d(q[0])^d(q[1]) - 1/2*d(th[0])^d(th[0])"
     assert str(data.energy) == "1/2*q[1]^2"
     assert str(data.delta) == "-q[2]*d(q[0]) - th[1]*d(th[0])"
+    assert cartan_one_form(lag) == data.theta
 
 
 def test_second_order_chain_cartan_package():
@@ -121,15 +119,6 @@ def test_second_order_chain_cartan_package():
     assert str(data.theta) == "-q[3]*d(q[0]) + q[2]*d(q[1])"
     assert str(data.energy) == "-q[1]*q[3] + 1/2*q[2]^2"
     assert str(data.delta) == "q[4]*d(q[0])"
-
-
-def test_single_entry_points_match_cartan_data():
-    lag = superparticle()
-    data = cartan_data(lag)
-    assert cartan_one_form(lag) == data.theta
-    assert cartan_two_form(lag) == data.omega
-    assert energy(lag) == data.energy
-    assert euler_lagrange_form(lag) == data.delta
 
 
 # -- structural identities -------------------------------------------------
