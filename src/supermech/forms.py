@@ -109,6 +109,19 @@ class GradedForm:
     def is_zero(self) -> bool:
         return not self._terms
 
+    @staticmethod
+    def sum(forms: Iterable["GradedForm"]) -> "GradedForm":
+        """Add many forms: each wedge word's coefficients are collected
+        into one list and added with one ``SuperExpr.sum``."""
+        parts: dict[WedgeWord, list[SuperExpr]] = {}
+        for form in forms:
+            for word, coeff in form._terms.items():
+                parts.setdefault(word, []).append(coeff)
+        return GradedForm({
+            word: coeffs[0] if len(coeffs) == 1 else SuperExpr.sum(coeffs)
+            for word, coeffs in parts.items()
+        })
+
     def coefficient(self, word: WedgeWord) -> SuperExpr:
         return self._terms.get(word, SuperExpr.zero())
 
@@ -128,14 +141,7 @@ class GradedForm:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "GradedForm") -> "GradedForm":
-        terms = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = terms.get(word, SuperExpr.zero()) + coeff
-            if acc.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = acc
-        return GradedForm(terms)
+        return GradedForm.sum((self, other))
 
     def __neg__(self) -> "GradedForm":
         return GradedForm({word: -coeff for word, coeff in self._terms.items()})
@@ -150,15 +156,14 @@ class GradedForm:
         return GradedForm({word: factor * coeff for word, coeff in self._terms.items()})
 
     def wedge(self, other: "GradedForm") -> "GradedForm":
-        out = GradedForm()
-        for w1, f1 in self._terms.items():
-            p1 = _word_parity(w1)
-            for w2, f2 in other._terms.items():
-                # move f2 (degree 0) to the left across the w1 differentials
-                for part, part_parity in _parity_parts(f2):
-                    sign = -1 if (p1 and part_parity) else 1
-                    out = out + GradedForm.term(sign * f1 * part, w1 + w2)
-        return out
+        # move each coefficient of other (degree 0) to the left across
+        # the differentials of self
+        return GradedForm.sum(
+            GradedForm.term((-1 if (_word_parity(w1) and part_parity) else 1) * f1 * part, w1 + w2)
+            for w1, f1 in self._terms.items()
+            for w2, f2 in other._terms.items()
+            for part, part_parity in _parity_parts(f2)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedForm):
@@ -213,13 +218,11 @@ def _parity_parts(expr: SuperExpr) -> list[tuple[SuperExpr, int]]:
 def differential_of_function(f: SuperExpr) -> GradedForm:
     """df as a one-form, coefficients moved to the left of the
     differentials with the Koszul sign."""
-    out = GradedForm.zero()
-    for gen in sorted(f.generators(), key=lambda g: g.sort_key):
-        partial = left_partial(f, gen)
-        for part, part_parity in _parity_parts(partial):
-            sign = -1 if (gen.parity.value and part_parity) else 1
-            out = out + GradedForm({(gen,): sign * part})
-    return out
+    return GradedForm.sum(
+        GradedForm({(gen,): (-1 if (gen.parity.value and part_parity) else 1) * part})
+        for gen in sorted(f.generators(), key=lambda g: g.sort_key)
+        for part, part_parity in _parity_parts(left_partial(f, gen))
+    )
 
 
 def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
@@ -227,22 +230,23 @@ def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
     and square zero."""
     if isinstance(form, SuperExpr):
         return differential_of_function(form)
-    out = GradedForm.zero()
-    for word, coeff in form._terms.items():
-        out = out + differential_of_function(coeff).wedge(GradedForm({word: SuperExpr.constant(1)}))
-    return out
+    return GradedForm.sum(
+        differential_of_function(coeff).wedge(GradedForm({word: SuperExpr.constant(1)}))
+        for word, coeff in form._terms.items()
+    )
 
 
 def total_derivative(form: GradedForm) -> GradedForm:
     """Extend the total time derivative to forms as an even derivation:
     coefficients differentiate, each differential shifts one subscript up."""
-    out = GradedForm.zero()
+    pieces: list[GradedForm] = []
     for word, coeff in form._terms.items():
-        out = out + GradedForm({word: expr_total_derivative(coeff)})
-        for t in range(len(word)):
-            shifted = word[:t] + (word[t].shifted(),) + word[t + 1:]
-            out = out + GradedForm.term(coeff, shifted)
-    return out
+        pieces.append(GradedForm({word: expr_total_derivative(coeff)}))
+        pieces.extend(
+            GradedForm.term(coeff, word[:t] + (word[t].shifted(),) + word[t + 1:])
+            for t in range(len(word))
+        )
+    return GradedForm.sum(pieces)
 
 
 def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
@@ -262,22 +266,19 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
         if not word:
             return GradedForm.zero()
         head, rest = word[0], word[1:]
-        out = GradedForm.term(x_field.component(head), rest)
-        tail = contract_word(rest)
-        if not tail.is_zero():
-            sign = -1 if (1 + x_parity * head.parity.value) % 2 else 1
-            out = out + GradedForm.differential(head).wedge(tail).scale(sign)
-        return out
+        sign = -1 if (1 + x_parity * head.parity.value) % 2 else 1
+        return GradedForm.sum((
+            GradedForm.term(x_field.component(head), rest),
+            GradedForm.differential(head).wedge(contract_word(rest)).scale(sign),
+        ))
 
-    out = GradedForm.zero()
-    for word, coeff in form._terms.items():
-        contracted = contract_word(word)
-        if contracted.is_zero():
-            continue
-        for part, part_parity in _parity_parts(coeff):
-            sign = -1 if (x_parity and part_parity) else 1
-            out = out + contracted.scale(sign * part)
-    return out
+    contracted = [(contract_word(word), coeff) for word, coeff in form._terms.items()]
+    return GradedForm.sum(
+        form_part.scale((-1 if (x_parity and part_parity) else 1) * part)
+        for form_part, coeff in contracted
+        if not form_part.is_zero()
+        for part, part_parity in _parity_parts(coeff)
+    )
 
 
 def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
@@ -287,13 +288,11 @@ def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
         raise FormError("the vertical transpose acts on one-forms")
     if max(form.differential_order(), form.coefficient_order()) > k:
         raise OrderExceeded(f"form does not live on T^{k}")
-    out = GradedForm.zero()
-    for word, coeff in form._terms.items():
-        j = word[0].jet_order
-        if j == 0:
-            continue
-        out = out + GradedForm({(word[0].shifted(-1),): j * coeff})
-    return out
+    return GradedForm.sum(
+        GradedForm({(word[0].shifted(-1),): word[0].jet_order * coeff})
+        for word, coeff in form._terms.items()
+        if word[0].jet_order
+    )
 
 
 def cartan_operator(form: GradedForm, k: int) -> GradedForm:
@@ -310,7 +309,7 @@ def cartan_operator(form: GradedForm, k: int) -> GradedForm:
         raise FormError("expected a one-form")
     if max(form.differential_order(), form.coefficient_order()) > k:
         raise OrderExceeded(f"form does not live on T^{k}")
-    out = GradedForm.zero()
+    pieces: list[GradedForm] = []
     factorial = 1
     for l in range(1, k + 1):
         factorial *= l
@@ -319,8 +318,8 @@ def cartan_operator(form: GradedForm, k: int) -> GradedForm:
             piece = transpose_vertical(piece, k)
         for _ in range(l - 1):
             piece = total_derivative(piece)
-        out = out + piece.scale(Fraction((-1) ** (l + 1), factorial))
-    return out
+        pieces.append(piece.scale(Fraction((-1) ** (l + 1), factorial)))
+    return GradedForm.sum(pieces)
 
 
 @dataclass(frozen=True)

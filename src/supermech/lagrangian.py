@@ -191,33 +191,29 @@ def _body(expr: SuperExpr) -> SuperExpr:
     return SuperExpr({key: c for key, c in expr.items() if not key[1]})
 
 
-def _det(matrix: Sequence[Sequence[SuperExpr]]) -> SuperExpr:
-    n = len(matrix)
-    if n == 0:
-        return SuperExpr.constant(1)
-    if n == 1:
-        return matrix[0][0]
-    return SuperExpr.sum(
-        (-1) ** col * entry * _det([[row[c] for c in range(n) if c != col] for row in matrix[1:]])
-        for col, entry in enumerate(matrix[0])
-        if not entry.is_zero()
-    )
+def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]]]:
+    """Determinant and adjugate of a matrix with commuting (even) entries
+    by the Faddeev-LeVerrier recurrence: n matrix products and divisions
+    by the integers 1..n only.
 
-
-def _adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> list[list[SuperExpr]]:
+    With ``M_0 = 0`` and ``c_0 = 1``, step k sets ``M_k = A M_(k-1) +
+    c_(k-1) I`` and ``c_k = -tr(A M_k) / k``; then ``det A = (-1)^n c_n``
+    and ``adj A = (-1)^(n+1) M_n``.
+    """
     n = len(matrix)
-    if n == 1:
-        return [[SuperExpr.constant(1)]]
-    adj = [[SuperExpr.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _det(minor)
-    return adj
+    product = [[SuperExpr.zero()] * n for _ in range(n)]
+    coefficient = SuperExpr.constant(1)
+    m: list[list[SuperExpr]] = []
+    for k in range(1, n + 1):
+        m = [
+            [e + coefficient if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(product)
+        ]
+        product = _mat_mul(matrix, m)
+        coefficient = -SuperExpr.sum(product[i][i] for i in range(n)) / k
+    if n % 2:
+        return -coefficient, m
+    return coefficient, [[-e for e in row] for row in m]
 
 
 def _mat_mul(a: Sequence[Sequence[SuperExpr]], b: Sequence[Sequence[SuperExpr]]) -> list[list[SuperExpr]]:
@@ -226,42 +222,6 @@ def _mat_mul(a: Sequence[Sequence[SuperExpr]], b: Sequence[Sequence[SuperExpr]])
 
 def _mat_vec(a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr]) -> list[SuperExpr]:
     return [SuperExpr.sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def _solve_affine(
-    matrix: Sequence[Sequence[SuperExpr]],
-    rhs: Sequence[SuperExpr],
-    nilpotency_cap: int,
-) -> list[SuperExpr]:
-    """Solve A u = rhs when the body of A has a constant nonzero
-    determinant.  The nilpotent remainder is peeled off with a finite
-    geometric series; the result is verified exactly."""
-    n = len(matrix)
-    body = [[_body(e) for e in row] for row in matrix]
-    det = _det(body)
-    if det.is_zero() or det.max_jet_order() >= 0:
-        raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
-    scale = det.constant_term()
-    adj = _adjugate(body)
-    inv_body = [[e / scale for e in row] for row in adj]
-    soul = [
-        [matrix[i][j] - body[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    correction = _mat_mul(inv_body, soul)
-    u = _mat_vec(inv_body, list(rhs))
-    term = u
-    for _ in range(nilpotency_cap + 1):
-        term = [-x for x in _mat_vec(correction, term)]
-        if all(x.is_zero() for x in term):
-            break
-        u = [a + b for a, b in zip(u, term)]
-    else:
-        raise SingularSystem("nilpotent correction failed to terminate")
-    residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
-    if any(not r.is_zero() for r in residual):
-        raise SingularSystem("affine solve verification failed")
-    return u
 
 
 # an expression as its part free of the unknowns and the coefficient of each
@@ -352,10 +312,7 @@ class Dynamics:
         raise SingularSystem("constraint substitution did not stabilise")
 
     def reduce_form(self, form: GradedForm) -> GradedForm:
-        out = GradedForm.zero()
-        for word, coeff in form.items():
-            out = out + GradedForm({word: self.reduce(coeff)})
-        return out
+        return GradedForm.sum(GradedForm({word: self.reduce(coeff)}) for word, coeff in form.items())
 
     def on_shell(self, expr: SuperExpr) -> SuperExpr:
         """Substitute top-order coordinates by forces, then reduce."""
@@ -369,20 +326,26 @@ class Dynamics:
 
 
 @dataclass(frozen=True)
-class _SolvePlan:
-    """The field equations split for solving.
+class _Sector:
+    """A square block of field equations, each row read as ``rest + sum
+    coeffs[u] * u`` over the unknowns, with the determinant and adjugate
+    of the body of its coefficient matrix."""
 
-    Each dynamical equation reads ``rest + sum coeffs[u] * u`` over the
-    top-order unknowns; each lower-order (odd) equation is split the same
-    way over the odd coordinates at the highest jet order those equations
-    reach.
-    """
+    rows: tuple[_Split, ...] = ()
+    unknowns: tuple[GeneratorSymbol, ...] = ()
+    det: SuperExpr = SuperExpr.constant(1)
+    adjugate: tuple[Sequence[SuperExpr], ...] = ()
+
+
+@dataclass(frozen=True)
+class _SolvePlan:
+    """The field equations split for solving: the dynamical sector over
+    the top-order unknowns, and the lower-order (odd) equations over the
+    odd coordinates at the highest jet order those equations reach."""
 
     report: RegularityReport
-    dynamical: tuple[_Split, ...] = ()
-    dyn_unknowns: tuple[GeneratorSymbol, ...] = ()
-    constraints: tuple[_Split, ...] = ()
-    con_unknowns: tuple[GeneratorSymbol, ...] = ()
+    dynamical: _Sector = _Sector()
+    constraints: _Sector = _Sector()
 
 
 def _degenerate(note: str, determinants: Sequence[SuperExpr] = ()) -> _SolvePlan:
@@ -393,8 +356,10 @@ def _matrix(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> list
     return [[coeffs.get(u, SuperExpr.zero()) for u in unknowns] for _, coeffs in rows]
 
 
-def _body_det(matrix: Sequence[Sequence[SuperExpr]]) -> SuperExpr:
-    return _det([[_body(e) for e in row] for row in matrix])
+def _sector(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> _Sector:
+    body = [[_body(e) for e in row] for row in _matrix(rows, unknowns)]
+    det, adjugate = _det_adjugate(body)
+    return _Sector(tuple(rows), tuple(unknowns), det, tuple(adjugate))
 
 
 def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
@@ -422,12 +387,10 @@ def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
     if len(unknown_list) != len(dynamical):
         return _degenerate(f"{len(dynamical)} equations determine {len(unknown_list)} top coordinates")
 
-    determinants: list[SuperExpr] = []
-    if dynamical:
-        determinants.append(_body_det(_matrix(dynamical, unknown_list)))
+    dyn_sector = _sector(dynamical, unknown_list) if dynamical else _Sector()
+    determinants = [dyn_sector.det] if dynamical else []
 
-    constraints: tuple[_Split, ...] = ()
-    con_unknowns: tuple[GeneratorSymbol, ...] = ()
+    con_sector = _Sector()
     if lower:
         level = max(r.max_jet_order() for r in lower)
         con_unknowns = tuple(sorted(
@@ -442,10 +405,11 @@ def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
         if len(con_unknowns) != len(lower):
             return _degenerate("constraint sector is not square", determinants)
         try:
-            constraints = tuple(_affine_split(r, set(con_unknowns)) for r in lower)
+            con_rows = [_affine_split(r, set(con_unknowns)) for r in lower]
         except SingularSystem:
             return _degenerate("constraint sector is not affine", determinants)
-        determinants.append(_body_det(_matrix(constraints, con_unknowns)))
+        con_sector = _sector(con_rows, con_unknowns)
+        determinants.append(con_sector.det)
 
     dets = tuple(determinants)
     if any(d.is_zero() for d in dets):
@@ -454,9 +418,7 @@ def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
         verdict = Regularity.INDETERMINATE
     else:
         verdict = Regularity.REGULAR
-    return _SolvePlan(
-        RegularityReport(verdict, dets), tuple(dynamical), unknown_list, constraints, con_unknowns
-    )
+    return _SolvePlan(RegularityReport(verdict, dets), dyn_sector, con_sector)
 
 
 def regularity(lag: SuperLagrangian) -> RegularityReport:
@@ -484,17 +446,36 @@ def solve_dynamics(lag: SuperLagrangian, data: CartanData | None = None) -> Dyna
     return (data or cartan_data(lag)).dynamics
 
 
-def _solve_sector(
-    rows: Sequence[_Split],
-    unknowns: Sequence[GeneratorSymbol],
-    cap: int,
-    what: str,
-) -> dict[GeneratorSymbol, SuperExpr]:
-    solution = _solve_affine(_matrix(rows, unknowns), [-rest for rest, _ in rows], cap)
-    for gen, value in zip(unknowns, solution):
+def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[GeneratorSymbol, SuperExpr]:
+    """Solve a sector A u = rhs with the kept determinant and adjugate of
+    the body of A; the determinant must be a nonzero constant.  The
+    nilpotent remainder is peeled off with a finite geometric series; the
+    result is verified exactly and each value must have its unknown's
+    parity."""
+    det = sector.det
+    if det.is_zero() or det.max_jet_order() >= 0:
+        raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
+    matrix = _matrix(sector.rows, sector.unknowns)
+    rhs = [-rest for rest, _ in sector.rows]
+    inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
+    soul = [[e - _body(e) for e in row] for row in matrix]
+    correction = _mat_mul(inv_body, soul)
+    u = _mat_vec(inv_body, rhs)
+    term = u
+    for _ in range(nilpotency_cap + 1):
+        term = [-x for x in _mat_vec(correction, term)]
+        if all(x.is_zero() for x in term):
+            break
+        u = [a + b for a, b in zip(u, term)]
+    else:
+        raise SingularSystem("nilpotent correction failed to terminate")
+    residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
+    if any(not r.is_zero() for r in residual):
+        raise SingularSystem("affine solve verification failed")
+    for gen, value in zip(sector.unknowns, u):
         if not has_parity(value, gen.parity):
             raise SingularSystem(f"{what} for {gen} has the wrong parity")
-    return dict(zip(unknowns, solution))
+    return dict(zip(sector.unknowns, u))
 
 
 def _solve_dynamics(data: CartanData) -> Dynamics:
@@ -506,13 +487,11 @@ def _solve_dynamics(data: CartanData) -> Dynamics:
         raise NotRegular(plan.report)
 
     n_odd_symbols = len(chart.base_odd) * (2 * k + 1)
-    forces = _solve_sector(plan.dynamical, plan.dyn_unknowns, n_odd_symbols, "force")
-    constraints = _solve_sector(
-        plan.constraints, plan.con_unknowns, n_odd_symbols, "constraint value"
-    )
+    forces = _solve_affine(plan.dynamical, n_odd_symbols, "force")
+    constraints = _solve_affine(plan.constraints, n_odd_symbols, "constraint value")
     # prolong each solved relation up to top order; the top level
     # supplies the otherwise undetermined odd forces
-    for gen in plan.con_unknowns:
+    for gen in plan.constraints.unknowns:
         value = constraints[gen]
         for j in range(gen.jet_order + 1, 2 * k + 1):
             value = expr_total_derivative(value)
@@ -606,42 +585,50 @@ def _exponent_vectors(count: int, budget: int):
 
 def _solve_rational(columns: Sequence[SuperExpr], target: SuperExpr) -> list[Fraction] | None:
     """Find rational coefficients with sum(c_i * columns_i) = target, or
-    None when inconsistent.  Free coefficients are set to zero."""
-    keys: list = sorted(
-        {key for col in columns for key, _ in col.items()}
-        | {key for key, _ in target.items()},
-        key=lambda key: (str(key),),
-    )
-    index = {key: i for i, key in enumerate(keys)}
-    rows = [[Fraction(0)] * (len(columns) + 1) for _ in keys]
-    for c, col in enumerate(columns):
-        for key, coeff in col.items():
-            rows[index[key]][c] = coeff
-    for key, coeff in target.items():
-        rows[index[key]][-1] = coeff
+    None when inconsistent.  Free coefficients are set to zero.
 
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(len(columns)):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    Sparse Gauss-Jordan: one equation per term key, held as a
+    ``{column: Fraction}`` row with the target in column ``len(columns)``.
+    Each row is reduced by the pivot rows found so far; its first
+    remaining column becomes a new pivot, cleared from the earlier pivot
+    rows.  The pivot rows end as the unique reduced row-echelon form, so
+    the answer does not depend on the order of the rows.
+    """
+    width = len(columns)
+    equations: dict = {}
+    for c, col in enumerate([*columns, target]):
+        for key, coeff in col.items():
+            equations.setdefault(key, {})[c] = coeff
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in equations.values():
+        for col in [c for c in row if c in pivots]:
+            _eliminate(row, pivots[col], col)
+        lead = min(row, default=width)
+        if lead == width:
+            if row:
+                return None
             continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, len(rows)):
-        if rows[r][-1]:
-            return None
-    solution = [Fraction(0)] * len(columns)
-    for i, col in enumerate(pivot_cols):
-        solution[col] = rows[i][-1]
+        scale = row[lead]
+        row = {c: v / scale for c, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _eliminate(other, row, lead)
+        pivots[lead] = row
+    solution = [Fraction(0)] * width
+    for col, row in pivots.items():
+        solution[col] = row.get(width, Fraction(0))
     return solution
+
+
+def _eliminate(row: dict[int, Fraction], pivot: Mapping[int, Fraction], col: int) -> None:
+    """Clear ``col`` from ``row`` in place with a pivot row that has 1 there."""
+    factor = row[col]
+    for c, v in pivot.items():
+        acc = row.get(c, 0) - factor * v
+        if acc:
+            row[c] = acc
+        else:
+            row.pop(c, None)
 
 
 def conservation_witness(

@@ -61,6 +61,11 @@ class IndexOutOfRange(ProblemError):
     pass
 
 
+# largest power after ``^``; a power expands by repeated multiplication
+MAX_EXPONENT = 64
+# longest integer literal; Python refuses to convert longer digit strings
+_MAX_INT_DIGITS = 4300
+
 _RESERVED = {
     "order", "even", "odd", "L", "symmetry", "simulate",
     "init", "n", "dt", "t", "g",
@@ -99,6 +104,10 @@ def _tokenize(text: str) -> list[_Token]:
             raise ProblemSyntaxError(f"unexpected character {text[pos]!r}", line, column)
         kind = match.lastgroup or ""
         chunk = match.group()
+        if kind == "INT" and len(chunk) > _MAX_INT_DIGITS:
+            raise ProblemSyntaxError(
+                f"integer literal longer than {_MAX_INT_DIGITS} digits", line, column
+            )
         if kind not in ("WS", "COMMENT"):
             token_kind = chunk if kind == "SYMBOL" else kind
             tokens.append(_Token(token_kind, chunk, line, column))
@@ -226,6 +235,9 @@ class _Parser:
         atom = self.parse_atom(chart, max_index)
         if self.accept("^"):
             exponent = self.expect("INT")
+            if int(exponent.text) > MAX_EXPONENT:
+                message = f"exponent {exponent.text} exceeds the limit {MAX_EXPONENT}"
+                raise ProblemSyntaxError(message, exponent.line, exponent.column)
             return atom ** int(exponent.text)
         return atom
 

@@ -1,14 +1,16 @@
 """Shared test utilities.
 
-Three kinds of helpers live here: seeded random generators for
+Four kinds of helpers live here: seeded random generators for
 expressions, forms, and fields; a small independent polynomial calculator
-for the one-even-coordinate case; and a reference Grassmann product,
-evaluator and Runge-Kutta stepper for the numeric layer.  The calculator
-represents polynomials as plain exponent-tuple dictionaries and knows
-nothing about the package internals, so momenta and field equations
-computed with it are a second opinion, not an echo.  The numeric
-references loop over coefficients one pair at a time instead of using
-the package's product tables.
+for the one-even-coordinate case; a reference Grassmann product,
+evaluator and Runge-Kutta stepper for the numeric layer; and reference
+exact linear algebra.  The calculator represents polynomials as plain
+exponent-tuple dictionaries and knows nothing about the package
+internals, so momenta and field equations computed with it are a second
+opinion, not an echo.  The numeric references loop over coefficients one
+pair at a time instead of using the package's product tables.  The
+linear-algebra references are Laplace expansion and dense Gauss-Jordan
+elimination, the textbook routines the package's kernels replace.
 """
 
 from __future__ import annotations
@@ -330,3 +332,71 @@ def reference_rk4(dynamics, initial: dict, directions: int, dt: float, steps: in
         }
         states.append(current)
     return states
+
+
+# -- independent reference: exact linear algebra ----------------------------
+
+
+def laplace_det(matrix: list) -> SuperExpr:
+    """Determinant by cofactor expansion along the first row."""
+    n = len(matrix)
+    if n == 0:
+        return SuperExpr.constant(1)
+    if n == 1:
+        return matrix[0][0]
+    return SuperExpr.sum(
+        (-1) ** col * entry * laplace_det([[row[c] for c in range(n) if c != col] for row in matrix[1:]])
+        for col, entry in enumerate(matrix[0])
+        if not entry.is_zero()
+    )
+
+
+def laplace_adjugate(matrix: list) -> list:
+    """Adjugate from the n^2 cofactors, each a Laplace determinant."""
+    n = len(matrix)
+    if n == 1:
+        return [[SuperExpr.constant(1)]]
+    adj = [[SuperExpr.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[matrix[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            adj[j][i] = (-1) ** (i + j) * laplace_det(minor)
+    return adj
+
+
+def dense_solve_rational(columns: list, target: SuperExpr) -> list | None:
+    """Rational coefficients with sum(c_i * columns_i) = target, free ones
+    zero, or None: Gauss-Jordan on dense rows, one per term key in the
+    order of the key's text, pivots in column order."""
+    keys = sorted(
+        {key for col in columns for key, _ in col.items()} | {key for key, _ in target.items()},
+        key=str,
+    )
+    index = {key: i for i, key in enumerate(keys)}
+    rows = [[Fraction(0)] * (len(columns) + 1) for _ in keys]
+    for c, col in enumerate(columns):
+        for key, coeff in col.items():
+            rows[index[key]][c] = coeff
+    for key, coeff in target.items():
+        rows[index[key]][-1] = coeff
+    pivot_row = 0
+    pivot_cols = []
+    for col in range(len(columns)):
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        lead = rows[pivot_row][col]
+        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_cols.append(col)
+        pivot_row += 1
+    if any(rows[r][-1] for r in range(pivot_row, len(rows))):
+        return None
+    solution = [Fraction(0)] * len(columns)
+    for i, col in enumerate(pivot_cols):
+        solution[col] = rows[i][-1]
+    return solution

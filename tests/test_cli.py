@@ -298,17 +298,24 @@ def test_simulate_output_is_fixed(argv, expected, capsys):
 @pytest.mark.parametrize(
     "argv, counts",
     [
-        (["derive"], (1, 1, 1, 0)),
-        (["derive", "--emit", "latex"], (1, 1, 0, 0)),
-        (["noether", "--symmetry", "susy"], (1, 1, 1, 1)),
-        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0)),
-        (["simulate"], (1, 1, 1, 0)),
+        (["derive"], (1, 1, 1, 0, 2)),
+        (["derive", "--emit", "latex"], (1, 1, 0, 0, 2)),
+        (["noether", "--symmetry", "susy"], (1, 1, 1, 1, 2)),
+        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0)),
+        (["simulate"], (1, 1, 1, 0, 2)),
     ],
     ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
 )
 def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
-    # theta built, solve plan run, dynamics solved, conservation checked
-    stages = ("cartan_operator", "_solve_plan", "_solve_dynamics", "check_constant_of_motion")
+    # theta built, solve plan run, dynamics solved, conservation checked,
+    # and one determinant and adjugate per sector of the plan
+    stages = (
+        "cartan_operator",
+        "_solve_plan",
+        "_solve_dynamics",
+        "check_constant_of_motion",
+        "_det_adjugate",
+    )
     calls = Counter()
     for stage in stages:
         real = getattr(lagrangian, stage)
@@ -339,6 +346,17 @@ def test_parse_error_is_usage_error(problem_file, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "line 1" in captured.err
+
+
+def test_exponent_above_the_limit_is_usage_error(problem_file, capsys):
+    text = "order 1;\neven q;\nL = 1/2*q[1]^2 - q[0]^{};\n"
+    code = main(["derive", problem_file(text.format(65))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 3, column 23" in err
+    assert "64" in err
+    assert main(["derive", problem_file(text.format(64))]) == 0
+    assert '"q[2]": "-64*q[0]^63"' in capsys.readouterr().out
 
 
 def test_unknown_subcommand_is_usage_error(problem_file, capsys):

@@ -23,6 +23,7 @@ from supermech import (
     interior,
     is_sode,
     liouville_field,
+    parse_problem,
     regularity,
     semibasic_check,
     solve_dynamics,
@@ -203,6 +204,23 @@ def test_second_order_chain_dynamics():
     wide = lag.chart.at_order(4)
     assert dict(dyn.forces) == {wide.gen("q", 4): SuperExpr.zero()}
     assert is_sode(dyn.field())
+
+
+def test_dynamics_with_a_polynomial_body_matrix():
+    # the body matrix [[1, y[0]], [y[0], 1 + y[0]^2]] has determinant 1
+    # and an adjugate with polynomial entries
+    lag = parse_problem(
+        "order 1; even x, y; L = 1/2*x[1]^2 + y[0]*x[1]*y[1] + 1/2*y[1]^2"
+        " + 1/2*y[0]^2*y[1]^2 - 1/2*x[0]^2 - 1/2*y[0]^2;"
+    ).lagrangian()
+    report = regularity(lag)
+    assert report.verdict is Regularity.REGULAR
+    assert report.determinants == (SuperExpr.constant(1),)
+    dyn = solve_dynamics(lag)
+    assert {str(g): str(e) for g, e in dyn.forces.items()} == {
+        "x[2]": "-x[0] - x[0]*y[0]^2 + y[0]^2 - y[1]^2",
+        "y[2]": "x[0]*y[0] - y[0]",
+    }
 
 
 @pytest.mark.parametrize(

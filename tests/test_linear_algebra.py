@@ -1,0 +1,110 @@
+"""The exact linear-algebra kernels against their textbook references:
+the Faddeev-LeVerrier determinant and adjugate against Laplace expansion,
+and the sparse rational elimination against dense Gauss-Jordan."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supermech import Chart, SuperExpr, normalize
+from supermech.lagrangian import _det_adjugate, _mat_mul, _solve_rational
+
+from helpers import dense_solve_rational, laplace_adjugate, laplace_det
+
+CHART = Chart.create(["x", "y"], ["th"], 1)
+EVENS = CHART.at_order(0).coordinates()[:2]
+# a pool of term keys for the rational systems, odd words included
+MONOMIALS = [
+    normalize([(1, factors)])
+    for factors in [
+        [], [EVENS[0]], [EVENS[1]], [EVENS[0], EVENS[0]], [EVENS[0], EVENS[1]],
+        [CHART.gen("th", 0)], [EVENS[1], CHART.gen("th", 0)],
+    ]
+]
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def even_polynomials(draw):
+    """Zero, a constant, or up to three terms in x[0] and y[0] of degree at
+    most two."""
+    terms = draw(st.lists(
+        st.tuples(small, st.lists(st.sampled_from(EVENS), max_size=2)), max_size=3
+    ))
+    return normalize(terms)
+
+
+@st.composite
+def matrices(draw, entries):
+    """A square matrix of size 0..5; sometimes one row is made a
+    combination of two others, so singular matrices are drawn often."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        target = draw(st.integers(0, n - 1))
+        a, b = draw(small), draw(small)
+        rows[target] = [a * p + b * q for p, q in zip(rows[i], rows[j])]
+    return rows
+
+
+constant_matrices = matrices(small.map(SuperExpr.constant))
+polynomial_matrices = matrices(even_polynomials())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(constant_matrices, polynomial_matrices))
+def test_det_adjugate_matches_laplace(matrix):
+    det, adjugate = _det_adjugate(matrix)
+    assert det == laplace_det(matrix)
+    assert adjugate == laplace_adjugate(matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(constant_matrices, polynomial_matrices))
+def test_adjugate_inverts_up_to_the_determinant(matrix):
+    det, adjugate = _det_adjugate(matrix)
+    n = len(matrix)
+    scaled_identity = [[det if i == j else SuperExpr.zero() for j in range(n)] for i in range(n)]
+    assert _mat_mul(matrix, adjugate) == scaled_identity
+
+
+@st.composite
+def rational_systems(draw):
+    """Columns and a target over a small pool of term keys.  Repeated and
+    combined columns make rank-deficient systems, and a target with a
+    term outside the columns' span an inconsistent one."""
+    def combination():
+        picks = draw(st.lists(st.tuples(small, st.sampled_from(MONOMIALS)), max_size=4))
+        return SuperExpr.sum(c * m for c, m in picks)
+
+    columns = [combination() for _ in range(draw(st.integers(0, 6)))]
+    if len(columns) >= 2 and draw(st.booleans()):
+        a, b = draw(small), draw(small)
+        columns.append(a * columns[0] + b * columns[1])
+    if columns and draw(st.booleans()):
+        # a target in the span of the columns
+        weights = [draw(small) for _ in columns]
+        target = SuperExpr.sum(w * col for w, col in zip(weights, columns))
+    else:
+        target = combination()
+    return columns, target
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems())
+def test_sparse_elimination_matches_dense(system):
+    columns, target = system
+    solution = _solve_rational(columns, target)
+    assert solution == dense_solve_rational(columns, target)
+    if solution is not None:
+        assert SuperExpr.sum(c * col for c, col in zip(solution, columns)) == target
+
+
+def test_sparse_elimination_reports_inconsistency():
+    x = MONOMIALS[1]
+    assert _solve_rational([x], MONOMIALS[2]) is None
+    assert _solve_rational([x, 2 * x], 3 * x) == [Fraction(3), Fraction(0)]
+    assert _solve_rational([], SuperExpr.zero()) == []

@@ -203,3 +203,13 @@ def test_parse_expression_rejects_trailing_input():
     chart = Chart.create(["q"], [], 1)
     with pytest.raises(ProblemSyntaxError):
         parse_expression("q[0] q[1]", chart, 1)
+
+
+def test_overlong_integer_literals_rejected():
+    # longer digit strings would make int() raise instead of a parse error
+    digits = "9" * 4301
+    for text in (f"order 1; even q; L = q[1]^{digits};", f"order 1; even q; L = {digits}*q[1]^2;"):
+        err = error_of(text)
+        assert isinstance(err, ProblemSyntaxError)
+        assert "4300 digits" in str(err)
+    assert parse_problem(f"order 1; even q; L = {'9' * 4300}*q[1]^2;").order == 1
