@@ -9,11 +9,16 @@ sign of the permutation.
 
 Coefficients are exact ``Fraction`` values and every operation returns the
 unique canonical form, so equality is dictionary equality.
+
+Generators are interned: constructing a ``GeneratorSymbol`` returns the one
+instance with those fields, so symbols hash and compare by identity, in C.
+Term keys are nested tuples of symbols that every dictionary operation
+rehashes, which makes this the cost under every sum, product and partial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -54,25 +59,62 @@ class ParityMismatch(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
+class CoefficientTooLarge(AlgebraError):
+    """A coefficient has more digits than the interpreter converts to text."""
+
+
+def coefficient_text(value: int | Fraction) -> str:
+    """``str(value)`` for an exact coefficient, numerator or denominator;
+    raises ``CoefficientTooLarge`` past the interpreter's digit limit
+    (``sys.get_int_max_str_digits``, 4300 by default) instead of its
+    ``ValueError``."""
+    try:
+        return str(value)
+    except ValueError:
+        raise CoefficientTooLarge(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+
+
 class GeneratorSymbol:
     """A single jet coordinate, e.g. the first derivative of q.
 
     ``base_index`` numbers the coordinate within its parity class and
-    ``jet_order`` is the derivative subscript.  Symbols are value objects:
-    charts of different jet orders share them.
+    ``jet_order`` is the derivative subscript.  Symbols are immutable value
+    objects, and interned: the constructor returns the one instance per
+    ``(name, parity, base_index, jet_order)``, so equal symbols are the same
+    object and hashing and equality are object identity.  Charts of
+    different jet orders share them.  ``sort_key`` is computed once, here:
+    odd generators sort after even ones, and within a class the order is
+    lexicographic on ``(base_index, jet_order)``.  The intern table keeps
+    every symbol ever built, one per distinct coordinate.
     """
 
-    name: str
-    parity: Parity
-    base_index: int
-    jet_order: int
+    __slots__ = ("name", "parity", "base_index", "jet_order", "sort_key")
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        # odd generators sort after even ones; within a class the order is
-        # lexicographic on (base_index, jet_order)
-        return (self.parity.value, self.base_index, self.jet_order)
+    def __new__(cls, name: str, parity: Parity, base_index: int, jet_order: int) -> "GeneratorSymbol":
+        key = (name, parity, base_index, jet_order)
+        try:
+            return _INTERNED[key]
+        except KeyError:
+            pass
+        self = super().__new__(cls)
+        values = (*key, (parity.value, base_index, jet_order))
+        for attr, value in zip(cls.__slots__, values):
+            object.__setattr__(self, attr, value)
+        return _INTERNED.setdefault(key, self)
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"GeneratorSymbol is immutable; cannot set {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"GeneratorSymbol is immutable; cannot delete {attr!r}")
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which returns
+        # the interned instance
+        return (GeneratorSymbol, (self.name, self.parity, self.base_index, self.jet_order))
 
     def shifted(self, amount: int = 1) -> "GeneratorSymbol":
         if self.jet_order + amount < 0:
@@ -81,6 +123,15 @@ class GeneratorSymbol:
 
     def __str__(self) -> str:
         return f"{self.name}[{self.jet_order}]"
+
+    def __repr__(self) -> str:
+        return (
+            f"GeneratorSymbol(name={self.name!r}, parity={self.parity!r}, "
+            f"base_index={self.base_index!r}, jet_order={self.jet_order!r})"
+        )
+
+
+_INTERNED: dict[tuple[str, Parity, int, int], GeneratorSymbol] = {}
 
 
 EvenMonomial = tuple[tuple[GeneratorSymbol, int], ...]
@@ -113,6 +164,8 @@ def _sort_odd_word(factors: Sequence[GeneratorSymbol]) -> tuple[int, OddWord] | 
 
 def _merge_odd_words(left: OddWord, right: OddWord) -> tuple[int, OddWord] | None:
     """Merge two canonical odd words, counting the crossings."""
+    if not left or not right:
+        return 1, left or right
     sign = 1
     out: list[GeneratorSymbol] = []
     i = j = 0
@@ -135,10 +188,27 @@ def _merge_odd_words(left: OddWord, right: OddWord) -> tuple[int, OddWord] | Non
 
 
 def _merge_even(left: EvenMonomial, right: EvenMonomial) -> EvenMonomial:
-    exps: dict[GeneratorSymbol, int] = dict(left)
-    for gen, exp in right:
-        exps[gen] = exps.get(gen, 0) + exp
-    return tuple(sorted(((g, e) for g, e in exps.items() if e), key=lambda it: it[0].sort_key))
+    """Multiply two canonical even monomials, adding the exponents of a
+    shared generator."""
+    if not left or not right:
+        return left or right
+    out: list[tuple[GeneratorSymbol, int]] = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        (a, ea), (b, eb) = left[i], right[j]
+        if a is b:
+            out.append((a, ea + eb))
+            i += 1
+            j += 1
+        elif a.sort_key < b.sort_key:
+            out.append(left[i])
+            i += 1
+        else:
+            out.append(right[j])
+            j += 1
+    out.extend(left[i:])
+    out.extend(right[j:])
+    return tuple(out)
 
 
 class SuperExpr:
@@ -276,9 +346,9 @@ class SuperExpr:
                 elif coeff == -1:
                     text = f"-{body}"
                 else:
-                    text = f"{coeff}*{body}"
+                    text = f"{coefficient_text(coeff)}*{body}"
             else:
-                text = str(coeff)
+                text = coefficient_text(coeff)
             if not chunks:
                 chunks.append(text)
             elif text.startswith("-"):
@@ -312,7 +382,8 @@ def _product_terms(left: SuperExpr, right: SuperExpr) -> Iterator[tuple[TermKey,
             merged = _merge_odd_words(od1, od2)
             if merged is not None:
                 sign, odd = merged
-                yield (_merge_even(ev1, ev2), odd), sign * c1 * c2
+                coeff = c1 * c2
+                yield (_merge_even(ev1, ev2), odd), coeff if sign > 0 else -coeff
 
 
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
@@ -397,25 +468,26 @@ def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
     collecting a Koszul sign, and then removed.
     """
     terms: list[tuple[TermKey, Fraction]] = []
-    for (even, odd), coeff in expr._terms.items():
-        if gen.parity is Parity.EVEN:
+    if gen.parity is Parity.EVEN:
+        for (even, odd), coeff in expr._terms.items():
             exps = dict(even)
-            exp = exps.get(gen, 0)
+            exp = exps.get(gen)
             if not exp:
                 continue
+            # the monomial is sorted and the dict keeps its order, so the
+            # key stays canonical without sorting again
             if exp == 1:
                 del exps[gen]
+                terms.append(((tuple(exps.items()), odd), coeff))
             else:
                 exps[gen] = exp - 1
-            key = (tuple(sorted(exps.items(), key=lambda it: it[0].sort_key)), odd)
-            value = coeff * exp
-        else:
+                terms.append(((tuple(exps.items()), odd), coeff * exp))
+    else:
+        for (even, odd), coeff in expr._terms.items():
             if gen not in odd:
                 continue
             pos = odd.index(gen)
-            key = (even, odd[:pos] + odd[pos + 1:])
-            value = coeff * (-1) ** pos
-        terms.append((key, value))
+            terms.append(((even, odd[:pos] + odd[pos + 1:]), -coeff if pos % 2 else coeff))
     return _collect(terms)
 
 

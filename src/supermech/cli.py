@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import AlgebraError, SuperExpr
+from .algebra import AlgebraError, SuperExpr, coefficient_text
 from .forms import FormError, GradedForm
 from .jets import JetError
 from .lagrangian import (
@@ -345,9 +345,10 @@ def latex_name(name: str) -> str:
 
 def _latex_fraction(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
+        return coefficient_text(value.numerator)
     sign = "-" if value < 0 else ""
-    return rf"{sign}\tfrac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    numerator = coefficient_text(abs(value.numerator))
+    return rf"{sign}\tfrac{{{numerator}}}{{{coefficient_text(value.denominator)}}}"
 
 
 def latex_expr(expr: SuperExpr) -> str:

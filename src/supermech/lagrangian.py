@@ -592,12 +592,13 @@ def _solve_rational(columns: Sequence[SuperExpr], target: SuperExpr) -> list[Fra
     Each row is reduced by the pivot rows found so far; its first
     remaining column becomes a new pivot, cleared from the earlier pivot
     rows.  The pivot rows end as the unique reduced row-echelon form, so
-    the answer does not depend on the order of the rows.
+    the answer does not depend on the order of the rows, and the term
+    dicts are read unsorted.
     """
     width = len(columns)
     equations: dict = {}
     for c, col in enumerate([*columns, target]):
-        for key, coeff in col.items():
+        for key, coeff in col._terms.items():
             equations.setdefault(key, {})[c] = coeff
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in equations.values():
@@ -653,19 +654,29 @@ def conservation_witness(
     cap = max_degree if max_degree is not None else g_expr.total_degree() + 2 * k
 
     ambient = chart.at_order(2 * k - 1).coordinates()
-    bases = chart.at_order(0).coordinates()
+    scaled: list[tuple[GeneratorSymbol, SuperExpr, Parity]] = []
+    for base in chart.at_order(0).coordinates():
+        component = delta_check.component(base)
+        if component.is_zero():
+            continue
+        sign = -1 if (g_parity.value and parity_of(component).value) else 1
+        scaled.append((base, -sign * component, parity_product(base.parity, g_parity)))
+    # every degree's columns include the lower degrees' ones, each computed
+    # once per call
+    products: dict[tuple[GeneratorSymbol, SuperExpr], SuperExpr] = {}
     for degree in range(cap + 1):
+        monomials: dict[Parity, list[SuperExpr]] = {}
         columns: list[SuperExpr] = []
         labels: list[tuple[GeneratorSymbol, SuperExpr]] = []
-        for base in bases:
-            component = delta_check.component(base)
-            if component.is_zero():
-                continue
-            sign = -1 if (g_parity.value and parity_of(component).value) else 1
-            comp_parity = parity_product(base.parity, g_parity)
-            for mono in _monomials(ambient, degree, comp_parity):
-                columns.append(-sign * component * mono)
-                labels.append((base, mono))
+        for base, column_factor, comp_parity in scaled:
+            if comp_parity not in monomials:
+                monomials[comp_parity] = _monomials(ambient, degree, comp_parity)
+            for mono in monomials[comp_parity]:
+                label = (base, mono)
+                if label not in products:
+                    products[label] = column_factor * mono
+                columns.append(products[label])
+                labels.append(label)
         solution = _solve_rational(columns, target)
         if solution is None:
             continue

@@ -1,16 +1,20 @@
 """Shared test utilities.
 
-Four kinds of helpers live here: seeded random generators for
+Five kinds of helpers live here: seeded random generators for
 expressions, forms, and fields; a small independent polynomial calculator
-for the one-even-coordinate case; a reference Grassmann product,
-evaluator and Runge-Kutta stepper for the numeric layer; and reference
-exact linear algebra.  The calculator represents polynomials as plain
-exponent-tuple dictionaries and knows nothing about the package
+for the one-even-coordinate case; a reference product and even partial
+that spell each term out as a list of factors; a reference Grassmann
+product, evaluator and Runge-Kutta stepper for the numeric layer; and
+reference exact linear algebra.  The calculator represents polynomials as
+plain exponent-tuple dictionaries and knows nothing about the package
 internals, so momenta and field equations computed with it are a second
-opinion, not an echo.  The numeric references loop over coefficients one
-pair at a time instead of using the package's product tables.  The
-linear-algebra references are Laplace expansion and dense Gauss-Jordan
-elimination, the textbook routines the package's kernels replace.
+opinion, not an echo.  The factor-list references hand every term to
+``normalize``, so they do not use the merges of canonical words and
+monomials that the package's product runs on.  The numeric references
+loop over coefficients one pair at a time instead of using the package's
+product tables.  The linear-algebra references are Laplace expansion and
+dense Gauss-Jordan elimination, the textbook routines the package's
+kernels replace.
 """
 
 from __future__ import annotations
@@ -256,6 +260,38 @@ def random_field(
     if not components:
         return None
     return VectorFieldAlong(chart, source, target, components, parity)
+
+
+# -- reference: products and partials through factor lists -----------------
+# A term is spelled out as its factors, each even generator repeated by its
+# exponent, and normalize sorts them again one swap at a time.
+
+
+def factor_list(key) -> list:
+    even, odd = key
+    return [g for g, e in even for _ in range(e)] + list(odd)
+
+
+def reference_product(left: SuperExpr, right: SuperExpr) -> SuperExpr:
+    """The product, one normalized factor list per pair of terms."""
+    return normalize(
+        (c1 * c2, factor_list(k1) + factor_list(k2))
+        for k1, c1 in left.items()
+        for k2, c2 in right.items()
+    )
+
+
+def reference_even_partial(expr: SuperExpr, gen) -> SuperExpr:
+    """The partial by an even generator: each term loses one factor ``gen``
+    and is weighted by how many it had."""
+    raw = []
+    for key, coeff in expr.items():
+        factors = factor_list(key)
+        count = factors.count(gen)
+        if count:
+            factors.remove(gen)
+            raw.append((coeff * count, factors))
+    return normalize(raw)
 
 
 # -- independent reference: Grassmann products and RK4 ----------------------

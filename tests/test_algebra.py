@@ -1,12 +1,17 @@
 """Exact arithmetic in the graded polynomial ring."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supermech import (
     Chart,
+    GeneratorSymbol,
     MixedParity,
     Parity,
     ParityMismatch,
@@ -21,7 +26,7 @@ from supermech import (
     substitute,
 )
 
-from helpers import random_expr
+from helpers import random_expr, reference_even_partial, reference_product
 
 CHART = Chart.create(["q", "r"], ["th", "ps"], 3)
 
@@ -73,6 +78,56 @@ def test_generator_symbol_ordering_and_shift():
     # even coordinates sort before odd ones, then by jet order
     assert gen("q", 3).sort_key < gen("th", 0).sort_key
     assert gen("th", 0).sort_key < gen("th", 1).sort_key
+
+
+# -- interned generator symbols --------------------------------------------
+
+FIELD_VALUES = [
+    st.sampled_from(["q", "r", "th"]), st.sampled_from(list(Parity)), st.integers(0, 3), st.integers(0, 5)
+]
+FIELDS = st.tuples(*FIELD_VALUES)
+
+
+@given(FIELDS, st.integers(0, 3), st.data())
+def test_generator_symbols_are_values_interned_by_their_fields(fields, which, data):
+    a = GeneratorSymbol(*fields)
+    b = GeneratorSymbol(*fields)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert (a.name, a.parity, a.base_index, a.jet_order) == fields
+    assert a.sort_key == (fields[1].value, fields[2], fields[3])
+    other = list(fields)
+    other[which] = data.draw(FIELD_VALUES[which].filter(lambda v: v != fields[which]))
+    c = GeneratorSymbol(*other)
+    assert c != a and c is not a
+    assert len({a, b, c}) == 2
+
+
+def test_generator_symbols_survive_copies_and_stay_immutable():
+    q1 = gen("q", 1)
+    assert pickle.loads(pickle.dumps(q1)) is q1
+    assert copy.deepcopy(q1) is q1
+    assert copy.copy(q1) is q1
+    expr = Fraction(1, 2) * coord("q", 1) ** 2 * coord("th", 0) * coord("ps", 2) - coord("r", 0)
+    assert pickle.loads(pickle.dumps(expr)) == expr
+    assert copy.deepcopy(expr) == expr
+    with pytest.raises(AttributeError):
+        q1.jet_order = 2
+    with pytest.raises(AttributeError):
+        del q1.name
+    assert repr(q1) == "GeneratorSymbol(name='q', parity=<Parity.EVEN: 0>, base_index=0, jet_order=1)"
+
+
+def test_shifted_symbols_are_the_charts_generators():
+    for g in CHART.at_order(2).coordinates():
+        assert g.shifted() is gen(g.name, g.jet_order + 1)
+        assert g.shifted(1).shifted(-1) is g
+
+
+def test_chart_coordinate_order_is_fixed():
+    chart = Chart.create(["q", "r"], ["th", "ps"], 1)
+    assert [str(g) for g in chart.coordinates()] == [
+        "q[0]", "q[1]", "r[0]", "r[1]", "th[0]", "th[1]", "ps[0]", "ps[1]"
+    ]
 
 
 # -- ring operations -------------------------------------------------------
@@ -128,6 +183,33 @@ def test_supercommutativity_randomized():
             continue
         sign = (-1) ** (parity_of(a).value * parity_of(b).value)
         assert a * b == sign * (b * a)
+
+
+# The order-2 chart has six odd generators, so products merge long words.
+GENS = CHART.at_order(2).coordinates()
+COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+EXPRS = st.lists(
+    st.tuples(COEFFS, st.lists(st.sampled_from(GENS), max_size=5)), max_size=6
+).map(normalize)
+
+
+@settings(max_examples=200)
+@given(EXPRS, EXPRS)
+def test_product_matches_the_factor_list_reference(a, b):
+    assert a * b == reference_product(a, b)
+
+
+@settings(max_examples=200)
+@given(EXPRS, st.sampled_from(GENS))
+def test_left_partial_matches_the_factor_list_reference(e, x):
+    d = left_partial(e, x)
+    assert x not in d.generators() or x.parity is Parity.EVEN
+    if x.parity is Parity.EVEN:
+        assert d == reference_even_partial(e, x)
+    else:
+        # e = x*A + B with A and B free of x, and the left partial is A
+        with_x = SuperExpr({key: c for key, c in e.items() if x in key[1]})
+        assert reference_product(SuperExpr.generator(x), d) == with_x
 
 
 # -- parity queries --------------------------------------------------------

@@ -359,6 +359,20 @@ def test_exponent_above_the_limit_is_usage_error(problem_file, capsys):
     assert '"q[2]": "-64*q[0]^63"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("emit", ["json", "latex"])
+def test_coefficient_too_long_to_print_is_math_failure(problem_file, capsys, emit):
+    # the literal is as long as the parser allows; the force -2*N*q[0] is
+    # one digit longer than the interpreter prints
+    text = f"order 1; even q; L = 1/2*q[1]^2 - q[0]^2*{'9' * 4300};"
+    code = main(["derive", "--emit", emit, problem_file(text)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("supermech: ")
+    assert "4300 digits" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_subcommand_is_usage_error(problem_file, capsys):
     code = main(["frobnicate", problem_file(OSCILLATOR)])
     capsys.readouterr()

@@ -54,7 +54,7 @@ constant_matrices = matrices(small.map(SuperExpr.constant))
 polynomial_matrices = matrices(even_polynomials())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.one_of(constant_matrices, polynomial_matrices))
 def test_det_adjugate_matches_laplace(matrix):
     det, adjugate = _det_adjugate(matrix)
@@ -62,7 +62,7 @@ def test_det_adjugate_matches_laplace(matrix):
     assert adjugate == laplace_adjugate(matrix)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.one_of(constant_matrices, polynomial_matrices))
 def test_adjugate_inverts_up_to_the_determinant(matrix):
     det, adjugate = _det_adjugate(matrix)
@@ -93,7 +93,7 @@ def rational_systems(draw):
     return columns, target
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(rational_systems())
 def test_sparse_elimination_matches_dense(system):
     columns, target = system

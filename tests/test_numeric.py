@@ -125,7 +125,7 @@ def grassmann(draw, directions, parity=None):
     return GrassmannValue(directions, coeffs)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.data())
 def test_table_product_matches_double_loop(data):
     n = data.draw(st.integers(0, 8))
@@ -134,7 +134,7 @@ def test_table_product_matches_double_loop(data):
     assert np.array_equal((left * right).coeffs, oracle_product(left.coeffs, right.coeffs))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_product_is_associative(data):
     n = data.draw(st.integers(0, 8))
@@ -144,7 +144,7 @@ def test_product_is_associative(data):
     assert ((a * b) * c - a * (b * c)).sup_norm() <= 1e-12 * max(scale, 1.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_product_parity(data):
     n = data.draw(st.integers(0, 8))
@@ -486,7 +486,7 @@ def test_integrate_matches_reference_rk4(case):
             assert np.max(np.abs(got - coeffs)) <= 1e-12 * max(1.0, np.max(np.abs(coeffs)))
 
 
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2)
 @given(st.integers(0, 2**32 - 1))
 def test_chunked_reports_match_per_state_evaluation(seed):
     # 2000 dense n=8 states span many chunks of the batched evaluation
