@@ -641,7 +641,12 @@ def conservation_witness(
     """Find a field along the projection to the base whose pairing with
     the field-equation components reproduces the total derivative of the
     quantity (with a minus sign).  Components are sought as polynomials of
-    growing degree; raises NoWitness when the bound is exhausted."""
+    growing degree; raises NoWitness when the bound is exhausted.
+
+    A witness makes the quantity constant on shell.  So once the search
+    reaches the quantity's own degree without a witness, a regular system
+    checks that along its dynamics, and a quantity that is not constant
+    raises NoWitness at once: no degree would give a witness."""
     data = data or cartan_data(lag)
     chart = lag.chart
     k = lag.order
@@ -651,7 +656,8 @@ def conservation_witness(
     g_parity = parity_of(g_expr)
     target = expr_total_derivative(g_expr)
     delta_check = data.delta_check
-    cap = max_degree if max_degree is not None else g_expr.total_degree() + 2 * k
+    g_degree = g_expr.total_degree()
+    cap = max_degree if max_degree is not None else g_degree + 2 * k
 
     ambient = chart.at_order(2 * k - 1).coordinates()
     scaled: list[tuple[GeneratorSymbol, SuperExpr, Parity]] = []
@@ -665,6 +671,15 @@ def conservation_witness(
     # once per call
     products: dict[tuple[GeneratorSymbol, SuperExpr], SuperExpr] = {}
     for degree in range(cap + 1):
+        if (
+            degree == g_degree
+            and data.regularity.verdict is Regularity.REGULAR
+            and not check_constant_of_motion(g_expr, data.dynamics)
+        ):
+            raise NoWitness(
+                "no witness field of any degree: the quantity is not constant "
+                "along the dynamics"
+            )
         monomials: dict[Parity, list[SuperExpr]] = {}
         columns: list[SuperExpr] = []
         labels: list[tuple[GeneratorSymbol, SuperExpr]] = []
@@ -694,21 +709,38 @@ def conservation_witness(
     )
 
 
-def _integrate_total_derivative(target: SuperExpr, chart: Chart, order: int) -> SuperExpr:
-    """Invert the total derivative on jet polynomials: find F on the
-    order-``order`` chart with T(F) = target and zero constant term."""
-    if target.is_zero():
-        return SuperExpr.zero()
-    parity = parity_of(target)
-    gens = chart.at_order(order).coordinates()
-    monos = [
-        m for m in _monomials(gens, target.total_degree(), parity) if m.constant_term() == 0
-    ]
-    columns = [expr_total_derivative(m) for m in monos]
-    solution = _solve_rational(columns, target)
-    if solution is None:
-        raise LagrangianError("total-derivative inversion failed on an exact expression")
-    return SuperExpr.sum(coeff * mono for mono, coeff in zip(monos, solution))
+def _integrate_total_derivative(target: SuperExpr) -> SuperExpr:
+    """Invert the total derivative on an exact jet polynomial by the
+    one-dimensional homotopy operator (Olver, Applications of Lie Groups
+    to Differential Equations, GTM 107, section 5.4): the F with
+    T(F) = target and zero constant term.
+
+    With f_d the part of the target of total degree d (odd factors count
+    once) and u_a^(i) the coordinates,
+
+        F_d = (1/d) sum_a sum_(i>=1) sum_(j<i) u_a^(j) (-T)^(i-j-1) df_d/du_a^(i)
+
+    with left partials and u_a^(j) multiplied on the left; T is even, so
+    the integration by parts adds no sign.  The inner sums are evaluated
+    from the top order down, R_(i-1) = df/du^(i) - T(R_i), and since the
+    sum over a and i keeps the degree of each term, the 1/d is applied
+    term by term to the whole sum.  The target must be exact with no
+    constant term; nothing here checks that."""
+    top: dict[GeneratorSymbol, int] = {}
+    for gen in target.generators():
+        base = gen.shifted(-gen.jet_order)
+        top[base] = max(top.get(base, 0), gen.jet_order)
+    parts = []
+    for base, order in top.items():
+        remainder = SuperExpr.zero()
+        for i in range(order, 0, -1):
+            remainder = left_partial(target, base.shifted(i)) - expr_total_derivative(remainder)
+            parts.append(SuperExpr.generator(base.shifted(i - 1)) * remainder)
+    homotopy = SuperExpr.sum(parts)
+    return SuperExpr({
+        (even, odd): coeff / (sum(e for _, e in even) + len(odd))
+        for (even, odd), coeff in homotopy._terms.items()
+    })
 
 
 def check_symmetry(
@@ -717,7 +749,17 @@ def check_symmetry(
     """Decide whether the k-th lift of the field changes the Lagrangian by
     a total time derivative; return the generating function F (normalised
     to zero constant term) or raise NotSymmetry with the nonvanishing
-    variational derivatives as certificate."""
+    variational derivatives as certificate.
+
+    The rate X^(k)(L) is a total derivative exactly when its variational
+    derivatives and its constant term vanish; that certificate is checked
+    first.  F is then read off by the homotopy operator
+    (``_integrate_total_derivative``, Olver GTM 107 section 5.4),
+
+        F = sum_d (1/d) sum_a sum_(i>=1) sum_(j<i) u_a^(j) (-T)^(i-j-1) d(rate_d)/du_a^(i),
+
+    rate_d the part of total degree d, without solving any linear
+    system, and T(F) == rate is checked exactly."""
     chart = lag.chart
     k = lag.order
     if x_field.source_order != 0 or x_field.target_order != 2 * k - 1:
@@ -733,7 +775,7 @@ def check_symmetry(
         certificate["1"] = SuperExpr.constant(constant)
     if certificate:
         raise NotSymmetry(certificate)
-    generating = _integrate_total_derivative(rate, chart, 3 * k - 2)
+    generating = _integrate_total_derivative(rate)
     if expr_total_derivative(generating) != rate:
         raise LagrangianError("generating function verification failed")
     return generating

@@ -36,8 +36,10 @@ measured on every stored state.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -49,6 +51,9 @@ from .lagrangian import Dynamics
 # bound on the bytes that the temporaries of one batched evaluation hold
 # at once; it keeps peak memory flat however long the trajectory
 _CHUNK_BYTES = 1 << 18
+# bound on the bytes of one stored trajectory; the shipped problems store
+# under 200 KB and the benchmark's generated ones under 1 MB
+_MAX_TRAJECTORY_BYTES = 1 << 30
 
 
 class NumericError(Exception):
@@ -318,7 +323,7 @@ class _Plan:
                 chain += [(_row(index, gen), 1) for gen in odd]
                 for row, exponent in chain:
                     top[row] = max(top.get(row, 1), exponent)
-                terms.append((which, float(coeff), chain))
+                terms.append((which, _float(coeff), chain))
 
         count = len(coordinates)
         slot = {(row, 1): row for row in range(count)}
@@ -397,6 +402,21 @@ class _Plan:
         """Evaluate on every state, a chunk of states at a time."""
         for lo in range(0, len(states), self.chunk):
             yield self(states[lo : lo + self.chunk])
+
+
+def _magnitude(value: int | Fraction) -> str:
+    """``about 10^e`` for a positive number of any size."""
+    exponent = math.log10(value.numerator) - math.log10(value.denominator)
+    return f"about 10^{math.floor(exponent)}"
+
+
+def _float(coeff: Fraction) -> float:
+    try:
+        return float(coeff)
+    except OverflowError:
+        raise NumericError(
+            f"a coefficient of magnitude {_magnitude(abs(coeff))} is out of floating-point range"
+        ) from None
 
 
 def _row(index: Mapping[GeneratorSymbol, int], gen: GeneratorSymbol) -> int:
@@ -490,6 +510,8 @@ def integrate(
     if dt <= 0:
         raise IntegrationError("dt must be positive")
     span = t_end - initial.time
+    if not math.isfinite(span / dt):
+        raise IntegrationError(f"the span {span} is not a finite number of steps of {dt}")
     steps = round(span / dt)
     if steps < 1 or abs(steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise IntegrationError(
@@ -497,6 +519,13 @@ def integrate(
         )
     coordinates = dynamics.lagrangian.chart.at_order(dynamics.order).coordinates()
     directions = initial.directions
+    size = 8 * (steps + 1) * len(coordinates) << directions
+    if size > _MAX_TRAJECTORY_BYTES:
+        raise IntegrationError(
+            f"a trajectory of {_magnitude(steps + 1)} states needs {_magnitude(size)} "
+            f"bytes, over the limit of {_MAX_TRAJECTORY_BYTES} bytes (1 GiB) on a "
+            "stored trajectory"
+        )
     start = _stack(initial, coordinates)[None]
 
     gens, residuals = _constraint_residuals(dynamics)

@@ -245,6 +245,45 @@ def test_simulate_degenerate_is_math_failure(problem_file, capsys):
     assert "degenerate" in captured.err
 
 
+def test_simulate_coefficient_out_of_float_range(problem_file, capsys):
+    # derive prints the force -2*N*q[0] exactly; simulate cannot turn it
+    # into a float
+    text = (
+        f"order 1; even q; L = 1/2*q[1]^2 - q[0]^2*{'9' * 400};\n"
+        "simulate { n = 0; dt = 0.001; t = 1.0; init q[0] = 1.0; init q[1] = 0.0; }\n"
+    )
+    path = problem_file(text)
+    assert main(["derive", path]) == 0
+    capsys.readouterr()
+    code = main(["simulate", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "supermech: a coefficient of magnitude about 10^400 is out of floating-point range\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "span, message",
+    [
+        ("dt = 0.001; t = 1e300;", "a trajectory of about 10^303 states needs"),
+        ("dt = 0.000000001; t = 1000.0;", "a trajectory of about 10^12 states needs"),
+        ("dt = 0.0000000001; t = 1e308;", "the span 1e+308 is not a finite number of steps"),
+    ],
+    ids=["long-time", "tiny-step", "infinitely-many-steps"],
+)
+def test_simulate_trajectory_too_large_to_store(problem_file, capsys, span, message):
+    text = OSCILLATOR.replace("dt = 0.001;\n    t = 1.0;", span)
+    code = main(["simulate", problem_file(text)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"supermech: {message}")
+    if "trajectory" in message:
+        assert "over the limit of 1073741824 bytes" in captured.err
+
+
 def test_simulate_trajectory_out(problem_file, tmp_path, capsys):
     out_path = tmp_path / "trajectory.tsv"
     code = main(
@@ -295,27 +334,8 @@ def test_simulate_output_is_fixed(argv, expected, capsys):
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize(
-    "argv, counts",
-    [
-        (["derive"], (1, 1, 1, 0, 2)),
-        (["derive", "--emit", "latex"], (1, 1, 0, 0, 2)),
-        (["noether", "--symmetry", "susy"], (1, 1, 1, 1, 2)),
-        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0)),
-        (["simulate"], (1, 1, 1, 0, 2)),
-    ],
-    ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
-)
-def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
-    # theta built, solve plan run, dynamics solved, conservation checked,
-    # and one determinant and adjugate per sector of the plan
-    stages = (
-        "cartan_operator",
-        "_solve_plan",
-        "_solve_dynamics",
-        "check_constant_of_motion",
-        "_det_adjugate",
-    )
+def _count_calls(monkeypatch, stages) -> Counter:
+    """Count the calls of the named ``lagrangian`` functions."""
     calls = Counter()
     for stage in stages:
         real = getattr(lagrangian, stage)
@@ -325,10 +345,52 @@ def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(lagrangian, stage, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (["derive"], (1, 1, 1, 0, 2, 0)),
+        (["derive", "--emit", "latex"], (1, 1, 0, 0, 2, 0)),
+        (["noether", "--symmetry", "susy"], (1, 1, 1, 1, 2, 0)),
+        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 2)),
+        (["simulate"], (1, 1, 1, 0, 2, 0)),
+    ],
+    ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
+)
+def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
+    # theta built, solve plan run, dynamics solved, conservation checked,
+    # one determinant and adjugate per sector of the plan, and one rational
+    # system per degree of the witness search; generating functions of
+    # symmetries solve no system
+    stages = (
+        "cartan_operator",
+        "_solve_plan",
+        "_solve_dynamics",
+        "check_constant_of_motion",
+        "_det_adjugate",
+        "_solve_rational",
+    )
+    calls = _count_calls(monkeypatch, stages)
     code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])
     capsys.readouterr()
     assert code == 0
     assert tuple(calls[stage] for stage in stages) == counts
+
+
+def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):
+    # degrees 0 and 1 are searched; at degree 2, the charge's own, the
+    # dynamics show it is not conserved, so no degree up to 4 is tried
+    calls = _count_calls(monkeypatch, ["_solve_rational", "check_constant_of_motion"])
+    code = main(["noether", problem_file(OSCILLATOR), "--from-charge", "q[0]^2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("supermech: ")
+    assert "witness" in captured.err
+    assert "not constant along the dynamics" in captured.err
+    assert calls == {"_solve_rational": 2, "check_constant_of_motion": 1}
 
 
 # -- usage and input errors ------------------------------------------------

@@ -2,8 +2,11 @@
 equations, regularity, and the solved dynamics."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from supermech import (
     Chart,
@@ -31,7 +34,10 @@ from supermech import (
     total_derivative_field,
     variational_derivative,
 )
-from supermech.lagrangian import NoWitness
+from supermech.algebra import normalize
+from supermech.lagrangian import NoWitness, _integrate_total_derivative, check_symmetry
+
+PROBLEMS = Path(__file__).parent.parent / "problems"
 
 
 def make(even, odd, order, build):
@@ -296,3 +302,58 @@ def test_witness_for_susy_charge_is_odd():
     assert witness.parity is Parity.ODD
     assert witness.component(chart.gen("q", 0)) == chart.coord("th", 0)
     assert witness.component(chart.gen("th", 0)) == -chart.coord("q", 1)
+
+
+def test_non_conserved_quantity_is_decided_at_its_own_degree():
+    # the search would run to degree 2 + 2k = 4; the dynamics show at
+    # degree 2 that q[0]^2 is not conserved
+    lag = oscillator()
+    with pytest.raises(NoWitness, match="not constant along the dynamics"):
+        conservation_witness(lag.chart.coord("q", 0) ** 2, lag)
+
+
+def test_max_degree_below_the_quantity_keeps_the_search_bound():
+    lag = oscillator()
+    with pytest.raises(NoWitness, match="degree <= 1"):
+        conservation_witness(lag.chart.coord("q", 0) ** 2, lag, max_degree=1)
+
+
+# -- generating functions --------------------------------------------------
+
+_JET = Chart.create(["x", "y"], ["a", "b"], 3)
+
+# a factor is a base coordinate and a jet order; a term has 1 to 3 factors,
+# so the polynomial has no constant term
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.integers(1, 3),
+        st.lists(st.tuples(st.sampled_from("xyab"), st.integers(0, 3)), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(_TERMS)
+@example([(1, 1, [("a", 0), ("b", 1)]), (1, 2, [("x", 1), ("x", 2)])])
+def test_homotopy_operator_inverts_the_total_derivative(terms):
+    f = normalize(
+        (Fraction(num, den), [_JET.gen(name, order) for name, order in factors])
+        for num, den, factors in terms
+    )
+    assert _integrate_total_derivative(total_derivative(f)) == f
+
+
+@pytest.mark.parametrize(
+    "problem, symmetry, generating",
+    [
+        ("oscillator", "time", "-1/2*q[0]^2 + 1/2*q[1]^2"),
+        ("ostrogradski", "shift", "0"),
+        ("superparticle", "susy", "1/2*q[1]*theta[0]"),
+        ("superparticle", "time", "1/2*theta[0]*theta[1] + 1/2*q[1]^2"),
+    ],
+)
+def test_generating_functions_of_the_shipped_symmetries(problem, symmetry, generating):
+    spec = parse_problem((PROBLEMS / f"{problem}.sm").read_text(encoding="utf-8"))
+    assert str(check_symmetry(spec.symmetry_field(symmetry), spec.lagrangian())) == generating
