@@ -20,18 +20,40 @@ each term is a float coefficient times a chain of factor slots (the
 coordinates, their powers, and the unit for constants), with even powers
 formed before they multiply in and odd factors in canonical order, just
 as ``evaluate`` groups them.  A plan evaluates on a leading batch axis of
-states ``(batch, coordinates, 2**n)``.  Integration is classic
-fixed-step fourth-order Runge-Kutta on one such array per step, and the
-trajectory is stored as one ``(steps + 1, coordinates, 2**n)`` array;
-the conservation and constraint reports evaluate their plans over all
-stored states, in chunks along time whose temporaries hold about
-``_CHUNK_BYTES`` at once.
+states ``(batch, coordinates, 2**n)``; the conservation and constraint
+reports evaluate their plans over all stored states, in chunks along
+time whose temporaries hold about ``_CHUNK_BYTES`` at once.
+
+Integration is classic fixed-step fourth-order Runge-Kutta, stored as one
+``(steps + 1, coordinates, 2**n)`` array, on one of two paths:
+
+* the array path calls the field's plan on one ``(1, coordinates, 2**n)``
+  array per stage;
+* the compiled step replays the same plan as straight-line Python float
+  code over each coordinate's structurally nonzero coefficients, the
+  subsets of its parity, and writes blocks of steps into the array.
+
+A field takes the compiled step when every term has its coordinate's
+parity and one step needs at most ``_KERNEL_MAX_OPS`` float operations:
+the shipped problems and small n=0 systems, while a step at n=6 or 8 is
+thousands of operations, which numpy does faster.  Both paths store the
+same floats, zero signs included.  Each sum starts from +0.0 and adds
+its terms in the plan's order, and a sum that starts from +0.0 never
+becomes -0.0; a pair that one path adds and the other leaves out has a
+zero factor, so it adds +0.0 or -0.0 and changes no sum while every
+value is finite.  A guard
+keeps that so: each state and stage is checked against a bound under
+which no intermediate can overflow, and a step that fails it is taken
+by the array path.
 
 Checks: the initial state's parity is checked when the ``NumericState``
 is built and its constraints before the first step; finiteness is
-checked after every step; the parity support of every stored state is
-checked once, by one mask test over the whole trajectory array; drift is
-measured on every stored state.
+checked after every step (on the compiled step, by the guard of the
+next step and a check of the last state); the parity support of every
+stored state is checked once, by one mask test over the whole trajectory
+array; drift is measured on every stored state.  A blow-up is reported
+by the finiteness check alone: numpy's overflow warnings are silenced
+while integrating.
 """
 
 from __future__ import annotations
@@ -41,7 +63,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +76,16 @@ _CHUNK_BYTES = 1 << 18
 # bound on the bytes of one stored trajectory; the shipped problems store
 # under 200 KB and the benchmark's generated ones under 1 MB
 _MAX_TRAJECTORY_BYTES = 1 << 30
+# bound on the float operations of one compiled RK4 step; a field whose
+# step needs more runs the array path (see ``integrate``).  Measured on a
+# 2-core x86 VM, an operation costs 20-35 ns per step and 5-13 us to
+# compile, and an array step at least about 45 us, so at 400 operations
+# the compile is repaid within about 100 steps.  The shipped problems
+# need 42-136 operations; the benchmark's n=4 systems 608 and more.
+_KERNEL_MAX_OPS = 400
+# every intermediate of a compiled step stays below this magnitude while
+# the kernel's guard admits its inputs
+_KERNEL_BOUND = 1e300
 
 
 class NumericError(Exception):
@@ -189,7 +221,9 @@ class GrassmannValue:
                     sign = 0.0
                 mask |= 1 << index
             if sign:
-                out.coeffs[mask] += sign * float(value)
+                # a sum out of range is left for the caller to check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out.coeffs[mask] += sign * float(value)
         return out
 
     def body(self) -> float:
@@ -344,6 +378,8 @@ class _Plan:
         chains = [
             [slot[factor] for factor in chain] or [self.unit] for _, _, chain in terms
         ]
+        # (output, coefficient, slot chain) of every term, in original order
+        self.terms = [(which, coeff, chain) for (which, coeff, _), chain in zip(terms, chains)]
         order = sorted(range(len(terms)), key=lambda t: -len(chains[t]))
         depth = max((len(chain) for chain in chains), default=0)
         self.coeffs = np.array([terms[t][1] for t in order]).reshape(-1, 1)
@@ -493,6 +529,256 @@ class Trajectory:
         return rows
 
 
+class _TooLarge(Exception):
+    pass
+
+
+def _sign(left: int, right: int) -> str:
+    """The sign of the product of two disjoint subsets, as in
+    ``_product_table``."""
+    crossings = sum(
+        (left >> (i + 1)).bit_count() for i in range(right.bit_length()) if right >> i & 1
+    )
+    return "-" if crossings & 1 else "+"
+
+
+def _scaled(name: str, coeff: float, value: str) -> str:
+    """``coeff * value``; a factor of one or minus one is exact, so it is
+    left out."""
+    if coeff == 1.0:
+        return value
+    if coeff == -1.0:
+        return f"-{value}"
+    return f"{name}*{value}"
+
+
+class _StepWriter:
+    """Writes the straight-line source of one RK4 step of a plan over the
+    listed masks of each coordinate, counting its float operations.
+
+    Each value is a map from mask to the name or expression holding that
+    coefficient, for the masks where it can be nonzero.  Every evaluation
+    repeats the plan's arithmetic in the plan's order, so it rounds as the
+    plan does while all values stay finite.
+    """
+
+    def __init__(self, plan: _Plan, support: Sequence[Sequence[int]]):
+        self.plan = plan
+        self.support = support
+        self.lines: list[str] = []
+        self.ops = 0
+        self.temps = 0
+
+    def spend(self, ops: int):
+        self.ops += ops
+        if self.ops > _KERNEL_MAX_OPS:
+            raise _TooLarge
+
+    def line(self, text: str):
+        self.lines.append("        " + text)
+
+    def temp(self, expr: str) -> str:
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.line(f"{name} = {expr}")
+        return name
+
+    def variables(self, prefix: str) -> list[dict[int, str]]:
+        return [
+            {mask: f"{prefix}{row}_{mask}" for mask in masks}
+            for row, masks in enumerate(self.support)
+        ]
+
+    def product(self, left: dict[int, str], right: dict[int, str]) -> dict[int, str]:
+        """Each coefficient of the product summed from zero over its
+        disjoint pairs in table order, as ``_product`` sums it."""
+        pairs: dict[int, list[str]] = {}
+        for lmask, lvalue in left.items():
+            for rmask, rvalue in right.items():
+                if not lmask & rmask:
+                    pairs.setdefault(lmask | rmask, []).append(
+                        f" {_sign(lmask, rmask)} {lvalue}*{rvalue}"
+                    )
+        self.spend(2 * sum(map(len, pairs.values())))
+        return {mask: self.temp("0.0" + "".join(pairs[mask])) for mask in sorted(pairs)}
+
+    def rhs(self, inputs: list[dict[int, str]], outputs: list[dict[int, str]]):
+        """The plan evaluated on ``inputs`` into the ``outputs`` names."""
+        plan = self.plan
+        slots: list[dict[int, str]] = inputs + [{}] * (plan.slots - len(inputs))
+        if plan.unit is not None:
+            slots[plan.unit] = {0: "1.0"}
+        for lo, hi, below, rows in plan.powers:
+            for offset in range(hi - lo):
+                slots[lo + offset] = self.product(slots[below[offset]], slots[rows[offset]])
+        sums: list[dict[int, list[str]]] = [{mask: [] for mask in masks} for masks in self.support]
+        for index, (which, coeff, chain) in enumerate(plan.terms):
+            value = {
+                mask: _scaled(f"c{index}", coeff, name) for mask, name in slots[chain[0]].items()
+            }
+            self.spend(len(value))
+            if len(chain) > 1:
+                value = {mask: self.temp(expr) for mask, expr in value.items()}
+                for slot in chain[1:]:
+                    value = self.product(value, slots[slot])
+            for mask, expr in value.items():
+                sums[which][mask].append(expr)
+        for row, masks in enumerate(sums):
+            for mask, operands in masks.items():
+                self.spend(len(operands))
+                self.line(f"{outputs[row][mask]} = " + " + ".join(["0.0", *operands]))
+
+    def guard(self, values: list[dict[int, str]]):
+        names = [name for value in values for name in value.values()]
+        if names:
+            checks = " and ".join(f"floor <= {name} <= limit" for name in names)
+            self.line(f"if not ({checks}):")
+            self.line("    return taken")
+
+
+def _compile_kernel(
+    plan: _Plan, coordinates: Sequence[GeneratorSymbol], directions: int
+) -> tuple[Callable[..., int], np.ndarray] | None:
+    """RK4 steps of the field ``plan`` evaluates, compiled into
+    straight-line float code, or None when a term's parity is not its
+    coordinate's or one step would take more than ``_KERNEL_MAX_OPS``
+    operations.
+
+    ``steps(state, count, write, dt / 2, dt, dt / 6)`` takes up to
+    ``count`` steps from ``state``, the coefficients at ``index`` of a
+    flattened ``(coordinates, 2**n)`` state, passes each new state to
+    ``write`` and returns the number of steps taken.  It stops before a
+    step whose state or stage has a coefficient out of the range within
+    which no intermediate can overflow.
+    """
+    # powers and the unit are even
+    odd = [gen.parity is Parity.ODD for gen in coordinates]
+    for which, _, chain in plan.terms:
+        if sum(odd[slot] for slot in chain if slot < len(odd)) % 2 != odd[which]:
+            return None
+    size = 1 << directions
+    parity_masks = [[mask for mask in range(size) if mask.bit_count() % 2 == p] for p in (0, 1)]
+    support = [parity_masks[gen.parity.value] for gen in coordinates]
+    writer = _StepWriter(plan, support)
+    try:
+        # the stage and update arithmetic, counted before any name is made
+        writer.spend(13 * sum(map(len, support)))
+        state, stage = writer.variables("y"), writer.variables("z")
+        slopes = [writer.variables(f"k{s}_") for s in range(1, 5)]
+        for s, (slope, factor) in enumerate(zip(slopes, ("h2", "h2", "h", None))):
+            writer.guard(stage if s else state)
+            writer.rhs(stage if s else state, slope)
+            if factor is not None:
+                for row, value in enumerate(state):
+                    for mask, name in value.items():
+                        writer.line(f"{stage[row][mask]} = {name} + {slope[row][mask]}*{factor}")
+    except _TooLarge:
+        return None
+    names = [name for value in state for name in value.values()]
+    for row, value in enumerate(state):
+        for mask, name in value.items():
+            k1, k2, k3, k4 = (slope[row][mask] for slope in slopes)
+            writer.line(f"{name} = {name} + ({k1} + 2.0*{k2} + 2.0*{k3} + {k4})*h6")
+
+    # every slot coefficient is at most m = max(limit, 1) in magnitude,
+    # each product coefficient sums at most 2**n pairs, so every
+    # intermediate is at most (1 + sum |c|) * (2**n * m)**degree
+    degree = {row: 1 for row in range(len(coordinates))}
+    for level, (lo, hi, _, _) in enumerate(plan.powers):
+        degree.update((slot, level + 2) for slot in range(lo, hi))
+    top = max((sum(degree.get(slot, 0) for slot in chain) for _, _, chain in plan.terms), default=0)
+    weight = 1.0 + sum(abs(coeff) for _, coeff, _ in plan.terms)
+    limit = _KERNEL_BOUND
+    if top:
+        limit = (_KERNEL_BOUND / weight) ** (1.0 / top) / size
+        if limit < 1.0:
+            limit = -1.0
+
+    # the limit and the coefficients are bound as default values
+    constants = {f"c{index}": coeff for index, (_, coeff, _) in enumerate(plan.terms)}
+    namespace = {"limit": limit, **constants}
+    defaults = "".join(f", {name}={name}" for name in ["limit", *constants])
+    source = "\n".join(
+        [
+            f"def steps(state, count, write, h2, h, h6{defaults}):",
+            f"    ({', '.join(names + [''])}) = state",
+            "    floor = -limit",
+            "    for taken in range(count):",
+            *writer.lines,
+            f"        write(({', '.join(names + [''])}))",
+            "    return count",
+        ]
+    )
+    exec(compile(source, "<rk4 step>", "exec"), namespace)
+    index = np.array(
+        [row * size + mask for row, masks in enumerate(support) for mask in masks], dtype=np.intp
+    )
+    return namespace["steps"], index
+
+
+def _check_finite(state: np.ndarray, coordinates: Sequence[GeneratorSymbol], step: int):
+    """Raise on the first coordinate, in chart order, with a non-finite
+    coefficient in ``state``."""
+    finite = np.isfinite(state)
+    if not finite.all():
+        bad = coordinates[int(np.argmin(finite.all(axis=-1)))]
+        raise IntegrationError(f"non-finite value for {bad} at step {step}")
+
+
+def _rk4_array(
+    rhs: _Plan,
+    values: np.ndarray,
+    dt: float,
+    coordinates: Sequence[GeneratorSymbol],
+    first: int,
+    last: int,
+):
+    """Fill ``values[first + 1 : last + 1]`` with array RK4 steps from
+    ``values[first]``, checking each new state for finiteness."""
+    current = values[first : first + 1]
+    for step in range(first, last):
+        k1 = rhs(current)
+        k2 = rhs(current + k1 * (dt / 2))
+        k3 = rhs(current + k2 * (dt / 2))
+        k4 = rhs(current + k3 * dt)
+        current = current + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6)
+        _check_finite(current[0], coordinates, step + 1)
+        values[step + 1] = current[0]
+
+
+def _rk4_kernel(
+    kernel: tuple[Callable[..., int], np.ndarray],
+    rhs: _Plan,
+    values: np.ndarray,
+    dt: float,
+    coordinates: Sequence[GeneratorSymbol],
+):
+    """Fill ``values[1:]`` from ``values[0]`` with the compiled steps of
+    ``_compile_kernel``, a block of steps at a time.  A step whose state or
+    stage fails the kernel's guard is taken by ``_rk4_array``; the guard
+    also stands for the finiteness check of the state it admits."""
+    function, index = kernel
+    steps = len(values) - 1
+    flat = values.reshape(steps + 1, -1)
+    # a block holds a float object and a list slot, 32 bytes, per value
+    block_steps = max(1, _CHUNK_BYTES // (32 * max(1, len(index))))
+    step = 0
+    while step < steps:
+        block: list[float] = []
+        count = min(block_steps, steps - step)
+        taken = function(
+            tuple(flat[step, index].tolist()), count, block.extend, dt / 2, dt, dt / 6
+        )
+        flat[step + 1 : step + 1 + taken, index] = np.reshape(block, (taken, len(index)))
+        step += taken
+        if taken < count:
+            if step:
+                _check_finite(values[step], coordinates, step)
+            _rk4_array(rhs, values, dt, coordinates, step, step + 1)
+            step += 1
+    _check_finite(values[steps], coordinates, steps)
+
+
 def integrate(
     dynamics: Dynamics,
     initial: NumericState,
@@ -505,7 +791,11 @@ def integrate(
     time to ``t_end``, which must be a whole number of steps away.
 
     The initial state must satisfy the solved constraints within
-    ``constraint_tol``; the run aborts on non-finite values.
+    ``constraint_tol``; the run aborts on non-finite values.  A field
+    whose every component is homogeneous of its coordinate's parity, and
+    whose compiled step stays under ``_KERNEL_MAX_OPS`` operations, runs
+    the compiled step; any other runs the array path.  Both store the
+    same floats.
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
@@ -526,35 +816,29 @@ def integrate(
             f"bytes, over the limit of {_MAX_TRAJECTORY_BYTES} bytes (1 GiB) on a "
             "stored trajectory"
         )
-    start = _stack(initial, coordinates)[None]
+    start = _stack(initial, coordinates)
 
-    gens, residuals = _constraint_residuals(dynamics)
-    if residuals:
-        norms = np.abs(_Plan(residuals, coordinates, directions)(start)[0]).max(axis=-1)
-        for gen, norm in zip(gens, norms):
-            if norm > constraint_tol:
-                raise ConstraintViolation(
-                    f"initial data violates {gen} constraint by {norm:.3e}"
-                )
+    # a blow-up is reported once, by the finiteness check, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        gens, residuals = _constraint_residuals(dynamics)
+        if residuals:
+            norms = np.abs(_Plan(residuals, coordinates, directions)(start[None])[0]).max(axis=-1)
+            for gen, norm in zip(gens, norms):
+                if norm > constraint_tol:
+                    raise ConstraintViolation(
+                        f"initial data violates {gen} constraint by {norm:.3e}"
+                    )
 
-    field = dynamics.field()
-    rhs = _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
-
-    times = [initial.time]
-    values = np.empty((steps + 1,) + start.shape[1:])
-    values[0] = start[0]
-    current = start
-    for step in range(steps):
-        k1 = rhs(current)
-        k2 = rhs(current + k1 * (dt / 2))
-        k3 = rhs(current + k2 * (dt / 2))
-        k4 = rhs(current + k3 * dt)
-        current = current + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6)
-        if not np.isfinite(current).all():
-            bad = coordinates[int(np.argmin(np.isfinite(current[0]).all(axis=-1)))]
-            raise IntegrationError(f"non-finite value for {bad} at step {step + 1}")
-        values[step + 1] = current[0]
-        times.append(initial.time + (step + 1) * dt)
+        field = dynamics.field()
+        rhs = _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
+        kernel = _compile_kernel(rhs, coordinates, directions)
+        values = np.zeros((steps + 1,) + start.shape)
+        values[0] = start
+        if kernel is None:
+            _rk4_array(rhs, values, dt, coordinates, 0, steps)
+        else:
+            _rk4_kernel(kernel, rhs, values, dt, coordinates)
+    times = (initial.time,) + tuple(initial.time + step * dt for step in range(1, steps + 1))
 
     odd = _odd_subsets(directions)
     wrong = np.array([odd if gen.parity is Parity.EVEN else ~odd for gen in coordinates])
@@ -565,7 +849,7 @@ def integrate(
         raise ParityViolation(
             f"value for {coordinates[row]} has support of the wrong parity at step {step}"
         )
-    return Trajectory(dynamics, tuple(times), coordinates, _frozen(values), directions)
+    return Trajectory(dynamics, times, coordinates, _frozen(values), directions)
 
 
 def conservation_report(

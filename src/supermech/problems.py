@@ -31,6 +31,7 @@ initial data up to 2k-1.  Every error carries a line and column.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,6 +411,20 @@ def _check_symmetry_parities(chart: Chart, entries: dict[str, SuperExpr], name: 
             )
 
 
+def _finite(value: int | float | str | Fraction, token: _Token) -> float:
+    """``value`` as a finite float; anything out of floating-point range
+    is a syntax error at ``token``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProblemSyntaxError(
+            "number out of floating-point range", token.line, token.column
+        )
+    return number
+
+
 def _parse_number(parser: _Parser) -> float:
     sign = 1.0
     if parser.accept("-"):
@@ -419,7 +434,7 @@ def _parse_number(parser: _Parser) -> float:
     token = parser.peek()
     if token.kind == "FLOAT":
         parser.advance()
-        return sign * float(token.text)
+        return sign * _finite(token.text, token)
     if token.kind == "INT":
         parser.advance()
         numerator = int(token.text)
@@ -429,8 +444,8 @@ def _parse_number(parser: _Parser) -> float:
                 raise ProblemSyntaxError(
                     "division by zero", denominator.line, denominator.column
                 )
-            return sign * float(Fraction(numerator, int(denominator.text)))
-        return sign * float(numerator)
+            return sign * _finite(Fraction(numerator, int(denominator.text)), token)
+        return sign * _finite(numerator, token)
     raise parser.fail("expected a number")
 
 
@@ -439,7 +454,7 @@ def _parse_simulate(parser: _Parser, chart: Chart, order: int) -> SimulationSpec
     directions: int | None = None
     dt: float | None = None
     t_end: float | None = None
-    raw_init: dict[GeneratorSymbol, list[tuple[float, list[int]]]] = {}
+    raw_init: dict[GeneratorSymbol, tuple[_Token, list[tuple[float, list[int]]]]] = {}
     index_positions: list[tuple[int, int, int]] = []
 
     while not parser.accept("}"):
@@ -472,7 +487,7 @@ def _parse_simulate(parser: _Parser, chart: Chart, order: int) -> SimulationSpec
                     f"duplicate initial value for {gen}", key.line, key.column
                 )
             parser.expect("=")
-            raw_init[gen] = _parse_grassmann(parser, index_positions)
+            raw_init[gen] = key, _parse_grassmann(parser, index_positions)
             parser.expect(";")
         else:
             raise ProblemSyntaxError(
@@ -491,8 +506,10 @@ def _parse_simulate(parser: _Parser, chart: Chart, order: int) -> SimulationSpec
                 f"direction g[{index}] needs directions > {index}", line, column
             )
     init: dict[GeneratorSymbol, GrassmannValue] = {}
-    for gen, terms in raw_init.items():
+    for gen, (key, terms) in raw_init.items():
         value = GrassmannValue.from_terms(terms, directions)
+        for coeff in value.coeffs.tolist():
+            _finite(coeff, key)
         if not value.supports_parity(gen.parity):
             raise ProblemSyntaxError(
                 f"initial value for {gen} must have {gen.parity} support",
@@ -521,7 +538,7 @@ def _parse_grassmann(
             token = parser.peek()
             if token.kind in ("FLOAT", "INT"):
                 parser.advance()
-                coeff *= float(token.text)
+                coeff = _finite(coeff * _finite(token.text, token), token)
             elif token.kind == "NAME" and token.text == "g":
                 parser.advance()
                 parser.expect("[")
@@ -543,11 +560,12 @@ def _parse_grassmann(
                         "division is only defined by numbers", slash.line, slash.column
                     )
                 parser.advance()
-                if float(divisor.text) == 0.0:
+                value = _finite(divisor.text, divisor)
+                if value == 0.0:
                     raise ProblemSyntaxError(
                         "division by zero", divisor.line, divisor.column
                     )
-                coeff /= float(divisor.text)
+                coeff = _finite(coeff / value, divisor)
                 if parser.accept("*"):
                     continue
             break

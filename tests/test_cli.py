@@ -1,6 +1,9 @@
 """Command line behavior: report shapes, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -282,6 +285,51 @@ def test_simulate_trajectory_too_large_to_store(problem_file, capsys, span, mess
     assert captured.err.startswith(f"supermech: {message}")
     if "trajectory" in message:
         assert "over the limit of 1073741824 bytes" in captured.err
+
+
+BIG = "1" + "0" * 399
+
+
+@pytest.mark.parametrize(
+    "entries, column",
+    [
+        (f"dt = {BIG}; t = 1.0;", 10),
+        (f"dt = 0.001; t = {BIG}/3;", 21),
+        ("dt = 0.001; t = 1.0; init q[0] = 1e400;", 38),
+        ("dt = 0.001; t = 1.0; init q[0] = 1e200*1e200;", 44),
+        (f"dt = 0.001; t = 1.0; init q[0] = {BIG};", 38),
+    ],
+    ids=["dt-integer", "t-fraction", "init-literal", "init-product", "init-integer"],
+)
+def test_simulate_number_out_of_float_range(problem_file, capsys, entries, column):
+    text = f"order 1;\neven q;\nL = 1/2*q[1]^2;\nsimulate {{\n    n = 0;\n    {entries}\n}}\n"
+    code = main(["simulate", problem_file(text)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"supermech: line 6, column {column}: number out of floating-point range\n"
+    )
+
+
+@pytest.mark.parametrize("directions", [0, 8], ids=["compiled-step", "array-path"])
+def test_simulate_blowup_prints_one_line(problem_file, directions):
+    # the finiteness check reports the overflow; numpy stays silent
+    text = OSCILLATOR.replace("n = 0;", f"n = {directions};").replace(
+        "init q[0] = 1.0;\n    init q[1] = 0.0;", "init q[0] = 1e308;\n    init q[1] = 1e308;"
+    )
+    source = str(ROOT.parent / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "supermech.cli", "simulate", problem_file(text)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "supermech: non-finite value for q[0] at step 1\n"
 
 
 def test_simulate_trajectory_out(problem_file, tmp_path, capsys):

@@ -3,6 +3,8 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,10 +28,12 @@ from supermech import (
     conservation_report,
     evaluate,
     integrate,
+    parse_problem,
     solve_dynamics,
 )
 
-from supermech.numeric import _Plan
+from supermech import numeric
+from supermech.numeric import _compile_kernel, _Plan, _rk4_array, _rk4_kernel
 
 from helpers import oracle_evaluate, oracle_product, random_expr, reference_rk4
 
@@ -515,3 +519,166 @@ def test_chunked_reports_match_per_state_evaluation(seed):
         for state in traj.states
         for gen in constrained
     )
+
+
+# -- the compiled RK4 step ----------------------------------------------------
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def random_field_dynamics(rng, chart):
+    """Forces homogeneous of their coordinates' parities, with powers,
+    constant terms, odd factors and products of up to four factors."""
+    forces = {
+        gen.shifted(2): random_expr(rng, chart, 1, 4, rng.randint(1, 5), gen.parity)
+        for gen in chart.at_order(0).coordinates()
+    }
+    return Dynamics(SuperLagrangian(chart, SuperExpr.zero()), forces, {})
+
+
+def random_state(rng, coordinates, directions, time):
+    """Coefficients of the coordinate's parity drawn from [-1, 1]; some
+    coefficients of either parity are -0.0."""
+    values = {}
+    for gen in coordinates:
+        coeffs = np.zeros(1 << directions)
+        for mask in range(1 << directions):
+            if rng.random() < 0.2:
+                coeffs[mask] = -0.0
+            elif mask.bit_count() % 2 == gen.parity.value:
+                coeffs[mask] = rng.uniform(-1.0, 1.0)
+        values[gen] = GrassmannValue(directions, coeffs)
+    return NumericState(time, values, directions)
+
+
+def field_plan(dyn, directions):
+    coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
+    field = dyn.field()
+    return _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
+
+
+def kernel_for(dyn, directions):
+    coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
+    return _compile_kernel(field_plan(dyn, directions), coordinates, directions)
+
+
+def run_both_paths(dyn, initial, dt, steps):
+    """The stored bytes, or the error text, of the array loop and then of
+    the compiled step, each from the same initial state."""
+    coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
+    plan = field_plan(dyn, initial.directions)
+    kernel = _compile_kernel(plan, coordinates, initial.directions)
+    assert kernel is not None
+    outcomes = []
+    for fill in (
+        lambda values: _rk4_array(plan, values, dt, coordinates, 0, steps),
+        lambda values: _rk4_kernel(kernel, plan, values, dt, coordinates),
+    ):
+        values = np.zeros((steps + 1, len(coordinates), 1 << initial.directions))
+        values[0] = [initial.get(gen).coeffs for gen in coordinates]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                fill(values)
+        except IntegrationError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(values.tobytes())
+    return outcomes
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.375]))
+def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
+    # every field here compiles, however large, so that the kernel itself
+    # is compared on all of them; integrate then takes it too
+    rng = random.Random(seed)
+    dyn = random_field_dynamics(rng, Chart.create(["q", "p"], ["a"], 1))
+    coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
+    initial = random_state(rng, coordinates, directions, time)
+    dt, steps = rng.choice([0.01, 0.1, 0.5]), rng.randint(1, 12)
+    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", 10**6):
+        array, compiled = run_both_paths(dyn, initial, dt, steps)
+        assert compiled == array
+        try:
+            trajectory = integrate(dyn, initial, dt=dt, t_end=time + steps * dt)
+        except IntegrationError as exc:
+            assert str(exc) == array
+            return
+    assert trajectory.values.tobytes() == array
+    # the times the array loop appended, one step at a time, zero signs
+    # included
+    expected = [time] + [time + step * dt for step in range(1, steps + 1)]
+    assert np.array(trajectory.times).tobytes() == np.array(expected).tobytes()
+
+
+def quartic_dynamics():
+    """q'' = q^3 + q*a*a' and a'' = q^2*a: solutions reach infinity in
+    finite time."""
+    chart = Chart.create(["q"], ["a"], 1)
+    q0, a0, a1 = chart.coord("q", 0), chart.coord("a", 0), chart.coord("a", 1)
+    forces = {
+        chart.gen("q", 0).shifted(2): q0**3 + q0 * a0 * a1,
+        chart.gen("a", 0).shifted(2): q0**2 * a0,
+    }
+    return chart, Dynamics(SuperLagrangian(chart, SuperExpr.zero()), forces, {})
+
+
+@pytest.mark.parametrize("directions", [0, 2])
+def test_blowup_raises_the_same_error_on_both_paths(directions):
+    chart, dyn = quartic_dynamics()
+    values = {gen: GrassmannValue(directions) for gen in chart.at_order(1).coordinates()}
+    values[chart.gen("q", 0)] = scalar(10.0, directions)
+    values[chart.gen("q", 1)] = scalar(10.0, directions)
+    if directions:
+        values[chart.gen("a", 0)] = g(0, directions) + g(1, directions)
+    initial = NumericState(0.0, values, directions)
+    array, compiled = run_both_paths(dyn, initial, 1e-2, 1000)
+    assert array == compiled
+    assert array.startswith("non-finite value for q[")
+    with pytest.raises(IntegrationError) as raised:
+        integrate(dyn, initial, dt=1e-2, t_end=10.0)
+    assert str(raised.value) == array
+
+
+def test_compiled_step_leaves_overflowing_steps_to_the_array_path():
+    # q^2 overflows, but p is zero, so the array path drops the product
+    # q^2 * p and the state stays finite; straight-line code would
+    # multiply inf by zero
+    chart = Chart.create(["q", "p"], [], 1)
+    q0, p0 = chart.coord("q", 0), chart.coord("p", 0)
+    forces = {
+        chart.gen("q", 0).shifted(2): q0**2 * p0,
+        chart.gen("p", 0).shifted(2): SuperExpr.zero(),
+    }
+    dyn = Dynamics(SuperLagrangian(chart, SuperExpr.zero()), forces, {})
+    values = {gen: scalar(0.0, 0) for gen in chart.at_order(1).coordinates()}
+    values[chart.gen("q", 0)] = scalar(1e200, 0)
+    initial = NumericState(0.0, values, 0)
+    array, compiled = run_both_paths(dyn, initial, 0.1, 10)
+    assert compiled == array
+    trajectory = integrate(dyn, initial, dt=0.1, t_end=1.0)
+    assert trajectory.values.tobytes() == array
+    assert trajectory.values[:, 0, 0].tolist() == [1e200] * 11
+
+
+def test_which_path_each_system_takes():
+    # the shipped problems compile their step; an n=8 state is too large
+    # for it, and a field that breaks parity keeps the array path and its
+    # ParityViolation
+    for name in ("oscillator", "ostrogradski", "superparticle"):
+        problem = parse_problem((PROBLEMS / f"{name}.sm").read_text(encoding="utf-8"))
+        dyn = solve_dynamics(problem.lagrangian())
+        assert kernel_for(dyn, problem.simulation.directions) is not None, name
+    chart, dyn = superparticle_setup()
+    assert kernel_for(dyn, 8) is None
+    assert kernel_for(dyn, 2) is not None
+    # the field of test_integrate_checks_parity_of_stored_states
+    coordinates = chart.at_order(1).coordinates()
+    wrong = {
+        chart.gen("q", 0): chart.coord("q", 1),
+        chart.gen("q", 1): chart.coord("th", 0),
+        chart.gen("th", 0): chart.coord("th", 1),
+        chart.gen("th", 1): SuperExpr.zero(),
+    }
+    plan = _Plan([wrong[gen] for gen in coordinates], coordinates, 2)
+    assert _compile_kernel(plan, coordinates, 2) is None
