@@ -25,35 +25,44 @@ reports evaluate their plans over all stored states, in chunks along
 time whose temporaries hold about ``_CHUNK_BYTES`` at once.
 
 Integration is classic fixed-step fourth-order Runge-Kutta, stored as one
-``(steps + 1, coordinates, 2**n)`` array, on one of two paths:
+``(steps + 1, coordinates, 2**n)`` array.  When every term of the field
+has its coordinate's parity, ``integrate`` builds one schedule of the
+field's products per run: registers for the structurally nonzero
+coefficients (each coordinate's subsets of its parity, the powers, each
+term's value after every round) and, per power level and product round,
+the pairs ``(left, right, target, sign)`` of ``_product_table`` between
+those coefficients, in table order.  Its size gives the float operations
+of one step, and that count picks one of two evaluations of it:
 
-* the array path calls the field's plan on one ``(1, coordinates, 2**n)``
-  array per stage;
-* the compiled step replays the same plan as straight-line Python float
-  code over each coordinate's structurally nonzero coefficients, the
-  subsets of its parity, and writes blocks of steps into the array.
+* at most ``_KERNEL_MAX_OPS``: straight-line Python float code, one name
+  per register, compiled once per run;
+* more: a numpy step on one flat register array, two fixed gathers and
+  one ``bincount`` per round.
 
-A field takes the compiled step when every term has its coordinate's
-parity and one step needs at most ``_KERNEL_MAX_OPS`` float operations:
-the shipped problems and small n=0 systems, while a step at n=6 or 8 is
-thousands of operations, which numpy does faster.  Both paths store the
-same floats, zero signs included.  Each sum starts from +0.0 and adds
-its terms in the plan's order, and a sum that starts from +0.0 never
-becomes -0.0; a pair that one path adds and the other leaves out has a
-zero factor, so it adds +0.0 or -0.0 and changes no sum while every
-value is finite.  A guard
-keeps that so: each state and stage is checked against a bound under
-which no intermediate can overflow, and a step that fails it is taken
-by the array path.
+Any other field runs ``_rk4_array``, which calls the plan on one
+``(1, coordinates, 2**n)`` array per stage and is the reference for both
+evaluations.
+
+One rule keeps their floats equal to its floats, zero signs included.
+Each sum starts from +0.0 and adds its terms in the plan's order, and a
+sum that starts from +0.0 never becomes -0.0.  The schedule adds pairs
+that ``_product`` drops because a factor is zero; while every value is
+finite such a pair adds +0.0 or -0.0 and changes no sum.  A non-finite
+value cannot vanish: products and sums keep it non-finite, and a register
+that nothing reads is added to the first output times 0.0.  So a step
+whose new state is finite stores ``_rk4_array``'s floats, and in each
+block of steps the first state that is not finite is discarded with the
+rest of the block; ``_rk4_array`` retakes that step, raising its usual
+error or storing the finite state it finds.
 
 Checks: the initial state's parity is checked when the ``NumericState``
-is built and its constraints before the first step; finiteness is
-checked after every step (on the compiled step, by the guard of the
-next step and a check of the last state); the parity support of every
-stored state is checked once, by one mask test over the whole trajectory
-array; drift is measured on every stored state.  A blow-up is reported
-by the finiteness check alone: numpy's overflow warnings are silenced
-while integrating.
+is built and its constraints before the first step; every stored state
+is checked for finiteness (a block at a time on the scheduled steps); the
+parity support of every stored state is checked once, by one mask test
+over the whole trajectory array; drift is measured on every stored state,
+and a quantity or residual that is not finite there is an error.  Numeric
+failures are reported by these checks alone: numpy's overflow warnings
+are silenced while integrating and reporting.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,16 +85,14 @@ _CHUNK_BYTES = 1 << 18
 # bound on the bytes of one stored trajectory; the shipped problems store
 # under 200 KB and the benchmark's generated ones under 1 MB
 _MAX_TRAJECTORY_BYTES = 1 << 30
-# bound on the float operations of one compiled RK4 step; a field whose
-# step needs more runs the array path (see ``integrate``).  Measured on a
-# 2-core x86 VM, an operation costs 20-35 ns per step and 5-13 us to
-# compile, and an array step at least about 45 us, so at 400 operations
-# the compile is repaid within about 100 steps.  The shipped problems
-# need 42-136 operations; the benchmark's n=4 systems 608 and more.
+# bound on the float operations of one RK4 step that runs as straight-line
+# Python code; a larger step runs the numpy step (see ``integrate``).
+# Measured on a 2-core x86 VM, straight-line code costs 12-30 ns per
+# operation per step and 3-8 us per operation to compile, and the numpy
+# step 15-70 us per step on the same fields, so at 400 operations the
+# compile is repaid within 40-140 steps.  The shipped problems need 42-136
+# operations, the benchmark's n=4..8 systems 608 and more.
 _KERNEL_MAX_OPS = 400
-# every intermediate of a compiled step stays below this magnitude while
-# the kernel's guard admits its inputs
-_KERNEL_BOUND = 1e300
 
 
 class NumericError(Exception):
@@ -462,10 +469,16 @@ def _row(index: Mapping[GeneratorSymbol, int], gen: GeneratorSymbol) -> int:
         raise MissingValue(f"no value for coordinate {gen}") from None
 
 
-def _worst(norms: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """The largest norms, at least zero; NaN norms are skipped, as the
-    builtin ``max`` skips them when they come after a number."""
-    return np.max(norms, axis=axis, initial=0.0, where=~np.isnan(norms))
+def _finite_norms(values: np.ndarray, first: int, labels: Sequence[str]) -> np.ndarray:
+    """The ``(states, quantities)`` sup norms of ``(states, quantities,
+    2**n)`` values whose first state is stored at step ``first``; raises
+    on the first state, then quantity, whose norm is not finite."""
+    norms = np.abs(values).max(axis=-1)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        step, which = np.argwhere(~finite)[0]
+        raise NumericError(f"non-finite {labels[which]} at step {first + step}")
+    return norms
 
 
 def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
@@ -510,14 +523,20 @@ class Trajectory:
 
     def constraint_drift(self) -> float:
         """Largest constraint residual over the whole run (zero when the
-        dynamics has no constraints)."""
-        _, residuals = _constraint_residuals(self.dynamics)
+        dynamics has no constraints); raises on a residual that is not
+        finite."""
+        gens, residuals = _constraint_residuals(self.dynamics)
         if not residuals:
             return 0.0
         plan = _Plan(residuals, self.coordinates, self.directions)
-        return max(
-            float(_worst(np.abs(chunk).max(axis=-1))) for chunk in plan.chunks(self.values)
-        )
+        labels = [f"residual of the {gen} constraint" for gen in gens]
+        # overflow is reported by the finiteness check alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            firsts = range(0, len(self.values), plan.chunk)
+            return max(
+                float(_finite_norms(chunk, first, labels).max())
+                for first, chunk in zip(firsts, plan.chunks(self.values))
+            )
 
     def export_rows(self) -> list[str]:
         """Tab-separated rows: time, coordinate, subset mask, coefficient."""
@@ -527,193 +546,6 @@ class Trajectory:
                 for mask, coeff in enumerate(coeffs):
                     rows.append(f"{time!r}\t{gen}\t{mask}\t{coeff!r}")
         return rows
-
-
-class _TooLarge(Exception):
-    pass
-
-
-def _sign(left: int, right: int) -> str:
-    """The sign of the product of two disjoint subsets, as in
-    ``_product_table``."""
-    crossings = sum(
-        (left >> (i + 1)).bit_count() for i in range(right.bit_length()) if right >> i & 1
-    )
-    return "-" if crossings & 1 else "+"
-
-
-def _scaled(name: str, coeff: float, value: str) -> str:
-    """``coeff * value``; a factor of one or minus one is exact, so it is
-    left out."""
-    if coeff == 1.0:
-        return value
-    if coeff == -1.0:
-        return f"-{value}"
-    return f"{name}*{value}"
-
-
-class _StepWriter:
-    """Writes the straight-line source of one RK4 step of a plan over the
-    listed masks of each coordinate, counting its float operations.
-
-    Each value is a map from mask to the name or expression holding that
-    coefficient, for the masks where it can be nonzero.  Every evaluation
-    repeats the plan's arithmetic in the plan's order, so it rounds as the
-    plan does while all values stay finite.
-    """
-
-    def __init__(self, plan: _Plan, support: Sequence[Sequence[int]]):
-        self.plan = plan
-        self.support = support
-        self.lines: list[str] = []
-        self.ops = 0
-        self.temps = 0
-
-    def spend(self, ops: int):
-        self.ops += ops
-        if self.ops > _KERNEL_MAX_OPS:
-            raise _TooLarge
-
-    def line(self, text: str):
-        self.lines.append("        " + text)
-
-    def temp(self, expr: str) -> str:
-        name = f"t{self.temps}"
-        self.temps += 1
-        self.line(f"{name} = {expr}")
-        return name
-
-    def variables(self, prefix: str) -> list[dict[int, str]]:
-        return [
-            {mask: f"{prefix}{row}_{mask}" for mask in masks}
-            for row, masks in enumerate(self.support)
-        ]
-
-    def product(self, left: dict[int, str], right: dict[int, str]) -> dict[int, str]:
-        """Each coefficient of the product summed from zero over its
-        disjoint pairs in table order, as ``_product`` sums it."""
-        pairs: dict[int, list[str]] = {}
-        for lmask, lvalue in left.items():
-            for rmask, rvalue in right.items():
-                if not lmask & rmask:
-                    pairs.setdefault(lmask | rmask, []).append(
-                        f" {_sign(lmask, rmask)} {lvalue}*{rvalue}"
-                    )
-        self.spend(2 * sum(map(len, pairs.values())))
-        return {mask: self.temp("0.0" + "".join(pairs[mask])) for mask in sorted(pairs)}
-
-    def rhs(self, inputs: list[dict[int, str]], outputs: list[dict[int, str]]):
-        """The plan evaluated on ``inputs`` into the ``outputs`` names."""
-        plan = self.plan
-        slots: list[dict[int, str]] = inputs + [{}] * (plan.slots - len(inputs))
-        if plan.unit is not None:
-            slots[plan.unit] = {0: "1.0"}
-        for lo, hi, below, rows in plan.powers:
-            for offset in range(hi - lo):
-                slots[lo + offset] = self.product(slots[below[offset]], slots[rows[offset]])
-        sums: list[dict[int, list[str]]] = [{mask: [] for mask in masks} for masks in self.support]
-        for index, (which, coeff, chain) in enumerate(plan.terms):
-            value = {
-                mask: _scaled(f"c{index}", coeff, name) for mask, name in slots[chain[0]].items()
-            }
-            self.spend(len(value))
-            if len(chain) > 1:
-                value = {mask: self.temp(expr) for mask, expr in value.items()}
-                for slot in chain[1:]:
-                    value = self.product(value, slots[slot])
-            for mask, expr in value.items():
-                sums[which][mask].append(expr)
-        for row, masks in enumerate(sums):
-            for mask, operands in masks.items():
-                self.spend(len(operands))
-                self.line(f"{outputs[row][mask]} = " + " + ".join(["0.0", *operands]))
-
-    def guard(self, values: list[dict[int, str]]):
-        names = [name for value in values for name in value.values()]
-        if names:
-            checks = " and ".join(f"floor <= {name} <= limit" for name in names)
-            self.line(f"if not ({checks}):")
-            self.line("    return taken")
-
-
-def _compile_kernel(
-    plan: _Plan, coordinates: Sequence[GeneratorSymbol], directions: int
-) -> tuple[Callable[..., int], np.ndarray] | None:
-    """RK4 steps of the field ``plan`` evaluates, compiled into
-    straight-line float code, or None when a term's parity is not its
-    coordinate's or one step would take more than ``_KERNEL_MAX_OPS``
-    operations.
-
-    ``steps(state, count, write, dt / 2, dt, dt / 6)`` takes up to
-    ``count`` steps from ``state``, the coefficients at ``index`` of a
-    flattened ``(coordinates, 2**n)`` state, passes each new state to
-    ``write`` and returns the number of steps taken.  It stops before a
-    step whose state or stage has a coefficient out of the range within
-    which no intermediate can overflow.
-    """
-    # powers and the unit are even
-    odd = [gen.parity is Parity.ODD for gen in coordinates]
-    for which, _, chain in plan.terms:
-        if sum(odd[slot] for slot in chain if slot < len(odd)) % 2 != odd[which]:
-            return None
-    size = 1 << directions
-    parity_masks = [[mask for mask in range(size) if mask.bit_count() % 2 == p] for p in (0, 1)]
-    support = [parity_masks[gen.parity.value] for gen in coordinates]
-    writer = _StepWriter(plan, support)
-    try:
-        # the stage and update arithmetic, counted before any name is made
-        writer.spend(13 * sum(map(len, support)))
-        state, stage = writer.variables("y"), writer.variables("z")
-        slopes = [writer.variables(f"k{s}_") for s in range(1, 5)]
-        for s, (slope, factor) in enumerate(zip(slopes, ("h2", "h2", "h", None))):
-            writer.guard(stage if s else state)
-            writer.rhs(stage if s else state, slope)
-            if factor is not None:
-                for row, value in enumerate(state):
-                    for mask, name in value.items():
-                        writer.line(f"{stage[row][mask]} = {name} + {slope[row][mask]}*{factor}")
-    except _TooLarge:
-        return None
-    names = [name for value in state for name in value.values()]
-    for row, value in enumerate(state):
-        for mask, name in value.items():
-            k1, k2, k3, k4 = (slope[row][mask] for slope in slopes)
-            writer.line(f"{name} = {name} + ({k1} + 2.0*{k2} + 2.0*{k3} + {k4})*h6")
-
-    # every slot coefficient is at most m = max(limit, 1) in magnitude,
-    # each product coefficient sums at most 2**n pairs, so every
-    # intermediate is at most (1 + sum |c|) * (2**n * m)**degree
-    degree = {row: 1 for row in range(len(coordinates))}
-    for level, (lo, hi, _, _) in enumerate(plan.powers):
-        degree.update((slot, level + 2) for slot in range(lo, hi))
-    top = max((sum(degree.get(slot, 0) for slot in chain) for _, _, chain in plan.terms), default=0)
-    weight = 1.0 + sum(abs(coeff) for _, coeff, _ in plan.terms)
-    limit = _KERNEL_BOUND
-    if top:
-        limit = (_KERNEL_BOUND / weight) ** (1.0 / top) / size
-        if limit < 1.0:
-            limit = -1.0
-
-    # the limit and the coefficients are bound as default values
-    constants = {f"c{index}": coeff for index, (_, coeff, _) in enumerate(plan.terms)}
-    namespace = {"limit": limit, **constants}
-    defaults = "".join(f", {name}={name}" for name in ["limit", *constants])
-    source = "\n".join(
-        [
-            f"def steps(state, count, write, h2, h, h6{defaults}):",
-            f"    ({', '.join(names + [''])}) = state",
-            "    floor = -limit",
-            "    for taken in range(count):",
-            *writer.lines,
-            f"        write(({', '.join(names + [''])}))",
-            "    return count",
-        ]
-    )
-    exec(compile(source, "<rk4 step>", "exec"), namespace)
-    index = np.array(
-        [row * size + mask for row, masks in enumerate(support) for mask in masks], dtype=np.intp
-    )
-    return namespace["steps"], index
 
 
 def _check_finite(state: np.ndarray, coordinates: Sequence[GeneratorSymbol], step: int):
@@ -746,37 +578,333 @@ def _rk4_array(
         values[step + 1] = current[0]
 
 
-def _rk4_kernel(
-    kernel: tuple[Callable[..., int], np.ndarray],
+class _Round(NamedTuple):
+    """Registers ``lo:hi``, each the sum from +0.0 of the signed products
+    ``register[left] * register[right] * sign`` of its pairs, in order."""
+
+    lo: int
+    hi: int
+    left: np.ndarray
+    right: np.ndarray
+    target: np.ndarray  # of each pair, counted from ``lo``
+    sign: np.ndarray
+
+
+class _Schedule:
+    """One evaluation of a plan's field as fixed rounds over registers.
+
+    Registers hold the structurally nonzero coefficients: the state's
+    first, each coordinate's subsets of its parity in chart order, then
+    the unit, each power and each term's value after every round.  A
+    round pairs the coefficients of two values in ``_product_table`` order,
+    so its registers sum what ``_product`` sums, plus pairs whose factor
+    happens to be zero.  Round 0 scales each term's first slot by its
+    coefficient; ``sums`` adds each term's final value into the output
+    state in the plan's term order.
+    """
+
+    def __init__(self, plan: _Plan, coordinates: Sequence[GeneratorSymbol], directions: int):
+        size = self._size = 1 << directions
+        self._table = _product_table(directions)
+        # the pairs between two mask lists, computed once per build
+        pairs: dict[tuple, tuple] = {}
+        odd = _odd_subsets(directions)
+        support = [tuple(np.flatnonzero(odd == bool(p)).tolist()) for p in (0, 1)]
+        self.registers = 0
+        # (first register, masks) of each of the plan's slots
+        slots = [self._allocate(support[gen.parity.value]) for gen in coordinates]
+        self.state = self.registers
+        self.index = np.array(
+            [row * size + mask for row, (_, masks) in enumerate(slots) for mask in masks],
+            dtype=np.intp,
+        )
+        self.unit = None
+        if plan.unit is not None:
+            self.unit = self.registers
+            slots.append(self._allocate((0,)))
+        self.powers: list[_Round] = []
+        for _, _, below, rows in plan.powers:
+            products = [(slots[b], slots[r]) for b, r in zip(below, rows)]
+            slots += self._round(products, self.powers, pairs)
+
+        lo = self.registers
+        values, sources, coeffs = [], [], []
+        for _, coeff, chain in plan.terms:
+            base, masks = slots[chain[0]]
+            values.append(self._allocate(masks))
+            sources += range(base, base + len(masks))
+            coeffs += [coeff] * len(masks)
+        self.first = (lo, self.registers, np.array(sources, dtype=np.intp), np.array(coeffs))
+        self.rounds: list[_Round] = []
+        for j in range(1, max((len(chain) for _, _, chain in plan.terms), default=0)):
+            live = [t for t, (_, _, chain) in enumerate(plan.terms) if len(chain) > j]
+            products = [(values[t], slots[plan.terms[t][2][j]]) for t in live]
+            for t, value in zip(live, self._round(products, self.rounds, pairs)):
+                values[t] = value
+
+        # each mask's place among the subsets of its parity
+        rank = np.empty(size, dtype=np.intp)
+        for masks in support:
+            rank[list(masks)] = range(len(masks))
+        summed, targets = [], []
+        for (which, _, _), (base, masks) in zip(plan.terms, values):
+            summed += range(base, base + len(masks))
+            targets += (slots[which][0] + rank[list(masks)]).tolist()
+        # a register that no pair or sum reads, a coefficient with no
+        # disjoint partner, is added to the first output times 0.0: +-0.0
+        # while it is finite, so that a non-finite one still reaches the state
+        read = np.zeros(self.registers, dtype=bool)
+        read[: self.state] = read[sources] = read[summed] = True
+        for r in self.powers + self.rounds:
+            read[r.left] = read[r.right] = True
+        unread = np.flatnonzero(~read).tolist()
+        self.sums = (
+            np.array(summed + unread, dtype=np.intp),
+            np.array(targets + [0] * len(unread), dtype=np.intp),
+            np.array([1.0] * len(summed) + [0.0] * len(unread)) if unread else None,
+        )
+        pairs = sum(len(r.left) for r in self.powers + self.rounds)
+        # the float operations of one step: four evaluations, each pair a
+        # multiply and an add, then the stage and update arithmetic
+        reads = len(sources) + len(summed) + 2 * len(unread)
+        self.ops = 4 * (2 * pairs + reads) + 13 * self.state
+
+    def _allocate(self, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        base = self.registers
+        self.registers += len(masks)
+        return base, masks
+
+    def _round(
+        self, products, rounds: list[_Round], pairs: dict[tuple, tuple]
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        """Append one round of the ``(left value, right value)`` products;
+        returns their values."""
+        lo = self.registers
+        parts, values = [], []
+        for (lbase, lmasks), (rbase, rmasks) in products:
+            key = (lmasks, rmasks)
+            if key not in pairs:
+                pairs[key] = self._pair_up(lmasks, rmasks)
+            left, right, targets, inverse, sign = pairs[key]
+            value = self._allocate(targets)
+            parts.append((lbase + left, rbase + right, value[0] - lo + inverse, sign))
+            values.append(value)
+        if self.registers > lo:
+            rounds.append(_Round(lo, self.registers, *map(np.concatenate, zip(*parts))))
+        return values
+
+    def _pair_up(self, lmasks: tuple[int, ...], rmasks: tuple[int, ...]):
+        """Positions in the two mask lists, target masks, each pair's
+        target and sign, for the table's pairs between the two lists."""
+        table = self._table
+        lpos, rpos = np.full((2, self._size), -1)
+        lpos[np.array(lmasks, dtype=np.intp)] = np.arange(len(lmasks))
+        rpos[np.array(rmasks, dtype=np.intp)] = np.arange(len(rmasks))
+        left, right, target, sign = table[:, (lpos[table[0]] >= 0) & (rpos[table[1]] >= 0)]
+        targets, inverse = np.unique(target, return_inverse=True)
+        return lpos[left], rpos[right], tuple(targets.tolist()), inverse, sign.astype(float)
+
+
+def _schedule(
+    plan: _Plan, coordinates: Sequence[GeneratorSymbol], directions: int
+) -> _Schedule | None:
+    """The schedule of the field ``plan`` evaluates, or None when a term's
+    parity is not its coordinate's."""
+    # powers and the unit are even
+    odd = [gen.parity is Parity.ODD for gen in coordinates]
+    for which, _, chain in plan.terms:
+        if sum(odd[slot] for slot in chain if slot < len(odd)) % 2 != odd[which]:
+            return None
+    return _Schedule(plan, coordinates, directions)
+
+
+def _scaled(coeff: float, value: str) -> str:
+    """``coeff * value`` with the coefficient as a literal, which ``repr``
+    gives exactly; a factor of one or minus one is exact, so it is left
+    out."""
+    if coeff == 1.0:
+        return value
+    if coeff == -1.0:
+        return f"-{value}"
+    return f"{coeff!r}*{value}"
+
+
+def _straight_line_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]:
+    """RK4 steps of the schedule as straight-line Python float code: each
+    register is one name, each round's register ``0.0 + a*b - c*d ...``
+    over its pairs, each output ``0.0 + ...`` over its terms."""
+    size, lines = schedule.state, []
+    state = [f"y{i}" for i in range(size)]
+    stage = [f"z{i}" for i in range(size)]
+    slopes = [[f"k{s}_{i}" for i in range(size)] for s in range(1, 5)]
+    lo, _, sources, coeffs = schedule.first
+    # round 0 registers that no pair reads go straight into their sums
+    paired = {register for r in schedule.rounds for register in r.left.tolist()}
+
+    for s, (slope, factor) in enumerate(zip(slopes, ("h2", "h2", "h", None))):
+        inputs = stage if s else state
+
+        def name(register: int) -> str:
+            if register < size:
+                return inputs[register]
+            return "1.0" if register == schedule.unit else f"r{register}"
+
+        def write_round(rnd: _Round):
+            parts: list[list[str]] = [[] for _ in range(rnd.hi - rnd.lo)]
+            for left, right, target, sign in zip(
+                rnd.left.tolist(), rnd.right.tolist(), rnd.target.tolist(), rnd.sign.tolist()
+            ):
+                parts[target].append(f" {'-' if sign < 0 else '+'} {name(left)}*{name(right)}")
+            for offset, terms in enumerate(parts):
+                lines.append(f"r{rnd.lo + offset} = 0.0" + "".join(terms))
+
+        for rnd in schedule.powers:
+            write_round(rnd)
+        scaled = {}
+        for register, (source, coeff) in enumerate(zip(sources.tolist(), coeffs.tolist()), lo):
+            expr = _scaled(coeff, name(source))
+            if register in paired:
+                lines.append(f"r{register} = {expr}")
+            else:
+                scaled[register] = expr
+        for rnd in schedule.rounds:
+            write_round(rnd)
+        operands: list[list[str]] = [[] for _ in range(size)]
+        summed, targets, weights = schedule.sums
+        for register, target, weight in zip(
+            summed.tolist(), targets.tolist(), [1.0] * len(summed) if weights is None else weights
+        ):
+            value = scaled.get(register) or name(register)
+            operands[target].append(value if weight else f"0.0*({value})")
+        for i, terms in enumerate(operands):
+            lines.append(f"{slope[i]} = " + " + ".join(["0.0", *terms]))
+        if factor is not None:
+            lines += [f"{z} = {y} + {k}*{factor}" for y, z, k in zip(state, stage, slope)]
+    for y, k1, k2, k3, k4 in zip(state, *slopes):
+        lines.append(f"{y} = {y} + ({k1} + 2.0*{k2} + 2.0*{k3} + {k4})*h6")
+
+    names = ", ".join(state + [""])
+    source = "\n".join(
+        [
+            "def steps(state, count, write, h2, h, h6):",
+            f"    ({names}) = state",
+            "    for _ in range(count):",
+            *("        " + line for line in lines),
+            f"        write(({names}))",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, "<rk4 step>", "exec"), namespace)
+    function = namespace["steps"]
+
+    index = schedule.index
+
+    def advance(rows: np.ndarray):
+        block: list[float] = []
+        count = len(rows) - 1
+        function(tuple(rows[0, index].tolist()), count, block.extend, dt / 2, dt, dt / 6)
+        rows[1:, index] = np.reshape(block, (count, size))
+
+    return advance
+
+
+def _numpy_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]:
+    """RK4 steps of the schedule on one flat register array: each round is
+    two gathers, the products and one ``bincount``."""
+    size = schedule.state
+    registers = np.zeros(schedule.registers)
+    if schedule.unit is not None:
+        registers[schedule.unit] = 1.0
+    head = registers[:size]
+    lo, hi, sources, coeffs = schedule.first
+    scaled = registers[lo:hi]
+    summed, targets, weights = schedule.sums
+    powers, rounds = (
+        [(registers[r.lo : r.hi], r.left, r.right, r.sign, r.target, r.hi - r.lo) for r in group]
+        for group in (schedule.powers, schedule.rounds)
+    )
+
+    def run(group):
+        for out, left, right, sign, target, count in group:
+            terms = registers[left]
+            terms *= registers[right]
+            terms *= sign
+            out[:] = np.bincount(target, terms, count)
+
+    def evaluate_field() -> np.ndarray:
+        run(powers)
+        np.multiply(registers[sources], coeffs, out=scaled)
+        run(rounds)
+        if not len(summed):
+            return np.zeros(size)
+        terms = registers[summed]
+        if weights is not None:
+            terms *= weights
+        return np.bincount(targets, terms, size)
+
+    h2, h6, index = dt / 2, dt / 6, schedule.index
+
+    def advance(rows: np.ndarray):
+        current = rows[0, index]
+        for step in range(1, len(rows)):
+            head[:] = current
+            k1 = evaluate_field()
+            np.multiply(k1, h2, out=head)
+            np.add(head, current, out=head)
+            k2 = evaluate_field()
+            np.multiply(k2, h2, out=head)
+            np.add(head, current, out=head)
+            k3 = evaluate_field()
+            np.multiply(k3, dt, out=head)
+            np.add(head, current, out=head)
+            k4 = evaluate_field()
+            # current + (k1 + 2.0*k2 + 2.0*k3 + k4)*(dt/6), sum by sum
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= h6
+            k1 += current
+            rows[step, index] = current = k1
+
+    return advance
+
+
+def _rk4_scheduled(
+    schedule: _Schedule,
     rhs: _Plan,
     values: np.ndarray,
     dt: float,
     coordinates: Sequence[GeneratorSymbol],
 ):
-    """Fill ``values[1:]`` from ``values[0]`` with the compiled steps of
-    ``_compile_kernel``, a block of steps at a time.  A step whose state or
-    stage fails the kernel's guard is taken by ``_rk4_array``; the guard
-    also stands for the finiteness check of the state it admits."""
-    function, index = kernel
+    """Fill ``values[1:]`` from ``values[0]`` with the schedule's steps, a
+    block at a time, in place: straight-line Python code when a step needs
+    at most ``_KERNEL_MAX_OPS`` operations, the numpy step otherwise.  The
+    first state of a block that is not finite is retaken by
+    ``_rk4_array``, which raises or stores its finite state; the states
+    after it are overwritten by the next blocks, which grow again from
+    one step."""
+    if schedule.ops <= _KERNEL_MAX_OPS:
+        advance = _straight_line_steps(schedule, dt)
+    else:
+        advance = _numpy_steps(schedule, dt)
     steps = len(values) - 1
     flat = values.reshape(steps + 1, -1)
-    # a block holds a float object and a list slot, 32 bytes, per value
-    block_steps = max(1, _CHUNK_BYTES // (32 * max(1, len(index))))
-    step = 0
+    # a Python block holds a float object and a list slot, 32 bytes, per value
+    most = max(1, _CHUNK_BYTES // (32 * max(1, len(schedule.index))))
+    step, block = 0, most
     while step < steps:
-        block: list[float] = []
-        count = min(block_steps, steps - step)
-        taken = function(
-            tuple(flat[step, index].tolist()), count, block.extend, dt / 2, dt, dt / 6
-        )
-        flat[step + 1 : step + 1 + taken, index] = np.reshape(block, (taken, len(index)))
-        step += taken
-        if taken < count:
-            if step:
-                _check_finite(values[step], coordinates, step)
+        count = min(block, steps - step)
+        rows = flat[step : step + count + 1]
+        advance(rows)
+        finite = np.isfinite(rows[1:]).all(axis=1)
+        good = count if finite.all() else int(np.argmin(finite))
+        step += good
+        block = min(2 * block, most)
+        if good < count:
             _rk4_array(rhs, values, dt, coordinates, step, step + 1)
-            step += 1
-    _check_finite(values[steps], coordinates, steps)
+            step, block = step + 1, 1
 
 
 def integrate(
@@ -792,10 +920,10 @@ def integrate(
 
     The initial state must satisfy the solved constraints within
     ``constraint_tol``; the run aborts on non-finite values.  A field
-    whose every component is homogeneous of its coordinate's parity, and
-    whose compiled step stays under ``_KERNEL_MAX_OPS`` operations, runs
-    the compiled step; any other runs the array path.  Both store the
-    same floats.
+    whose every component is homogeneous of its coordinate's parity runs
+    its product schedule, as straight-line code when a step needs at most
+    ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise; any
+    other runs the array path.  All three store the same floats.
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
@@ -831,13 +959,13 @@ def integrate(
 
         field = dynamics.field()
         rhs = _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
-        kernel = _compile_kernel(rhs, coordinates, directions)
+        schedule = _schedule(rhs, coordinates, directions)
         values = np.zeros((steps + 1,) + start.shape)
         values[0] = start
-        if kernel is None:
+        if schedule is None:
             _rk4_array(rhs, values, dt, coordinates, 0, steps)
         else:
-            _rk4_kernel(kernel, rhs, values, dt, coordinates)
+            _rk4_scheduled(schedule, rhs, values, dt, coordinates)
     times = (initial.time,) + tuple(initial.time + step * dt for step in range(1, steps + 1))
 
     odd = _odd_subsets(directions)
@@ -856,16 +984,22 @@ def conservation_report(
     trajectory: Trajectory, quantities: Mapping[str, SuperExpr]
 ) -> dict[str, float]:
     """Largest deviation of each quantity from its initial value, in the
-    coefficient-wise sup norm."""
+    coefficient-wise sup norm; raises on a quantity whose value, or
+    deviation, is not finite on a stored state."""
     names = list(quantities)
     plan = _Plan(
         [quantities[name] for name in names], trajectory.coordinates, trajectory.directions
     )
+    values = trajectory.values
     start = None
     worst = np.zeros(len(names))
-    for chunk in plan.chunks(trajectory.values):
-        if start is None:
-            start, chunk = chunk[0], chunk[1:]
-        norms = np.abs(chunk - start).max(axis=-1)
-        worst = np.maximum(worst, _worst(norms, axis=0))
+    # overflow is reported by the finiteness checks alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        firsts = range(0, len(values), plan.chunk)
+        for first, chunk in zip(firsts, plan.chunks(values)):
+            _finite_norms(chunk, first, [f"value of {name}" for name in names])
+            if start is None:
+                start, chunk, first = chunk[0], chunk[1:], first + 1
+            norms = _finite_norms(chunk - start, first, [f"drift of {name}" for name in names])
+            worst = np.maximum(worst, norms.max(axis=0, initial=0.0))
     return {name: float(value) for name, value in zip(names, worst)}

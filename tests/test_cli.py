@@ -332,6 +332,26 @@ def test_simulate_blowup_prints_one_line(problem_file, directions):
     assert result.stderr == "supermech: non-finite value for q[0] at step 1\n"
 
 
+def test_simulate_overflowing_conserved_quantity_fails(problem_file):
+    # the states stay finite, but the energy of q = 1e200 overflows; the
+    # report names it instead of measuring a drift of inf - inf
+    text = OSCILLATOR.replace("init q[0] = 1.0;", "init q[0] = 1e200;").replace(
+        "t = 1.0;", "t = 0.01;"
+    )
+    source = str(ROOT.parent / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "supermech.cli", "simulate", problem_file(text)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "supermech: non-finite value of energy at step 0\n"
+
+
 def test_simulate_trajectory_out(problem_file, tmp_path, capsys):
     out_path = tmp_path / "trajectory.tsv"
     code = main(

@@ -33,7 +33,7 @@ from supermech import (
 )
 
 from supermech import numeric
-from supermech.numeric import _compile_kernel, _Plan, _rk4_array, _rk4_kernel
+from supermech.numeric import _Plan, _rk4_array, _rk4_scheduled, _schedule
 
 from helpers import oracle_evaluate, oracle_product, random_expr, reference_rk4
 
@@ -521,7 +521,29 @@ def test_chunked_reports_match_per_state_evaluation(seed):
     )
 
 
-# -- the compiled RK4 step ----------------------------------------------------
+def test_reports_name_a_quantity_that_is_not_finite():
+    chart, dyn = superparticle_setup()
+    coords = chart.at_order(1).coordinates()
+    q1 = chart.coord("q", 1)
+
+    def run(q_velocity, th_velocity):
+        values = np.zeros((4, len(coords), 4))
+        values[:, 1, 0] = q_velocity
+        values[:, 3, 1] = th_velocity
+        return Trajectory(dyn, (0.0, 0.1, 0.2, 0.3), coords, values, 2)
+
+    assert conservation_report(run([1.0, 2.0, 4.0, 3.0], 0.0), {"speed": q1}) == {"speed": 3.0}
+    with pytest.raises(NumericError, match="^non-finite value of energy at step 2$"):
+        conservation_report(run([1.0, 2.0, 1e200, 3.0], 0.0), {"speed": q1, "energy": q1 * q1})
+    with pytest.raises(NumericError, match="^non-finite drift of speed at step 1$"):
+        conservation_report(run([1e308, -1e308, 0.0, 0.0], 0.0), {"speed": q1})
+    assert run(1.0, [0.0, 0.5, -2.0, 0.0]).constraint_drift() == 2.0
+    residual = r"^non-finite residual of the th\[1\] constraint at step 3$"
+    with pytest.raises(NumericError, match=residual):
+        run(1.0, [0.0, 0.0, 0.0, math.inf]).constraint_drift()
+
+
+# -- the scheduled RK4 steps -------------------------------------------------
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -557,22 +579,26 @@ def field_plan(dyn, directions):
     return _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
 
 
-def kernel_for(dyn, directions):
+def schedule_for(dyn, directions):
     coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
-    return _compile_kernel(field_plan(dyn, directions), coordinates, directions)
+    return _schedule(field_plan(dyn, directions), coordinates, directions)
+
+
+# ``_KERNEL_MAX_OPS`` values that send every field to one evaluation
+EVALUATIONS = {"straight-line": 10**6, "numpy": 0}
 
 
 def run_both_paths(dyn, initial, dt, steps):
     """The stored bytes, or the error text, of the array loop and then of
-    the compiled step, each from the same initial state."""
+    the scheduled steps, each from the same initial state."""
     coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
     plan = field_plan(dyn, initial.directions)
-    kernel = _compile_kernel(plan, coordinates, initial.directions)
-    assert kernel is not None
+    schedule = _schedule(plan, coordinates, initial.directions)
+    assert schedule is not None
     outcomes = []
     for fill in (
         lambda values: _rk4_array(plan, values, dt, coordinates, 0, steps),
-        lambda values: _rk4_kernel(kernel, plan, values, dt, coordinates),
+        lambda values: _rk4_scheduled(schedule, plan, values, dt, coordinates),
     ):
         values = np.zeros((steps + 1, len(coordinates), 1 << initial.directions))
         values[0] = [initial.get(gen).coeffs for gen in coordinates]
@@ -589,8 +615,8 @@ def run_both_paths(dyn, initial, dt, steps):
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.375]))
 def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
-    # every field here compiles, however large, so that the kernel itself
-    # is compared on all of them; integrate then takes it too
+    # every field here takes the straight-line step, however large, so
+    # that it is compared on all of them; integrate then takes it too
     rng = random.Random(seed)
     dyn = random_field_dynamics(rng, Chart.create(["q", "p"], ["a"], 1))
     coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
@@ -611,6 +637,31 @@ def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
     assert np.array(trajectory.times).tobytes() == np.array(expected).tobytes()
 
 
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 150))
+def test_numpy_step_stores_the_array_paths_floats(seed, directions, exponent):
+    # every field here takes the numpy step; states scaled up to 1e150
+    # overflow inside a step, which is then retaken by the array loop
+    rng = random.Random(seed)
+    dyn = random_field_dynamics(rng, Chart.create(["q", "p"], ["a"], 1))
+    coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
+    drawn = random_state(rng, coordinates, directions, 0.0)
+    scale = 10.0**exponent
+    initial = NumericState(
+        0.0, {gen: value * scale for gen, value in drawn.values.items()}, directions
+    )
+    dt, steps = rng.choice([0.01, 0.1, 0.5]), rng.randint(1, 12)
+    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", 0):
+        array, scheduled = run_both_paths(dyn, initial, dt, steps)
+        assert scheduled == array
+        try:
+            trajectory = integrate(dyn, initial, dt=dt, t_end=steps * dt)
+        except IntegrationError as exc:
+            assert str(exc) == array
+        else:
+            assert trajectory.values.tobytes() == array
+
+
 def quartic_dynamics():
     """q'' = q^3 + q*a*a' and a'' = q^2*a: solutions reach infinity in
     finite time."""
@@ -624,7 +675,8 @@ def quartic_dynamics():
 
 
 @pytest.mark.parametrize("directions", [0, 2])
-def test_blowup_raises_the_same_error_on_both_paths(directions):
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+def test_blowup_raises_the_same_error_on_both_paths(evaluation, directions):
     chart, dyn = quartic_dynamics()
     values = {gen: GrassmannValue(directions) for gen in chart.at_order(1).coordinates()}
     values[chart.gen("q", 0)] = scalar(10.0, directions)
@@ -632,18 +684,20 @@ def test_blowup_raises_the_same_error_on_both_paths(directions):
     if directions:
         values[chart.gen("a", 0)] = g(0, directions) + g(1, directions)
     initial = NumericState(0.0, values, directions)
-    array, compiled = run_both_paths(dyn, initial, 1e-2, 1000)
-    assert array == compiled
-    assert array.startswith("non-finite value for q[")
-    with pytest.raises(IntegrationError) as raised:
-        integrate(dyn, initial, dt=1e-2, t_end=10.0)
+    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
+        array, scheduled = run_both_paths(dyn, initial, 1e-2, 1000)
+        assert array == scheduled
+        assert array.startswith("non-finite value for q[")
+        with pytest.raises(IntegrationError) as raised:
+            integrate(dyn, initial, dt=1e-2, t_end=10.0)
     assert str(raised.value) == array
 
 
-def test_compiled_step_leaves_overflowing_steps_to_the_array_path():
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+def test_compiled_step_leaves_overflowing_steps_to_the_array_path(evaluation):
     # q^2 overflows, but p is zero, so the array path drops the product
-    # q^2 * p and the state stays finite; straight-line code would
-    # multiply inf by zero
+    # q^2 * p and the state stays finite; the schedule multiplies inf by
+    # zero, so every step is retaken by the array loop
     chart = Chart.create(["q", "p"], [], 1)
     q0, p0 = chart.coord("q", 0), chart.coord("p", 0)
     forces = {
@@ -654,24 +708,50 @@ def test_compiled_step_leaves_overflowing_steps_to_the_array_path():
     values = {gen: scalar(0.0, 0) for gen in chart.at_order(1).coordinates()}
     values[chart.gen("q", 0)] = scalar(1e200, 0)
     initial = NumericState(0.0, values, 0)
-    array, compiled = run_both_paths(dyn, initial, 0.1, 10)
-    assert compiled == array
-    trajectory = integrate(dyn, initial, dt=0.1, t_end=1.0)
+    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
+        array, scheduled = run_both_paths(dyn, initial, 0.1, 10)
+        assert scheduled == array
+        with mock.patch.object(numeric, "_rk4_array", wraps=_rk4_array) as retake:
+            trajectory = integrate(dyn, initial, dt=0.1, t_end=1.0)
+    assert retake.call_count == 10
     assert trajectory.values.tobytes() == array
     assert trajectory.values[:, 0, 0].tolist() == [1e200] * 11
 
 
+@pytest.mark.parametrize("evaluation", EVALUATIONS)
+def test_an_overflow_that_no_pair_reads_is_retaken(evaluation):
+    # at n=0 the odd a has no coefficients, so no pair reads 1e10*q in
+    # 1e10*q*a; that value overflows, and the array path, whose product
+    # keeps the pair for q*p too, multiplies it by a's zero into a NaN
+    chart = Chart.create(["q", "p"], ["a"], 1)
+    q0, p0, a0 = chart.coord("q", 0), chart.coord("p", 0), chart.coord("a", 0)
+    forces = {
+        chart.gen("q", 0).shifted(2): q0 * p0,
+        chart.gen("p", 0).shifted(2): SuperExpr.zero(),
+        chart.gen("a", 0).shifted(2): 10**10 * q0 * a0,
+    }
+    dyn = Dynamics(SuperLagrangian(chart, SuperExpr.zero()), forces, {})
+    values = {gen: scalar(0.0, 0) for gen in chart.at_order(1).coordinates()}
+    values[chart.gen("q", 0)] = scalar(1e300, 0)
+    values[chart.gen("p", 0)] = scalar(1e-300, 0)
+    initial = NumericState(0.0, values, 0)
+    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
+        array, scheduled = run_both_paths(dyn, initial, 0.1, 5)
+    assert scheduled == array == "non-finite value for a[0] at step 1"
+
+
 def test_which_path_each_system_takes():
-    # the shipped problems compile their step; an n=8 state is too large
-    # for it, and a field that breaks parity keeps the array path and its
-    # ParityViolation
+    # the shipped problems take the straight-line step and an n=8 state
+    # the numpy step, while a field that breaks parity has no schedule: it
+    # keeps the array loop and its ParityViolation
     for name in ("oscillator", "ostrogradski", "superparticle"):
         problem = parse_problem((PROBLEMS / f"{name}.sm").read_text(encoding="utf-8"))
         dyn = solve_dynamics(problem.lagrangian())
-        assert kernel_for(dyn, problem.simulation.directions) is not None, name
+        schedule = schedule_for(dyn, problem.simulation.directions)
+        assert schedule.ops <= numeric._KERNEL_MAX_OPS, name
     chart, dyn = superparticle_setup()
-    assert kernel_for(dyn, 8) is None
-    assert kernel_for(dyn, 2) is not None
+    assert schedule_for(dyn, 8).ops > numeric._KERNEL_MAX_OPS
+    assert schedule_for(dyn, 2).ops <= numeric._KERNEL_MAX_OPS
     # the field of test_integrate_checks_parity_of_stored_states
     coordinates = chart.at_order(1).coordinates()
     wrong = {
@@ -681,4 +761,21 @@ def test_which_path_each_system_takes():
         chart.gen("th", 1): SuperExpr.zero(),
     }
     plan = _Plan([wrong[gen] for gen in coordinates], coordinates, 2)
-    assert _compile_kernel(plan, coordinates, 2) is None
+    assert _schedule(plan, coordinates, 2) is None
+
+
+def test_schedule_is_built_once_per_run():
+    # a finite n=6 run with powers and products never calls the batched
+    # product: the schedule, built before the first step, holds every pair
+    chart, dyn = quartic_dynamics()
+    coordinates = chart.at_order(1).coordinates()
+    initial = random_state(random.Random(7), coordinates, 6, 0.0)
+    assert schedule_for(dyn, 6).ops > numeric._KERNEL_MAX_OPS
+    with mock.patch.object(numeric, "_product", wraps=numeric._product) as product:
+        trajectory = integrate(dyn, initial, dt=0.01, t_end=0.2)
+    assert product.call_count == 0
+    assert np.isfinite(trajectory.values).all()
+    # the array loop calls it in every stage of every step
+    with mock.patch.object(numeric, "_product", wraps=numeric._product) as product:
+        _rk4_array(field_plan(dyn, 6), trajectory.values.copy(), 0.01, coordinates, 0, 20)
+    assert product.call_count > 4 * 20
