@@ -28,9 +28,6 @@ class Parity(Enum):
     EVEN = 0
     ODD = 1
 
-    def flip(self) -> "Parity":
-        return Parity(1 - self.value)
-
     def __str__(self) -> str:
         return "even" if self is Parity.EVEN else "odd"
 

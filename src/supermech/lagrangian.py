@@ -117,16 +117,17 @@ def variational_derivative(expr: SuperExpr, base_gen: GeneratorSymbol) -> SuperE
 # -- Cartan package --------------------------------------------------------
 
 
-def _momentum(lag: SuperLagrangian) -> tuple[GradedForm, CheckForm]:
-    """The momentum one-form on T^(2k-1) and its components, certified
-    semibasic at level k-1."""
-    theta = cartan_operator(exterior_d(lag.expr), lag.order)
+def _momentum(lag: SuperLagrangian, dl: GradedForm) -> tuple[GradedForm, CheckForm]:
+    """The momentum one-form on T^(2k-1), from ``dl`` the exterior
+    derivative of the Lagrangian, and its components, certified semibasic
+    at level k-1."""
+    theta = cartan_operator(dl, lag.order)
     return theta, semibasic_check(theta, lag.order - 1)
 
 
 def cartan_one_form(lag: SuperLagrangian) -> GradedForm:
     """The momentum one-form on T^(2k-1); semibasic at level k-1."""
-    return _momentum(lag)[0]
+    return _momentum(lag, exterior_d(lag.expr))[0]
 
 
 @dataclass(frozen=True)
@@ -171,11 +172,12 @@ def cartan_data(lag: SuperLagrangian) -> CartanData:
     is checked here."""
     k = lag.order
     chart = lag.chart
-    theta, theta_check = _momentum(lag)
+    dl = exterior_d(lag.expr)
+    theta, theta_check = _momentum(lag, dl)
     omega = -exterior_d(theta)
     t_field = total_derivative_field(chart, k - 1).widen_target(2 * k - 1)
     energy = pair(t_field, theta_check) - lag.expr
-    delta = exterior_d(lag.expr) - form_total_derivative(theta)
+    delta = dl - form_total_derivative(theta)
     delta_check = semibasic_check(delta, 0)
     chain = interior(total_derivative_field(chart, 2 * k - 1), omega) - exterior_d(energy)
     if chain != delta:

@@ -5,64 +5,53 @@ coefficients: a value with ``n`` directions stores one coefficient per
 subset of the directions, indexed by bitmask.  Products merge disjoint
 subsets with the usual alternating sign and vanish on overlap, so
 symbolic identities evaluate exactly (up to roundoff) without any
-re-ordering logic here: canonical ordering happens upstream.
+re-ordering logic here: canonical ordering happens upstream.  A per-``n``
+table lists the disjoint subset pairs ``(left mask, right mask, target
+mask, sign)``, ordered by left mask and then right mask; it is built on
+first use and cached.
 
-Every product, of two ``GrassmannValue`` objects or of whole batches of
-them, goes through one routine: a per-``n`` table of the disjoint subset
-pairs ``(left mask, right mask, target mask, sign)``, built on first use
-and cached, whose terms are gathered, multiplied and summed into their
-targets in the order a double loop over the left and then the right
-mask would add them.  Results are therefore the same, bit for bit, as
-that loop's.
+One product rule.  Polynomials are compiled once against a coordinate
+order into a product schedule, ``_Schedule``: each term is a float
+coefficient times a chain of factors (the coordinates, their even
+powers, and the unit for constants), with powers formed before they
+multiply in and odd factors in canonical order.  The structural support
+of a coordinate is the subsets of its parity; that of a power or a
+partial product is whatever the product reaches from its operands'
+structural supports.  A coefficient of a product is the IEEE sum, from
++0.0 in product-table order, of the signed pairs between the two
+operands' structural supports, and each output sums its terms in the
+same way, in term order.  So a value depends neither on the values that
+happen to be zero nor on the other expressions compiled with it.  A
+``GrassmannValue`` has no parity, and its products pair the nonzero
+coefficients of the two operands.
 
-Polynomials are compiled once against a coordinate order into a plan:
-each term is a float coefficient times a chain of factor slots (the
-coordinates, their powers, and the unit for constants), with even powers
-formed before they multiply in and odd factors in canonical order, just
-as ``evaluate`` groups them.  A plan evaluates on a leading batch axis of
-states ``(batch, coordinates, 2**n)``; the conservation and constraint
-reports evaluate their plans over all stored states, in chunks along
-time whose temporaries hold about ``_CHUNK_BYTES`` at once.
+The schedule is evaluated in two ways:
+
+* batched numpy over ``(states, registers)``, in chunks of states whose
+  temporaries hold about ``_CHUNK_BYTES``: ``evaluate``, the initial
+  constraint check and the conservation and constraint reports.  These
+  compute the rule's floats on the coefficients that are nonzero in some
+  state, which is exact while every value is finite (``_evaluate``).
+* RK4 steps of the field.  The schedule's size gives the float
+  operations of one step, and that count picks the code: at most
+  ``_KERNEL_MAX_OPS``, straight-line Python float code, one name per
+  register, compiled once per run; more, a numpy step on one flat
+  register array, two fixed gathers and one ``bincount`` per round.  Both
+  store the same floats.
 
 Integration is classic fixed-step fourth-order Runge-Kutta, stored as one
-``(steps + 1, coordinates, 2**n)`` array.  When every term of the field
-has its coordinate's parity, ``integrate`` builds one schedule of the
-field's products per run: registers for the structurally nonzero
-coefficients (each coordinate's subsets of its parity, the powers, each
-term's value after every round) and, per power level and product round,
-the pairs ``(left, right, target, sign)`` of ``_product_table`` between
-those coefficients, in table order.  Its size gives the float operations
-of one step, and that count picks one of two evaluations of it:
-
-* at most ``_KERNEL_MAX_OPS``: straight-line Python float code, one name
-  per register, compiled once per run;
-* more: a numpy step on one flat register array, two fixed gathers and
-  one ``bincount`` per round.
-
-Any other field runs ``_rk4_array``, which calls the plan on one
-``(1, coordinates, 2**n)`` array per stage and is the reference for both
-evaluations.
-
-One rule keeps their floats equal to its floats, zero signs included.
-Each sum starts from +0.0 and adds its terms in the plan's order, and a
-sum that starts from +0.0 never becomes -0.0.  The schedule adds pairs
-that ``_product`` drops because a factor is zero; while every value is
-finite such a pair adds +0.0 or -0.0 and changes no sum.  A non-finite
-value cannot vanish: products and sums keep it non-finite, and a register
-that nothing reads is added to the first output times 0.0.  So a step
-whose new state is finite stores ``_rk4_array``'s floats, and in each
-block of steps the first state that is not finite is discarded with the
-rest of the block; ``_rk4_array`` retakes that step, raising its usual
-error or storing the finite state it finds.
+``(steps + 1, coordinates, 2**n)`` array.
 
 Checks: the initial state's parity is checked when the ``NumericState``
-is built and its constraints before the first step; every stored state
-is checked for finiteness (a block at a time on the scheduled steps); the
-parity support of every stored state is checked once, by one mask test
-over the whole trajectory array; drift is measured on every stored state,
-and a quantity or residual that is not finite there is an error.  Numeric
-failures are reported by these checks alone: numpy's overflow warnings
-are silenced while integrating and reporting.
+is built and its constraints before the first step; a field with a
+component outside its coordinate's parity has no schedule; every stored
+state is checked for finiteness, a block of steps at a time, and the
+first one that is not finite is an error; a ``Trajectory`` checks the
+parity support of its states when it is built, by one mask test over the
+whole array; drift is measured on every stored state, and a quantity or
+residual that is not finite there is an error.  Numeric failures are
+reported by these checks alone: numpy's overflow warnings are silenced
+while integrating and reporting.
 """
 
 from __future__ import annotations
@@ -72,6 +61,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -150,30 +140,21 @@ def _product_table(directions: int) -> np.ndarray:
     return _frozen(np.stack([left, right, left | right, 1 - 2 * (crossings & 1)]))
 
 
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Row-wise exterior products of two ``(rows, 2**n)`` arrays.
+def _parity_masks(coordinates: Sequence[GeneratorSymbol], directions: int) -> np.ndarray:
+    """Boolean ``(coordinates, 2**n)`` mask: the subsets of each
+    coordinate's parity."""
+    odd = np.array([gen.parity is Parity.ODD for gen in coordinates], dtype=bool)
+    return odd[:, None] == _odd_subsets(directions)
 
-    Pairs whose left or right coefficient is zero in every row are
-    dropped, as a loop over nonzero coefficients skips them.  ``bincount``
-    adds its weights to their bins in input order, so each target
-    coefficient is summed from zero over its pairs in table order.
-    Rows go in blocks whose two gathers and bins fit ``_CHUNK_BYTES``.
-    """
-    rows, size = left.shape
-    table = _product_table(size.bit_length() - 1)
-    table = table[:, left.any(axis=0)[table[0]] & right.any(axis=0)[table[1]]]
-    block = max(1, _CHUNK_BYTES // max(24 * table.shape[1], 1))
-    out = np.empty((rows, size))
-    for lo in range(0, rows, block):
-        hi = min(rows, lo + block)
-        terms = left[lo:hi, table[0]]
-        terms *= right[lo:hi, table[1]]
-        terms *= table[3]
-        bins = table[2]
-        if hi - lo > 1:
-            bins = (np.arange(0, (hi - lo) * size, size)[:, None] + bins).ravel()
-        out[lo:hi] = np.bincount(bins, terms.ravel(), (hi - lo) * size).reshape(-1, size)
-    return out
+
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The exterior product of two ``(2**n,)`` coefficient arrays, summed
+    over the table's pairs of nonzero coefficients, each target from +0.0
+    in table order, as a double loop over the nonzero coefficients adds
+    them."""
+    table = _product_table(left.size.bit_length() - 1)
+    left_mask, right_mask, target, sign = table[:, (left != 0)[table[0]] & (right != 0)[table[1]]]
+    return np.bincount(target, left[left_mask] * right[right_mask] * sign, left.size)
 
 
 class GrassmannValue:
@@ -263,9 +244,7 @@ class GrassmannValue:
         if isinstance(other, numbers.Real):
             return GrassmannValue(self.directions, self.coeffs * float(other))
         self._compatible(other)
-        return GrassmannValue(
-            self.directions, _product(self.coeffs[None], other.coeffs[None])[0]
-        )
+        return GrassmannValue(self.directions, _product(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):
@@ -337,116 +316,6 @@ def _stack(state: NumericState, coordinates: Sequence[GeneratorSymbol]) -> np.nd
     return out
 
 
-class _Plan:
-    """Polynomials compiled against a coordinate order.
-
-    Slots hold, per state, the coordinates, then the unit when a
-    polynomial has a constant term, then the powers of even coordinates
-    above the first, each formed from the one below it.  A term is a
-    coefficient times a chain of slots, multiplied left to right in
-    lockstep with the other terms: round 0 scales every term's first
-    slot, round ``j`` multiplies in the ``j``-th slot of the terms that
-    have one, which are kept first.
-    """
-
-    def __init__(
-        self,
-        exprs: Sequence[SuperExpr],
-        coordinates: Sequence[GeneratorSymbol],
-        directions: int,
-    ):
-        index = {gen: row for row, gen in enumerate(coordinates)}
-        terms = []
-        top: dict[int, int] = {}
-        for which, expr in enumerate(exprs):
-            for (even, odd), coeff in expr.items():
-                chain = [(_row(index, gen), exponent) for gen, exponent in even]
-                chain += [(_row(index, gen), 1) for gen in odd]
-                for row, exponent in chain:
-                    top[row] = max(top.get(row, 1), exponent)
-                terms.append((which, _float(coeff), chain))
-
-        count = len(coordinates)
-        slot = {(row, 1): row for row in range(count)}
-        self.unit = None
-        if any(not chain for _, _, chain in terms):
-            self.unit, count = count, count + 1
-        self.powers: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        exponent = 2
-        while rows := [row for row in sorted(top) if top[row] >= exponent]:
-            for offset, row in enumerate(rows):
-                slot[row, exponent] = count + offset
-            below = np.array([slot[row, exponent - 1] for row in rows])
-            self.powers.append((count, count + len(rows), below, np.array(rows)))
-            count += len(rows)
-            exponent += 1
-        self.slots = count
-
-        chains = [
-            [slot[factor] for factor in chain] or [self.unit] for _, _, chain in terms
-        ]
-        # (output, coefficient, slot chain) of every term, in original order
-        self.terms = [(which, coeff, chain) for (which, coeff, _), chain in zip(terms, chains)]
-        order = sorted(range(len(terms)), key=lambda t: -len(chains[t]))
-        depth = max((len(chain) for chain in chains), default=0)
-        self.coeffs = np.array([terms[t][1] for t in order]).reshape(-1, 1)
-        self.factors = np.array(
-            [chains[t] + [0] * (depth - len(chains[t])) for t in order], dtype=np.intp
-        ).reshape(len(terms), depth)
-        self.rounds = [sum(len(chain) > j for chain in chains) for j in range(1, depth)]
-        # each output sums its terms in their original order
-        self.restore = None if order == list(range(len(terms))) else np.argsort(order)
-        self.targets = np.array([which for which, _, _ in terms], dtype=np.intp)
-        self.outputs = len(exprs)
-        self.size = 1 << directions
-        self._bins: dict[int, np.ndarray] = {}
-
-        # terms and their sum bins, slots and outputs; products bound
-        # their own temporaries
-        per_state = (2 * len(terms) + self.slots + self.outputs) * self.size
-        self.chunk = max(1, _CHUNK_BYTES // (8 * per_state))
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate on ``(batch, coordinates, 2**n)``; returns
-        ``(batch, len(exprs), 2**n)``."""
-        batch, size = len(states), self.size
-        if not len(self.targets):
-            return np.zeros((batch, self.outputs, size))
-        if self.slots == states.shape[1]:
-            slots = states
-        else:
-            slots = np.zeros((batch, self.slots, size))
-            slots[:, : states.shape[1]] = states
-            if self.unit is not None:
-                slots[:, self.unit, 0] = 1.0
-            for lo, hi, below, rows in self.powers:
-                slots[:, lo:hi] = _product(
-                    slots[:, below].reshape(-1, size), slots[:, rows].reshape(-1, size)
-                ).reshape(batch, hi - lo, size)
-        terms = self.coeffs * slots[:, self.factors[:, 0]]
-        for j, count in enumerate(self.rounds, start=1):
-            terms[:, :count] = _product(
-                terms[:, :count].reshape(-1, size),
-                slots[:, self.factors[:count, j]].reshape(-1, size),
-            ).reshape(batch, count, size)
-        if self.restore is not None:
-            terms = terms[:, self.restore]
-        return np.bincount(
-            self._sum_bins(batch), terms.ravel(), batch * self.outputs * size
-        ).reshape(batch, self.outputs, size)
-
-    def _sum_bins(self, batch: int) -> np.ndarray:
-        if batch not in self._bins:
-            rows = np.arange(batch)[:, None] * self.outputs + self.targets
-            self._bins[batch] = (rows[..., None] * self.size + np.arange(self.size)).ravel()
-        return self._bins[batch]
-
-    def chunks(self, states: np.ndarray) -> Iterator[np.ndarray]:
-        """Evaluate on every state, a chunk of states at a time."""
-        for lo in range(0, len(states), self.chunk):
-            yield self(states[lo : lo + self.chunk])
-
-
 def _magnitude(value: int | Fraction) -> str:
     """``about 10^e`` for a positive number of any size."""
     exponent = math.log10(value.numerator) - math.log10(value.denominator)
@@ -469,6 +338,243 @@ def _row(index: Mapping[GeneratorSymbol, int], gen: GeneratorSymbol) -> int:
         raise MissingValue(f"no value for coordinate {gen}") from None
 
 
+def _binned(terms: np.ndarray, bins: np.ndarray, count: int) -> np.ndarray:
+    """Sum the ``(rows, pairs)`` terms into ``(rows, count)`` bins, each bin
+    from +0.0 in the terms' order: ``bincount`` adds its weights in input
+    order, and each row goes to bins of its own."""
+    rows = len(terms)
+    bins = (np.arange(rows)[:, None] * count + bins).ravel()
+    return np.bincount(bins, terms.ravel(), rows * count).reshape(rows, count)
+
+
+@lru_cache(maxsize=128)
+def _pairs(directions: int, lmasks: tuple[int, ...], rmasks: tuple[int, ...]):
+    """Positions in the two mask lists, target masks, each pair's target
+    and sign, for the product table's pairs between the two lists."""
+    table = _product_table(directions)
+    lpos, rpos = np.full((2, 1 << directions), -1)
+    lpos[np.array(lmasks, dtype=np.intp)] = np.arange(len(lmasks))
+    rpos[np.array(rmasks, dtype=np.intp)] = np.arange(len(rmasks))
+    left, right, target, sign = table[:, (lpos[table[0]] >= 0) & (rpos[table[1]] >= 0)]
+    targets, inverse = np.unique(target, return_inverse=True)
+    return (
+        _frozen(lpos[left]),
+        _frozen(rpos[right]),
+        tuple(targets.tolist()),
+        _frozen(inverse),
+        _frozen(sign.astype(float)),
+    )
+
+
+class _Round(NamedTuple):
+    """Registers ``lo:hi``, each the sum from +0.0 of the signed products
+    ``register[left] * register[right] * sign`` of its pairs, in order."""
+
+    lo: int
+    hi: int
+    left: np.ndarray
+    right: np.ndarray
+    target: np.ndarray  # of each pair, counted from ``lo``
+    sign: np.ndarray
+
+
+def _run(rounds: Sequence[_Round], registers: np.ndarray):
+    """Compute the rounds' registers of a ``(batch, registers)`` array in
+    place, in order."""
+    for rnd in rounds:
+        terms = registers[:, rnd.left]
+        terms *= registers[:, rnd.right]
+        terms *= rnd.sign
+        registers[:, rnd.lo : rnd.hi] = _binned(terms, rnd.target, rnd.hi - rnd.lo)
+
+
+class _Schedule:
+    """Polynomials compiled against a coordinate order into fixed rounds
+    over registers.
+
+    Registers hold the coefficients of the coordinates' support, which is
+    ``support`` (a boolean ``(coordinates, 2**n)`` array) or by default
+    each coordinate's subsets of its parity, and what products reach from
+    it: the state's registers first, in chart order (``index`` holds
+    their ``coordinate * 2**n + mask``), then the unit, each power and
+    each term's value after every round.  A term is a coefficient times a
+    chain of factors (the coordinates, their even powers, and the unit
+    for constants), even powers first and odd factors in canonical order.
+    The powers of each exponent form one round, each the power below
+    times the coordinate; round 0 scales each term's first factor by its
+    coefficient, and round ``j`` multiplies in the ``j``-th factor of the
+    terms that have one.  A product pairs the coefficients of its two
+    operands in ``_product_table`` order.  ``sums`` lists the registers of
+    each term's final value, in term order, and the ``output * 2**n +
+    mask`` each one is added to.
+    """
+
+    def __init__(
+        self,
+        exprs: Sequence[SuperExpr],
+        coordinates: Sequence[GeneratorSymbol],
+        directions: int,
+        support: np.ndarray | None = None,
+    ):
+        index = {gen: row for row, gen in enumerate(coordinates)}
+        terms = []
+        top: dict[int, int] = {}
+        for which, expr in enumerate(exprs):
+            for (even, odd), coeff in expr.items():
+                chain = [(_row(index, gen), exponent) for gen, exponent in even]
+                chain += [(_row(index, gen), 1) for gen in odd]
+                for row, exponent in chain:
+                    top[row] = max(top.get(row, 1), exponent)
+                terms.append((which, _float(coeff), chain))
+
+        self.directions = directions
+        size = 1 << directions
+        if support is None:
+            support = _parity_masks(coordinates, directions)
+        self.registers = 0
+        # (first register, masks) of each factor
+        slots = {
+            (row, 1): self._allocate(tuple(compress(range(size), masks)))
+            for row, masks in enumerate(support.tolist())
+        }
+        self.state = self.registers
+        self.index = np.array(
+            [row * size + mask for (row, _), (_, masks) in slots.items() for mask in masks],
+            dtype=np.intp,
+        )
+        self.unit = None
+        if any(not chain for _, _, chain in terms):
+            self.unit = self.registers
+            slots[None] = self._allocate((0,))
+        self.powers: list[_Round] = []
+        exponent = 2
+        while rows := [row for row in sorted(top) if top[row] >= exponent]:
+            products = [(slots[row, exponent - 1], slots[row, 1]) for row in rows]
+            for row, value in zip(rows, self._round(products, self.powers)):
+                slots[row, exponent] = value
+            exponent += 1
+
+        chains = [[slots[factor] for factor in chain] or [slots[None]] for _, _, chain in terms]
+        lo = self.registers
+        values, sources, coeffs = [], [], []
+        for (_, coeff, _), chain in zip(terms, chains):
+            base, masks = chain[0]
+            values.append(self._allocate(masks))
+            sources += range(base, base + len(masks))
+            coeffs += [coeff] * len(masks)
+        self.first = (lo, self.registers, np.array(sources, dtype=np.intp), np.array(coeffs))
+        self.rounds: list[_Round] = []
+        for j in range(1, max(map(len, chains), default=0)):
+            live = [t for t, chain in enumerate(chains) if len(chain) > j]
+            products = [(values[t], chains[t][j]) for t in live]
+            for t, value in zip(live, self._round(products, self.rounds)):
+                values[t] = value
+
+        summed, targets = [], []
+        for (which, _, _), (base, masks) in zip(terms, values):
+            summed += range(base, base + len(masks))
+            targets += [which * size + mask for mask in masks]
+        self.sums = (np.array(summed, dtype=np.intp), np.array(targets, dtype=np.intp))
+        self.outputs = len(exprs)
+        widest = max((len(r.left) for r in self.powers + self.rounds), default=0)
+        # the float operations of one RK4 step of a field: four
+        # evaluations, each pair a multiply and an add, then the stage and
+        # update arithmetic
+        self.ops = 4 * (2 * sum(len(r.left) for r in self.powers + self.rounds)
+                        + len(sources) + len(summed)) + 13 * self.state
+        # states per batch: registers, a round's or the sums' terms, their
+        # gathered factors and bins, and the outputs
+        per_state = self.registers + 3 * max(widest, len(summed)) + self.outputs * size
+        self.chunk = max(1, _CHUNK_BYTES // (8 * max(1, per_state)))
+
+    def _allocate(self, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        base = self.registers
+        self.registers += len(masks)
+        return base, masks
+
+    def _round(self, products, rounds: list[_Round]) -> list[tuple[int, tuple[int, ...]]]:
+        """Append one round of the ``(left value, right value)`` products;
+        returns their values."""
+        lo = self.registers
+        parts, values = [], []
+        for (lbase, lmasks), (rbase, rmasks) in products:
+            left, right, targets, inverse, sign = _pairs(self.directions, lmasks, rmasks)
+            value = self._allocate(targets)
+            parts.append((lbase + left, rbase + right, value[0] - lo + inverse, sign))
+            values.append(value)
+        if self.registers > lo:
+            rounds.append(_Round(lo, self.registers, *map(np.concatenate, zip(*parts))))
+        return values
+
+    def evaluate(self, states: np.ndarray) -> Iterator[tuple[int, np.ndarray, bool]]:
+        """Evaluate on ``(count, coordinates, 2**n)`` states, ``chunk``
+        states at a time; yields each chunk's first index, its ``(chunk,
+        outputs, 2**n)`` values and whether every register was finite."""
+        flat = states.reshape(len(states), -1)
+        size = 1 << self.directions
+        lo, hi, sources, coeffs = self.first
+        summed, targets = self.sums
+        for first in range(0, len(states), self.chunk):
+            block = flat[first : first + self.chunk]
+            registers = np.empty((len(block), self.registers))
+            registers[:, : self.state] = block[:, self.index]
+            if self.unit is not None:
+                registers[:, self.unit] = 1.0
+            _run(self.powers, registers)
+            registers[:, lo:hi] = registers[:, sources] * coeffs
+            _run(self.rounds, registers)
+            values = _binned(registers[:, summed], targets, self.outputs * size)
+            yield (
+                first,
+                values.reshape(len(block), self.outputs, size),
+                bool(np.isfinite(registers).all()),
+            )
+
+
+def _evaluate(
+    exprs: Sequence[SuperExpr],
+    coordinates: Sequence[GeneratorSymbol],
+    directions: int,
+    states: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The expressions' values on ``(count, coordinates, 2**n)`` states, a
+    chunk of states at a time, with each chunk's first index.
+
+    They are the structural schedule's values, computed by the schedule of
+    the coefficients that are nonzero in some state.  While every register
+    that it keeps is finite, every register that it leaves out is zero in
+    the structural schedule, round by round: each pair it leaves out has
+    such a factor, so it adds +-0.0, which changes no sum from +0.0.  From
+    the first chunk with a register that is not finite on, the structural
+    schedule computes the values itself.
+    """
+    support = _parity_masks(coordinates, directions) & np.any(states != 0, axis=0)
+    schedule = _Schedule(exprs, coordinates, directions, support)
+    for first, values, finite in schedule.evaluate(states):
+        if not finite:
+            structural = _Schedule(exprs, coordinates, directions)
+            for offset, values, _ in structural.evaluate(states[first:]):
+                yield first + offset, values
+            return
+        yield first, values
+
+
+def _field_schedule(field, coordinates: Sequence[GeneratorSymbol], directions: int) -> _Schedule:
+    """The schedule of the field's components along the coordinates, with
+    each sum's target a state register; raises on a component with
+    support outside its coordinate's parity, which has no register."""
+    schedule = _Schedule([field.component(gen) for gen in coordinates], coordinates, directions)
+    summed, targets = schedule.sums
+    register = np.full(len(coordinates) << directions, -1, dtype=np.intp)
+    register[schedule.index] = np.arange(schedule.state)
+    moved = register[targets]
+    if (moved < 0).any():
+        gen = coordinates[targets[np.argmin(moved)] >> directions]
+        raise ParityViolation(f"the field's component for {gen} has support of the wrong parity")
+    schedule.sums = (summed, moved)
+    return schedule
+
+
 def _finite_norms(values: np.ndarray, first: int, labels: Sequence[str]) -> np.ndarray:
     """The ``(states, quantities)`` sup norms of ``(states, quantities,
     2**n)`` values whose first state is stored at step ``first``; raises
@@ -485,8 +591,10 @@ def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
     """Evaluate a polynomial expression on a state.  Factors multiply in
     canonical order, so this is an algebra homomorphism."""
     coordinates = tuple(state.values)
-    plan = _Plan([expr], coordinates, state.directions)
-    return GrassmannValue(state.directions, plan(_stack(state, coordinates)[None])[0, 0])
+    states = _stack(state, coordinates)[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, values = next(_evaluate([expr], coordinates, state.directions, states))
+    return GrassmannValue(state.directions, values[0, 0])
 
 
 def _constraint_residuals(dynamics: Dynamics):
@@ -497,13 +605,24 @@ def _constraint_residuals(dynamics: Dynamics):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A fixed-step run: ``values[i, c]`` holds the coefficients of
-    ``coordinates[c]`` at ``times[i]``."""
+    ``coordinates[c]`` at ``times[i]``.  Every stored coefficient outside
+    its coordinate's parity must be zero: the reports read each value on
+    the subsets of its parity alone."""
 
     dynamics: Dynamics
     times: tuple[float, ...]
     coordinates: tuple[GeneratorSymbol, ...]
     values: np.ndarray
     directions: int
+
+    def __post_init__(self):
+        misplaced = self.values != 0
+        misplaced &= ~_parity_masks(self.coordinates, self.directions)
+        if misplaced.any():
+            step, row, _ = np.argwhere(misplaced)[0]
+            raise ParityViolation(
+                f"value for {self.coordinates[row]} has support of the wrong parity at step {step}"
+            )
 
     @cached_property
     def states(self) -> tuple[NumericState, ...]:
@@ -528,14 +647,14 @@ class Trajectory:
         gens, residuals = _constraint_residuals(self.dynamics)
         if not residuals:
             return 0.0
-        plan = _Plan(residuals, self.coordinates, self.directions)
         labels = [f"residual of the {gen} constraint" for gen in gens]
         # overflow is reported by the finiteness check alone
         with np.errstate(over="ignore", invalid="ignore"):
-            firsts = range(0, len(self.values), plan.chunk)
             return max(
-                float(_finite_norms(chunk, first, labels).max())
-                for first, chunk in zip(firsts, plan.chunks(self.values))
+                float(_finite_norms(values, first, labels).max())
+                for first, values in _evaluate(
+                    residuals, self.coordinates, self.directions, self.values
+                )
             )
 
     def export_rows(self) -> list[str]:
@@ -557,167 +676,6 @@ def _check_finite(state: np.ndarray, coordinates: Sequence[GeneratorSymbol], ste
         raise IntegrationError(f"non-finite value for {bad} at step {step}")
 
 
-def _rk4_array(
-    rhs: _Plan,
-    values: np.ndarray,
-    dt: float,
-    coordinates: Sequence[GeneratorSymbol],
-    first: int,
-    last: int,
-):
-    """Fill ``values[first + 1 : last + 1]`` with array RK4 steps from
-    ``values[first]``, checking each new state for finiteness."""
-    current = values[first : first + 1]
-    for step in range(first, last):
-        k1 = rhs(current)
-        k2 = rhs(current + k1 * (dt / 2))
-        k3 = rhs(current + k2 * (dt / 2))
-        k4 = rhs(current + k3 * dt)
-        current = current + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6)
-        _check_finite(current[0], coordinates, step + 1)
-        values[step + 1] = current[0]
-
-
-class _Round(NamedTuple):
-    """Registers ``lo:hi``, each the sum from +0.0 of the signed products
-    ``register[left] * register[right] * sign`` of its pairs, in order."""
-
-    lo: int
-    hi: int
-    left: np.ndarray
-    right: np.ndarray
-    target: np.ndarray  # of each pair, counted from ``lo``
-    sign: np.ndarray
-
-
-class _Schedule:
-    """One evaluation of a plan's field as fixed rounds over registers.
-
-    Registers hold the structurally nonzero coefficients: the state's
-    first, each coordinate's subsets of its parity in chart order, then
-    the unit, each power and each term's value after every round.  A
-    round pairs the coefficients of two values in ``_product_table`` order,
-    so its registers sum what ``_product`` sums, plus pairs whose factor
-    happens to be zero.  Round 0 scales each term's first slot by its
-    coefficient; ``sums`` adds each term's final value into the output
-    state in the plan's term order.
-    """
-
-    def __init__(self, plan: _Plan, coordinates: Sequence[GeneratorSymbol], directions: int):
-        size = self._size = 1 << directions
-        self._table = _product_table(directions)
-        # the pairs between two mask lists, computed once per build
-        pairs: dict[tuple, tuple] = {}
-        odd = _odd_subsets(directions)
-        support = [tuple(np.flatnonzero(odd == bool(p)).tolist()) for p in (0, 1)]
-        self.registers = 0
-        # (first register, masks) of each of the plan's slots
-        slots = [self._allocate(support[gen.parity.value]) for gen in coordinates]
-        self.state = self.registers
-        self.index = np.array(
-            [row * size + mask for row, (_, masks) in enumerate(slots) for mask in masks],
-            dtype=np.intp,
-        )
-        self.unit = None
-        if plan.unit is not None:
-            self.unit = self.registers
-            slots.append(self._allocate((0,)))
-        self.powers: list[_Round] = []
-        for _, _, below, rows in plan.powers:
-            products = [(slots[b], slots[r]) for b, r in zip(below, rows)]
-            slots += self._round(products, self.powers, pairs)
-
-        lo = self.registers
-        values, sources, coeffs = [], [], []
-        for _, coeff, chain in plan.terms:
-            base, masks = slots[chain[0]]
-            values.append(self._allocate(masks))
-            sources += range(base, base + len(masks))
-            coeffs += [coeff] * len(masks)
-        self.first = (lo, self.registers, np.array(sources, dtype=np.intp), np.array(coeffs))
-        self.rounds: list[_Round] = []
-        for j in range(1, max((len(chain) for _, _, chain in plan.terms), default=0)):
-            live = [t for t, (_, _, chain) in enumerate(plan.terms) if len(chain) > j]
-            products = [(values[t], slots[plan.terms[t][2][j]]) for t in live]
-            for t, value in zip(live, self._round(products, self.rounds, pairs)):
-                values[t] = value
-
-        # each mask's place among the subsets of its parity
-        rank = np.empty(size, dtype=np.intp)
-        for masks in support:
-            rank[list(masks)] = range(len(masks))
-        summed, targets = [], []
-        for (which, _, _), (base, masks) in zip(plan.terms, values):
-            summed += range(base, base + len(masks))
-            targets += (slots[which][0] + rank[list(masks)]).tolist()
-        # a register that no pair or sum reads, a coefficient with no
-        # disjoint partner, is added to the first output times 0.0: +-0.0
-        # while it is finite, so that a non-finite one still reaches the state
-        read = np.zeros(self.registers, dtype=bool)
-        read[: self.state] = read[sources] = read[summed] = True
-        for r in self.powers + self.rounds:
-            read[r.left] = read[r.right] = True
-        unread = np.flatnonzero(~read).tolist()
-        self.sums = (
-            np.array(summed + unread, dtype=np.intp),
-            np.array(targets + [0] * len(unread), dtype=np.intp),
-            np.array([1.0] * len(summed) + [0.0] * len(unread)) if unread else None,
-        )
-        pairs = sum(len(r.left) for r in self.powers + self.rounds)
-        # the float operations of one step: four evaluations, each pair a
-        # multiply and an add, then the stage and update arithmetic
-        reads = len(sources) + len(summed) + 2 * len(unread)
-        self.ops = 4 * (2 * pairs + reads) + 13 * self.state
-
-    def _allocate(self, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        base = self.registers
-        self.registers += len(masks)
-        return base, masks
-
-    def _round(
-        self, products, rounds: list[_Round], pairs: dict[tuple, tuple]
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        """Append one round of the ``(left value, right value)`` products;
-        returns their values."""
-        lo = self.registers
-        parts, values = [], []
-        for (lbase, lmasks), (rbase, rmasks) in products:
-            key = (lmasks, rmasks)
-            if key not in pairs:
-                pairs[key] = self._pair_up(lmasks, rmasks)
-            left, right, targets, inverse, sign = pairs[key]
-            value = self._allocate(targets)
-            parts.append((lbase + left, rbase + right, value[0] - lo + inverse, sign))
-            values.append(value)
-        if self.registers > lo:
-            rounds.append(_Round(lo, self.registers, *map(np.concatenate, zip(*parts))))
-        return values
-
-    def _pair_up(self, lmasks: tuple[int, ...], rmasks: tuple[int, ...]):
-        """Positions in the two mask lists, target masks, each pair's
-        target and sign, for the table's pairs between the two lists."""
-        table = self._table
-        lpos, rpos = np.full((2, self._size), -1)
-        lpos[np.array(lmasks, dtype=np.intp)] = np.arange(len(lmasks))
-        rpos[np.array(rmasks, dtype=np.intp)] = np.arange(len(rmasks))
-        left, right, target, sign = table[:, (lpos[table[0]] >= 0) & (rpos[table[1]] >= 0)]
-        targets, inverse = np.unique(target, return_inverse=True)
-        return lpos[left], rpos[right], tuple(targets.tolist()), inverse, sign.astype(float)
-
-
-def _schedule(
-    plan: _Plan, coordinates: Sequence[GeneratorSymbol], directions: int
-) -> _Schedule | None:
-    """The schedule of the field ``plan`` evaluates, or None when a term's
-    parity is not its coordinate's."""
-    # powers and the unit are even
-    odd = [gen.parity is Parity.ODD for gen in coordinates]
-    for which, _, chain in plan.terms:
-        if sum(odd[slot] for slot in chain if slot < len(odd)) % 2 != odd[which]:
-            return None
-    return _Schedule(plan, coordinates, directions)
-
-
 def _scaled(coeff: float, value: str) -> str:
     """``coeff * value`` with the coefficient as a literal, which ``repr``
     gives exactly; a factor of one or minus one is exact, so it is left
@@ -730,9 +688,9 @@ def _scaled(coeff: float, value: str) -> str:
 
 
 def _straight_line_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]:
-    """RK4 steps of the schedule as straight-line Python float code: each
-    register is one name, each round's register ``0.0 + a*b - c*d ...``
-    over its pairs, each output ``0.0 + ...`` over its terms."""
+    """RK4 steps of a field's schedule as straight-line Python float code:
+    each register is one name, each round's register ``0.0 + a*b - c*d
+    ...`` over its pairs, each output ``0.0 + ...`` over its terms."""
     size, lines = schedule.state, []
     state = [f"y{i}" for i in range(size)]
     stage = [f"z{i}" for i in range(size)]
@@ -770,12 +728,8 @@ def _straight_line_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray
         for rnd in schedule.rounds:
             write_round(rnd)
         operands: list[list[str]] = [[] for _ in range(size)]
-        summed, targets, weights = schedule.sums
-        for register, target, weight in zip(
-            summed.tolist(), targets.tolist(), [1.0] * len(summed) if weights is None else weights
-        ):
-            value = scaled.get(register) or name(register)
-            operands[target].append(value if weight else f"0.0*({value})")
+        for register, target in zip(*(part.tolist() for part in schedule.sums)):
+            operands[target].append(scaled.get(register) or name(register))
         for i, terms in enumerate(operands):
             lines.append(f"{slope[i]} = " + " + ".join(["0.0", *terms]))
         if factor is not None:
@@ -809,8 +763,8 @@ def _straight_line_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray
 
 
 def _numpy_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]:
-    """RK4 steps of the schedule on one flat register array: each round is
-    two gathers, the products and one ``bincount``."""
+    """RK4 steps of a field's schedule on one flat register array: each
+    round is two gathers, the products and one ``bincount``."""
     size = schedule.state
     registers = np.zeros(schedule.registers)
     if schedule.unit is not None:
@@ -818,7 +772,7 @@ def _numpy_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]
     head = registers[:size]
     lo, hi, sources, coeffs = schedule.first
     scaled = registers[lo:hi]
-    summed, targets, weights = schedule.sums
+    summed, targets = schedule.sums
     powers, rounds = (
         [(registers[r.lo : r.hi], r.left, r.right, r.sign, r.target, r.hi - r.lo) for r in group]
         for group in (schedule.powers, schedule.rounds)
@@ -835,12 +789,7 @@ def _numpy_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]
         run(powers)
         np.multiply(registers[sources], coeffs, out=scaled)
         run(rounds)
-        if not len(summed):
-            return np.zeros(size)
-        terms = registers[summed]
-        if weights is not None:
-            terms *= weights
-        return np.bincount(targets, terms, size)
+        return np.bincount(targets, registers[summed], size)
 
     h2, h6, index = dt / 2, dt / 6, schedule.index
 
@@ -871,20 +820,11 @@ def _numpy_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]
     return advance
 
 
-def _rk4_scheduled(
-    schedule: _Schedule,
-    rhs: _Plan,
-    values: np.ndarray,
-    dt: float,
-    coordinates: Sequence[GeneratorSymbol],
-):
-    """Fill ``values[1:]`` from ``values[0]`` with the schedule's steps, a
-    block at a time, in place: straight-line Python code when a step needs
-    at most ``_KERNEL_MAX_OPS`` operations, the numpy step otherwise.  The
-    first state of a block that is not finite is retaken by
-    ``_rk4_array``, which raises or stores its finite state; the states
-    after it are overwritten by the next blocks, which grow again from
-    one step."""
+def _rk4(schedule: _Schedule, values: np.ndarray, dt: float, coordinates: Sequence[GeneratorSymbol]):
+    """Fill ``values[1:]`` from ``values[0]`` with RK4 steps of a field's
+    schedule, a block at a time, in place: straight-line Python code when a
+    step needs at most ``_KERNEL_MAX_OPS`` operations, the numpy step
+    otherwise.  Raises on the first stored state that is not finite."""
     if schedule.ops <= _KERNEL_MAX_OPS:
         advance = _straight_line_steps(schedule, dt)
     else:
@@ -892,19 +832,14 @@ def _rk4_scheduled(
     steps = len(values) - 1
     flat = values.reshape(steps + 1, -1)
     # a Python block holds a float object and a list slot, 32 bytes, per value
-    most = max(1, _CHUNK_BYTES // (32 * max(1, len(schedule.index))))
-    step, block = 0, most
-    while step < steps:
-        count = min(block, steps - step)
-        rows = flat[step : step + count + 1]
+    block = max(1, _CHUNK_BYTES // (32 * max(1, len(schedule.index))))
+    for step in range(0, steps, block):
+        rows = flat[step : step + block + 1]
         advance(rows)
         finite = np.isfinite(rows[1:]).all(axis=1)
-        good = count if finite.all() else int(np.argmin(finite))
-        step += good
-        block = min(2 * block, most)
-        if good < count:
-            _rk4_array(rhs, values, dt, coordinates, step, step + 1)
-            step, block = step + 1, 1
+        if not finite.all():
+            bad = step + 1 + int(np.argmin(finite))
+            _check_finite(values[bad], coordinates, bad)
 
 
 def integrate(
@@ -919,11 +854,10 @@ def integrate(
     time to ``t_end``, which must be a whole number of steps away.
 
     The initial state must satisfy the solved constraints within
-    ``constraint_tol``; the run aborts on non-finite values.  A field
-    whose every component is homogeneous of its coordinate's parity runs
-    its product schedule, as straight-line code when a step needs at most
-    ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise; any
-    other runs the array path.  All three store the same floats.
+    ``constraint_tol``; the run aborts on non-finite values.  The field
+    runs its product schedule, as straight-line code when a step needs at
+    most ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise;
+    both store the same floats.
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
@@ -950,33 +884,18 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         gens, residuals = _constraint_residuals(dynamics)
         if residuals:
-            norms = np.abs(_Plan(residuals, coordinates, directions)(start[None])[0]).max(axis=-1)
-            for gen, norm in zip(gens, norms):
+            _, residual = next(_evaluate(residuals, coordinates, directions, start[None]))
+            for gen, norm in zip(gens, np.abs(residual[0]).max(axis=-1)):
                 if norm > constraint_tol:
                     raise ConstraintViolation(
                         f"initial data violates {gen} constraint by {norm:.3e}"
                     )
 
-        field = dynamics.field()
-        rhs = _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
-        schedule = _schedule(rhs, coordinates, directions)
+        schedule = _field_schedule(dynamics.field(), coordinates, directions)
         values = np.zeros((steps + 1,) + start.shape)
         values[0] = start
-        if schedule is None:
-            _rk4_array(rhs, values, dt, coordinates, 0, steps)
-        else:
-            _rk4_scheduled(schedule, rhs, values, dt, coordinates)
+        _rk4(schedule, values, dt, coordinates)
     times = (initial.time,) + tuple(initial.time + step * dt for step in range(1, steps + 1))
-
-    odd = _odd_subsets(directions)
-    wrong = np.array([odd if gen.parity is Parity.EVEN else ~odd for gen in coordinates])
-    misplaced = values != 0
-    misplaced &= wrong
-    if misplaced.any():
-        step, row, _ = np.argwhere(misplaced)[0]
-        raise ParityViolation(
-            f"value for {coordinates[row]} has support of the wrong parity at step {step}"
-        )
     return Trajectory(dynamics, times, coordinates, _frozen(values), directions)
 
 
@@ -987,19 +906,17 @@ def conservation_report(
     coefficient-wise sup norm; raises on a quantity whose value, or
     deviation, is not finite on a stored state."""
     names = list(quantities)
-    plan = _Plan(
-        [quantities[name] for name in names], trajectory.coordinates, trajectory.directions
-    )
-    values = trajectory.values
+    exprs = [quantities[name] for name in names]
     start = None
     worst = np.zeros(len(names))
     # overflow is reported by the finiteness checks alone
     with np.errstate(over="ignore", invalid="ignore"):
-        firsts = range(0, len(values), plan.chunk)
-        for first, chunk in zip(firsts, plan.chunks(values)):
-            _finite_norms(chunk, first, [f"value of {name}" for name in names])
+        for first, values in _evaluate(
+            exprs, trajectory.coordinates, trajectory.directions, trajectory.values
+        ):
+            _finite_norms(values, first, [f"value of {name}" for name in names])
             if start is None:
-                start, chunk, first = chunk[0], chunk[1:], first + 1
-            norms = _finite_norms(chunk - start, first, [f"drift of {name}" for name in names])
+                start, values, first = values[0], values[1:], first + 1
+            norms = _finite_norms(values - start, first, [f"drift of {name}" for name in names])
             worst = np.maximum(worst, norms.max(axis=0, initial=0.0))
     return {name: float(value) for name, value in zip(names, worst)}

@@ -312,7 +312,7 @@ def test_simulate_number_out_of_float_range(problem_file, capsys, entries, colum
     )
 
 
-@pytest.mark.parametrize("directions", [0, 8], ids=["compiled-step", "array-path"])
+@pytest.mark.parametrize("directions", [0, 8], ids=["straight-line", "numpy-step"])
 def test_simulate_blowup_prints_one_line(problem_file, directions):
     # the finiteness check reports the overflow; numpy stays silent
     text = OSCILLATOR.replace("n = 0;", f"n = {directions};").replace(

@@ -33,7 +33,7 @@ from supermech import (
 )
 
 from supermech import numeric
-from supermech.numeric import _Plan, _rk4_array, _rk4_scheduled, _schedule
+from supermech.numeric import _evaluate, _field_schedule, _rk4, _Schedule
 
 from helpers import oracle_evaluate, oracle_product, random_expr, reference_rk4
 
@@ -225,6 +225,8 @@ def test_evaluate_matches_oracle_with_powers():
     for _ in range(25):
         expr = random_expr(rng, chart, 2, 4, 4)
         assert np.array_equal(evaluate(expr, state).coeffs, oracle_evaluate(expr, coeffs, 3))
+    # a constant needs no coordinate
+    assert evaluate(SuperExpr.constant(3), NumericState(0.0, {}, 3)) == scalar(3.0)
 
 
 def test_state_validation():
@@ -399,10 +401,9 @@ def test_trajectory_export_rows():
     assert rows[1] == "0.0\tq[0]\t0\t1.0"
 
 
-def test_integrate_checks_parity_of_stored_states(monkeypatch):
-    # no solved field breaks parity, so substitute one that drives the
-    # even velocity by an odd value
-    chart, dyn = superparticle_setup()
+def wrong_parity_field(chart):
+    """A field that drives the even velocity of the superparticle by its
+    odd coordinate; no solved dynamics breaks parity like this."""
     wrong = {
         chart.gen("q", 0): chart.coord("q", 1),
         chart.gen("q", 1): chart.coord("th", 0),
@@ -414,9 +415,24 @@ def test_integrate_checks_parity_of_stored_states(monkeypatch):
         def component(self, gen):
             return wrong[gen]
 
-    monkeypatch.setattr(Dynamics, "field", lambda self: WrongField())
-    with pytest.raises(ParityViolation, match="at step 1$"):
+    return WrongField()
+
+
+def test_integrate_checks_parity_of_stored_states(monkeypatch):
+    # a field that breaks parity has no schedule: integrate stops before
+    # the first step
+    chart, dyn = superparticle_setup()
+    monkeypatch.setattr(Dynamics, "field", lambda self: wrong_parity_field(chart))
+    wrong = r"^the field's component for q\[1\] has support of the wrong parity$"
+    with pytest.raises(ParityViolation, match=wrong):
         integrate(dyn, superparticle_state(chart, scalar(0.0, 2)), dt=0.1, t_end=1.0)
+    # a stored trajectory is checked when it is built, so that the reports,
+    # which read each value on the subsets of its parity, see all of it
+    coords = chart.at_order(1).coordinates()
+    values = np.zeros((3, len(coords), 4))
+    values[2, 1, 1] = 0.5
+    with pytest.raises(ParityViolation, match=r"^value for q\[1\] .* wrong parity at step 2$"):
+        Trajectory(dyn, (0.0, 0.1, 0.2), coords, values, 2)
 
 
 def coupled_setup():
@@ -503,9 +519,9 @@ def test_chunked_reports_match_per_state_evaluation(seed):
         values[:, row, odd if gen.parity is Parity.EVEN else ~odd] = 0.0
     traj = Trajectory(dyn, tuple(0.1 * i for i in range(2000)), coords, values, 8)
     exprs = [random_expr(rng, chart, 1, 2, 3) for _ in range(2)]
-    plan = _Plan(exprs, coords, 8)
-    assert plan.chunk < 2000
-    batched = np.concatenate(list(plan.chunks(values)))
+    schedule = _Schedule(exprs, coords, 8)
+    assert schedule.chunk < 2000
+    batched = np.concatenate([chunk for _, chunk, _ in schedule.evaluate(values)])
     single = np.array([[evaluate(e, state).coeffs for e in exprs] for state in traj.states])
     assert np.array_equal(batched, single)
 
@@ -521,6 +537,35 @@ def test_chunked_reports_match_per_state_evaluation(seed):
     )
 
 
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 200))
+def test_evaluation_on_nonzero_coefficients_stores_the_structural_floats(
+    seed, directions, exponent
+):
+    # coefficients that are zero in every state are left out of the
+    # products; states up to 1e200 overflow, and then the structural
+    # schedule takes over, so the bytes, NaNs and infinities included,
+    # are the structural schedule's
+    rng, draws = random.Random(seed), np.random.default_rng(seed)
+    chart = Chart.create(["q", "p"], ["a"], 1)
+    coords = chart.at_order(1).coordinates()
+    exprs = [random_expr(rng, chart, 1, 4, 4) for _ in range(3)]
+    states = np.array(
+        [
+            [random_state(rng, coords, directions, 0.0).get(gen).coeffs for gen in coords]
+            for _ in range(5)
+        ]
+    )
+    states[:, draws.random(states.shape[1:]) < 0.5] = 0.0
+    states *= 10.0**exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        pruned = [values for _, values in _evaluate(exprs, coords, directions, states)]
+        structural = [
+            values for _, values, _ in _Schedule(exprs, coords, directions).evaluate(states)
+        ]
+    assert np.concatenate(pruned).tobytes() == np.concatenate(structural).tobytes()
+
+
 def test_reports_name_a_quantity_that_is_not_finite():
     chart, dyn = superparticle_setup()
     coords = chart.at_order(1).coordinates()
@@ -533,6 +578,8 @@ def test_reports_name_a_quantity_that_is_not_finite():
         return Trajectory(dyn, (0.0, 0.1, 0.2, 0.3), coords, values, 2)
 
     assert conservation_report(run([1.0, 2.0, 4.0, 3.0], 0.0), {"speed": q1}) == {"speed": 3.0}
+    # all-zero states and no quantities leave nothing to evaluate
+    assert conservation_report(run(0.0, 0.0), {}) == {}
     with pytest.raises(NumericError, match="^non-finite value of energy at step 2$"):
         conservation_report(run([1.0, 2.0, 1e200, 3.0], 0.0), {"speed": q1, "energy": q1 * q1})
     with pytest.raises(NumericError, match="^non-finite drift of speed at step 1$"):
@@ -573,15 +620,9 @@ def random_state(rng, coordinates, directions, time):
     return NumericState(time, values, directions)
 
 
-def field_plan(dyn, directions):
-    coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
-    field = dyn.field()
-    return _Plan([field.component(gen) for gen in coordinates], coordinates, directions)
-
-
 def schedule_for(dyn, directions):
     coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
-    return _schedule(field_plan(dyn, directions), coordinates, directions)
+    return _field_schedule(dyn.field(), coordinates, directions)
 
 
 # ``_KERNEL_MAX_OPS`` values that send every field to one evaluation
@@ -589,50 +630,52 @@ EVALUATIONS = {"straight-line": 10**6, "numpy": 0}
 
 
 def run_both_paths(dyn, initial, dt, steps):
-    """The stored bytes, or the error text, of the array loop and then of
-    the scheduled steps, each from the same initial state."""
+    """The stored bytes, or the error text, of the straight-line and of the
+    numpy steps, each from the same initial state: the two must be equal,
+    and a finite run must store the floats of ``reference_rk4``."""
     coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
-    plan = field_plan(dyn, initial.directions)
-    schedule = _schedule(plan, coordinates, initial.directions)
-    assert schedule is not None
+    schedule = schedule_for(dyn, initial.directions)
     outcomes = []
-    for fill in (
-        lambda values: _rk4_array(plan, values, dt, coordinates, 0, steps),
-        lambda values: _rk4_scheduled(schedule, plan, values, dt, coordinates),
-    ):
+    for ops in EVALUATIONS.values():
         values = np.zeros((steps + 1, len(coordinates), 1 << initial.directions))
         values[0] = [initial.get(gen).coeffs for gen in coordinates]
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                fill(values)
+            with mock.patch.object(numeric, "_KERNEL_MAX_OPS", ops):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _rk4(schedule, values, dt, coordinates)
         except IntegrationError as exc:
             outcomes.append(str(exc))
         else:
             outcomes.append(values.tobytes())
-    return outcomes
+    straight_line, numpy_step = outcomes
+    assert straight_line == numpy_step
+    if isinstance(straight_line, bytes):
+        start = {gen: initial.get(gen).coeffs for gen in coordinates}
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = reference_rk4(dyn, start, initial.directions, dt, steps)
+        expected = np.array([[state[gen] for gen in coordinates] for state in reference])
+        assert expected.tobytes() == straight_line
+    return straight_line
 
 
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.375]))
 def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
-    # every field here takes the straight-line step, however large, so
-    # that it is compared on all of them; integrate then takes it too
+    # both evaluations store the same floats on every random field, and
+    # integrate stores them too
     rng = random.Random(seed)
     dyn = random_field_dynamics(rng, Chart.create(["q", "p"], ["a"], 1))
     coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
     initial = random_state(rng, coordinates, directions, time)
     dt, steps = rng.choice([0.01, 0.1, 0.5]), rng.randint(1, 12)
-    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", 10**6):
-        array, compiled = run_both_paths(dyn, initial, dt, steps)
-        assert compiled == array
-        try:
-            trajectory = integrate(dyn, initial, dt=dt, t_end=time + steps * dt)
-        except IntegrationError as exc:
-            assert str(exc) == array
-            return
-    assert trajectory.values.tobytes() == array
-    # the times the array loop appended, one step at a time, zero signs
-    # included
+    outcome = run_both_paths(dyn, initial, dt, steps)
+    try:
+        trajectory = integrate(dyn, initial, dt=dt, t_end=time + steps * dt)
+    except IntegrationError as exc:
+        assert str(exc) == outcome
+        return
+    assert trajectory.values.tobytes() == outcome
+    # the times appended one step at a time, zero signs included
     expected = [time] + [time + step * dt for step in range(1, steps + 1)]
     assert np.array(trajectory.times).tobytes() == np.array(expected).tobytes()
 
@@ -640,8 +683,8 @@ def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
 @settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 150))
 def test_numpy_step_stores_the_array_paths_floats(seed, directions, exponent):
-    # every field here takes the numpy step; states scaled up to 1e150
-    # overflow inside a step, which is then retaken by the array loop
+    # states scaled up to 1e150 overflow inside a step, which both
+    # evaluations then report alike
     rng = random.Random(seed)
     dyn = random_field_dynamics(rng, Chart.create(["q", "p"], ["a"], 1))
     coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
@@ -651,15 +694,14 @@ def test_numpy_step_stores_the_array_paths_floats(seed, directions, exponent):
         0.0, {gen: value * scale for gen, value in drawn.values.items()}, directions
     )
     dt, steps = rng.choice([0.01, 0.1, 0.5]), rng.randint(1, 12)
+    outcome = run_both_paths(dyn, initial, dt, steps)
     with mock.patch.object(numeric, "_KERNEL_MAX_OPS", 0):
-        array, scheduled = run_both_paths(dyn, initial, dt, steps)
-        assert scheduled == array
         try:
             trajectory = integrate(dyn, initial, dt=dt, t_end=steps * dt)
         except IntegrationError as exc:
-            assert str(exc) == array
+            assert str(exc) == outcome
         else:
-            assert trajectory.values.tobytes() == array
+            assert trajectory.values.tobytes() == outcome
 
 
 def quartic_dynamics():
@@ -684,20 +726,19 @@ def test_blowup_raises_the_same_error_on_both_paths(evaluation, directions):
     if directions:
         values[chart.gen("a", 0)] = g(0, directions) + g(1, directions)
     initial = NumericState(0.0, values, directions)
+    outcome = run_both_paths(dyn, initial, 1e-2, 1000)
+    assert outcome.startswith("non-finite value for q[")
     with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
-        array, scheduled = run_both_paths(dyn, initial, 1e-2, 1000)
-        assert array == scheduled
-        assert array.startswith("non-finite value for q[")
         with pytest.raises(IntegrationError) as raised:
             integrate(dyn, initial, dt=1e-2, t_end=10.0)
-    assert str(raised.value) == array
+    assert str(raised.value) == outcome
 
 
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
 def test_compiled_step_leaves_overflowing_steps_to_the_array_path(evaluation):
-    # q^2 overflows, but p is zero, so the array path drops the product
-    # q^2 * p and the state stays finite; the schedule multiplies inf by
-    # zero, so every step is retaken by the array loop
+    # q^2 overflows and p is zero: the product q^2 * p pairs inf with the
+    # structural coefficient of p, 0.0, into a NaN on both evaluations,
+    # whatever a product of the values alone would drop
     chart = Chart.create(["q", "p"], [], 1)
     q0, p0 = chart.coord("q", 0), chart.coord("p", 0)
     forces = {
@@ -708,21 +749,18 @@ def test_compiled_step_leaves_overflowing_steps_to_the_array_path(evaluation):
     values = {gen: scalar(0.0, 0) for gen in chart.at_order(1).coordinates()}
     values[chart.gen("q", 0)] = scalar(1e200, 0)
     initial = NumericState(0.0, values, 0)
+    outcome = run_both_paths(dyn, initial, 0.1, 10)
+    assert outcome == "non-finite value for q[0] at step 1"
     with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
-        array, scheduled = run_both_paths(dyn, initial, 0.1, 10)
-        assert scheduled == array
-        with mock.patch.object(numeric, "_rk4_array", wraps=_rk4_array) as retake:
-            trajectory = integrate(dyn, initial, dt=0.1, t_end=1.0)
-    assert retake.call_count == 10
-    assert trajectory.values.tobytes() == array
-    assert trajectory.values[:, 0, 0].tolist() == [1e200] * 11
+        with pytest.raises(IntegrationError, match=r"^non-finite value for q\[0\] at step 1$"):
+            integrate(dyn, initial, dt=0.1, t_end=1.0)
 
 
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
 def test_an_overflow_that_no_pair_reads_is_retaken(evaluation):
     # at n=0 the odd a has no coefficients, so no pair reads 1e10*q in
-    # 1e10*q*a; that value overflows, and the array path, whose product
-    # keeps the pair for q*p too, multiplies it by a's zero into a NaN
+    # 1e10*q*a: that value overflows, but it is no part of any product's
+    # support, so both evaluations store the same finite states
     chart = Chart.create(["q", "p"], ["a"], 1)
     q0, p0, a0 = chart.coord("q", 0), chart.coord("p", 0), chart.coord("a", 0)
     forces = {
@@ -735,15 +773,33 @@ def test_an_overflow_that_no_pair_reads_is_retaken(evaluation):
     values[chart.gen("q", 0)] = scalar(1e300, 0)
     values[chart.gen("p", 0)] = scalar(1e-300, 0)
     initial = NumericState(0.0, values, 0)
+    outcome = run_both_paths(dyn, initial, 0.1, 5)
+    assert isinstance(outcome, bytes)
     with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
-        array, scheduled = run_both_paths(dyn, initial, 0.1, 5)
-    assert scheduled == array == "non-finite value for a[0] at step 1"
+        trajectory = integrate(dyn, initial, dt=0.1, t_end=0.5)
+    assert trajectory.values.tobytes() == outcome
+    assert np.isfinite(trajectory.values).all()
+
+
+def test_a_quantity_does_not_depend_on_what_is_evaluated_with_it():
+    # q^2*p overflows into inf*0: a NaN whether or not q*r, whose factor
+    # r is nonzero, is evaluated in the same report
+    chart = Chart.create(["q", "p", "r"], [], 1)
+    q0, p0, r0 = (chart.coord(name, 0) for name in "qpr")
+    coords = chart.at_order(0).coordinates()
+    values = np.array([[[1e200], [0.0], [1.0]]])
+    dyn = Dynamics(SuperLagrangian(chart, SuperExpr.zero()), {}, {})
+    trajectory = Trajectory(dyn, (0.0,), coords, values, 0)
+    a, b = q0**2 * p0, q0 * r0
+    for quantities in ({"a": a}, {"a": a, "b": b}):
+        with pytest.raises(NumericError, match="^non-finite value of a at step 0$"):
+            conservation_report(trajectory, quantities)
+    assert not np.isfinite(evaluate(a, trajectory.states[0]).coeffs).all()
 
 
 def test_which_path_each_system_takes():
     # the shipped problems take the straight-line step and an n=8 state
-    # the numpy step, while a field that breaks parity has no schedule: it
-    # keeps the array loop and its ParityViolation
+    # the numpy step, while a field that breaks parity has no schedule
     for name in ("oscillator", "ostrogradski", "superparticle"):
         problem = parse_problem((PROBLEMS / f"{name}.sm").read_text(encoding="utf-8"))
         dyn = solve_dynamics(problem.lagrangian())
@@ -752,21 +808,15 @@ def test_which_path_each_system_takes():
     chart, dyn = superparticle_setup()
     assert schedule_for(dyn, 8).ops > numeric._KERNEL_MAX_OPS
     assert schedule_for(dyn, 2).ops <= numeric._KERNEL_MAX_OPS
-    # the field of test_integrate_checks_parity_of_stored_states
     coordinates = chart.at_order(1).coordinates()
-    wrong = {
-        chart.gen("q", 0): chart.coord("q", 1),
-        chart.gen("q", 1): chart.coord("th", 0),
-        chart.gen("th", 0): chart.coord("th", 1),
-        chart.gen("th", 1): SuperExpr.zero(),
-    }
-    plan = _Plan([wrong[gen] for gen in coordinates], coordinates, 2)
-    assert _schedule(plan, coordinates, 2) is None
+    with pytest.raises(ParityViolation, match=r"q\[1\] has support of the wrong parity"):
+        _field_schedule(wrong_parity_field(chart), coordinates, 2)
 
 
 def test_schedule_is_built_once_per_run():
-    # a finite n=6 run with powers and products never calls the batched
-    # product: the schedule, built before the first step, holds every pair
+    # a finite n=6 run with powers and products never calls the product
+    # of two values: the schedule, built before the first step, holds
+    # every pair
     chart, dyn = quartic_dynamics()
     coordinates = chart.at_order(1).coordinates()
     initial = random_state(random.Random(7), coordinates, 6, 0.0)
@@ -775,7 +825,3 @@ def test_schedule_is_built_once_per_run():
         trajectory = integrate(dyn, initial, dt=0.01, t_end=0.2)
     assert product.call_count == 0
     assert np.isfinite(trajectory.values).all()
-    # the array loop calls it in every stage of every step
-    with mock.patch.object(numeric, "_product", wraps=numeric._product) as product:
-        _rk4_array(field_plan(dyn, 6), trajectory.values.copy(), 0.01, coordinates, 0, 20)
-    assert product.call_count > 4 * 20
