@@ -74,6 +74,34 @@ def coefficient_text(value: int | Fraction) -> str:
         ) from None
 
 
+def signed_sum(terms: Iterable[str]) -> str:
+    """Write a sum of signed terms: the first as it is, then `` - x`` for a
+    term ``-x`` and `` + x`` for any other; ``0`` when there is none.  The
+    text, LaTeX and problem-file printers all write their sums here."""
+    chunks: list[str] = []
+    for text in terms:
+        if not chunks:
+            chunks.append(text)
+        elif text.startswith("-"):
+            chunks.append(f" - {text[1:]}")
+        else:
+            chunks.append(f" + {text}")
+    return "".join(chunks) or "0"
+
+
+def scaled(coeff: str, body: str, separator: str) -> str:
+    """One term of a sum, a written coefficient times a written body: a
+    coefficient ``1`` is dropped, ``-1`` becomes a sign, and a coefficient
+    with no body is written alone."""
+    if not body:
+        return coeff
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return f"-{body}"
+    return f"{coeff}{separator}{body}"
+
+
 class GeneratorSymbol:
     """A single jet coordinate, e.g. the first derivative of q.
 
@@ -332,27 +360,10 @@ class SuperExpr:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for key, coeff in self.items():
-            body = _format_monomial(key)
-            if body:
-                if coeff == 1:
-                    text = body
-                elif coeff == -1:
-                    text = f"-{body}"
-                else:
-                    text = f"{coefficient_text(coeff)}*{body}"
-            else:
-                text = coefficient_text(coeff)
-            if not chunks:
-                chunks.append(text)
-            elif text.startswith("-"):
-                chunks.append(f" - {text[1:]}")
-            else:
-                chunks.append(f" + {text}")
-        return "".join(chunks)
+        return signed_sum(
+            scaled(coefficient_text(coeff), _format_monomial(key), "*")
+            for key, coeff in self.items()
+        )
 
     def __repr__(self) -> str:
         return f"SuperExpr({self})"

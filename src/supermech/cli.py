@@ -11,8 +11,9 @@ Three subcommands work on problem files:
 
 Reports are JSON on stdout (``--emit latex`` switches derive to LaTeX
 lines).  Exit code 0 means success, 1 a mathematical failure (not a
-symmetry, not regular, drift out of tolerance), 2 bad usage or input.
-Output is deterministic: identical inputs give identical bytes.
+symmetry, not regular, drift out of tolerance), 2 bad usage or input,
+or a stdout closed before the report is written.  Output is
+deterministic: identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -20,17 +21,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import AlgebraError, SuperExpr, coefficient_text
-from .forms import FormError, GradedForm
+from .algebra import (
+    AlgebraError,
+    GeneratorSymbol,
+    SuperExpr,
+    TermKey,
+    coefficient_text,
+    scaled,
+    signed_sum,
+)
+from .forms import FormError, GradedForm, WedgeWord, grouped_coefficient
 from .jets import JetError
 from .lagrangian import (
     CartanData,
     LagrangianError,
-    NotRegular,
     NotSymmetry,
     Regularity,
     cartan_data,
@@ -60,10 +69,6 @@ _GREEK = {
 
 
 class _InputFailure(Exception):
-    pass
-
-
-class _MathFailure(Exception):
     pass
 
 
@@ -130,24 +135,21 @@ def main(argv=None) -> int:
             output = run_simulate(
                 problem, tol=args.tol, trajectory_out=args.trajectory_out
             )
-    except _InputFailure as exc:
+        text, code = output if isinstance(output, tuple) else (output, 0)
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"supermech: {exc}", file=sys.stderr)
         return 2
-    except (ProblemError, OSError) as exc:
+    except (_InputFailure, ProblemError, OSError) as exc:
         print(f"supermech: {exc}", file=sys.stderr)
         return 2
-    except _MathFailure as exc:
-        print(f"supermech: {exc}", file=sys.stderr)
-        return 1
     except (LagrangianError, NumericError, FormError, JetError, AlgebraError) as exc:
         print(f"supermech: {exc}", file=sys.stderr)
         return 1
-
-    if isinstance(output, tuple):
-        text, code = output
-    else:
-        text, code = output, 0
-    print(text)
     return code
 
 
@@ -173,20 +175,6 @@ def run_derive(problem: ProblemFile, emit: str = "json"):
         return _derive_latex(data), code
 
     chart = lag.chart
-    forces: dict[str, str] = {}
-    constraints: dict[str, str] = {}
-    if regular:
-        dynamics = data.dynamics
-        forces = {
-            str(gen): str(expr)
-            for gen, expr in sorted(dynamics.forces.items(), key=lambda it: it[0].sort_key)
-        }
-        constraints = {
-            str(gen): str(expr)
-            for gen, expr in sorted(
-                dynamics.constraints.items(), key=lambda it: it[0].sort_key
-            )
-        }
     report = {
         "schema": SCHEMA_VERSION,
         "command": "derive",
@@ -205,10 +193,17 @@ def run_derive(problem: ProblemFile, emit: str = "json"):
         },
         "regularity": data.regularity.verdict.value,
         "regular": regular,
-        "forces": forces,
-        "constraints": constraints,
+        "forces": _by_coordinate(data.dynamics.forces) if regular else {},
+        "constraints": _by_coordinate(data.dynamics.constraints) if regular else {},
     }
     return _render(report), code
+
+
+def _by_coordinate(exprs: Mapping[GeneratorSymbol, SuperExpr]) -> dict[str, str]:
+    """Expressions keyed by coordinate, written in coordinate order."""
+    return {
+        str(gen): str(exprs[gen]) for gen in sorted(exprs, key=lambda gen: gen.sort_key)
+    }
 
 
 def _derive_latex(data: CartanData) -> str:
@@ -295,10 +290,7 @@ def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
         raise _InputFailure("the problem file has no simulate block")
     lag = problem.lagrangian()
     data = cartan_data(lag)
-    try:
-        dynamics = data.dynamics
-    except NotRegular as exc:
-        raise _MathFailure(str(exc)) from exc
+    dynamics = data.dynamics  # NotRegular -> exit 1
 
     quantities: dict[str, SuperExpr] = {"energy": data.energy}
     for name in problem.symmetries:
@@ -351,62 +343,32 @@ def _latex_fraction(value: Fraction) -> str:
     return rf"{sign}\tfrac{{{numerator}}}{{{coefficient_text(value.denominator)}}}"
 
 
+def _latex_generator(gen: GeneratorSymbol) -> str:
+    return rf"{latex_name(gen.name)}_{{{gen.jet_order}}}"
+
+
+def _latex_monomial(key: TermKey) -> str:
+    even, odd = key
+    factors = [_latex_generator(g) + (rf"^{{{e}}}" if e > 1 else "") for g, e in even]
+    factors.extend(_latex_generator(g) for g in odd)
+    return r" \, ".join(factors)
+
+
 def latex_expr(expr: SuperExpr) -> str:
-    if expr.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for (even, odd), coeff in expr.items():
-        factors = [
-            rf"{latex_name(g.name)}_{{{g.jet_order}}}"
-            + (rf"^{{{e}}}" if e > 1 else "")
-            for g, e in even
-        ]
-        factors.extend(rf"{latex_name(g.name)}_{{{g.jet_order}}}" for g in odd)
-        body = r" \, ".join(factors)
-        if body:
-            if coeff == 1:
-                text = body
-            elif coeff == -1:
-                text = f"-{body}"
-            else:
-                text = rf"{_latex_fraction(coeff)} \, {body}"
-        else:
-            text = _latex_fraction(coeff)
-        if not chunks:
-            chunks.append(text)
-        elif text.startswith("-"):
-            chunks.append(f" - {text[1:]}")
-        else:
-            chunks.append(f" + {text}")
-    return "".join(chunks)
+    return signed_sum(
+        scaled(_latex_fraction(coeff), _latex_monomial(key), r" \, ")
+        for key, coeff in expr.items()
+    )
 
 
 def latex_form(form: GradedForm) -> str:
-    if form.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for word, coeff in form.items():
-        differentials = r" \wedge ".join(
-            rf"\mathrm{{d}}{latex_name(g.name)}_{{{g.jet_order}}}" for g in word
-        )
-        coeff_text = latex_expr(coeff)
-        if not word:
-            text = coeff_text
-        elif coeff_text == "1":
-            text = differentials
-        elif coeff_text == "-1":
-            text = f"-{differentials}"
-        elif "+" in coeff_text or " - " in coeff_text:
-            text = rf"\left( {coeff_text} \right) {differentials}"
-        else:
-            text = rf"{coeff_text} \, {differentials}"
-        if not chunks:
-            chunks.append(text)
-        elif text.startswith("-"):
-            chunks.append(f" - {text[1:]}")
-        else:
-            chunks.append(f" + {text}")
-    return "".join(chunks)
+    def term(word: WedgeWord, coeff: SuperExpr) -> str:
+        differentials = r" \wedge ".join(rf"\mathrm{{d}}{_latex_generator(g)}" for g in word)
+        if grouped_coefficient(coeff, word):
+            return rf"\left( {latex_expr(coeff)} \right) {differentials}"
+        return scaled(latex_expr(coeff), differentials, r" \, ")
+
+    return signed_sum(term(word, coeff) for word, coeff in form.items())
 
 
 if __name__ == "__main__":

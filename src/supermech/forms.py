@@ -25,6 +25,8 @@ from .algebra import (
     SuperExpr,
     left_partial,
     parity_of,
+    scaled,
+    signed_sum,
 )
 from .jets import DomainMismatch, OrderExceeded, VectorFieldAlong, total_derivative as expr_total_derivative
 
@@ -174,35 +176,23 @@ class GradedForm:
         return hash(frozenset((w, hash(c)) for w, c in self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for word, coeff in self.items():
-            body = "^".join(f"d({g})" for g in word)
-            text = _format_term(coeff, body)
-            if not chunks:
-                chunks.append(text)
-            elif text.startswith("-"):
-                chunks.append(f" - {text[1:]}")
-            else:
-                chunks.append(f" + {text}")
-        return "".join(chunks)
+        return signed_sum(
+            scaled(
+                f"({coeff})" if grouped_coefficient(coeff, word) else str(coeff),
+                "^".join(f"d({g})" for g in word),
+                "*",
+            )
+            for word, coeff in self.items()
+        )
 
     def __repr__(self) -> str:
         return f"GradedForm({self})"
 
 
-def _format_term(coeff: SuperExpr, body: str) -> str:
-    if not body:
-        return str(coeff)
-    text = str(coeff)
-    if text == "1":
-        return body
-    if text == "-1":
-        return f"-{body}"
-    if " " in text:
-        return f"({text})*{body}"
-    return f"{text}*{body}"
+def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
+    """Whether a printed form writes this coefficient in parentheses: it
+    has more than one term and differentials follow it."""
+    return bool(word) and len(coeff._terms) > 1
 
 
 def _parity_parts(expr: SuperExpr) -> list[tuple[SuperExpr, int]]:

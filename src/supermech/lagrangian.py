@@ -745,6 +745,20 @@ def _integrate_total_derivative(target: SuperExpr) -> SuperExpr:
     })
 
 
+def _rate(x_field: VectorFieldAlong, lag: SuperLagrangian) -> SuperExpr:
+    """X^(k)(L): the change of the Lagrangian along the k-th lift of the
+    field."""
+    return lift_vector_field(x_field, lag.order).apply(lag.expr)
+
+
+def _momentum_pairing(x_field: VectorFieldAlong, data: CartanData) -> SuperExpr:
+    """The (k-1)-th lift of the field paired against the momentum
+    components; a charge is this minus the generating function."""
+    k = data.lagrangian.order
+    lifted = lift_vector_field(x_field, k - 1).widen_target(3 * k - 2)
+    return pair(lifted, data.theta_check)
+
+
 def check_symmetry(
     x_field: VectorFieldAlong, lag: SuperLagrangian
 ) -> SuperExpr:
@@ -766,7 +780,7 @@ def check_symmetry(
     k = lag.order
     if x_field.source_order != 0 or x_field.target_order != 2 * k - 1:
         raise OrderExceeded("symmetry candidates are fields along the projection to the base")
-    rate = lift_vector_field(x_field, k).apply(lag.expr)
+    rate = _rate(x_field, lag)
     certificate: dict[str, SuperExpr] = {}
     for base in chart.at_order(0).coordinates():
         vd = variational_derivative(rate, base)
@@ -797,8 +811,7 @@ def noether_charge(
     dynamics."""
     data = data or cartan_data(lag)
     k = lag.order
-    lifted = lift_vector_field(x_field, k - 1)
-    charge = pair(lifted.widen_target(3 * k - 2), data.theta_check) - generating
+    charge = _momentum_pairing(x_field, data) - generating
     if charge.max_jet_order() > 2 * k - 1:
         raise NotProjectable(
             f"charge involves jet order {charge.max_jet_order()}, above {2 * k - 1}"
@@ -849,11 +862,8 @@ def noether_inverse(
     generating function is the momentum pairing minus the quantity.  The
     defining identity of the symmetry is re-verified exactly."""
     data = data or cartan_data(lag)
-    k = lag.order
     witness = conservation_witness(g_expr, lag, data, max_degree)
-    lifted = lift_vector_field(witness, k - 1)
-    generating = pair(lifted.widen_target(3 * k - 2), data.theta_check) - g_expr
-    rate = lift_vector_field(witness, k).apply(lag.expr)
-    if rate != expr_total_derivative(generating):
+    generating = _momentum_pairing(witness, data) - g_expr
+    if _rate(witness, lag) != expr_total_derivative(generating):
         raise LagrangianError("recovered symmetry failed the defining identity")
     return witness, generating

@@ -37,7 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import GeneratorSymbol, Parity, SuperExpr, parity_of, parity_product
+from .algebra import (
+    GeneratorSymbol,
+    Parity,
+    SuperExpr,
+    parity_of,
+    parity_product,
+    scaled,
+    signed_sum,
+)
 from .jets import Chart, VectorFieldAlong
 from .lagrangian import SuperLagrangian
 from .numeric import GrassmannValue, NumericState
@@ -621,17 +629,13 @@ def _format_float(value: float) -> str:
 
 
 def _format_grassmann(value: GrassmannValue) -> str:
-    chunks: list[str] = []
-    for mask in range(len(value.coeffs)):
-        coeff = float(value.coeffs[mask])
-        if coeff == 0.0:
-            continue
-        factors = "".join(
-            f"*g[{i}]" for i in range(value.directions) if mask >> i & 1
+    terms = [
+        scaled(
+            _format_float(float(coeff)),
+            "*".join(f"g[{i}]" for i in range(value.directions) if mask >> i & 1),
+            "*",
         )
-        body = f"{_format_float(abs(coeff))}{factors}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks) or "0.0"
+        for mask, coeff in enumerate(value.coeffs)
+        if coeff != 0.0
+    ]
+    return signed_sum(terms) if terms else "0.0"

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from supermech import lagrangian
-from supermech.cli import main
+from supermech import Chart, GradedForm, SuperExpr, format_problem, lagrangian, parse_problem
+from supermech.cli import latex_expr, latex_form, main
 
 ROOT = Path(__file__).parent
 PROBLEMS = ROOT.parent / "problems"
@@ -245,7 +246,8 @@ def test_simulate_degenerate_is_math_failure(problem_file, capsys):
     code = main(["simulate", problem_file(text)])
     captured = capsys.readouterr()
     assert code == 1
-    assert "degenerate" in captured.err
+    assert captured.out == ""
+    assert captured.err == "supermech: Lagrangian is degenerate\n"
 
 
 def test_simulate_coefficient_out_of_float_range(problem_file, capsys):
@@ -312,21 +314,27 @@ def test_simulate_number_out_of_float_range(problem_file, capsys, entries, colum
     )
 
 
+def run_cli(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m supermech.cli`` in a child process that imports the
+    package from this checkout."""
+    source = str(ROOT.parent / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "supermech.cli", *args],
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+        **kwargs,
+    )
+
+
 @pytest.mark.parametrize("directions", [0, 8], ids=["straight-line", "numpy-step"])
 def test_simulate_blowup_prints_one_line(problem_file, directions):
     # the finiteness check reports the overflow; numpy stays silent
     text = OSCILLATOR.replace("n = 0;", f"n = {directions};").replace(
         "init q[0] = 1.0;\n    init q[1] = 0.0;", "init q[0] = 1e308;\n    init q[1] = 1e308;"
     )
-    source = str(ROOT.parent / "src")
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "supermech.cli", "simulate", problem_file(text)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=False,
-    )
+    result = run_cli(["simulate", problem_file(text)], capture_output=True)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "supermech: non-finite value for q[0] at step 1\n"
@@ -338,15 +346,7 @@ def test_simulate_overflowing_conserved_quantity_fails(problem_file):
     text = OSCILLATOR.replace("init q[0] = 1.0;", "init q[0] = 1e200;").replace(
         "t = 1.0;", "t = 0.01;"
     )
-    source = str(ROOT.parent / "src")
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "supermech.cli", "simulate", problem_file(text)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=False,
-    )
+    result = run_cli(["simulate", problem_file(text)], capture_output=True)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "supermech: non-finite value of energy at step 0\n"
@@ -461,6 +461,53 @@ def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeyp
     assert calls == {"_solve_rational": 2, "check_constant_of_motion": 1}
 
 
+# -- rendering -------------------------------------------------------------
+
+
+def test_sums_of_terms_are_written_one_way():
+    # the reference outputs hold no coefficient of several terms before a
+    # differential and no negative or zero Grassmann coefficient
+    chart = Chart.create(["q"], ["th"], 1)
+    q0, q1, th0 = chart.coord("q", 0), chart.coord("q", 1), chart.coord("th", 0)
+    several = -(q1 * q1 - 2 * q0 + Fraction(1, 2))
+    form = (
+        GradedForm.term(several, [chart.gen("q", 0)])
+        + GradedForm.term(Fraction(-3, 4) * q1, [chart.gen("q", 1)])
+        + GradedForm.term(SuperExpr.constant(-1), [chart.gen("th", 0)])
+        + GradedForm.term(Fraction(2, 3) * th0, [chart.gen("q", 0), chart.gen("th", 1)])
+        + GradedForm.term(SuperExpr.constant(1), [chart.gen("th", 1)])
+    )
+    assert str(form) == (
+        "(-1/2 + 2*q[0] - q[1]^2)*d(q[0]) + 2/3*th[0]*d(q[0])^d(th[1])"
+        " - 3/4*q[1]*d(q[1]) - d(th[0]) + d(th[1])"
+    )
+    assert latex_form(form) == (
+        r"\left( -\tfrac{1}{2} + 2 \, q_{0} - q_{1}^{2} \right) \mathrm{d}q_{0}"
+        r" + \tfrac{2}{3} \, \theta_{0} \, \mathrm{d}q_{0} \wedge \mathrm{d}\theta_{1}"
+        r" - \tfrac{3}{4} \, q_{1} \, \mathrm{d}q_{1} - \mathrm{d}\theta_{0} + \mathrm{d}\theta_{1}"
+    )
+    zero_form = GradedForm.from_function(several)
+    assert str(zero_form) == "-1/2 + 2*q[0] - q[1]^2"
+    assert latex_form(zero_form) == r"-\tfrac{1}{2} + 2 \, q_{0} - q_{1}^{2}"
+    expr = Fraction(-3, 4) * q1 * th0 - q0 + Fraction(5, 2) * q1 * q1
+    assert str(expr) == "-q[0] - 3/4*q[1]*th[0] + 5/2*q[1]^2"
+    assert latex_expr(expr) == (
+        r"-q_{0} - \tfrac{3}{4} \, q_{1} \, \theta_{0} + \tfrac{5}{2} \, q_{1}^{2}"
+    )
+    init = "init q[0] = -0.0;\n    init q[1] = -1.5 - 2.0*g[0]*g[1];"
+    problem = parse_problem(
+        SUPERPARTICLE.replace("init q[1] = 1.0;", init).replace(
+            "init th[0] = 1.0*g[0];", "init th[0] = -0.0*g[1] - 0.25*g[0];"
+        )
+    )
+    assert format_problem(problem).endswith(
+        "    init q[0] = 0.0;\n"
+        "    init q[1] = -1.5 - 2.0*g[0]*g[1];\n"
+        "    init th[0] = -0.25*g[0];\n"
+        "}\n"
+    )
+
+
 # -- usage and input errors ------------------------------------------------
 
 
@@ -501,6 +548,29 @@ def test_coefficient_too_long_to_print_is_math_failure(problem_file, capsys, emi
     assert captured.err.startswith("supermech: ")
     assert "4300 digits" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["derive", "superparticle.sm"], ["simulate", "oscillator.sm"]],
+    ids=["derive", "simulate"],
+)
+def test_closed_stdout_is_one_message(argv):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_cli(
+            [argv[0], str(PROBLEMS / argv[1])], stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("supermech: ")
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 def test_unknown_subcommand_is_usage_error(problem_file, capsys):

@@ -660,7 +660,7 @@ def run_both_paths(dyn, initial, dt, steps):
 
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.375]))
-def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
+def test_straight_line_and_numpy_steps_store_reference_rk4_floats(seed, directions, time):
     # both evaluations store the same floats on every random field, and
     # integrate stores them too
     rng = random.Random(seed)
@@ -682,7 +682,7 @@ def test_compiled_step_stores_the_array_paths_floats(seed, directions, time):
 
 @settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 150))
-def test_numpy_step_stores_the_array_paths_floats(seed, directions, exponent):
+def test_numpy_step_matches_straight_line_and_reference_rk4_at_scale(seed, directions, exponent):
     # states scaled up to 1e150 overflow inside a step, which both
     # evaluations then report alike
     rng = random.Random(seed)
@@ -735,7 +735,7 @@ def test_blowup_raises_the_same_error_on_both_paths(evaluation, directions):
 
 
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
-def test_compiled_step_leaves_overflowing_steps_to_the_array_path(evaluation):
+def test_straight_line_and_numpy_steps_fail_alike_on_inf_times_zero(evaluation):
     # q^2 overflows and p is zero: the product q^2 * p pairs inf with the
     # structural coefficient of p, 0.0, into a NaN on both evaluations,
     # whatever a product of the values alone would drop
@@ -757,7 +757,7 @@ def test_compiled_step_leaves_overflowing_steps_to_the_array_path(evaluation):
 
 
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
-def test_an_overflow_that_no_pair_reads_is_retaken(evaluation):
+def test_an_overflow_that_no_pair_reads_leaves_both_steps_on_reference_rk4(evaluation):
     # at n=0 the odd a has no coefficients, so no pair reads 1e10*q in
     # 1e10*q*a: that value overflows, but it is no part of any product's
     # support, so both evaluations store the same finite states
