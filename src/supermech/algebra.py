@@ -102,6 +102,16 @@ def scaled(coeff: str, body: str, separator: str) -> str:
     return f"{coeff}{separator}{body}"
 
 
+def koszul(expr: "SuperExpr", odd: int) -> "SuperExpr":
+    """``expr`` after an object of parity ``odd`` (0 or 1) moves past it
+    (the Koszul rule): unchanged when ``odd`` is 0, and with its odd part
+    negated, the grade involution, when ``odd`` is 1.  Every sign of
+    moving past an expression is decided here."""
+    if not odd:
+        return expr
+    return SuperExpr({key: -c if len(key[1]) % 2 else c for key, c in expr._terms.items()})
+
+
 class GeneratorSymbol:
     """A single jet coordinate, e.g. the first derivative of q.
 

@@ -23,8 +23,8 @@ from .algebra import (
     GeneratorSymbol,
     Parity,
     SuperExpr,
+    koszul,
     left_partial,
-    parity_of,
     scaled,
     signed_sum,
 )
@@ -161,10 +161,9 @@ class GradedForm:
         # move each coefficient of other (degree 0) to the left across
         # the differentials of self
         return GradedForm.sum(
-            GradedForm.term((-1 if (_word_parity(w1) and part_parity) else 1) * f1 * part, w1 + w2)
+            GradedForm.term(f1 * koszul(f2, _word_parity(w1)), w1 + w2)
             for w1, f1 in self._terms.items()
             for w2, f2 in other._terms.items()
-            for part, part_parity in _parity_parts(f2)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -195,24 +194,13 @@ def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
     return bool(word) and len(coeff._terms) > 1
 
 
-def _parity_parts(expr: SuperExpr) -> list[tuple[SuperExpr, int]]:
-    even, odd = expr.parity_split()
-    parts: list[tuple[SuperExpr, int]] = []
-    if not even.is_zero():
-        parts.append((even, 0))
-    if not odd.is_zero():
-        parts.append((odd, 1))
-    return parts
-
-
 def differential_of_function(f: SuperExpr) -> GradedForm:
     """df as a one-form, coefficients moved to the left of the
     differentials with the Koszul sign."""
-    return GradedForm.sum(
-        GradedForm({(gen,): (-1 if (gen.parity.value and part_parity) else 1) * part})
+    return GradedForm({
+        (gen,): koszul(left_partial(f, gen), gen.parity.value)
         for gen in sorted(f.generators(), key=lambda g: g.sort_key)
-        for part, part_parity in _parity_parts(left_partial(f, gen))
-    )
+    })
 
 
 def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
@@ -242,8 +230,13 @@ def total_derivative(form: GradedForm) -> GradedForm:
 def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
     """Left interior product with a field along a projection.
 
-    Acts as a graded derivation of degree -1 and the field's parity; on a
-    one-form term ``f dx`` it gives ``(-1)^{|X||f|} f X(x)``.
+    Acts as a graded derivation of degree -1 and the field's parity, so
+    it is a sum over positions: on ``f dx_0 ^ ... ^ dx_p`` position t
+    gives ``(-1)^(t + |x_t| n_t) koszul(f, |X|) X(x_t)`` on the word
+    without ``dx_t``, with n_t the odd differentials before t: passing
+    the first t letters gives ``(-1)^(t + |X| n_t)``, moving ``X(x_t)``
+    left past them ``(-1)^((|X| + |x_t|) n_t)``.  Removing a letter leaves
+    a canonical word.
     """
     x_parity = x_field.parity.value
     max_jet = form.differential_order()
@@ -251,24 +244,18 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
         raise DomainMismatch(
             f"form has differentials of jet order {max_jet}, field source is T^{x_field.source_order}"
         )
-
-    def contract_word(word: WedgeWord) -> GradedForm:
-        if not word:
-            return GradedForm.zero()
-        head, rest = word[0], word[1:]
-        sign = -1 if (1 + x_parity * head.parity.value) % 2 else 1
-        return GradedForm.sum((
-            GradedForm.term(x_field.component(head), rest),
-            GradedForm.differential(head).wedge(contract_word(rest)).scale(sign),
-        ))
-
-    contracted = [(contract_word(word), coeff) for word, coeff in form._terms.items()]
-    return GradedForm.sum(
-        form_part.scale((-1 if (x_parity and part_parity) else 1) * part)
-        for form_part, coeff in contracted
-        if not form_part.is_zero()
-        for part, part_parity in _parity_parts(coeff)
-    )
+    pieces: list[GradedForm] = []
+    for word, coeff in form._terms.items():
+        moved = koszul(coeff, x_parity)
+        odd_before = 0
+        for t, gen in enumerate(word):
+            value = x_field.components.get(gen)
+            if value is not None:
+                term = moved * value
+                flip = (t + gen.parity.value * odd_before) % 2
+                pieces.append(GradedForm({word[:t] + word[t + 1:]: -term if flip else term}))
+            odd_before += gen.parity.value
+    return GradedForm.sum(pieces)
 
 
 def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
@@ -358,10 +345,8 @@ def pair(x_field: VectorFieldAlong, check: CheckForm) -> SuperExpr:
         raise DomainMismatch(
             f"field along T^{x_field.source_order} cannot pair with level {check.level} components"
         )
-    x_parity = x_field.parity.value
     return SuperExpr.sum(
-        (-1 if (x_parity and part_parity) else 1) * part * x_field.component(gen)
+        koszul(coeff, x_field.parity.value) * x_field.component(gen)
         for gen, coeff in check.components.items()
         if gen in x_field.components
-        for part, part_parity in _parity_parts(coeff)
     )

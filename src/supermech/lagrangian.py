@@ -26,6 +26,7 @@ from .algebra import (
     Parity,
     SuperExpr,
     has_parity,
+    koszul,
     left_partial,
     normalize,
     parity_of,
@@ -231,31 +232,19 @@ _Split = tuple[SuperExpr, dict[GeneratorSymbol, SuperExpr]]
 
 
 def _affine_split(expr: SuperExpr, unknowns: set[GeneratorSymbol]) -> _Split:
-    """Write ``expr = rest + sum coeff[u] * u`` with each unknown moved to
-    the right end of its term.  Fails when an unknown appears nonlinearly
-    or two unknowns share a term."""
-    rest = SuperExpr.zero()
+    """Write ``expr = rest + sum coeff[u] * u``: the coefficient of each
+    unknown is its right partial, the left partial with ``u`` moved back
+    past it.  Fails when an unknown is left in a coefficient, that is when
+    an unknown appears nonlinearly or two unknowns share a term."""
     coeffs: dict[GeneratorSymbol, SuperExpr] = {}
-    for (even, odd), c in expr.items():
-        hits_even = [(g, e) for g, e in even if g in unknowns]
-        hits_odd = [g for g in odd if g in unknowns]
-        count = sum(e for _, e in hits_even) + len(hits_odd)
-        term = SuperExpr({(even, odd): c})
-        if count == 0:
-            rest = rest + term
-            continue
-        if count > 1:
-            raise SingularSystem(f"equation is not affine in the unknowns: term {term}")
-        if hits_even:
-            gen = hits_even[0][0]
-            reduced = tuple((g, e) for g, e in even if g != gen)
-            coeff = SuperExpr({(reduced, odd): c})
-        else:
-            gen = hits_odd[0]
-            pos = odd.index(gen)
-            sign = (-1) ** (len(odd) - 1 - pos)
-            coeff = SuperExpr({(even, odd[:pos] + odd[pos + 1:]): c * sign})
-        coeffs[gen] = coeffs.get(gen, SuperExpr.zero()) + coeff
+    for u in sorted(expr.generators() & unknowns, key=lambda g: g.sort_key):
+        coeff = koszul(left_partial(expr, u), u.parity.value)
+        if coeff.generators() & unknowns:
+            raise SingularSystem(
+                f"equation is not affine in the unknowns: the coefficient of {u} is {coeff}"
+            )
+        coeffs[u] = coeff
+    rest = expr - SuperExpr.sum(c * SuperExpr.generator(u) for u, c in coeffs.items())
     return rest, coeffs
 
 
@@ -450,10 +439,11 @@ def solve_dynamics(lag: SuperLagrangian, data: CartanData | None = None) -> Dyna
 
 def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[GeneratorSymbol, SuperExpr]:
     """Solve a sector A u = rhs with the kept determinant and adjugate of
-    the body of A; the determinant must be a nonzero constant.  The
-    nilpotent remainder is peeled off with a finite geometric series; the
-    result is verified exactly and each value must have its unknown's
-    parity."""
+    the body B of A; the determinant must be a nonzero constant.  With S
+    the nilpotent rest of A, the iteration ``u <- B^-1 (rhs - S u)`` from
+    ``u = B^-1 rhs`` runs through the partial sums of the finite geometric
+    series and stops when ``u`` does; the result is verified exactly and
+    each value must have its unknown's parity."""
     det = sector.det
     if det.is_zero() or det.max_jet_order() >= 0:
         raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
@@ -461,14 +451,12 @@ def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[Gener
     rhs = [-rest for rest, _ in sector.rows]
     inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
     soul = [[e - _body(e) for e in row] for row in matrix]
-    correction = _mat_mul(inv_body, soul)
     u = _mat_vec(inv_body, rhs)
-    term = u
     for _ in range(nilpotency_cap + 1):
-        term = [-x for x in _mat_vec(correction, term)]
-        if all(x.is_zero() for x in term):
+        following = _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, u))])
+        if following == u:
             break
-        u = [a + b for a, b in zip(u, term)]
+        u = following
     else:
         raise SingularSystem("nilpotent correction failed to terminate")
     residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
@@ -667,8 +655,7 @@ def conservation_witness(
         component = delta_check.component(base)
         if component.is_zero():
             continue
-        sign = -1 if (g_parity.value and parity_of(component).value) else 1
-        scaled.append((base, -sign * component, parity_product(base.parity, g_parity)))
+        scaled.append((base, -koszul(component, g_parity.value), parity_product(base.parity, g_parity)))
     # every degree's columns include the lower degrees' ones, each computed
     # once per call
     products: dict[tuple[GeneratorSymbol, SuperExpr], SuperExpr] = {}

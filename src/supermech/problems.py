@@ -39,14 +39,12 @@ from typing import Mapping, Sequence
 
 from .algebra import (
     GeneratorSymbol,
-    Parity,
+    MixedParity,
     SuperExpr,
-    parity_of,
-    parity_product,
     scaled,
     signed_sum,
 )
-from .jets import Chart, VectorFieldAlong
+from .jets import Chart, DomainMismatch, VectorFieldAlong
 from .lagrangian import SuperLagrangian
 from .numeric import GrassmannValue, NumericState
 
@@ -156,12 +154,7 @@ class ProblemFile:
         return SuperLagrangian(self.chart, self.lagrangian_expr)
 
     def symmetry_field(self, name: str) -> VectorFieldAlong:
-        entries = self.symmetries[name]
-        chart = self.chart
-        components = {
-            chart.gen(base, 0): expr for base, expr in entries.items()
-        }
-        return VectorFieldAlong(chart, 0, 2 * self.order - 1, components)
+        return _symmetry_field(self.chart, self.order, self.symmetries[name])
 
     def initial_state(self) -> NumericState:
         if self.simulation is None:
@@ -371,7 +364,12 @@ def parse_problem(text: str) -> ProblemFile:
                 parser.expect("ARROW")
                 entries[base.text] = parser.parse_expr(wide, 2 * order - 1)
                 parser.expect(";")
-            _check_symmetry_parities(chart, entries, name)
+            try:
+                _symmetry_field(chart, order, entries)
+            except (MixedParity, DomainMismatch) as exc:
+                raise ProblemSyntaxError(
+                    f"symmetry {name.text!r} mixes parities: {exc}", name.line, name.column
+                ) from None
             symmetries[name.text] = entries
         elif keyword == "simulate":
             parser.advance()
@@ -397,26 +395,12 @@ def parse_problem(text: str) -> ProblemFile:
     )
 
 
-def _check_symmetry_parities(chart: Chart, entries: dict[str, SuperExpr], name: _Token):
-    field_parity: Parity | None = None
-    for base, expr in entries.items():
-        if expr.is_zero():
-            continue
-        try:
-            expr_parity = parity_of(expr)
-        except Exception:
-            raise ProblemSyntaxError(
-                f"component for {base!r} mixes parities", name.line, name.column
-            ) from None
-        this = parity_product(expr_parity, chart.parity_of_name(base))
-        if field_parity is None:
-            field_parity = this
-        elif field_parity is not this:
-            raise ProblemSyntaxError(
-                f"symmetry {name.text!r} mixes even and odd components",
-                name.line,
-                name.column,
-            )
+def _symmetry_field(chart: Chart, order: int, entries: Mapping[str, SuperExpr]) -> VectorFieldAlong:
+    """The field along the projection to the base that a symmetry block
+    declares; raises ``MixedParity`` or ``DomainMismatch`` when its
+    components do not share one parity."""
+    components = {chart.gen(coord, 0): expr for coord, expr in entries.items()}
+    return VectorFieldAlong(chart, 0, 2 * order - 1, components)
 
 
 def _finite(value: int | float | str | Fraction, token: _Token) -> float:

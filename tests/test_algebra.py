@@ -25,6 +25,7 @@ from supermech import (
     parity_product,
     substitute,
 )
+from supermech.algebra import koszul
 
 from helpers import random_expr, reference_even_partial, reference_product
 
@@ -161,6 +162,19 @@ def test_parity_split_partitions_terms():
     assert even_part == coord("q", 0) + 2
     assert odd_part == coord("th", 0)
     assert even_part + odd_part == e
+
+
+def test_koszul_is_the_grade_involution():
+    rng = random.Random(114)
+    for _ in range(40):
+        a = random_expr(rng, CHART, 2, 3, 4)
+        b = random_expr(rng, CHART, 2, 3, 4)
+        even_part, odd_part = a.parity_split()
+        assert koszul(a, 0) == a
+        assert koszul(a, 1) == even_part - odd_part
+        assert koszul(koszul(a, 1), 1) == a
+        assert koszul(a * b, 1) == koszul(a, 1) * koszul(b, 1)
+        assert koszul(even_part, 1) == even_part
 
 
 def test_distributivity_randomized():

@@ -224,6 +224,19 @@ def test_interior_products_anticommute_randomized():
         assert (lhs + (rhs if sign == 1 else -rhs)).is_zero()
 
 
+def test_interior_on_repeated_odd_differentials():
+    chart = Chart.create(["q"], ["th"], 1)
+    q0, th0 = chart.gen("q", 0), chart.gen("th", 0)
+    one = SuperExpr.constant(1)
+    x = VectorFieldAlong(chart, 1, 1, {th0: one})
+    assert str(interior(x, GradedForm.term(one, [th0, th0]))) == "2*d(th[0])"
+    form = GradedForm.term(chart.coord("th", 1), [q0, th0, th0])
+    odd = VectorFieldAlong(chart, 1, 1, {q0: chart.coord("th", 1), th0: chart.coord("q", 1)})
+    assert str(interior(odd, form)) == "2*q[1]*th[1]*d(q[0])^d(th[0])"
+    even = VectorFieldAlong(chart, 1, 1, {q0: chart.coord("q", 1), th0: chart.coord("th", 1)})
+    assert str(interior(even, form)) == "q[1]*th[1]*d(th[0])^d(th[0])"
+
+
 def test_interior_of_function_evaluates_the_field():
     rng = random.Random(310)
     x = random_field(rng, CHART, 2, 2, Parity.EVEN)

@@ -1,16 +1,19 @@
 """The exact linear-algebra kernels against their textbook references:
 the Faddeev-LeVerrier determinant and adjugate against Laplace expansion,
-and the sparse rational elimination against dense Gauss-Jordan."""
+and the sparse rational elimination against dense Gauss-Jordan; and the
+affine split that reads a field equation as a row of a linear system."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermech import Chart, SuperExpr, normalize
-from supermech.lagrangian import _det_adjugate, _mat_mul, _solve_rational
+from supermech import Chart, SingularSystem, SuperExpr, normalize
+from supermech.lagrangian import _affine_split, _det_adjugate, _mat_mul, _solve_rational
 
-from helpers import dense_solve_rational, laplace_adjugate, laplace_det
+from helpers import dense_solve_rational, laplace_adjugate, laplace_det, random_expr
 
 CHART = Chart.create(["x", "y"], ["th"], 1)
 EVENS = CHART.at_order(0).coordinates()[:2]
@@ -108,3 +111,36 @@ def test_sparse_elimination_reports_inconsistency():
     assert _solve_rational([x], MONOMIALS[2]) is None
     assert _solve_rational([x, 2 * x], 3 * x) == [Fraction(3), Fraction(0)]
     assert _solve_rational([], SuperExpr.zero()) == []
+
+
+# -- the affine split --------------------------------------------------------
+
+SPLIT_CHART = Chart.create(["q", "r"], ["th", "ps"], 2)
+UNKNOWNS = {SPLIT_CHART.gen("q", 2), SPLIT_CHART.gen("th", 2), SPLIT_CHART.gen("ps", 2)}
+
+
+def test_affine_split_round_trips():
+    # each unknown sits between two random factors free of the unknowns,
+    # so odd unknowns land in the middle of odd words
+    rng = random.Random(417)
+    for _ in range(60):
+        expr = random_expr(rng, SPLIT_CHART, 1, 3, 3)
+        for u in sorted(UNKNOWNS, key=lambda g: g.sort_key):
+            for _ in range(rng.randint(0, 2)):
+                left = random_expr(rng, SPLIT_CHART, 1, 2, 2)
+                right = random_expr(rng, SPLIT_CHART, 1, 2, 2)
+                expr = expr + left * SuperExpr.generator(u) * right
+        rest, coeffs = _affine_split(expr, UNKNOWNS)
+        rebuilt = rest + SuperExpr.sum(c * SuperExpr.generator(u) for u, c in coeffs.items())
+        assert rebuilt == expr
+        for part in (rest, *coeffs.values()):
+            assert not part.generators() & UNKNOWNS
+
+
+@pytest.mark.parametrize("pair", [("q", "q"), ("q", "th"), ("th", "ps")])
+def test_affine_split_rejects_nonlinear_terms(pair):
+    # u^2 and u*v for even and odd unknowns
+    a, b = (SPLIT_CHART.coord(name, 2) for name in pair)
+    expr = SPLIT_CHART.coord("r", 0) + a * b
+    with pytest.raises(SingularSystem):
+        _affine_split(expr, UNKNOWNS)
