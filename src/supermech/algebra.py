@@ -4,8 +4,9 @@ An expression is a finite sum of terms ``coefficient * even-monomial *
 odd-word``.  Even generators commute with everything and carry integer
 exponents; odd generators anticommute among themselves and square to zero,
 so an odd word is a product of distinct odd generators kept in a fixed
-total order.  Reordering odd factors multiplies the coefficient by the
-sign of the permutation.
+total order.  ``reorder`` is the one rule for putting a graded word in
+that order: it sorts odd generators (form degree 0) here and differentials
+(form degree 1) in ``forms``, collecting the bidegree sign.
 
 Coefficients are exact ``Fraction`` values and every operation returns the
 unique canonical form, so equality is dictionary equality.
@@ -112,6 +113,28 @@ def koszul(expr: "SuperExpr", odd: int) -> "SuperExpr":
     return SuperExpr({key: -c if len(key[1]) % 2 else c for key, c in expr._terms.items()})
 
 
+def reorder(letters: Iterable[GeneratorSymbol], degree: int) -> tuple[int, tuple[GeneratorSymbol, ...]] | None:
+    """Sort letters of form degree ``degree`` (0 for odd generators, 1 for
+    differentials) by ``sort_key`` under the bidegree rule: each swap of a
+    and b multiplies the sign by ``(-1)^(degree + |a||b|)``.  Returns
+    ``(sign, word)``, or ``None`` when a letter with ``degree + |a|`` odd
+    repeats (it squares to zero)."""
+    word = list(letters)
+    sign = 1
+    for i in range(1, len(word)):
+        j = i
+        while j > 0 and word[j].sort_key < word[j - 1].sort_key:
+            a, b = word[j - 1], word[j]
+            if (degree + a.parity.value * b.parity.value) % 2:
+                sign = -sign
+            word[j - 1], word[j] = b, a
+            j -= 1
+    for a, b in zip(word, word[1:]):
+        if a is b and (degree + a.parity.value) % 2:
+            return None
+    return sign, tuple(word)
+
+
 class GeneratorSymbol:
     """A single jet coordinate, e.g. the first derivative of q.
 
@@ -175,26 +198,6 @@ TermKey = tuple[EvenMonomial, OddWord]
 
 Scalar = Union[int, Fraction]
 RawTerm = tuple[Scalar, Sequence[GeneratorSymbol]]
-
-
-def _sort_odd_word(factors: Sequence[GeneratorSymbol]) -> tuple[int, OddWord] | None:
-    """Sort odd factors into canonical order, or report a repeated factor.
-
-    Returns ``(sign, word)`` with the permutation sign, or ``None`` when a
-    generator repeats (the term vanishes).
-    """
-    word = list(factors)
-    sign = 1
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j].sort_key < word[j - 1].sort_key:
-            word[j], word[j - 1] = word[j - 1], word[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(word, word[1:]):
-        if a == b:
-            return None
-    return sign, tuple(word)
 
 
 def _merge_odd_words(left: OddWord, right: OddWord) -> tuple[int, OddWord] | None:
@@ -443,7 +446,7 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
             if allowed is not None and gen not in allowed:
                 raise UndeclaredGenerator(f"generator {gen} is not declared")
             (evens if gen.parity is Parity.EVEN else odds).append(gen)
-        sorted_odd = _sort_odd_word(odds)
+        sorted_odd = reorder(odds, 0)
         if sorted_odd is None:
             continue
         sign, odd_word = sorted_odd

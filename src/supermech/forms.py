@@ -5,7 +5,11 @@ coefficient written on the left.  Swapping two adjacent differentials
 gives ``dx ^ dy = -(-1)^{|x||y|} dy ^ dx``: differentials of even
 coordinates anticommute among themselves, differentials of odd
 coordinates commute, so the square of an odd differential survives.
-Canonical words keep differentials sorted by the generator order.
+Canonical words keep differentials sorted by the generator order, and
+``algebra.reorder(word, 1)`` puts a word in that order with its sign.
+Every form is built by collecting ``(word, coefficient)`` pairs
+(``_collect``): each word is reordered, its sign moved onto the
+coefficient, and the coefficients of one word added together.
 
 The exterior differential is built from ``df = sum dx * (df/dx)`` with
 left partials, which makes ``d(f w) = df ^ w + f dw`` and ``d ^ 2 = 0``
@@ -21,10 +25,10 @@ from typing import Iterable, Mapping, Union
 
 from .algebra import (
     GeneratorSymbol,
-    Parity,
     SuperExpr,
     koszul,
     left_partial,
+    reorder,
     scaled,
     signed_sum,
 )
@@ -44,29 +48,6 @@ class NotSemibasic(FormError):
 
 def _word_parity(word: WedgeWord) -> int:
     return sum(g.parity.value for g in word) % 2
-
-
-def _normalize_word(word: Iterable[GeneratorSymbol]) -> tuple[int, WedgeWord] | None:
-    """Sort differentials into canonical order.
-
-    Returns ``(sign, word)`` or ``None`` when a repeated even differential
-    makes the term vanish.  Repeated odd differentials are kept: they
-    commute, so no sign is produced when they pass each other.
-    """
-    letters = list(word)
-    sign = 1
-    for i in range(1, len(letters)):
-        j = i
-        while j > 0 and letters[j].sort_key < letters[j - 1].sort_key:
-            a, b = letters[j - 1], letters[j]
-            if not (a.parity is Parity.ODD and b.parity is Parity.ODD):
-                sign = -sign
-            letters[j - 1], letters[j] = b, a
-            j -= 1
-    for a, b in zip(letters, letters[1:]):
-        if a == b and a.parity is Parity.EVEN:
-            return None
-    return sign, tuple(letters)
 
 
 class GradedForm:
@@ -95,11 +76,7 @@ class GradedForm:
 
     @staticmethod
     def term(coeff: SuperExpr, word: Iterable[GeneratorSymbol]) -> "GradedForm":
-        normalized = _normalize_word(word)
-        if normalized is None:
-            return GradedForm()
-        sign, canonical = normalized
-        return GradedForm({canonical: sign * coeff})
+        return _collect([(word, coeff)])
 
     # -- structure ---------------------------------------------------------
 
@@ -113,16 +90,7 @@ class GradedForm:
 
     @staticmethod
     def sum(forms: Iterable["GradedForm"]) -> "GradedForm":
-        """Add many forms: each wedge word's coefficients are collected
-        into one list and added with one ``SuperExpr.sum``."""
-        parts: dict[WedgeWord, list[SuperExpr]] = {}
-        for form in forms:
-            for word, coeff in form._terms.items():
-                parts.setdefault(word, []).append(coeff)
-        return GradedForm({
-            word: coeffs[0] if len(coeffs) == 1 else SuperExpr.sum(coeffs)
-            for word, coeffs in parts.items()
-        })
+        return _collect(pair for form in forms for pair in form._terms.items())
 
     def coefficient(self, word: WedgeWord) -> SuperExpr:
         return self._terms.get(word, SuperExpr.zero())
@@ -160,8 +128,8 @@ class GradedForm:
     def wedge(self, other: "GradedForm") -> "GradedForm":
         # move each coefficient of other (degree 0) to the left across
         # the differentials of self
-        return GradedForm.sum(
-            GradedForm.term(f1 * koszul(f2, _word_parity(w1)), w1 + w2)
+        return _collect(
+            (w1 + w2, f1 * koszul(f2, _word_parity(w1)))
             for w1, f1 in self._terms.items()
             for w2, f2 in other._terms.items()
         )
@@ -188,6 +156,23 @@ class GradedForm:
         return f"GradedForm({self})"
 
 
+def _collect(pairs: Iterable[tuple[Iterable[GeneratorSymbol], SuperExpr]]) -> GradedForm:
+    """The form with these ``(word, coefficient)`` terms: each word is put
+    in canonical order by ``reorder(word, 1)`` with its sign moved onto the
+    coefficient, a vanishing word is dropped, and each canonical word's
+    coefficients are added with one ``SuperExpr.sum``."""
+    parts: dict[WedgeWord, list[SuperExpr]] = {}
+    for word, coeff in pairs:
+        ordered = reorder(word, 1)
+        if ordered is not None:
+            sign, canonical = ordered
+            parts.setdefault(canonical, []).append(coeff if sign > 0 else -coeff)
+    return GradedForm({
+        word: coeffs[0] if len(coeffs) == 1 else SuperExpr.sum(coeffs)
+        for word, coeffs in parts.items()
+    })
+
+
 def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
     """Whether a printed form writes this coefficient in parentheses: it
     has more than one term and differentials follow it."""
@@ -197,10 +182,10 @@ def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
 def differential_of_function(f: SuperExpr) -> GradedForm:
     """df as a one-form, coefficients moved to the left of the
     differentials with the Koszul sign."""
-    return GradedForm({
-        (gen,): koszul(left_partial(f, gen), gen.parity.value)
+    return _collect(
+        ((gen,), koszul(left_partial(f, gen), gen.parity.value))
         for gen in sorted(f.generators(), key=lambda g: g.sort_key)
-    })
+    )
 
 
 def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
@@ -208,23 +193,23 @@ def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
     and square zero."""
     if isinstance(form, SuperExpr):
         return differential_of_function(form)
-    return GradedForm.sum(
-        differential_of_function(coeff).wedge(GradedForm({word: SuperExpr.constant(1)}))
+    return _collect(
+        (dx + word, c)
         for word, coeff in form._terms.items()
+        for dx, c in differential_of_function(coeff)._terms.items()
     )
 
 
 def total_derivative(form: GradedForm) -> GradedForm:
     """Extend the total time derivative to forms as an even derivation:
     coefficients differentiate, each differential shifts one subscript up."""
-    pieces: list[GradedForm] = []
+    pairs: list[tuple[WedgeWord, SuperExpr]] = []
     for word, coeff in form._terms.items():
-        pieces.append(GradedForm({word: expr_total_derivative(coeff)}))
-        pieces.extend(
-            GradedForm.term(coeff, word[:t] + (word[t].shifted(),) + word[t + 1:])
-            for t in range(len(word))
+        pairs.append((word, expr_total_derivative(coeff)))
+        pairs.extend(
+            (word[:t] + (word[t].shifted(),) + word[t + 1:], coeff) for t in range(len(word))
         )
-    return GradedForm.sum(pieces)
+    return _collect(pairs)
 
 
 def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
@@ -244,7 +229,7 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
         raise DomainMismatch(
             f"form has differentials of jet order {max_jet}, field source is T^{x_field.source_order}"
         )
-    pieces: list[GradedForm] = []
+    pairs: list[tuple[WedgeWord, SuperExpr]] = []
     for word, coeff in form._terms.items():
         moved = koszul(coeff, x_parity)
         odd_before = 0
@@ -253,9 +238,9 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
             if value is not None:
                 term = moved * value
                 flip = (t + gen.parity.value * odd_before) % 2
-                pieces.append(GradedForm({word[:t] + word[t + 1:]: -term if flip else term}))
+                pairs.append((word[:t] + word[t + 1:], -term if flip else term))
             odd_before += gen.parity.value
-    return GradedForm.sum(pieces)
+    return _collect(pairs)
 
 
 def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
@@ -265,8 +250,8 @@ def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
         raise FormError("the vertical transpose acts on one-forms")
     if max(form.differential_order(), form.coefficient_order()) > k:
         raise OrderExceeded(f"form does not live on T^{k}")
-    return GradedForm.sum(
-        GradedForm({(word[0].shifted(-1),): word[0].jet_order * coeff})
+    return _collect(
+        ((word[0].shifted(-1),), word[0].jet_order * coeff)
         for word, coeff in form._terms.items()
         if word[0].jet_order
     )
@@ -329,13 +314,10 @@ def semibasic_check(form: GradedForm, level: int) -> CheckForm:
     at most ``level`` and repackage it by components."""
     if not form.is_one_form():
         raise FormError("semibasic splitting applies to one-forms")
-    components: dict[GeneratorSymbol, SuperExpr] = {}
-    for word, coeff in form._terms.items():
-        gen = word[0]
+    for (gen,) in form._terms:
         if gen.jet_order > level:
             raise NotSemibasic(f"differential d({gen}) exceeds level {level}")
-        components[gen] = components.get(gen, SuperExpr.zero()) + coeff
-    return CheckForm(level, components)
+    return CheckForm(level, {word[0]: coeff for word, coeff in form._terms.items()})
 
 
 def pair(x_field: VectorFieldAlong, check: CheckForm) -> SuperExpr:

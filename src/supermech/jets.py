@@ -82,31 +82,27 @@ class Chart:
     def coord(self, name: str, jet_order: int) -> SuperExpr:
         return SuperExpr.generator(self.gen(name, jet_order))
 
-    def coordinates(self, max_order: int | None = None) -> tuple[GeneratorSymbol, ...]:
-        top = self.order if max_order is None else max_order
-        if top > self.order:
-            raise OrderExceeded(f"chart has order {self.order}, requested {top}")
+    def coordinates(self) -> tuple[GeneratorSymbol, ...]:
         gens = [
             self.gen(name, j)
             for name in list(self.base_even) + list(self.base_odd)
-            for j in range(top + 1)
+            for j in range(self.order + 1)
         ]
         return tuple(sorted(gens, key=lambda g: g.sort_key))
 
     def base_names(self) -> tuple[str, ...]:
         return self.base_even + self.base_odd
 
-    def validate(self, expr: SuperExpr, max_order: int | None = None) -> None:
+    def validate(self, expr: SuperExpr) -> None:
         """Check that an expression uses only this chart's generators."""
-        top = self.order if max_order is None else max_order
         for g in expr.generators():
             if (
                 g.name not in self.base_names()
                 or self.at_order(g.jet_order).gen(g.name, g.jet_order) != g
             ):
                 raise UndeclaredGenerator(f"generator {g} does not belong to this chart")
-            if g.jet_order > top:
-                raise OrderExceeded(f"{g} exceeds jet order {top}")
+            if g.jet_order > self.order:
+                raise OrderExceeded(f"{g} exceeds jet order {self.order}")
 
 
 def total_derivative(expr: SuperExpr) -> SuperExpr:

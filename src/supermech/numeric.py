@@ -83,6 +83,8 @@ _MAX_TRAJECTORY_BYTES = 1 << 30
 # compile is repaid within 40-140 steps.  The shipped problems need 42-136
 # operations, the benchmark's n=4..8 systems 608 and more.
 _KERNEL_MAX_OPS = 400
+# largest sup-norm constraint residual ``integrate`` accepts initially
+_CONSTRAINT_TOL = 1e-9
 
 
 class NumericError(Exception):
@@ -842,19 +844,12 @@ def _rk4(schedule: _Schedule, values: np.ndarray, dt: float, coordinates: Sequen
             _check_finite(values[bad], coordinates, bad)
 
 
-def integrate(
-    dynamics: Dynamics,
-    initial: NumericState,
-    *,
-    dt: float,
-    t_end: float,
-    constraint_tol: float = 1e-9,
-) -> Trajectory:
+def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: float) -> Trajectory:
     """Classic fourth-order Runge-Kutta with fixed step from the initial
     time to ``t_end``, which must be a whole number of steps away.
 
     The initial state must satisfy the solved constraints within
-    ``constraint_tol``; the run aborts on non-finite values.  The field
+    ``_CONSTRAINT_TOL``; the run aborts on non-finite values.  The field
     runs its product schedule, as straight-line code when a step needs at
     most ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise;
     both store the same floats.
@@ -886,7 +881,7 @@ def integrate(
         if residuals:
             _, residual = next(_evaluate(residuals, coordinates, directions, start[None]))
             for gen, norm in zip(gens, np.abs(residual[0]).max(axis=-1)):
-                if norm > constraint_tol:
+                if norm > _CONSTRAINT_TOL:
                     raise ConstraintViolation(
                         f"initial data violates {gen} constraint by {norm:.3e}"
                     )

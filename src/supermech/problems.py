@@ -200,6 +200,13 @@ class _Parser:
         token = self.peek()
         return ProblemSyntaxError(message, token.line, token.column)
 
+    def once(self, seen: set[object], key: object, token: _Token, what: str) -> None:
+        """Record ``key`` in ``seen``; a key already there is a duplicate
+        ``what``, reported at ``token``."""
+        if key in seen:
+            raise ProblemSyntaxError(f"duplicate {what}", token.line, token.column)
+        seen.add(key)
+
     # -- coordinate expressions -------------------------------------------
 
     def parse_expr(self, chart: Chart, max_index: int) -> SuperExpr:
@@ -289,6 +296,7 @@ def parse_problem(text: str) -> ProblemFile:
     lagrangian: SuperExpr | None = None
     symmetries: dict[str, dict[str, SuperExpr]] = {}
     simulation: SimulationSpec | None = None
+    seen: set[object] = set()
 
     def chart_now(token: _Token) -> Chart:
         if order is None:
@@ -308,8 +316,7 @@ def parse_problem(text: str) -> ProblemFile:
         keyword = token.text
         if keyword == "order":
             parser.advance()
-            if order is not None:
-                raise ProblemSyntaxError("duplicate order statement", token.line, token.column)
+            parser.once(seen, "order", token, "order statement")
             value = parser.expect("INT")
             order = int(value.text)
             if order < 1:
@@ -334,8 +341,7 @@ def parse_problem(text: str) -> ProblemFile:
             parser.expect(";")
         elif keyword == "L":
             parser.advance()
-            if lagrangian is not None:
-                raise ProblemSyntaxError("duplicate Lagrangian", token.line, token.column)
+            parser.once(seen, "L", token, "Lagrangian")
             chart = chart_now(token)
             parser.expect("=")
             lagrangian = parser.parse_expr(chart.at_order(order), order)
@@ -344,10 +350,7 @@ def parse_problem(text: str) -> ProblemFile:
             parser.advance()
             chart = chart_now(token)
             name = parser.expect("NAME")
-            if name.text in symmetries:
-                raise ProblemSyntaxError(
-                    f"duplicate symmetry {name.text!r}", name.line, name.column
-                )
+            parser.once(seen, ("symmetry", name.text), name, f"symmetry {name.text!r}")
             parser.expect("{")
             entries: dict[str, SuperExpr] = {}
             wide = chart.at_order(2 * order - 1)
@@ -357,10 +360,7 @@ def parse_problem(text: str) -> ProblemFile:
                     raise UnknownCoordinate(
                         f"coordinate {base.text!r} is not declared", base.line, base.column
                     )
-                if base.text in entries:
-                    raise ProblemSyntaxError(
-                        f"duplicate component for {base.text!r}", base.line, base.column
-                    )
+                parser.once(seen, ("component", name.text, base.text), base, f"component for {base.text!r}")
                 parser.expect("ARROW")
                 entries[base.text] = parser.parse_expr(wide, 2 * order - 1)
                 parser.expect(";")
@@ -373,8 +373,7 @@ def parse_problem(text: str) -> ProblemFile:
             symmetries[name.text] = entries
         elif keyword == "simulate":
             parser.advance()
-            if simulation is not None:
-                raise ProblemSyntaxError("duplicate simulate block", token.line, token.column)
+            parser.once(seen, "simulate", token, "simulate block")
             chart = chart_now(token)
             simulation = _parse_simulate(parser, chart, order)
         else:
@@ -448,43 +447,38 @@ def _parse_simulate(parser: _Parser, chart: Chart, order: int) -> SimulationSpec
     t_end: float | None = None
     raw_init: dict[GeneratorSymbol, tuple[_Token, list[tuple[float, list[int]]]]] = {}
     index_positions: list[tuple[int, int, int]] = []
+    seen: set[object] = set()
 
     while not parser.accept("}"):
         key = parser.expect("NAME")
+        if key.text == "init":
+            gen = parser.parse_coordinate(chart.at_order(2 * order - 1), 2 * order - 1)
+            parser.once(seen, gen, key, f"initial value for {gen}")
+        elif key.text in ("n", "dt", "t"):
+            parser.once(seen, key.text, key, f"simulate entry {key.text!r}")
+        else:
+            raise ProblemSyntaxError(
+                f"unknown simulate entry {key.text!r}", key.line, key.column
+            )
+        parser.expect("=")
         if key.text == "n":
-            parser.expect("=")
             value = parser.expect("INT")
             directions = int(value.text)
             if directions > 8:
                 raise ProblemSyntaxError(
                     "at most 8 odd directions are supported", value.line, value.column
                 )
-            parser.expect(";")
         elif key.text == "dt":
-            parser.expect("=")
             dt = _parse_number(parser)
             if dt <= 0:
                 raise ProblemSyntaxError("dt must be positive", key.line, key.column)
-            parser.expect(";")
         elif key.text == "t":
-            parser.expect("=")
             t_end = _parse_number(parser)
             if t_end <= 0:
                 raise ProblemSyntaxError("t must be positive", key.line, key.column)
-            parser.expect(";")
-        elif key.text == "init":
-            gen = parser.parse_coordinate(chart.at_order(2 * order - 1), 2 * order - 1)
-            if gen in raw_init:
-                raise ProblemSyntaxError(
-                    f"duplicate initial value for {gen}", key.line, key.column
-                )
-            parser.expect("=")
-            raw_init[gen] = key, _parse_grassmann(parser, index_positions)
-            parser.expect(";")
         else:
-            raise ProblemSyntaxError(
-                f"unknown simulate entry {key.text!r}", key.line, key.column
-            )
+            raw_init[gen] = key, _parse_grassmann(parser, index_positions)
+        parser.expect(";")
 
     if dt is None or t_end is None:
         raise ProblemSyntaxError(
@@ -504,9 +498,7 @@ def _parse_simulate(parser: _Parser, chart: Chart, order: int) -> SimulationSpec
             _finite(coeff, key)
         if not value.supports_parity(gen.parity):
             raise ProblemSyntaxError(
-                f"initial value for {gen} must have {gen.parity} support",
-                open_brace.line,
-                open_brace.column,
+                f"initial value for {gen} must have {gen.parity} support", key.line, key.column
             )
         init[gen] = value
     return SimulationSpec(directions=directions, dt=dt, t_end=t_end, init=init)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supermech import (
     Chart,
@@ -20,6 +22,7 @@ from supermech import (
     form_total_derivative,
     interior,
     lift_vector_field,
+    normalize,
     pair,
     semibasic_check,
     total_derivative,
@@ -71,6 +74,46 @@ def test_word_reordering_signs():
     assert GradedForm.term(SuperExpr.constant(1), [gen("th", 1), gen("th", 0)]) == d(
         "th", 0
     ).wedge(d("th", 1))
+
+
+LETTERS = [gen("q", 0), gen("q", 1), gen("th", 0), gen("th", 1)]
+
+
+def reordering_sign(word, degree):
+    """The sign of sorting a word of form degree ``degree``, by brute
+    force: (-1)^(degree + |a||b|) for each inverted pair a, b."""
+    sign = 1
+    for i, a in enumerate(word):
+        for b in word[i + 1:]:
+            if a.sort_key > b.sort_key and (degree + a.parity.value * b.parity.value) % 2:
+                sign = -sign
+    return sign
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.sampled_from(LETTERS), max_size=4).flatmap(
+        lambda word: st.tuples(st.just(word), st.permutations(word))
+    )
+)
+def test_reordering_follows_the_bidegree_rule(words):
+    word, permuted = words
+    canonical = sorted(word, key=lambda g: g.sort_key)
+    repeated = {a for a, b in zip(canonical, canonical[1:]) if a is b}
+    # odd generators, form degree 0: a repeated odd generator squares to zero
+    product = SuperExpr.constant(reordering_sign(permuted, 0))
+    for letter in canonical:
+        product = product * SuperExpr.generator(letter)
+    odd_generators = normalize([(1, permuted)])
+    assert odd_generators == product
+    assert odd_generators.is_zero() == any(g.parity is Parity.ODD for g in repeated)
+    # differentials, form degree 1: a repeated even differential vanishes
+    differentials = GradedForm.term(SuperExpr.constant(1), permuted)
+    if any(g.parity is Parity.EVEN for g in repeated):
+        assert differentials.is_zero()
+    else:
+        sign = SuperExpr.constant(reordering_sign(permuted, 1))
+        assert differentials == GradedForm({tuple(canonical): sign})
 
 
 def test_form_accessors():

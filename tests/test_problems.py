@@ -183,6 +183,31 @@ def test_simulate_block_validation():
     assert "support" in str(err)
 
 
+def test_simulate_entries_appear_once():
+    base = "order 1; even q; L = 1/2*q[1]^2; simulate { %s }"
+    for entries, second in [
+        ("n = 2; n = 3; dt = 0.1; t = 1.0;", "n = 3"),
+        ("n = 2; dt = 0.1; dt = 0.2; t = 1.0;", "dt = 0.2"),
+        ("dt = 0.1; t = 1.0; n = 0; t = 1.0;", "t = 1.0"),
+    ]:
+        text = base % entries
+        err = error_of(text)
+        assert isinstance(err, ProblemSyntaxError)
+        assert "duplicate simulate entry" in str(err)
+        assert (err.line, err.column) == (1, text.rindex(second) + 1)
+
+
+def test_initial_value_parity_error_points_at_its_entry():
+    text = (
+        "order 1; even q; L = 1/2*q[1]^2; simulate { n = 1; dt = 0.1; t = 0.1;"
+        " init q[0] = 1.0*g[0]; }"
+    )
+    err = error_of(text)
+    assert isinstance(err, ProblemSyntaxError)
+    assert "must have even support" in str(err)
+    assert (err.line, err.column) == (1, text.index("init") + 1)
+
+
 def test_symmetry_parity_validation():
     err = error_of(
         "order 1; even q; odd th; L = 1/2*q[1]^2;"
