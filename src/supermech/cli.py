@@ -43,8 +43,7 @@ from .lagrangian import (
     NotSymmetry,
     Regularity,
     cartan_data,
-    check_symmetry,
-    noether_charge,
+    certify_symmetry,
     noether_inverse,
 )
 from .numeric import NumericError, conservation_report, integrate
@@ -234,7 +233,7 @@ def run_noether(problem: ProblemFile, symmetry: str | None, from_charge: str | N
             raise _InputFailure(f"no symmetry named {symmetry!r} in the problem file")
         field = problem.symmetry_field(symmetry)
         try:
-            generating = check_symmetry(field, lag)
+            certificate = certify_symmetry(field, lag, data)
         except NotSymmetry as exc:
             report = {
                 "schema": SCHEMA_VERSION,
@@ -247,8 +246,7 @@ def run_noether(problem: ProblemFile, symmetry: str | None, from_charge: str | N
                 },
             }
             return _render(report), 1
-        charge = noether_charge(field, generating, lag, data)
-        # noether_charge has checked conservation when the system is regular
+        # certify_symmetry has checked conservation when the system is regular
         conserved = True if data.regularity.verdict is Regularity.REGULAR else None
         report = {
             "schema": SCHEMA_VERSION,
@@ -256,8 +254,8 @@ def run_noether(problem: ProblemFile, symmetry: str | None, from_charge: str | N
             "mode": "symmetry",
             "symmetry": symmetry,
             "is_symmetry": True,
-            "F": str(generating),
-            "charge": str(charge),
+            "F": str(certificate.generating),
+            "charge": str(certificate.charge),
             "conserved": conserved,
         }
         return _render(report)
@@ -295,8 +293,8 @@ def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
     quantities: dict[str, SuperExpr] = {"energy": data.energy}
     for name in problem.symmetries:
         field = problem.symmetry_field(name)
-        generating = check_symmetry(field, lag)  # NotSymmetry -> exit 1
-        quantities[name] = noether_charge(field, generating, lag, data, verify=False)
+        # NotSymmetry -> exit 1
+        quantities[name] = certify_symmetry(field, lag, data, verify=False).charge
 
     sim = problem.simulation
     trajectory = integrate(

@@ -21,8 +21,6 @@ from .algebra import (
     Parity,
     SuperExpr,
     UndeclaredGenerator,
-    ZeroExpression,
-    has_parity,
     left_partial,
     parity_of,
     parity_product,

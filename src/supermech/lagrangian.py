@@ -47,7 +47,6 @@ from .jets import (
     Chart,
     OrderExceeded,
     VectorFieldAlong,
-    iterated_total_derivative,
     lift_vector_field,
     liouville_field,
     total_derivative as expr_total_derivative,
@@ -113,14 +112,26 @@ class SuperLagrangian:
 
 
 def variational_derivative(expr: SuperExpr, base_gen: GeneratorSymbol) -> SuperExpr:
-    """The alternating-sign combination of shifted partials that vanishes
-    exactly on total time derivatives."""
+    """The alternating-sign combination sum_j (-T)^j d(expr)/du^(j) of
+    shifted partials, which vanishes exactly on total time derivatives: the
+    last link R_0 of the chain walked by ``_sweep``."""
     if base_gen.jet_order != 0:
         raise ValueError("variational derivatives are taken per base coordinate")
-    return SuperExpr.sum(
-        (-1) ** j * iterated_total_derivative(left_partial(expr, base_gen.shifted(j)), j)
-        for j in range(expr.max_jet_order() + 1)
-    )
+    return _sweep(expr, base_gen)[0]
+
+
+def _sweep(expr: SuperExpr, base: GeneratorSymbol) -> tuple[SuperExpr, SuperExpr]:
+    """Walk the chain R_i = d(expr)/du^(i) - T(R_(i+1)) for one base
+    coordinate u, with left partials, from the top order of u in ``expr``
+    down to 0.  Return R_0, the variational derivative, and the homotopy
+    part sum_(i>=1) u^(i-1) R_i."""
+    top = max((g.jet_order for g in expr.generators() if g.name == base.name), default=0)
+    remainder = SuperExpr.zero()
+    parts = []
+    for i in range(top, 0, -1):
+        remainder = left_partial(expr, base.shifted(i)) - expr_total_derivative(remainder)
+        parts.append(SuperExpr.generator(base.shifted(i - 1)) * remainder)
+    return left_partial(expr, base) - expr_total_derivative(remainder), SuperExpr.sum(parts)
 
 
 # -- Cartan package --------------------------------------------------------
@@ -300,27 +311,30 @@ class Dynamics:
                 comps[gen] = self.forces[gen.shifted()]
         return VectorFieldAlong(chart, top, top, comps, Parity.EVEN)
 
+    def _resolve(
+        self, expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr], what: str
+    ) -> SuperExpr:
+        """Substitute until stable.  No value leads back to its own
+        generator, so every chain of substitutions is shorter than the
+        assignment and one more pass confirms the result."""
+        for _ in range(len(assignment) + 1):
+            resolved = substitute(expr, assignment)
+            if resolved == expr:
+                return expr
+            expr = resolved
+        raise SingularSystem(f"{what} substitution did not stabilise")
+
     def reduce(self, expr: SuperExpr) -> SuperExpr:
         """Substitute the solved constraints until stable."""
-        for _ in range(2 * self.lagrangian.order + 2):
-            reduced = substitute(expr, dict(self.constraints))
-            if reduced == expr:
-                return expr
-            expr = reduced
-        raise SingularSystem("constraint substitution did not stabilise")
+        return self._resolve(expr, self.constraints, "constraint")
 
     def reduce_form(self, form: GradedForm) -> GradedForm:
         return GradedForm({word: self.reduce(coeff) for word, coeff in form.items()})
 
     def on_shell(self, expr: SuperExpr) -> SuperExpr:
-        """Substitute top-order coordinates by forces, then reduce."""
-        for _ in range(2 * self.lagrangian.order + 2):
-            replaced = substitute(expr, dict(self.forces))
-            replaced = self.reduce(replaced)
-            if replaced == expr:
-                return expr
-            expr = replaced
-        raise SingularSystem("on-shell substitution did not stabilise")
+        """Substitute top-order coordinates by forces and the constrained
+        ones by their values until stable; the two key sets are disjoint."""
+        return self._resolve(expr, {**self.forces, **self.constraints}, "on-shell")
 
 
 @dataclass(frozen=True)
@@ -710,11 +724,12 @@ def conservation_witness(
     )
 
 
-def _integrate_total_derivative(target: SuperExpr) -> SuperExpr:
-    """Invert the total derivative on an exact jet polynomial by the
-    one-dimensional homotopy operator (Olver, Applications of Lie Groups
-    to Differential Equations, GTM 107, section 5.4): the F with
-    T(F) = target and zero constant term.
+def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], SuperExpr]:
+    """One ``_sweep`` per base coordinate of the target: the variational
+    derivative of each, and the F with T(F) = target and zero constant
+    term when the target is exact, by the one-dimensional homotopy
+    operator (Olver, Applications of Lie Groups to Differential
+    Equations, GTM 107, section 5.4).
 
     With f_d the part of the target of total degree d (odd factors count
     once) and u_a^(i) the coordinates,
@@ -722,23 +737,18 @@ def _integrate_total_derivative(target: SuperExpr) -> SuperExpr:
         F_d = (1/d) sum_a sum_(i>=1) sum_(j<i) u_a^(j) (-T)^(i-j-1) df_d/du_a^(i)
 
     with left partials and u_a^(j) multiplied on the left; T is even, so
-    the integration by parts adds no sign.  The inner sums are evaluated
-    from the top order down, R_(i-1) = df/du^(i) - T(R_i), and since the
-    sum over a and i keeps the degree of each term, the 1/d is applied
-    term by term to the whole sum.  The target must be exact with no
-    constant term; nothing here checks that."""
-    top: dict[GeneratorSymbol, int] = {}
-    for gen in target.generators():
-        base = gen.shifted(-gen.jet_order)
-        top[base] = max(top.get(base, 0), gen.jet_order)
+    the integration by parts adds no sign.  The inner sums are the sweep's
+    homotopy parts, and since the sum over a and i keeps the degree of
+    each term, the 1/d is applied term by term to the whole sum.  F is
+    meaningful only when every variational derivative and the constant
+    term of the target vanish; nothing here checks that."""
+    derivatives: dict[GeneratorSymbol, SuperExpr] = {}
     parts = []
-    for base, order in top.items():
-        remainder = SuperExpr.zero()
-        for i in range(order, 0, -1):
-            remainder = left_partial(target, base.shifted(i)) - expr_total_derivative(remainder)
-            parts.append(SuperExpr.generator(base.shifted(i - 1)) * remainder)
+    for base in sorted({g.shifted(-g.jet_order) for g in target.generators()}, key=lambda g: g.sort_key):
+        derivatives[base], part = _sweep(target, base)
+        parts.append(part)
     homotopy = SuperExpr.sum(parts)
-    return SuperExpr({
+    return derivatives, SuperExpr({
         (even, odd): coeff / (sum(e for _, e in even) + len(odd))
         for (even, odd), coeff in homotopy._terms.items()
     })
@@ -766,30 +776,25 @@ def check_symmetry(
     variational derivatives as certificate.
 
     The rate X^(k)(L) is a total derivative exactly when its variational
-    derivatives and its constant term vanish; that certificate is checked
-    first.  F is then read off by the homotopy operator
-    (``_integrate_total_derivative``, Olver GTM 107 section 5.4),
+    derivatives and its constant term vanish.  One top-down sweep per base
+    coordinate of the rate (``_homotopy``, Olver GTM 107 section 5.4) gives
+    both the certificate and F,
 
         F = sum_d (1/d) sum_a sum_(i>=1) sum_(j<i) u_a^(j) (-T)^(i-j-1) d(rate_d)/du_a^(i),
 
     rate_d the part of total degree d, without solving any linear
     system, and T(F) == rate is checked exactly."""
-    chart = lag.chart
     k = lag.order
     if x_field.source_order != 0 or x_field.target_order != 2 * k - 1:
         raise OrderExceeded("symmetry candidates are fields along the projection to the base")
     rate = _rate(x_field, lag)
-    certificate: dict[str, SuperExpr] = {}
-    for base in chart.at_order(0).coordinates():
-        vd = variational_derivative(rate, base)
-        if not vd.is_zero():
-            certificate[base.name] = vd
+    derivatives, generating = _homotopy(rate)
+    certificate = {base.name: vd for base, vd in derivatives.items() if not vd.is_zero()}
     constant = rate.constant_term()
     if constant:
         certificate["1"] = SuperExpr.constant(constant)
     if certificate:
         raise NotSymmetry(certificate)
-    generating = _integrate_total_derivative(rate)
     if expr_total_derivative(generating) != rate:
         raise LagrangianError("generating function verification failed")
     return generating

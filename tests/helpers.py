@@ -1,9 +1,11 @@
 """Shared test utilities.
 
-Five kinds of helpers live here: seeded random generators for
+Six kinds of helpers live here: seeded random generators for
 expressions, forms, and fields; a small independent polynomial calculator
 for the one-even-coordinate case; a reference product and even partial
-that spell each term out as a list of factors; a reference Grassmann
+that spell each term out as a list of factors; a reference variational
+derivative and on-shell substitution written as the textbook sum and the
+nested loop the package's single passes replace; a reference Grassmann
 product, evaluator and Runge-Kutta stepper for the numeric layer; and
 reference exact linear algebra.  The calculator represents polynomials as
 plain exponent-tuple dictionaries and knows nothing about the package
@@ -30,9 +32,12 @@ from supermech import (
     Parity,
     SuperExpr,
     VectorFieldAlong,
+    iterated_total_derivative,
+    left_partial,
     normalize,
     parity_of,
     parity_product,
+    substitute,
 )
 
 # -- independent reference: one even coordinate q[0..n] --------------------
@@ -292,6 +297,35 @@ def reference_even_partial(expr: SuperExpr, gen) -> SuperExpr:
             factors.remove(gen)
             raw.append((coeff * count, factors))
     return normalize(raw)
+
+
+# -- reference calculus: variational derivative and on-shell values ---------
+
+
+def reference_variational_derivative(expr: SuperExpr, base) -> SuperExpr:
+    """sum_j (-1)^j T^j(d expr / d u^(j)), each T^j taken from scratch."""
+    return SuperExpr.sum(
+        (-1) ** j * iterated_total_derivative(left_partial(expr, base.shifted(j)), j)
+        for j in range(expr.max_jet_order() + 1)
+    )
+
+
+def _fixed_point(step, expr: SuperExpr, passes: int = 50) -> SuperExpr:
+    for _ in range(passes):
+        following = step(expr)
+        if following == expr:
+            return expr
+        expr = following
+    raise RuntimeError("reference substitution did not stabilise")
+
+
+def reference_on_shell(dynamics, expr: SuperExpr) -> SuperExpr:
+    """Substitute the forces, then the constraints to a fixed point, and
+    repeat both until stable."""
+    def reduce(e):
+        return _fixed_point(lambda x: substitute(x, dict(dynamics.constraints)), e)
+
+    return _fixed_point(lambda e: reduce(substitute(e, dict(dynamics.forces))), expr)
 
 
 # -- independent reference: Grassmann products and RK4 ----------------------

@@ -419,18 +419,19 @@ def _count_calls(monkeypatch, stages) -> Counter:
 @pytest.mark.parametrize(
     "argv, counts",
     [
-        (["derive"], (1, 1, 1, 0, 2, 0)),
-        (["derive", "--emit", "latex"], (1, 1, 0, 0, 2, 0)),
-        (["noether", "--symmetry", "susy"], (1, 1, 1, 1, 2, 0)),
-        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 2)),
-        (["simulate"], (1, 1, 1, 0, 2, 0)),
+        (["derive"], (1, 1, 1, 0, 2, 0, 6)),
+        (["derive", "--emit", "latex"], (1, 1, 0, 0, 2, 0, 0)),
+        (["noether", "--symmetry", "susy"], (1, 1, 1, 1, 2, 0, 8)),
+        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 2, 0)),
+        (["simulate"], (1, 1, 1, 0, 2, 0, 6)),
     ],
     ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
 )
 def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
     # theta built, solve plan run, dynamics solved, conservation checked,
-    # one determinant and adjugate per sector of the plan, and one rational
-    # system per degree of the witness search; generating functions of
+    # one determinant and adjugate per sector of the plan, one rational
+    # system per degree of the witness search, and one substitution per
+    # pass of the on-shell and constraint loops; generating functions of
     # symmetries solve no system
     stages = (
         "cartan_operator",
@@ -439,6 +440,7 @@ def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
         "check_constant_of_motion",
         "_det_adjugate",
         "_solve_rational",
+        "substitute",
     )
     calls = _count_calls(monkeypatch, stages)
     code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])

@@ -1,6 +1,7 @@
 """The derived data of a Lagrangian: momentum forms, energy, field
 equations, regularity, and the solved dynamics."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,9 @@ from supermech import (
     variational_derivative,
 )
 from supermech.algebra import normalize
-from supermech.lagrangian import NoWitness, _integrate_total_derivative, check_symmetry
+from supermech.lagrangian import NoWitness, _homotopy, check_symmetry
+
+from helpers import random_expr, reference_on_shell, reference_variational_derivative
 
 PROBLEMS = Path(__file__).parent.parent / "problems"
 
@@ -229,6 +232,21 @@ def test_dynamics_with_a_polynomial_body_matrix():
     }
 
 
+def test_on_shell_resolves_forces_and_constraints_in_one_loop():
+    # the odd forces contain the constrained velocities th0[1] and th1[1]
+    lag = parse_problem(
+        "order 1; even x0, x1; odd th0, th1; L = 1/2*x0[1]^2 + 1/2*x1[1]^2"
+        " + 1/2*th0[0]*th0[1] + 1/2*th1[0]*th1[1] + x0[0]*th0[0]*th1[0];"
+    ).lagrangian()
+    dyn = solve_dynamics(lag)
+    assert {str(g) for g in dyn.constraints} == {"th0[1]", "th1[1]"}
+    assert "th1[1]" in str(dyn.forces[lag.chart.at_order(2).gen("th0", 2)])
+    rng = random.Random(13)
+    for _ in range(40):
+        expr = random_expr(rng, lag.chart, 2, 3, 5)
+        assert dyn.on_shell(expr) == reference_on_shell(dyn, expr)
+
+
 @pytest.mark.parametrize(
     "build", [oscillator, free_particle, superparticle, second_order_chain]
 )
@@ -335,14 +353,27 @@ _TERMS = st.lists(
 )
 
 
-@given(_TERMS)
-@example([(1, 1, [("a", 0), ("b", 1)]), (1, 2, [("x", 1), ("x", 2)])])
-def test_homotopy_operator_inverts_the_total_derivative(terms):
-    f = normalize(
+def _polynomial(terms):
+    return normalize(
         (Fraction(num, den), [_JET.gen(name, order) for name, order in factors])
         for num, den, factors in terms
     )
-    assert _integrate_total_derivative(total_derivative(f)) == f
+
+
+@given(_TERMS)
+@example([(1, 1, [("a", 0), ("b", 1)]), (1, 2, [("x", 1), ("x", 2)])])
+def test_homotopy_operator_inverts_the_total_derivative(terms):
+    f = _polynomial(terms)
+    derivatives, integral = _homotopy(total_derivative(f))
+    assert integral == f
+    assert all(vd.is_zero() for vd in derivatives.values())
+
+
+@given(_TERMS)
+def test_variational_derivative_matches_the_sum_of_iterated_derivatives(terms):
+    f = _polynomial(terms)
+    for base in _JET.at_order(0).coordinates():
+        assert variational_derivative(f, base) == reference_variational_derivative(f, base)
 
 
 @pytest.mark.parametrize(

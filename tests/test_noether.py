@@ -19,6 +19,7 @@ from supermech import (
     check_symmetry,
     noether_charge,
     noether_inverse,
+    parse_problem,
     solve_dynamics,
 )
 
@@ -127,6 +128,37 @@ def test_not_symmetry_certificate_oscillator():
     assert {name: str(e) for name, e in info.value.certificate.items()} == {
         "q": "-2*q[0] - 2*q[2]"
     }
+
+
+ORDER_TWO = "order 2; even q; odd th; L = 1/2*q[2]^2 + 1/2*th[1]*th[2] + q[0]*th[0]*th[1];"
+
+
+@pytest.mark.parametrize(
+    "field, certificate",
+    [
+        (
+            "q -> q[0]; th -> th[0];",
+            {"q": "3*th[0]*th[1] + 2*q[4]", "th": "-2*th[3] + 6*q[0]*th[1] + 3*q[1]*th[0]"},
+        ),
+        (
+            "q -> th[0]*th[1]; th -> q[1]*th[0];",
+            {
+                "q": "th[0]*th[4] + th[0]*th[5] + th[1]*th[3] + 3*th[1]*th[4]"
+                " + 2*th[2]*th[3] - 2*q[0]*th[0]*th[2]",
+                "th": "4*q[0]*q[1]*th[1] + 2*q[0]*q[2]*th[0] - 2*q[1]*th[3] + 2*q[1]^2*th[0]"
+                " - 3*q[2]*th[2] - 3*q[3]*th[1] - q[4]*th[0] + 2*q[4]*th[1] + q[5]*th[0]",
+            },
+        ),
+    ],
+    ids=["scaling", "mixing"],
+)
+def test_not_symmetry_certificates_at_order_two(field, certificate):
+    # the rates reach jet order 3 and 4, so the variational derivatives
+    # reach order 5
+    spec = parse_problem(f"{ORDER_TWO} symmetry s {{ {field} }}")
+    with pytest.raises(NotSymmetry) as info:
+        check_symmetry(spec.symmetry_field("s"), spec.lagrangian())
+    assert {name: str(e) for name, e in info.value.certificate.items()} == certificate
 
 
 def test_not_symmetry_certificate_free_particle():
