@@ -6,6 +6,10 @@ The central objects are exact polynomial expressions in jet coordinates
 (``GradedForm``), and the derived data of a Lagrangian: momentum and
 symplectic forms, energy, field equations, dynamics, and the two-way
 correspondence between symmetries and conserved charges.
+
+The numeric layer (``GrassmannValue``, ``integrate``, ``evaluate``, ...)
+and numpy load on first use of one of its names, so the symbolic layers
+import without numpy.
 """
 
 from .algebra import (
@@ -79,19 +83,6 @@ from .lagrangian import (
     solve_dynamics,
     variational_derivative,
 )
-from .numeric import (
-    ConstraintViolation,
-    GrassmannValue,
-    IntegrationError,
-    MissingValue,
-    NumericError,
-    NumericState,
-    ParityViolation,
-    Trajectory,
-    conservation_report,
-    evaluate,
-    integrate,
-)
 from .problems import (
     IndexOutOfRange,
     ProblemError,
@@ -105,6 +96,37 @@ from .problems import (
 )
 
 __version__ = "0.1.0"
+
+_NUMERIC = (
+    "ConstraintViolation",
+    "GrassmannValue",
+    "IntegrationError",
+    "MissingValue",
+    "NumericError",
+    "NumericState",
+    "ParityViolation",
+    "Trajectory",
+    "conservation_report",
+    "evaluate",
+    "integrate",
+)
+
+
+def __getattr__(name: str):
+    """Load the numeric layer on first use of ``numeric`` or one of its
+    names, then bind them all here so later lookups are plain."""
+    if name != "numeric" and name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    numeric = importlib.import_module(".numeric", __name__)
+    globals().update((each, getattr(numeric, each)) for each in _NUMERIC)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "numeric"})
+
 
 __all__ = [
     "AlgebraError",

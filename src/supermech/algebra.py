@@ -7,6 +7,9 @@ so an odd word is a product of distinct odd generators kept in a fixed
 total order.  ``reorder`` is the one rule for putting a graded word in
 that order: it sorts odd generators (form degree 0) here and differentials
 (form degree 1) in ``forms``, collecting the bidegree sign.
+``grassmann_coefficients`` applies the same sign to products of the odd
+directions of a numeric Grassmann value, without numpy, so that a problem
+file's initial data parses without loading the numeric layer.
 
 Coefficients are exact ``Fraction`` values and every operation returns the
 unique canonical form, so equality is dictionary equality.
@@ -133,6 +136,29 @@ def reorder(letters: Iterable[GeneratorSymbol], degree: int) -> tuple[int, tuple
         if a is b and (degree + a.parity.value) % 2:
             return None
     return sign, tuple(word)
+
+
+def grassmann_coefficients(terms: Iterable[tuple[float, Sequence[int]]], directions: int) -> list[float]:
+    """The float coefficients, one per subset bitmask of ``directions``
+    odd directions, of a sum of (coefficient, direction indices) terms: a
+    repeated index kills its term, each crossing of two indices flips its
+    sign, and each coefficient sums from ``0.0`` in term order.  A sum out
+    of floating-point range is left for the caller to check; an index out
+    of range raises ``IndexError``."""
+    coeffs = [0.0] * (1 << directions)
+    for value, indices in terms:
+        mask, sign = 0, 1.0
+        for index in indices:
+            if not 0 <= index < directions:
+                raise IndexError(f"direction index {index} out of range")
+            if (mask >> (index + 1)).bit_count() % 2:
+                sign = -sign
+            if mask >> index & 1:
+                sign = 0.0
+            mask |= 1 << index
+        if sign:
+            coeffs[mask] += sign * float(value)
+    return coeffs
 
 
 class GeneratorSymbol:

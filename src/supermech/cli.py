@@ -13,7 +13,8 @@ Reports are JSON on stdout (``--emit latex`` switches derive to LaTeX
 lines).  Exit code 0 means success, 1 a mathematical failure (not a
 symmetry, not regular, drift out of tolerance), 2 bad usage or input,
 or a stdout closed before the report is written.  Output is
-deterministic: identical inputs give identical bytes.
+deterministic: identical inputs give identical bytes.  Only ``simulate``
+loads the numeric layer, and numpy with it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .lagrangian import (
     certify_symmetry,
     noether_inverse,
 )
-from .numeric import NumericError, conservation_report, integrate
 from .problems import (
     ProblemError,
     ProblemFile,
@@ -69,6 +69,11 @@ _GREEK = {
 
 class _InputFailure(Exception):
     pass
+
+
+class _NumericFailure(Exception):
+    """A ``NumericError`` of ``simulate``, reported with its message
+    (exit 1) without loading the numeric layer for the other commands."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +151,7 @@ def main(argv=None) -> int:
     except (_InputFailure, ProblemError, OSError) as exc:
         print(f"supermech: {exc}", file=sys.stderr)
         return 2
-    except (LagrangianError, NumericError, FormError, JetError, AlgebraError) as exc:
+    except (LagrangianError, _NumericFailure, FormError, JetError, AlgebraError) as exc:
         print(f"supermech: {exc}", file=sys.stderr)
         return 1
     return code
@@ -284,6 +289,8 @@ def run_noether(problem: ProblemFile, symmetry: str | None, from_charge: str | N
 
 
 def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
+    from .numeric import NumericError, conservation_report, integrate
+
     if problem.simulation is None:
         raise _InputFailure("the problem file has no simulate block")
     lag = problem.lagrangian()
@@ -297,11 +304,14 @@ def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
         quantities[name] = certify_symmetry(field, lag, data, verify=False).charge
 
     sim = problem.simulation
-    trajectory = integrate(
-        dynamics, problem.initial_state(), dt=sim.dt, t_end=sim.t_end
-    )
-    drift = conservation_report(trajectory, quantities)
-    constraint_drift = trajectory.constraint_drift()
+    try:
+        trajectory = integrate(
+            dynamics, problem.initial_state(), dt=sim.dt, t_end=sim.t_end
+        )
+        drift = conservation_report(trajectory, quantities)
+        constraint_drift = trajectory.constraint_drift()
+    except NumericError as exc:
+        raise _NumericFailure(exc) from None
     within = all(value <= tol for value in drift.values()) and constraint_drift <= tol
 
     if trajectory_out is not None:

@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import GeneratorSymbol, Parity, SuperExpr
+from .algebra import GeneratorSymbol, Parity, SuperExpr, grassmann_coefficients
 from .lagrangian import Dynamics
 
 # bound on the bytes that the temporaries of one batched evaluation hold
@@ -197,23 +197,14 @@ class GrassmannValue:
     def from_terms(
         terms: Iterable[tuple[float, Sequence[int]]], directions: int
     ) -> "GrassmannValue":
-        """Build from (coefficient, direction indices) pairs; repeated
-        indices kill a term and odd permutations flip its sign."""
+        """Build from (coefficient, direction indices) pairs by
+        ``grassmann_coefficients``: repeated indices kill a term and odd
+        permutations flip its sign."""
         out = GrassmannValue(directions)
-        for value, indices in terms:
-            mask, sign = 0, 1.0
-            for index in indices:
-                if not 0 <= index < directions:
-                    raise NumericError(f"direction index {index} out of range")
-                if (mask >> (index + 1)).bit_count() % 2:
-                    sign = -sign
-                if mask >> index & 1:
-                    sign = 0.0
-                mask |= 1 << index
-            if sign:
-                # a sum out of range is left for the caller to check
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out.coeffs[mask] += sign * float(value)
+        try:
+            out.coeffs[:] = grassmann_coefficients(terms, directions)
+        except IndexError as exc:
+            raise NumericError(str(exc)) from None
         return out
 
     def body(self) -> float:

@@ -35,18 +35,21 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import (
     GeneratorSymbol,
     MixedParity,
     SuperExpr,
+    grassmann_coefficients,
     scaled,
     signed_sum,
 )
 from .jets import Chart, DomainMismatch, VectorFieldAlong
 from .lagrangian import SuperLagrangian
-from .numeric import GrassmannValue, NumericState
+
+if TYPE_CHECKING:
+    from .numeric import NumericState
 
 
 class ProblemError(Exception):
@@ -131,10 +134,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 @dataclass(frozen=True)
 class SimulationSpec:
+    """A simulate block.  ``init`` maps each coordinate given an initial
+    value to its ``2**directions`` float coefficients, indexed by subset
+    bitmask as in ``GrassmannValue.coeffs``; the file parses without
+    loading the numeric layer, and ``ProblemFile.initial_state`` builds the
+    Grassmann values."""
+
     directions: int
     dt: float
     t_end: float
-    init: Mapping[GeneratorSymbol, GrassmannValue]
+    init: Mapping[GeneratorSymbol, tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -157,12 +166,17 @@ class ProblemFile:
         return _symmetry_field(self.chart, self.order, self.symmetries[name])
 
     def initial_state(self) -> NumericState:
+        """The state at time 0: every coordinate up to order 2k-1, zero
+        where the simulate block gives no value."""
+        from .numeric import GrassmannValue, NumericState
+
         if self.simulation is None:
             raise ValueError("the problem file has no simulate block")
         sim = self.simulation
-        values: dict[GeneratorSymbol, GrassmannValue] = {}
-        for gen in self.chart.at_order(2 * self.order - 1).coordinates():
-            values[gen] = sim.init.get(gen, GrassmannValue(sim.directions))
+        values = {
+            gen: GrassmannValue(sim.directions, sim.init.get(gen))
+            for gen in self.chart.at_order(2 * self.order - 1).coordinates()
+        }
         return NumericState(0.0, values, sim.directions)
 
 
@@ -491,16 +505,15 @@ def _parse_simulate(parser: _Parser, chart: Chart, order: int) -> SimulationSpec
             raise IndexOutOfRange(
                 f"direction g[{index}] needs directions > {index}", line, column
             )
-    init: dict[GeneratorSymbol, GrassmannValue] = {}
+    init: dict[GeneratorSymbol, tuple[float, ...]] = {}
     for gen, (key, terms) in raw_init.items():
-        value = GrassmannValue.from_terms(terms, directions)
-        for coeff in value.coeffs.tolist():
-            _finite(coeff, key)
-        if not value.supports_parity(gen.parity):
+        coeffs = tuple(_finite(coeff, key) for coeff in grassmann_coefficients(terms, directions))
+        # the subsets of the other parity must be empty
+        if any(coeff for mask, coeff in enumerate(coeffs) if mask.bit_count() % 2 != gen.parity.value):
             raise ProblemSyntaxError(
                 f"initial value for {gen} must have {gen.parity} support", key.line, key.column
             )
-        init[gen] = value
+        init[gen] = coeffs
     return SimulationSpec(directions=directions, dt=dt, t_end=t_end, init=init)
 
 
@@ -594,7 +607,7 @@ def format_problem(problem: ProblemFile) -> str:
         lines.append(f"    dt = {_format_float(sim.dt)};")
         lines.append(f"    t = {_format_float(sim.t_end)};")
         for gen in sorted(sim.init, key=lambda g: g.sort_key):
-            lines.append(f"    init {gen} = {_format_grassmann(sim.init[gen])};")
+            lines.append(f"    init {gen} = {_format_grassmann(sim.init[gen], sim.directions)};")
         lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -604,14 +617,14 @@ def _format_float(value: float) -> str:
     return text if ("." in text or "e" in text or "E" in text) else text + ".0"
 
 
-def _format_grassmann(value: GrassmannValue) -> str:
+def _format_grassmann(coeffs: Sequence[float], directions: int) -> str:
     terms = [
         scaled(
-            _format_float(float(coeff)),
-            "*".join(f"g[{i}]" for i in range(value.directions) if mask >> i & 1),
+            _format_float(coeff),
+            "*".join(f"g[{i}]" for i in range(directions) if mask >> i & 1),
             "*",
         )
-        for mask, coeff in enumerate(value.coeffs)
+        for mask, coeff in enumerate(coeffs)
         if coeff != 0.0
     ]
     return signed_sum(terms) if terms else "0.0"

@@ -3,7 +3,12 @@
 from fractions import Fraction
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from supermech import (
     Chart,
@@ -238,3 +243,106 @@ def test_overlong_integer_literals_rejected():
         assert isinstance(err, ProblemSyntaxError)
         assert "4300 digits" in str(err)
     assert parse_problem(f"order 1; even q; L = {'9' * 4300}*q[1]^2;").order == 1
+
+
+# -- initial values ----------------------------------------------------------
+
+_INIT_PROBLEM = (
+    "order 1; even q; odd th; L = 1/2*q[1]^2 + 1/2*th[0]*th[1];"
+    " simulate {{ n = {n}; dt = 0.1; t = 1.0; init {gen} = {value}; }}"
+)
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.sampled_from([1e308, -1e308, 2.0**1023]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _initial_values(draw):
+    """A simulate block with one initial value: a sum of terms, each a
+    number among directions that may repeat, come in any order (often a
+    permutation of one shared list, so that sums cancel or overflow), or
+    reach one past the last direction.  Returns the text, the coordinate,
+    the directions, the terms and the text offsets of the direction
+    indices."""
+    directions = draw(st.integers(0, 8))
+    gen = draw(st.sampled_from(["q[0]", "q[1]", "th[0]", "th[1]"]))
+    top = directions - 1 if draw(st.integers(0, 2)) else directions
+    index_lists = st.lists(st.integers(0, top), max_size=4) if top >= 0 else st.just([])
+    shared = draw(index_lists)
+    if draw(st.booleans()):
+        index_lists = st.permutations(shared)
+    head = _INIT_PROBLEM.format(n=directions, gen=gen, value="")[: -len("; }")]
+    terms, offsets, text = [], [], ""
+    for position in range(draw(st.integers(1, 5))):
+        coeff = draw(_COEFFICIENTS)
+        indices = draw(st.one_of(st.permutations(shared), index_lists))
+        sign = "-" if math.copysign(1.0, coeff) < 0 else "+"
+        text += sign if position == 0 else f" {sign} "
+        place = draw(st.integers(0, len(indices)))
+        factors = [f"g[{i}]" for i in indices]
+        factors.insert(place, repr(abs(coeff)))
+        for factor in factors:
+            if factor.startswith("g["):
+                offsets.append(len(head) + len(text) + 2)
+            text += factor + "*"
+        text = text[:-1]
+        terms.append((coeff, indices))
+    return _INIT_PROBLEM.format(n=directions, gen=gen, value=text), gen, directions, terms, offsets
+
+
+def _summed_products(terms, directions: int) -> GrassmannValue:
+    """Each term as a number times the product of its directions, summed
+    in term order by the numeric layer's own arithmetic."""
+    out = GrassmannValue(directions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, indices in terms:
+            product = GrassmannValue.scalar(1.0, directions)
+            for index in indices:
+                product = product * GrassmannValue.direction(index, directions)
+            out = out + coeff * product
+    return out
+
+
+@given(_initial_values())
+def test_parsed_initial_values_match_the_numeric_layer(case):
+    text, gen, directions, terms, offsets = case
+    out_of_range = [
+        (offset, index)
+        for offset, index in zip(offsets, [i for _, indices in terms for i in indices])
+        if index >= directions
+    ]
+    column = text.index("init") + 1
+    if out_of_range:
+        event("a direction out of range")
+        offset, index = out_of_range[0]
+        err = error_of(text)
+        assert isinstance(err, IndexOutOfRange)
+        assert str(err) == f"line 1, column {offset + 1}: direction g[{index}] needs directions > {index}"
+        return
+    expected = GrassmannValue.from_terms(terms, directions)
+    assert expected.coeffs.tobytes() == _summed_products(terms, directions).coeffs.tobytes()
+    parity = Parity.EVEN if gen.startswith("q") else Parity.ODD
+    if not np.isfinite(expected.coeffs).all():
+        event("a sum out of range")
+        message = "number out of floating-point range"
+    elif not expected.supports_parity(parity):
+        event("the wrong parity")
+        message = f"initial value for {gen} must have {parity} support"
+    else:
+        event("parsed")
+        problem = parse_problem(text)
+        state = problem.initial_state()
+        chart = problem.chart
+        name, index = gen[:-3], int(gen[-2])
+        assert state.get(chart.gen(name, index)).coeffs.tobytes() == expected.coeffs.tobytes()
+        written = format_problem(problem)
+        again = parse_problem(written)
+        assert again == problem
+        assert format_problem(again) == written
+        assert again.initial_state().get(chart.gen(name, index)) == expected
+        return
+    err = error_of(text)
+    assert type(err) is ProblemSyntaxError
+    assert str(err) == f"line 1, column {column}: {message}"
