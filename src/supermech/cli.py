@@ -15,11 +15,16 @@ symmetry, not regular, drift out of tolerance), 2 bad usage or input,
 or a stdout closed before the report is written.  Output is
 deterministic: identical inputs give identical bytes.  Only ``simulate``
 loads the numeric layer, and numpy with it.
+
+``main`` may be called any number of times in one process.  The calls
+share one argument parser, built on the first call; parsing keeps no
+state between calls, so each call prints what it would print alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -76,7 +81,9 @@ class _NumericFailure(Exception):
     (exit 1) without loading the numeric layer for the other commands."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built once per process."""
     parser = argparse.ArgumentParser(
         prog="supermech",
         description="Symbolic higher-order Lagrangian mechanics with even and odd coordinates.",
@@ -158,8 +165,15 @@ def main(argv=None) -> int:
 
 
 def _load_problem(path: str) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_problem(handle.read())
+    # decoded whole, so that an error's offset counts from the start of
+    # the file; the newlines are translated as text mode would
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _InputFailure(f"{path}: not UTF-8 text: invalid byte at offset {exc.start}") from None
+    return parse_problem(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _render(report: dict) -> str:

@@ -12,6 +12,7 @@ derivatives, components multiplying from the left.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -81,12 +82,12 @@ class Chart:
         return SuperExpr.generator(self.gen(name, jet_order))
 
     def coordinates(self) -> tuple[GeneratorSymbol, ...]:
-        gens = [
-            self.gen(name, j)
-            for name in list(self.base_even) + list(self.base_odd)
-            for j in range(self.order + 1)
-        ]
-        return tuple(sorted(gens, key=lambda g: g.sort_key))
+        """Every generator of the chart, sorted by ``sort_key``."""
+        return _coordinates(self)[0]
+
+    def coordinate_set(self) -> frozenset[GeneratorSymbol]:
+        """The generators of the chart, for membership tests."""
+        return _coordinates(self)[1]
 
     def base_names(self) -> tuple[str, ...]:
         return self.base_even + self.base_odd
@@ -101,6 +102,18 @@ class Chart:
                 raise UndeclaredGenerator(f"generator {g} does not belong to this chart")
             if g.jet_order > self.order:
                 raise OrderExceeded(f"{g} exceeds jet order {self.order}")
+
+
+@functools.cache
+def _coordinates(chart: Chart) -> tuple[tuple[GeneratorSymbol, ...], frozenset[GeneratorSymbol]]:
+    """A chart's sorted generators and their set, built once per chart
+    value and shared by every equal chart.  Like the intern table of
+    ``GeneratorSymbol``, the cache keeps one entry per distinct chart."""
+    gens = sorted(
+        (chart.gen(name, j) for name in chart.base_names() for j in range(chart.order + 1)),
+        key=lambda g: g.sort_key,
+    )
+    return tuple(gens), frozenset(gens)
 
 
 def total_derivative(expr: SuperExpr) -> SuperExpr:
@@ -137,7 +150,7 @@ class VectorFieldAlong:
     def __post_init__(self):
         if self.source_order > self.target_order:
             raise DomainMismatch("a field along a projection cannot lower the order")
-        source = set(self.chart.at_order(self.source_order).coordinates())
+        source = self.chart.at_order(self.source_order).coordinate_set()
         clean: dict[GeneratorSymbol, SuperExpr] = {}
         inferred: Parity | None = self.parity
         for gen, comp in self.components.items():

@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .algebra import (
     GeneratorSymbol,
@@ -73,6 +73,9 @@ class IndexOutOfRange(ProblemError):
 
 # largest power after ``^``; a power expands by repeated multiplication
 MAX_EXPONENT = 64
+# deepest nesting of parentheses and unary signs, counted together; the
+# parser descends recursively, so deeper input would exhaust the stack
+MAX_NESTING = 100
 # longest integer literal; Python refuses to convert longer digit strings
 _MAX_INT_DIGITS = 4300
 
@@ -83,20 +86,19 @@ _RESERVED = {
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>\#[^\n]*)
+      (?P<SKIP>(?:\s+|\#[^\n]*)+)
     | (?P<FLOAT>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
     | (?P<INT>\d+)
     | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<ARROW>->)
     | (?P<SYMBOL>[;{}()\[\]+\-*/^=,])
+    | (?P<UNEXPECTED>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -104,31 +106,31 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` and a closing ``EOF``, in one pass: every
+    character belongs to exactly one match, the last alternative taking
+    whatever no token starts with."""
     tokens: list[_Token] = []
-    pos = 0
     line = 1
-    column = 1
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ProblemSyntaxError(f"unexpected character {text[pos]!r}", line, column)
-        kind = match.lastgroup or ""
+    line_start = 0  # offset of the first character of the current line
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
         chunk = match.group()
+        if kind == "SKIP":
+            # white space and comments; only here can a line end
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + chunk.rfind("\n") + 1
+            continue
+        column = match.start() - line_start + 1
+        if kind == "UNEXPECTED":
+            raise ProblemSyntaxError(f"unexpected character {chunk!r}", line, column)
         if kind == "INT" and len(chunk) > _MAX_INT_DIGITS:
             raise ProblemSyntaxError(
                 f"integer literal longer than {_MAX_INT_DIGITS} digits", line, column
             )
-        if kind not in ("WS", "COMMENT"):
-            token_kind = chunk if kind == "SYMBOL" else kind
-            tokens.append(_Token(token_kind, chunk, line, column))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            column = len(chunk) - chunk.rfind("\n")
-        else:
-            column += len(chunk)
-        pos = match.end()
-    tokens.append(_Token("EOF", "", line, column))
+        tokens.append(_Token(chunk if kind == "SYMBOL" else kind, chunk, line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -184,6 +186,7 @@ class _Parser:
     def __init__(self, tokens: Sequence[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -209,6 +212,17 @@ class _Parser:
                 f"expected {wanted!r}, found {found!r}", token.line, token.column
             )
         return self.advance()
+
+    def nest(self, token: _Token) -> None:
+        """Enter one more level of parentheses or unary signs, opened by
+        ``token``; the caller leaves it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ProblemSyntaxError(
+                f"parentheses and signs nested deeper than the limit {MAX_NESTING}",
+                token.line,
+                token.column,
+            )
 
     def fail(self, message: str) -> ProblemError:
         token = self.peek()
@@ -251,10 +265,12 @@ class _Parser:
                 return value
 
     def parse_factor(self, chart: Chart, max_index: int) -> SuperExpr:
-        if self.accept("+"):
-            return self.parse_factor(chart, max_index)
-        if self.accept("-"):
-            return -self.parse_factor(chart, max_index)
+        sign = self.accept("+") or self.accept("-")
+        if sign is not None:
+            self.nest(sign)
+            factor = self.parse_factor(chart, max_index)
+            self.depth -= 1
+            return -factor if sign.kind == "-" else factor
         atom = self.parse_atom(chart, max_index)
         if self.accept("^"):
             exponent = self.expect("INT")
@@ -277,9 +293,11 @@ class _Parser:
             )
         if token.kind == "NAME":
             return SuperExpr.generator(self.parse_coordinate(chart, max_index))
-        if self.accept("("):
+        if (paren := self.accept("(")) is not None:
+            self.nest(paren)
             expr = self.parse_expr(chart, max_index)
             self.expect(")")
+            self.depth -= 1
             return expr
         raise self.fail("expected a coordinate, an integer, or a parenthesis")
 

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from supermech import Chart, GradedForm, SuperExpr, format_problem, lagrangian, parse_problem
+from supermech import Chart, GradedForm, SuperExpr, cli, format_problem, lagrangian, parse_problem
 from supermech.cli import latex_expr, latex_form, main
+from supermech.problems import MAX_NESTING
 
 ROOT = Path(__file__).parent
 PROBLEMS = ROOT.parent / "problems"
@@ -402,6 +403,34 @@ def test_simulate_output_is_fixed(argv, expected, capsys):
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
+def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
+    # each call follows one that sets an option it leaves at its default,
+    # or a usage error; every call prints what it prints alone: the stored
+    # report, or what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")
+    particle = str(PROBLEMS / "superparticle.sm")
+    stored = [REFERENCE / f"superparticle.{name}.txt" for name in ("derive.latex", "derive")]
+    calls = [
+        (["derive", particle, "--emit", "latex"], stored[0]),
+        (["derive", particle], stored[1]),
+        (["simulate", particle, "--tol", "0"], None),
+        (["simulate", particle], ROOT / "data" / "superparticle.simulate.json"),
+        (["noether", particle, "--symmetry", "susy", "--from-charge", "q[0]"], None),
+        (["derive", str(PROBLEMS / "oscillator.sm")], REFERENCE / "oscillator.derive.txt"),
+        (["noether", particle, "--symmetry", "susy"], REFERENCE / "superparticle.noether_symmetry.susy.txt"),
+        (["noether", particle, "--from-charge=q[1]*theta[0]"], REFERENCE / "superparticle.noether_inverse.susy.txt"),
+    ]
+    for argv, expected in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        if expected is None:
+            alone = run_cli(argv, capture_output=True)
+            assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+        else:
+            assert (code, captured.out, captured.err) == (0, expected.read_text(encoding="utf-8"), "")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def _count_calls(monkeypatch, stages) -> Counter:
     """Count the calls of the named ``lagrangian`` functions."""
     calls = Counter()
@@ -536,6 +565,51 @@ def test_exponent_above_the_limit_is_usage_error(problem_file, capsys):
     assert "64" in err
     assert main(["derive", problem_file(text.format(64))]) == 0
     assert '"q[2]": "-64*q[0]^63"' in capsys.readouterr().out
+
+
+def test_problem_file_that_is_not_utf8_is_usage_error(problem_file, capsys):
+    path = problem_file("")
+    Path(path).write_bytes(b"order 1; even q; L = 1/2*q[1]^2; # \xff\n")
+    code = main(["derive", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"supermech: {path}: not UTF-8 text: invalid byte at offset 35\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_are_read_as_newlines(problem_file, capsys, newline):
+    path = problem_file("")
+    Path(path).write_bytes(newline.join(["order 1;", "even q;", "L = q[1] $;", ""]).encode())
+    assert main(["derive", path]) == 2
+    assert capsys.readouterr().err == "supermech: line 3, column 10: unexpected character '$'\n"
+
+
+@pytest.mark.parametrize(
+    "lagrangian, column",
+    [
+        ("(" * 1200 + "q[1]" + ")" * 1200 + "^2", 5 + MAX_NESTING),
+        ("1/2*q[1]^2 + " + "-" * 3000 + "q[0]", 18 + MAX_NESTING),
+    ],
+    ids=["parentheses", "signs"],
+)
+def test_nesting_above_the_limit_is_usage_error(problem_file, capsys, lagrangian, column):
+    code = main(["derive", problem_file(f"order 1;\neven q;\nL = {lagrangian};\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"supermech: line 3, column {column}: parentheses and signs nested deeper"
+        f" than the limit {MAX_NESTING}\n"
+    )
+
+
+def test_charge_nested_above_the_limit_is_usage_error(problem_file, capsys):
+    charge = "-(" * 600 + "q[0]" + ")" * 600
+    code = main(["noether", problem_file(OSCILLATOR), f"--from-charge={charge}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"supermech: line 1, column {MAX_NESTING + 1}: ")
 
 
 @pytest.mark.parametrize("emit", ["json", "latex"])

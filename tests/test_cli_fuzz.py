@@ -5,7 +5,9 @@ must end with exit code 0, 1 or 2 and either a report on stdout or one
 
 Sizes stay small so that exact arithmetic keeps each example fast: at most
 3 coordinates, order at most 2, exponents at most 3, at most 50 RK4 steps,
-and charges of degree at most 2."""
+and charges of degree at most 2.  Some files carry bytes that are not
+UTF-8, and some expressions nest parentheses or unary signs up to and past
+the parser's limit."""
 
 import contextlib
 import io
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from supermech.cli import main
+from supermech.problems import MAX_NESTING
 
 EVENS = ("q", "r", "x")
 ODDS = ("th", "ps", "chi")
@@ -42,6 +45,19 @@ def polynomial(draw, coords, max_index, max_factors, max_exponent):
             factors.append(f"{name}[{index}]" + (f"^{exponent}" if exponent > 1 else ""))
         terms.append("*".join(factors))
     return " + ".join(terms)
+
+
+@st.composite
+def nested(draw, expr):
+    """Now and then ``expr`` inside parentheses or unary signs, as deep as
+    the parser allows, one level deeper, or deep enough to exhaust the
+    stack of a recursive parser."""
+    if draw(st.integers(0, 9)) != 9:
+        return expr
+    depth = draw(st.sampled_from([MAX_NESTING, MAX_NESTING + 1, 3000]))
+    if draw(st.booleans()):
+        return "(" * depth + expr + ")" * depth
+    return "-" * (depth - 1) + "(" + expr + ")"
 
 
 STEPS = st.sampled_from(["0.1", "0.05", "0.02", "1/10"])
@@ -88,7 +104,7 @@ def problem_texts(draw):
         kinetic = [f"1/2*{x}[{order}]^2" for x in evens]
         kinetic += [f"1/2*{th}[{order - 1}]*{th}[{order}]" for th in odds]
         lagrangian = " + ".join(kinetic + [draw(polynomial(coords, order - 1, 2, 3))])
-    lines.append(f"L = {lagrangian};")
+    lines.append(f"L = {draw(nested(lagrangian))};")
     names = draw(st.lists(st.sampled_from(["time", "s", "u"]), max_size=2, unique=True))
     for name in names:
         if name == "time":
@@ -106,7 +122,7 @@ def problem_texts(draw):
             lines.insert(draw(st.integers(0, len(lines))), line)
         else:
             lines.remove(line)
-    charge = draw(polynomial(coords, 2 * order - 1, 2, 1))
+    charge = draw(nested(draw(polynomial(coords, 2 * order - 1, 2, 1))))
     symmetry = draw(st.sampled_from(names + ["missing"]))
     return "\n".join(lines) + "\n", symmetry, charge
 
@@ -118,13 +134,23 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# bytes that no UTF-8 text contains: a lone continuation byte, a sequence
+# cut short, an encoded surrogate, an overlong encoding, a byte never used
+NOT_UTF8 = st.sampled_from([b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xff"])
+
+
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
-@given(problem_texts())
-def test_every_generated_problem_ends_with_a_report_or_one_message(example):
+@given(problem_texts(), st.none() | st.tuples(NOT_UTF8, st.integers(min_value=0)))
+def test_every_generated_problem_ends_with_a_report_or_one_message(example, damage):
     text, symmetry, charge = example
+    data = text.encode()
+    if damage is not None:
+        garbage, offset = damage
+        offset %= len(data) + 1
+        data = data[:offset] + garbage + data[offset:]
     with tempfile.TemporaryDirectory() as folder:
         path = str(Path(folder) / "problem.sm")
-        Path(path).write_text(text)
+        Path(path).write_bytes(data)
         for argv in (
             ["derive", path],
             ["derive", path, "--emit", "latex"],

@@ -4,10 +4,13 @@ endomorphism."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supermech import (
     Chart,
     DomainMismatch,
+    GeneratorSymbol,
     OrderExceeded,
     Parity,
     SuperExpr,
@@ -42,6 +45,47 @@ def gen(name, j):
 def test_chart_coordinates_are_sorted():
     small = Chart.create(["q"], ["th"], 1)
     assert [str(g) for g in small.coordinates()] == ["q[0]", "q[1]", "th[0]", "th[1]"]
+
+
+@st.composite
+def charts(draw):
+    names = draw(st.permutations(["q", "r", "x", "th", "ps", "chi"]))[: draw(st.integers(1, 6))]
+    split = draw(st.integers(0, len(names)))
+    return Chart.create(names[:split], names[split:], draw(st.integers(0, 4)))
+
+
+@given(charts())
+def test_chart_coordinates_match_the_explicit_construction(chart):
+    explicit = sorted(
+        (
+            GeneratorSymbol(name, parity, index, j)
+            for parity, pool in ((Parity.EVEN, chart.base_even), (Parity.ODD, chart.base_odd))
+            for index, name in enumerate(pool)
+            for j in range(chart.order + 1)
+        ),
+        key=lambda g: g.sort_key,
+    )
+    assert chart.coordinates() == tuple(explicit)
+    assert chart.coordinate_set() == set(explicit)
+    # an equal chart shares them
+    twin = Chart.create(list(chart.base_even), list(chart.base_odd), chart.order)
+    assert twin.coordinates() is chart.coordinates()
+
+
+@given(charts(), st.data())
+def test_field_components_must_lie_in_the_source_chart(chart, data):
+    source = data.draw(st.integers(0, chart.order))
+    gen = data.draw(st.sampled_from(chart.at_order(source).coordinates()))
+    one = SuperExpr.constant(1)
+    assert VectorFieldAlong(chart, source, source + 1, {gen: one}).components == {gen: one}
+    outside = [
+        gen.shifted(source + 1 - gen.jet_order),
+        GeneratorSymbol("z", gen.parity, gen.base_index, gen.jet_order),
+        GeneratorSymbol(gen.name, gen.parity, gen.base_index + 1, gen.jet_order),
+    ]
+    for stranger in outside:
+        with pytest.raises(DomainMismatch):
+            VectorFieldAlong(chart, source, source + 1, {stranger: one})
 
 
 def test_chart_rejects_duplicates_and_bad_orders():

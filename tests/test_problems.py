@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from supermech import (
     parse_expression,
     parse_problem,
 )
+from supermech.problems import MAX_NESTING, _tokenize
+
+from test_cli_fuzz import problem_texts
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "problems"
 
@@ -243,6 +247,53 @@ def test_overlong_integer_literals_rejected():
         assert isinstance(err, ProblemSyntaxError)
         assert "4300 digits" in str(err)
     assert parse_problem(f"order 1; even q; L = {'9' * 4300}*q[1]^2;").order == 1
+
+
+def test_parentheses_and_signs_share_one_nesting_limit():
+    chart = Chart.create(["q"], [], 1)
+    half = MAX_NESTING // 2
+    at_limit = "-(" * half + "q[0]" + ")" * half
+    assert parse_expression(at_limit, chart, 1) == (-1) ** half * chart.coord("q", 0)
+    # levels that close before the next opens do not add up
+    assert parse_expression(" + ".join([at_limit] * 3), chart, 1) == 3 * (-1) ** half * chart.coord("q", 0)
+    for over in ("(" + at_limit + ")", "+" + at_limit, at_limit.replace("q[0]", "-q[0]")):
+        with pytest.raises(ProblemSyntaxError) as info:
+            parse_expression(over, chart, 1)
+        assert str(info.value) == (
+            f"line 1, column {2 * half + 1}: parentheses and signs nested deeper"
+            f" than the limit {MAX_NESTING}"
+        )
+
+
+# -- tokens ------------------------------------------------------------------
+
+_COMMENTS = st.sampled_from(["", "#", "# note", "# q[1] -> { ; } # again", "#\t1/2*th[0]^2"])
+
+
+@st.composite
+def _commented_texts(draw):
+    """A problem text from the command line grammar with indentation, blank
+    lines, comment lines and trailing comments interleaved."""
+    text = draw(problem_texts())[0]
+    lines = []
+    for line in text.split("\n"):
+        lines += draw(st.lists(_COMMENTS, max_size=2))
+        indent = draw(st.sampled_from(["", "  ", "\t"]))
+        lines.append(indent + line + draw(st.sampled_from(["", " ", " # trailing"])))
+    return "\n".join(lines)
+
+
+@given(_commented_texts())
+def test_every_token_points_at_its_text(text):
+    tokens = _tokenize(text)
+    lines = text.split("\n")
+    for token in tokens[:-1]:
+        start = token.column - 1
+        assert lines[token.line - 1][start : start + len(token.text)] == token.text
+        assert token.kind in ("INT", "FLOAT", "NAME", "ARROW", token.text)
+    assert tokens[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1)
+    # only white space and comments fall between the tokens
+    assert "".join(token.text for token in tokens) == "".join(re.sub("#[^\n]*", "", text).split())
 
 
 # -- initial values ----------------------------------------------------------
