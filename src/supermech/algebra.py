@@ -11,8 +11,17 @@ that order: it sorts odd generators (form degree 0) here and differentials
 directions of a numeric Grassmann value, without numpy, so that a problem
 file's initial data parses without loading the numeric layer.
 
-Coefficients are exact ``Fraction`` values and every operation returns the
-unique canonical form, so equality is dictionary equality.
+Coefficients are exact rationals, stored as one ``int`` numerator per term
+key over one denominator per expression (the layout of FLINT's
+``fmpq_poly``).  In canonical form the denominator is positive, no
+numerator is zero, the denominator and the numerators have no common
+factor, and zero has denominator 1.  Products, sums, partials and
+substitutions run on Python ints and end with one ``math.gcd`` per result,
+skipped when the denominator is 1.  Every operation returns the unique
+canonical form, so equality is equality of the denominators and the
+numerator dicts.  ``items()``, ``constant_term()`` and the constructor
+``SuperExpr(mapping)`` still take and return ``Fraction`` coefficients,
+reduced term by term.
 
 Generators are interned: constructing a ``GeneratorSymbol`` returns the one
 instance with those fields, so symbols hash and compare by identity, in C.
@@ -22,10 +31,12 @@ rehashes, which makes this the cost under every sum, product and partial.
 
 from __future__ import annotations
 
+import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class Parity(Enum):
@@ -113,7 +124,7 @@ def koszul(expr: "SuperExpr", odd: int) -> "SuperExpr":
     moving past an expression is decided here."""
     if not odd:
         return expr
-    return SuperExpr({key: -c if len(key[1]) % 2 else c for key, c in expr._terms.items()})
+    return _raw({key: -n if len(key[1]) % 2 else n for key, n in expr._nums.items()}, expr._den)
 
 
 def reorder(letters: Iterable[GeneratorSymbol], degree: int) -> tuple[int, tuple[GeneratorSymbol, ...]] | None:
@@ -221,6 +232,8 @@ _INTERNED: dict[tuple[str, Parity, int, int], GeneratorSymbol] = {}
 EvenMonomial = tuple[tuple[GeneratorSymbol, int], ...]
 OddWord = tuple[GeneratorSymbol, ...]
 TermKey = tuple[EvenMonomial, OddWord]
+# the key of the constant term
+_UNIT: TermKey = ((), ())
 
 Scalar = Union[int, Fraction]
 RawTerm = tuple[Scalar, Sequence[GeneratorSymbol]]
@@ -276,44 +289,60 @@ def _merge_even(left: EvenMonomial, right: EvenMonomial) -> EvenMonomial:
 
 
 class SuperExpr:
-    """A canonical supercommutative polynomial."""
+    """A canonical supercommutative polynomial: integer numerators by term
+    key over one positive denominator with no factor common to all of them
+    (``1`` for zero).  ``SuperExpr(mapping)`` takes ``Fraction`` (or int)
+    coefficients by term key."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_nums", "_den", "_hash")
 
-    def __init__(self, terms: Mapping[TermKey, Fraction] | None = None):
-        self._terms: dict[TermKey, Fraction] = dict(terms or {})
+    def __init__(self, terms: Mapping[TermKey, Scalar] | None = None):
+        coeffs = {key: c for key, c in (terms or {}).items() if c}
+        # the least common multiple of reduced denominators leaves no common
+        # factor, so the result is canonical without a gcd
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self._nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._den = den
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "SuperExpr":
-        return SuperExpr()
+        return _raw({})
 
     @staticmethod
     def constant(value: Scalar) -> "SuperExpr":
         value = Fraction(value)
-        if value == 0:
-            return SuperExpr()
-        return SuperExpr({((), ()): value})
+        return _raw({_UNIT: value.numerator} if value else {}, value.denominator)
 
     @staticmethod
     def generator(gen: GeneratorSymbol) -> "SuperExpr":
         if gen.parity is Parity.EVEN:
-            return SuperExpr({(((gen, 1),), ()): Fraction(1)})
-        return SuperExpr({((), (gen,)): Fraction(1)})
+            return _raw({(((gen, 1),), ()): 1})
+        return _raw({((), (gen,)): 1})
 
     # -- structure ---------------------------------------------------------
 
     def items(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self._terms.items(), key=lambda it: _term_sort_key(it[0]))
+        """The terms, sorted, each coefficient a reduced ``Fraction``."""
+        den = self._den
+        return sorted(
+            ((key, Fraction(n, den)) for key, n in self._nums.items()),
+            key=lambda it: _term_sort_key(it[0]),
+        )
+
+    def numerators(self) -> tuple[Mapping[TermKey, int], int]:
+        """The integer numerators by term key, unsorted and read-only, and
+        the one denominator they share."""
+        return MappingProxyType(self._nums), self._den
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def generators(self) -> set[GeneratorSymbol]:
         out: set[GeneratorSymbol] = set()
-        for (even, odd) in self._terms:
+        for (even, odd) in self._nums:
             out.update(g for g, _ in even)
             out.update(odd)
         return out
@@ -324,37 +353,58 @@ class SuperExpr:
         return max((g.jet_order for g in gens), default=-1)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(((), ()), Fraction(0))
+        return Fraction(self._nums.get(_UNIT, 0), self._den)
 
     def total_degree(self) -> int:
         """Largest total degree of a term (odd factors count once each)."""
         deg = 0
-        for (even, odd) in self._terms:
+        for (even, odd) in self._nums:
             deg = max(deg, sum(e for _, e in even) + len(odd))
         return deg
 
     def parity_split(self) -> tuple["SuperExpr", "SuperExpr"]:
         """Split into the even-parity and odd-parity parts."""
-        even_terms: dict[TermKey, Fraction] = {}
-        odd_terms: dict[TermKey, Fraction] = {}
-        for key, coeff in self._terms.items():
-            (even_terms if len(key[1]) % 2 == 0 else odd_terms)[key] = coeff
-        return SuperExpr(even_terms), SuperExpr(odd_terms)
+        even_nums: dict[TermKey, int] = {}
+        odd_nums: dict[TermKey, int] = {}
+        for key, n in self._nums.items():
+            (odd_nums if len(key[1]) % 2 else even_nums)[key] = n
+        return _reduced(even_nums, self._den), _reduced(odd_nums, self._den)
+
+    def body(self) -> "SuperExpr":
+        """The terms free of odd generators."""
+        return _reduced({key: n for key, n in self._nums.items() if not key[1]}, self._den)
 
     @staticmethod
     def sum(exprs: Iterable["SuperExpr"]) -> "SuperExpr":
-        """Add many expressions into one term dict."""
-        return _collect(term for expr in exprs for term in expr._terms.items())
+        """Add many expressions over their least common denominator."""
+        parts = [expr for expr in exprs if expr._nums]
+        if len(parts) < 2:
+            return parts[0] if parts else _raw({})
+        den = math.lcm(*(expr._den for expr in parts))
+        first, *rest = parts
+        scale = den // first._den
+        out = dict(first._nums) if scale == 1 else {key: n * scale for key, n in first._nums.items()}
+        get = out.get
+        # every numerator is nonzero, so a sum cancels only on a key present
+        for expr in rest:
+            scale = den // expr._den
+            for key, n in expr._nums.items():
+                acc = get(key, 0) + n * scale
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+        return _reduced(out, den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        return _collect(_coerce(other)._terms.items(), self._terms)
+        return SuperExpr.sum((self, _coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SuperExpr":
-        return SuperExpr({key: -coeff for key, coeff in self._terms.items()})
+        return _raw({key: -n for key, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
         return self + (-_coerce(other))
@@ -363,7 +413,30 @@ class SuperExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        return _collect(_product_terms(self, _coerce(other)))
+        if not isinstance(other, SuperExpr):
+            other = _coerce(other)
+        left, right, den = self._nums, other._nums, self._den * other._den
+        # a constant factor scales the numerators; most products have one
+        if len(left) == 1 and _UNIT in left:
+            left, right = right, left
+        if len(right) == 1 and _UNIT in right:
+            scale = right[_UNIT]
+            return _reduced({key: n * scale for key, n in left.items()}, den)
+        out: dict[TermKey, int] = {}
+        get = out.get
+        # as in ``sum``, a product cancels only on a key already present
+        for (ev1, od1), n1 in left.items():
+            for (ev2, od2), n2 in right.items():
+                merged = _merge_odd_words(od1, od2)
+                if merged is not None:
+                    sign, odd = merged
+                    key = (_merge_even(ev1, ev2), odd)
+                    acc = get(key, 0) + (n1 * n2 if sign > 0 else -n1 * n2)
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return _reduced(out, den)
 
     def __rmul__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
         return _coerce(other) * self
@@ -372,13 +445,18 @@ class SuperExpr:
         other = Fraction(other)
         if other == 0:
             raise ZeroDivisionError("division of a SuperExpr by zero")
-        return SuperExpr({key: coeff / other for key, coeff in self._terms.items()})
+        # divide by |p/q| and move the sign of p onto the numerators
+        scale = other.denominator if other > 0 else -other.denominator
+        nums = {key: n * scale for key, n in self._nums.items()}
+        return _reduced(nums, self._den * abs(other.numerator))
 
     def __pow__(self, exponent: int) -> "SuperExpr":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
-        out = SuperExpr.constant(1)
-        for _ in range(exponent):
+        if exponent == 0:
+            return SuperExpr.constant(1)
+        out = self
+        for _ in range(exponent - 1):
             out = out * self
         return out
 
@@ -389,11 +467,11 @@ class SuperExpr:
             other = SuperExpr.constant(other)
         if not isinstance(other, SuperExpr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._nums.items()), self._den))
         return self._hash
 
     # -- display -----------------------------------------------------------
@@ -408,29 +486,24 @@ class SuperExpr:
         return f"SuperExpr({self})"
 
 
-def _collect(
-    terms: Iterable[tuple[TermKey, Fraction]], base: Mapping[TermKey, Fraction] | None = None
-) -> SuperExpr:
-    """Add ``(key, coefficient)`` pairs into one dict, a copy of ``base``
-    when given, dropping keys whose coefficients cancel."""
-    out: dict[TermKey, Fraction] = dict(base) if base else {}
-    for key, coeff in terms:
-        acc = out[key] + coeff if key in out else coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return SuperExpr(out)
+def _raw(nums: dict[TermKey, int], den: int = 1) -> SuperExpr:
+    """The internal constructor: ``nums`` and ``den`` already canonical."""
+    expr = object.__new__(SuperExpr)
+    expr._nums = nums
+    expr._den = den
+    expr._hash = None
+    return expr
 
 
-def _product_terms(left: SuperExpr, right: SuperExpr) -> Iterator[tuple[TermKey, Fraction]]:
-    for (ev1, od1), c1 in left._terms.items():
-        for (ev2, od2), c2 in right._terms.items():
-            merged = _merge_odd_words(od1, od2)
-            if merged is not None:
-                sign, odd = merged
-                coeff = c1 * c2
-                yield (_merge_even(ev1, ev2), odd), coeff if sign > 0 else -coeff
+def _reduced(nums: dict[TermKey, int], den: int) -> SuperExpr:
+    """Canonical form of nonzero numerators over a positive denominator:
+    one gcd, skipped when ``den`` is 1 (zero ends with ``den`` 1)."""
+    if den != 1:
+        common = math.gcd(den, *nums.values())
+        if common != 1:
+            den //= common
+            nums = {key: n // common for key, n in nums.items()}
+    return _raw(nums, den)
 
 
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
@@ -464,7 +537,7 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
     term.  When ``declared`` is given, every factor must belong to it.
     """
     allowed = set(declared) if declared is not None else None
-    terms: list[tuple[TermKey, Fraction]] = []
+    terms: dict[TermKey, Fraction] = {}
     for coeff, factors in raw:
         evens: list[GeneratorSymbol] = []
         odds: list[GeneratorSymbol] = []
@@ -480,8 +553,9 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
         for gen in evens:
             exps[gen] = exps.get(gen, 0) + 1
         even_mono = tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
-        terms.append(((even_mono, odd_word), Fraction(coeff) * sign))
-    return _collect(terms)
+        key = (even_mono, odd_word)
+        terms[key] = terms.get(key, 0) + Fraction(coeff) * sign
+    return SuperExpr(terms)
 
 
 def parity_of(expr: SuperExpr) -> Parity:
@@ -492,7 +566,7 @@ def parity_of(expr: SuperExpr) -> Parity:
     """
     if expr.is_zero():
         raise ZeroExpression("the zero expression has no definite parity")
-    parities = {len(odd) % 2 for (_, odd) in expr._terms}
+    parities = {len(odd) % 2 for (_, odd) in expr._nums}
     if len(parities) > 1:
         raise MixedParity(f"expression {expr} mixes parities")
     return Parity(parities.pop())
@@ -514,9 +588,10 @@ def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
     For an odd generator the factor is moved to the front of its word,
     collecting a Koszul sign, and then removed.
     """
-    terms: list[tuple[TermKey, Fraction]] = []
+    # distinct terms keep distinct keys, so nothing cancels
+    nums: dict[TermKey, int] = {}
     if gen.parity is Parity.EVEN:
-        for (even, odd), coeff in expr._terms.items():
+        for (even, odd), n in expr._nums.items():
             exps = dict(even)
             exp = exps.get(gen)
             if not exp:
@@ -525,17 +600,17 @@ def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
             # key stays canonical without sorting again
             if exp == 1:
                 del exps[gen]
-                terms.append(((tuple(exps.items()), odd), coeff))
+                nums[(tuple(exps.items()), odd)] = n
             else:
                 exps[gen] = exp - 1
-                terms.append(((tuple(exps.items()), odd), coeff * exp))
+                nums[(tuple(exps.items()), odd)] = n * exp
     else:
-        for (even, odd), coeff in expr._terms.items():
+        for (even, odd), n in expr._nums.items():
             if gen not in odd:
                 continue
             pos = odd.index(gen)
-            terms.append(((even, odd[:pos] + odd[pos + 1:]), -coeff if pos % 2 else coeff))
-    return _collect(terms)
+            nums[(even, odd[:pos] + odd[pos + 1:])] = -n if pos % 2 else n
+    return _reduced(nums, expr._den)
 
 
 def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr | Scalar]) -> SuperExpr:
@@ -552,11 +627,12 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
             raise ParityMismatch(f"value {value} assigned to {gen} is not {gen.parity}")
         values[gen] = value
     terms: list[SuperExpr] = []
-    for (even, odd), coeff in expr._terms.items():
-        term = SuperExpr.constant(coeff)
+    for (even, odd), n in expr._nums.items():
+        term = _raw({_UNIT: n})
         for gen, exp in even:
             term = term * values.get(gen, SuperExpr.generator(gen)) ** exp
         for gen in odd:
             term = term * values.get(gen, SuperExpr.generator(gen))
         terms.append(term)
-    return SuperExpr.sum(terms)
+    total = SuperExpr.sum(terms)
+    return _reduced(total._nums, total._den * expr._den)

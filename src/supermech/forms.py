@@ -176,7 +176,7 @@ def _collect(pairs: Iterable[tuple[Iterable[GeneratorSymbol], SuperExpr]]) -> Gr
 def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
     """Whether a printed form writes this coefficient in parentheses: it
     has more than one term and differentials follow it."""
-    return bool(word) and len(coeff._terms) > 1
+    return bool(word) and len(coeff.numerators()[0]) > 1
 
 
 def differential_of_function(f: SuperExpr) -> GradedForm:

@@ -207,11 +207,6 @@ def cartan_data(lag: SuperLagrangian) -> CartanData:
 # -- linear algebra over the superalgebra ----------------------------------
 
 
-def _body(expr: SuperExpr) -> SuperExpr:
-    """Strip every term containing an odd generator."""
-    return SuperExpr({key: c for key, c in expr.items() if not key[1]})
-
-
 def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]]]:
     """Determinant and adjugate of a matrix with commuting (even) entries
     by the Faddeev-LeVerrier recurrence: n matrix products and divisions
@@ -369,7 +364,7 @@ def _matrix(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> list
 
 
 def _sector(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> _Sector:
-    body = [[_body(e) for e in row] for row in _matrix(rows, unknowns)]
+    body = [[e.body() for e in row] for row in _matrix(rows, unknowns)]
     det, adjugate = _det_adjugate(body)
     return _Sector(tuple(rows), tuple(unknowns), det, tuple(adjugate))
 
@@ -471,7 +466,7 @@ def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[Gener
     matrix = _matrix(sector.rows, sector.unknowns)
     rhs = [-rest for rest, _ in sector.rows]
     inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
-    soul = [[e - _body(e) for e in row] for row in matrix]
+    soul = [[e - e.body() for e in row] for row in matrix]
     u = _mat_vec(inv_body, rhs)
     for _ in range(nilpotency_cap + 1):
         following = _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, u))])
@@ -609,8 +604,9 @@ def _solve_rational(columns: Sequence[SuperExpr], target: SuperExpr) -> list[Fra
     width = len(columns)
     equations: dict = {}
     for c, col in enumerate([*columns, target]):
-        for key, coeff in col._terms.items():
-            equations.setdefault(key, {})[c] = coeff
+        nums, den = col.numerators()
+        for key, n in nums.items():
+            equations.setdefault(key, {})[c] = Fraction(n, den)
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in equations.values():
         for col in [c for c in row if c in pivots]:
@@ -750,7 +746,7 @@ def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], Supe
     homotopy = SuperExpr.sum(parts)
     return derivatives, SuperExpr({
         (even, odd): coeff / (sum(e for _, e in even) + len(odd))
-        for (even, odd), coeff in homotopy._terms.items()
+        for (even, odd), coeff in homotopy.items()
     })
 
 

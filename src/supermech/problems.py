@@ -87,8 +87,8 @@ _RESERVED = {
 _TOKEN_RE = re.compile(
     r"""
       (?P<SKIP>(?:\s+|\#[^\n]*)+)
-    | (?P<FLOAT>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-    | (?P<INT>\d+)
+    | (?P<FLOAT>[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)
+    | (?P<INT>[0-9]+)
     | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<ARROW>->)
     | (?P<SYMBOL>[;{}()\[\]+\-*/^=,])

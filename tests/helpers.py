@@ -1,22 +1,26 @@
 """Shared test utilities.
 
-Six kinds of helpers live here: seeded random generators for
+Seven kinds of helpers live here: seeded random generators for
 expressions, forms, and fields; a small independent polynomial calculator
 for the one-even-coordinate case; a reference product and even partial
-that spell each term out as a list of factors; a reference variational
-derivative and on-shell substitution written as the textbook sum and the
-nested loop the package's single passes replace; a reference Grassmann
-product, evaluator and Runge-Kutta stepper for the numeric layer; and
-reference exact linear algebra.  The calculator represents polynomials as
-plain exponent-tuple dictionaries and knows nothing about the package
-internals, so momenta and field equations computed with it are a second
-opinion, not an echo.  The factor-list references hand every term to
-``normalize``, so they do not use the merges of canonical words and
-monomials that the package's product runs on.  The numeric references
-loop over coefficients one pair at a time instead of using the package's
-product tables.  The linear-algebra references are Laplace expansion and
-dense Gauss-Jordan elimination, the textbook routines the package's
-kernels replace.
+that spell each term out as a list of factors; the ring operations on
+plain ``Fraction`` dictionaries, one coefficient per term; a reference
+variational derivative and on-shell substitution written as the textbook
+sum and the nested loop the package's single passes replace; a reference
+Grassmann product, evaluator and Runge-Kutta stepper for the numeric
+layer; and reference exact linear algebra.  The calculator represents
+polynomials as plain exponent-tuple dictionaries and knows nothing about
+the package internals, so momenta and field equations computed with it
+are a second opinion, not an echo.  The factor-list references hand every
+term to ``normalize``, so they do not use the merges of canonical words
+and monomials that the package's product runs on.  The ``Fraction``
+dictionary references sort odd words by counting inversions and build no
+``SuperExpr``, so they check the package's integer numerators over shared
+denominators from outside.  The numeric references loop over
+coefficients one pair at a time instead of using the package's product
+tables.  The linear-algebra references are Laplace expansion and dense
+Gauss-Jordan elimination, the textbook routines the package's kernels
+replace.
 """
 
 from __future__ import annotations
@@ -297,6 +301,89 @@ def reference_even_partial(expr: SuperExpr, gen) -> SuperExpr:
             factors.remove(gen)
             raw.append((coeff * count, factors))
     return normalize(raw)
+
+
+# -- reference: the ring on Fraction dictionaries ----------------------------
+# An expression is a plain dict from canonical term key to nonzero Fraction,
+# one coefficient per term.  Terms are made canonical here by counting
+# inversions of the odd factors, without ``normalize`` or ``reorder``.
+
+
+def fraction_terms(expr: SuperExpr) -> dict:
+    return dict(expr.items())
+
+
+def fraction_term(coeff: Fraction, factors: list):
+    """``(key, coefficient)`` of a product of factors in this order, or None
+    when an odd factor repeats."""
+    odds = [g for g in factors if g.parity is Parity.ODD]
+    if len(set(odds)) < len(odds):
+        return None
+    inversions = sum(a.sort_key > b.sort_key for i, a in enumerate(odds) for b in odds[i + 1:])
+    counts: dict = {}
+    for g in factors:
+        if g.parity is Parity.EVEN:
+            counts[g] = counts.get(g, 0) + 1
+    even = tuple(sorted(counts.items(), key=lambda it: it[0].sort_key))
+    odd = tuple(sorted(odds, key=lambda g: g.sort_key))
+    return (even, odd), coeff * (-1) ** inversions
+
+
+def fraction_sum(terms) -> dict:
+    """Add ``(key, coefficient)`` pairs, dropping what cancels."""
+    out: dict = {}
+    for key, coeff in terms:
+        out[key] = out.get(key, Fraction(0)) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def fraction_normalize(raw) -> dict:
+    return fraction_sum(filter(None, (fraction_term(Fraction(c), list(f)) for c, f in raw)))
+
+
+def fraction_product(left: dict, right: dict) -> dict:
+    return fraction_sum(filter(None, (
+        fraction_term(c1 * c2, factor_list(k1) + factor_list(k2))
+        for k1, c1 in left.items()
+        for k2, c2 in right.items()
+    )))
+
+
+def fraction_power(base: dict, exponent: int) -> dict:
+    out = {((), ()): Fraction(1)}
+    for _ in range(exponent):
+        out = fraction_product(out, base)
+    return out
+
+
+def fraction_left_partial(terms: dict, gen) -> dict:
+    """An even generator loses one factor and weights the term by its
+    exponent; an odd one is moved to the front of its word and removed."""
+    out = []
+    for (even, odd), coeff in terms.items():
+        if gen.parity is Parity.EVEN:
+            exps = dict(even)
+            if gen in exps:
+                exps[gen] -= 1
+                monomial = tuple((g, e) for g, e in exps.items() if e)
+                out.append(((monomial, odd), coeff * dict(even)[gen]))
+        elif gen in odd:
+            pos = odd.index(gen)
+            out.append(((even, odd[:pos] + odd[pos + 1:]), coeff * (-1) ** pos))
+    return fraction_sum(out)
+
+
+def fraction_substitute(terms: dict, values: dict) -> dict:
+    """Each term's factors replaced in order by their values (dicts), the
+    other factors kept."""
+    out = []
+    for key, coeff in terms.items():
+        product = {((), ()): coeff}
+        for g in factor_list(key):
+            value = values[g] if g in values else dict([fraction_term(Fraction(1), [g])])
+            product = fraction_product(product, value)
+        out.extend(product.items())
+    return fraction_sum(out)
 
 
 # -- reference calculus: variational derivative and on-shell values ---------

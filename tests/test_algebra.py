@@ -1,6 +1,7 @@
 """Exact arithmetic in the graded polynomial ring."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -27,7 +28,18 @@ from supermech import (
 )
 from supermech.algebra import koszul
 
-from helpers import random_expr, reference_even_partial, reference_product
+from helpers import (
+    fraction_left_partial,
+    fraction_normalize,
+    fraction_power,
+    fraction_product,
+    fraction_substitute,
+    fraction_sum,
+    fraction_terms,
+    random_expr,
+    reference_even_partial,
+    reference_product,
+)
 
 CHART = Chart.create(["q", "r"], ["th", "ps"], 3)
 
@@ -224,6 +236,75 @@ def test_left_partial_matches_the_factor_list_reference(e, x):
         # e = x*A + B with A and B free of x, and the left partial is A
         with_x = SuperExpr({key: c for key, c in e.items() if x in key[1]})
         assert reference_product(SuperExpr.generator(x), d) == with_x
+
+
+# Coefficients over pairwise-coprime denominators and with 60-digit
+# numerators: sums then meet several denominators and products large ones.
+WIDE = 10**59
+WIDE_COEFFS = st.one_of(
+    COEFFS,
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)]),
+    st.builds(
+        Fraction,
+        st.one_of(st.integers(WIDE, 10 * WIDE - 1), st.integers(-10 * WIDE + 1, -WIDE)),
+        st.sampled_from([1, 3, 7, 11]),
+    ),
+)
+RAW_TERMS = st.lists(st.tuples(WIDE_COEFFS, st.lists(st.sampled_from(GENS), max_size=5)), max_size=6)
+WIDE_EXPRS = st.one_of(EXPRS, RAW_TERMS.map(normalize))
+
+
+def assert_exact(result, reference):
+    """``result`` is in canonical form (integer numerators, none zero, over
+    a positive denominator with no factor common to all; zero over 1) and
+    has the reference's Fraction coefficients, and the expression built
+    from the reference is equal to it and hashes equal."""
+    nums, den = result.numerators()
+    assert den > 0 and all(type(n) is int and n for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert nums or den == 1
+    assert fraction_terms(result) == reference
+    rebuilt = SuperExpr(reference)
+    assert rebuilt == result and hash(rebuilt) == hash(result)
+
+
+@settings(max_examples=150)
+@given(WIDE_EXPRS, WIDE_EXPRS, WIDE_COEFFS.filter(bool), st.integers(0, 3), st.sampled_from(GENS))
+def test_operations_stay_canonical_and_match_the_fraction_reference(a, b, c, k, x):
+    fa, fb = fraction_terms(a), fraction_terms(b)
+    assert_exact(a + b, fraction_sum([*fa.items(), *fb.items()]))
+    assert_exact(a - b, fraction_sum([*fa.items(), *((key, -v) for key, v in fb.items())]))
+    assert_exact(-a, {key: -v for key, v in fa.items()})
+    assert_exact(a * b, fraction_product(fa, fb))
+    assert_exact(c * a, {key: c * v for key, v in fa.items()})
+    assert_exact(a / c, {key: v / c for key, v in fa.items()})
+    assert_exact(a ** k, fraction_power(fa, k))
+    assert_exact(koszul(a, 1), {key: -v if len(key[1]) % 2 else v for key, v in fa.items()})
+    assert_exact(left_partial(a, x), fraction_left_partial(fa, x))
+    even_part, odd_part = a.parity_split()
+    assert_exact(even_part, {key: v for key, v in fa.items() if len(key[1]) % 2 == 0})
+    assert_exact(odd_part, {key: v for key, v in fa.items() if len(key[1]) % 2})
+    assert_exact(a.body(), {key: v for key, v in fa.items() if not key[1]})
+    # a sum that cancels to zero, or to a part with a smaller denominator
+    assert_exact((a + b) - b, fa)
+
+
+@settings(max_examples=100)
+@given(RAW_TERMS)
+def test_normalize_is_canonical_and_matches_the_fraction_reference(raw):
+    assert_exact(normalize(raw), fraction_normalize(raw))
+
+
+@settings(max_examples=100)
+@given(WIDE_EXPRS, WIDE_EXPRS, WIDE_EXPRS, st.sampled_from(GENS), st.sampled_from(GENS))
+def test_substitute_is_canonical_and_matches_the_fraction_reference(e, u, v, x, y):
+    # each value is the part of its generator's parity
+    values = {
+        g: value.parity_split()[g.parity.value]
+        for g, value in ((x, u), (y, v))
+    }
+    reference = fraction_substitute(fraction_terms(e), {g: fraction_terms(w) for g, w in values.items()})
+    assert_exact(substitute(e, values), reference)
 
 
 # -- parity queries --------------------------------------------------------

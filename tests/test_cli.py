@@ -403,6 +403,30 @@ def test_simulate_output_is_fixed(argv, expected, capsys):
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
+def _coprime_outputs():
+    """The commands on a dense mass matrix whose coefficients have
+    pairwise-coprime denominators, with the outputs they must print."""
+    problem, data = str(ROOT / "data" / "coprime.sm"), ROOT / "data"
+    symmetry = data / "coprime.noether_symmetry.time.json"
+    charge = json.loads(symmetry.read_text(encoding="utf-8"))["charge"]
+    return [
+        pytest.param(["derive", problem], data / "coprime.derive.json", id="derive"),
+        pytest.param(["derive", problem, "--emit", "latex"], data / "coprime.derive.latex.txt", id="derive.latex"),
+        pytest.param(["noether", problem, "--symmetry", "time"], symmetry, id="noether_symmetry"),
+        pytest.param(
+            ["noether", problem, f"--from-charge={charge}"],
+            data / "coprime.noether_inverse.time.json",
+            id="noether_inverse",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("argv, expected", _coprime_outputs())
+def test_coprime_denominator_outputs_are_fixed(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
 def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
     # each call follows one that sets an option it leaves at its default,
     # or a usage error; every call prints what it prints alone: the stored
@@ -583,6 +607,30 @@ def test_line_endings_are_read_as_newlines(problem_file, capsys, newline):
     Path(path).write_bytes(newline.join(["order 1;", "even q;", "L = q[1] $;", ""]).encode())
     assert main(["derive", path]) == 2
     assert capsys.readouterr().err == "supermech: line 3, column 10: unexpected character '$'\n"
+
+
+@pytest.mark.parametrize(
+    "text, position, digit",
+    [
+        ("order ٢;\neven q;\nL = 1/2*q[1]^2;\n", "line 1, column 7", "٢"),
+        ("order 1;\neven q;\nL = 1/2*q[١]^2;\n", "line 3, column 11", "١"),
+    ],
+    ids=["order", "subscript"],
+)
+def test_non_ascii_digits_are_unexpected_characters(problem_file, capsys, text, position, digit):
+    path = problem_file("")
+    Path(path).write_bytes(text.encode("utf-8"))
+    assert main(["derive", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"supermech: {position}: unexpected character {digit!r}\n"
+
+
+def test_a_no_break_space_separates_tokens(problem_file, capsys):
+    path = problem_file("")
+    Path(path).write_bytes("order 1;\neven q;\nL = 1/2*q[1]^2;\n".encode("utf-8"))
+    assert main(["derive", path]) == 0
+    assert json.loads(capsys.readouterr().out)["lagrangian"] == "1/2*q[1]^2"
 
 
 @pytest.mark.parametrize(
