@@ -52,7 +52,6 @@ from .forms import (
     differential_of_function,
     exterior_d,
     interior,
-    pair,
     semibasic_check,
     transpose_vertical,
 )
@@ -197,7 +196,6 @@ __all__ = [
     "noether_charge",
     "noether_inverse",
     "normalize",
-    "pair",
     "parity_of",
     "parity_product",
     "parse_expression",

@@ -222,6 +222,11 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
     the first t letters gives ``(-1)^(t + |X| n_t)``, moving ``X(x_t)``
     left past them ``(-1)^((|X| + |x_t|) n_t)``.  Removing a letter leaves
     a canonical word.
+
+    Any field whose source order reaches the form's highest differential
+    subscript will do.  On a one-form the result is a function, read with
+    ``.coefficient(())``: the energy, each charge and the witness check
+    all contract this way.
     """
     x_parity = x_field.parity.value
     max_jet = form.differential_order()
@@ -286,12 +291,10 @@ def cartan_operator(form: GradedForm, k: int) -> GradedForm:
 
 @dataclass(frozen=True)
 class CheckForm:
-    """A semibasic one-form read as a fibre-linear pairing partner.
-
-    ``components[x]`` is the coefficient of dx for each level-``level``
-    coordinate x; pairing against a field along the same projection
-    contracts component against component.
-    """
+    """The components of a one-form certified semibasic at ``level``:
+    ``components[x]`` is the coefficient of dx, for coordinates x of
+    subscript at most ``level``.  Contracting the form with a field is
+    ``interior``'s job."""
 
     level: int
     components: Mapping[GeneratorSymbol, SuperExpr]
@@ -319,16 +322,3 @@ def semibasic_check(form: GradedForm, level: int) -> CheckForm:
             raise NotSemibasic(f"differential d({gen}) exceeds level {level}")
     return CheckForm(level, {word[0]: coeff for word, coeff in form._terms.items()})
 
-
-def pair(x_field: VectorFieldAlong, check: CheckForm) -> SuperExpr:
-    """Contract a field along a projection with a check form at the same
-    level: ``sum_x (-1)^{|X||f_x|} f_x X(x)``."""
-    if x_field.source_order != check.level:
-        raise DomainMismatch(
-            f"field along T^{x_field.source_order} cannot pair with level {check.level} components"
-        )
-    return SuperExpr.sum(
-        koszul(coeff, x_field.parity.value) * x_field.component(gen)
-        for gen, coeff in check.components.items()
-        if gen in x_field.components
-    )

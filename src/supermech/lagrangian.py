@@ -39,7 +39,6 @@ from .forms import (
     cartan_operator,
     exterior_d,
     interior,
-    pair,
     semibasic_check,
     total_derivative as form_total_derivative,
 )
@@ -137,34 +136,35 @@ def _sweep(expr: SuperExpr, base: GeneratorSymbol) -> tuple[SuperExpr, SuperExpr
 # -- Cartan package --------------------------------------------------------
 
 
-def _momentum(lag: SuperLagrangian, dl: GradedForm) -> tuple[GradedForm, CheckForm]:
+def _momentum(lag: SuperLagrangian, dl: GradedForm) -> GradedForm:
     """The momentum one-form on T^(2k-1), from ``dl`` the exterior
-    derivative of the Lagrangian, and its components, certified semibasic
-    at level k-1."""
+    derivative of the Lagrangian, certified semibasic at level k-1."""
     theta = cartan_operator(dl, lag.order)
-    return theta, semibasic_check(theta, lag.order - 1)
+    semibasic_check(theta, lag.order - 1)
+    return theta
 
 
 def cartan_one_form(lag: SuperLagrangian) -> GradedForm:
     """The momentum one-form on T^(2k-1); semibasic at level k-1."""
-    return _momentum(lag, exterior_d(lag.expr))[0]
+    return _momentum(lag, exterior_d(lag.expr))
 
 
 @dataclass(frozen=True)
 class CartanData:
     """The derived geometry of one Lagrangian, each piece computed once.
 
-    ``energy`` pairs the momentum components against the total-derivative
-    field and subtracts the Lagrangian; ``delta`` is the variational
-    one-form on T^(2k), dL minus the total derivative of the momentum
-    form, whose components (``delta_check``) are the graded field
-    equations.  The solve plan with its regularity report, and the solved
-    dynamics, are computed on first use and kept.
+    ``theta`` is certified semibasic at level k-1, and
+    ``theta.coefficient((x,))`` is the momentum of the coordinate x.
+    ``energy`` is the interior product of the total-derivative field with
+    ``theta``, minus the Lagrangian; ``delta`` is the variational one-form
+    on T^(2k), dL minus the total derivative of the momentum form, whose
+    components (``delta_check``) are the graded field equations.  The
+    solve plan with its regularity report, and the solved dynamics, are
+    computed on first use and kept.
     """
 
     lagrangian: SuperLagrangian
     theta: GradedForm
-    theta_check: CheckForm
     omega: GradedForm
     energy: SuperExpr
     delta: GradedForm
@@ -187,21 +187,20 @@ class CartanData:
 
 def cartan_data(lag: SuperLagrangian) -> CartanData:
     """Build the momentum form once and derive the two-form, the energy
-    and the variational form from it.  The alternative route to the
-    variational form, through the two-form and the energy, must agree and
-    is checked here."""
-    k = lag.order
-    chart = lag.chart
+    and the variational form from it.  One total-derivative field T on
+    T^(2k-1) gives the energy, i_T theta - L, and the alternative route to
+    the variational form, i_T omega - dE, which must agree and is checked
+    here."""
     dl = exterior_d(lag.expr)
-    theta, theta_check = _momentum(lag, dl)
+    theta = _momentum(lag, dl)
     omega = -exterior_d(theta)
-    energy = pair(total_derivative_field(chart, k - 1), theta_check) - lag.expr
+    t_field = total_derivative_field(lag.chart, 2 * lag.order - 1)
+    energy = interior(t_field, theta).coefficient(()) - lag.expr
     delta = dl - form_total_derivative(theta)
     delta_check = semibasic_check(delta, 0)
-    chain = interior(total_derivative_field(chart, 2 * k - 1), omega) - exterior_d(energy)
-    if chain != delta:
+    if interior(t_field, omega) - exterior_d(energy) != delta:
         raise LagrangianError("internal identity failure relating the variational form to the two-form")
-    return CartanData(lag, theta, theta_check, omega, energy, delta, delta_check)
+    return CartanData(lag, theta, omega, energy, delta, delta_check)
 
 
 # -- linear algebra over the superalgebra ----------------------------------
@@ -306,30 +305,39 @@ class Dynamics:
                 comps[gen] = self.forces[gen.shifted()]
         return VectorFieldAlong(chart, top, top, comps, Parity.EVEN)
 
-    def _resolve(
-        self, expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr], what: str
-    ) -> SuperExpr:
-        """Substitute until stable.  No value leads back to its own
-        generator, so every chain of substitutions is shorter than the
-        assignment and one more pass confirms the result."""
-        for _ in range(len(assignment) + 1):
-            resolved = substitute(expr, assignment)
-            if resolved == expr:
-                return expr
-            expr = resolved
-        raise SingularSystem(f"{what} substitution did not stabilise")
-
     def reduce(self, expr: SuperExpr) -> SuperExpr:
-        """Substitute the solved constraints until stable."""
-        return self._resolve(expr, self.constraints, "constraint")
+        """Substitute the solved constraints until stable.  No value leads
+        back to its own generator, so every chain of substitutions is
+        shorter than the assignment and one more pass confirms the
+        result."""
+        return _until_stable(
+            lambda e: substitute(e, self.constraints), expr, len(self.constraints) + 1,
+            "constraint substitution did not stabilise",
+        )
 
     def reduce_form(self, form: GradedForm) -> GradedForm:
         return GradedForm({word: self.reduce(coeff) for word, coeff in form.items()})
 
     def on_shell(self, expr: SuperExpr) -> SuperExpr:
         """Substitute top-order coordinates by forces and the constrained
-        ones by their values until stable; the two key sets are disjoint."""
-        return self._resolve(expr, {**self.forces, **self.constraints}, "on-shell")
+        ones by their values until stable, with the pass bound of
+        ``reduce``; the two key sets are disjoint."""
+        assignment = {**self.forces, **self.constraints}
+        return _until_stable(
+            lambda e: substitute(e, assignment), expr, len(assignment) + 1,
+            "on-shell substitution did not stabilise",
+        )
+
+
+def _until_stable(step, value, passes: int, failure: str):
+    """Apply ``step`` until the value repeats and return it; raise
+    SingularSystem(failure) when ``passes`` applications find no repeat."""
+    for _ in range(passes):
+        following = step(value)
+        if following == value:
+            return value
+        value = following
+    raise SingularSystem(failure)
 
 
 @dataclass(frozen=True)
@@ -467,14 +475,10 @@ def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[Gener
     rhs = [-rest for rest, _ in sector.rows]
     inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
     soul = [[e - e.body() for e in row] for row in matrix]
-    u = _mat_vec(inv_body, rhs)
-    for _ in range(nilpotency_cap + 1):
-        following = _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, u))])
-        if following == u:
-            break
-        u = following
-    else:
-        raise SingularSystem("nilpotent correction failed to terminate")
+    u = _until_stable(
+        lambda v: _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, v))]),
+        _mat_vec(inv_body, rhs), nilpotency_cap + 1, "nilpotent correction failed to terminate",
+    )
     residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
     if any(not r.is_zero() for r in residual):
         raise SingularSystem("affine solve verification failed")
@@ -643,12 +647,12 @@ def conservation_witness(
     g_expr: SuperExpr,
     lag: SuperLagrangian,
     data: CartanData | None = None,
-    max_degree: int | None = None,
 ) -> VectorFieldAlong:
-    """Find a field along the projection to the base whose pairing with
-    the field-equation components reproduces the total derivative of the
-    quantity (with a minus sign).  Components are sought as polynomials of
-    growing degree; raises NoWitness when the bound is exhausted.
+    """Find a field along the projection to the base whose interior
+    product with the variational form reproduces the total derivative of
+    the quantity (with a minus sign).  Components are sought as
+    polynomials of growing degree, up to deg G + 2k; raises NoWitness when
+    that bound is exhausted.
 
     A witness makes the quantity constant on shell.  So once the search
     reaches the quantity's own degree without a witness, a regular system
@@ -664,7 +668,7 @@ def conservation_witness(
     target = expr_total_derivative(g_expr)
     delta_check = data.delta_check
     g_degree = g_expr.total_degree()
-    cap = max_degree if max_degree is not None else g_degree + 2 * k
+    cap = g_degree + 2 * k
 
     ambient = chart.at_order(2 * k - 1).coordinates()
     scaled: list[tuple[GeneratorSymbol, SuperExpr, Parity]] = []
@@ -711,8 +715,7 @@ def conservation_witness(
             if coeff:
                 components[base] = components.get(base, SuperExpr.zero()) + coeff * mono
         witness = VectorFieldAlong(chart, 0, 2 * k - 1, components, g_parity)
-        check = pair(witness, delta_check)
-        if target + check != SuperExpr.zero():
+        if target + interior(witness, data.delta).coefficient(()) != SuperExpr.zero():
             raise LagrangianError("witness verification failed")
         return witness
     raise NoWitness(
@@ -750,19 +753,6 @@ def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], Supe
     })
 
 
-def _rate(x_field: VectorFieldAlong, lag: SuperLagrangian) -> SuperExpr:
-    """X^(k)(L): the change of the Lagrangian along the k-th lift of the
-    field."""
-    return lift_vector_field(x_field, lag.order).apply(lag.expr)
-
-
-def _momentum_pairing(x_field: VectorFieldAlong, data: CartanData) -> SuperExpr:
-    """The (k-1)-th lift of the field paired against the momentum
-    components; a charge is this minus the generating function."""
-    k = data.lagrangian.order
-    return pair(lift_vector_field(x_field, k - 1), data.theta_check)
-
-
 def check_symmetry(
     x_field: VectorFieldAlong, lag: SuperLagrangian
 ) -> SuperExpr:
@@ -783,7 +773,7 @@ def check_symmetry(
     k = lag.order
     if x_field.source_order != 0 or x_field.target_order != 2 * k - 1:
         raise OrderExceeded("symmetry candidates are fields along the projection to the base")
-    rate = _rate(x_field, lag)
+    rate = lift_vector_field(x_field, k).apply(lag.expr)
     derivatives, generating = _homotopy(rate)
     certificate = {base.name: vd for base, vd in derivatives.items() if not vd.is_zero()}
     constant = rate.constant_term()
@@ -803,14 +793,14 @@ def noether_charge(
     data: CartanData | None = None,
     verify: bool = True,
 ) -> SuperExpr:
-    """The conserved quantity attached to a symmetry: pair the (k-1)-th
-    lift against the momentum components and subtract the generating
+    """The conserved quantity attached to a symmetry: the interior product
+    of the (k-1)-th lift with the momentum form, minus the generating
     function.  The result must only involve coordinates up to order 2k-1;
     for a regular Lagrangian it is checked to be constant along the
     dynamics."""
     data = data or cartan_data(lag)
     k = lag.order
-    charge = _momentum_pairing(x_field, data) - generating
+    charge = interior(lift_vector_field(x_field, k - 1), data.theta).coefficient(()) - generating
     if charge.max_jet_order() > 2 * k - 1:
         raise NotProjectable(
             f"charge involves jet order {charge.max_jet_order()}, above {2 * k - 1}"
@@ -853,16 +843,17 @@ def noether_inverse(
     g_expr: SuperExpr,
     lag: SuperLagrangian,
     data: CartanData | None = None,
-    max_degree: int | None = None,
 ) -> tuple[VectorFieldAlong, SuperExpr]:
     """Recover a symmetry from a conserved quantity.
 
-    The witness field for the quantity is itself the symmetry; its
-    generating function is the momentum pairing minus the quantity.  The
-    defining identity of the symmetry is re-verified exactly."""
+    The witness field for the quantity is itself the symmetry.  Its k-th
+    lift gives both the generating function, its interior product with the
+    momentum form minus the quantity, and the rate X^(k)(L), so the
+    defining identity X^(k)(L) = T(F) is re-verified exactly."""
     data = data or cartan_data(lag)
-    witness = conservation_witness(g_expr, lag, data, max_degree)
-    generating = _momentum_pairing(witness, data) - g_expr
-    if _rate(witness, lag) != expr_total_derivative(generating):
+    witness = conservation_witness(g_expr, lag, data)
+    lifted = lift_vector_field(witness, lag.order)
+    generating = interior(lifted, data.theta).coefficient(()) - g_expr
+    if lifted.apply(lag.expr) != expr_total_derivative(generating):
         raise LagrangianError("recovered symmetry failed the defining identity")
     return witness, generating

@@ -502,6 +502,26 @@ def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
     assert tuple(calls[stage] for stage in stages) == counts
 
 
+@pytest.mark.parametrize(
+    "argv, counts",
+    [
+        (["derive"], (1, 0)),
+        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 1)),
+    ],
+    ids=["derive", "inverse"],
+)
+def test_each_command_builds_each_field_once(argv, counts, monkeypatch, capsys):
+    # one total-derivative field on T^(2k-1) gives the energy and the
+    # chain identity; one k-th lift of the witness gives both the
+    # generating function and the rate X^(k)(L)
+    stages = ("total_derivative_field", "lift_vector_field")
+    calls = _count_calls(monkeypatch, stages)
+    code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert tuple(calls[stage] for stage in stages) == counts
+
+
 def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):
     # degrees 0 and 1 are searched; at degree 2, the charge's own, the
     # dynamics show it is not conserved, so no degree up to 4 is tried

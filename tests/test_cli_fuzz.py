@@ -7,7 +7,11 @@ Sizes stay small so that exact arithmetic keeps each example fast: at most
 3 coordinates, order at most 2, exponents at most 3, at most 50 RK4 steps,
 and charges of degree at most 2.  Some files carry bytes that are not
 UTF-8, and some expressions nest parentheses or unary signs up to and past
-the parser's limit."""
+the parser's limit.  The option values are drawn too: ``--emit``,
+``--tol``, ``--trajectory-out`` (a file, a directory or a path in a
+missing directory) and ``--from-charge`` charges that do not parse.  An
+option value that argparse rejects prints its usage and then the one
+line ``supermech <command>: error: ...``."""
 
 import contextlib
 import io
@@ -65,6 +69,10 @@ TIMES = st.sampled_from(["0.1", "0.5", "1.0", "1/2"])
 MALFORMED = st.sampled_from(["0", "-0.1", "1e999", "1/0", "0.123", "abc", "*", "1.0*g[0]"])
 GRASSMANN = st.sampled_from(["1.0", "0.5*g[0]", "1.0*g[0]*g[1]", "0.5 - g[1]", "2*g[1]/4"])
 GRASSMANN_MALFORMED = st.sampled_from(["-2*g[3]", "1/0", "1e999*g[0]", "*", "g[0]*", "1e200*1e200"])
+CHARGE_MALFORMED = st.sampled_from(["", "*", "q[", "1/0", "zz[0]", "q[0]^99999", "th[0]*", "1e5"])
+EMITS = st.sampled_from(["json", "latex", "xml", ""])
+TOLERANCES = st.sampled_from(["1e-6", "0", "1e-18", "1/2", "nan", "-1", "inf", "tol"])
+TRAJECTORIES = st.sampled_from(["trajectory.txt", ".", "missing/trajectory.txt"])
 
 
 @st.composite
@@ -122,9 +130,13 @@ def problem_texts(draw):
             lines.insert(draw(st.integers(0, len(lines))), line)
         else:
             lines.remove(line)
-    charge = draw(nested(draw(polynomial(coords, 2 * order - 1, 2, 1))))
+    if draw(st.integers(0, 9)) == 9:
+        charge = draw(CHARGE_MALFORMED)
+    else:
+        charge = draw(nested(draw(polynomial(coords, 2 * order - 1, 2, 1))))
     symmetry = draw(st.sampled_from(names + ["missing"]))
-    return "\n".join(lines) + "\n", symmetry, charge
+    options = draw(EMITS), draw(TOLERANCES), draw(TRAJECTORIES)
+    return "\n".join(lines) + "\n", symmetry, charge, options
 
 
 def run(argv):
@@ -142,7 +154,7 @@ NOT_UTF8 = st.sampled_from([b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(problem_texts(), st.none() | st.tuples(NOT_UTF8, st.integers(min_value=0)))
 def test_every_generated_problem_ends_with_a_report_or_one_message(example, damage):
-    text, symmetry, charge = example
+    text, symmetry, charge, (emit, tol, trajectory) = example
     data = text.encode()
     if damage is not None:
         garbage, offset = damage
@@ -157,10 +169,16 @@ def test_every_generated_problem_ends_with_a_report_or_one_message(example, dama
             ["noether", path, "--symmetry", symmetry],
             ["noether", path, f"--from-charge={charge}"],
             ["simulate", path],
+            ["derive", path, f"--emit={emit}"],
+            ["simulate", path, f"--tol={tol}", f"--trajectory-out={Path(folder) / trajectory}"],
         ):
             code, out, err = run(argv)
             assert code in (0, 1, 2), (argv, text)
-            if err:
+            assert "Traceback" not in err, (argv, text, err)
+            if err.startswith("usage: "):
+                assert code == 2 and out == "", (argv, err)
+                assert err.splitlines()[-1].startswith(f"supermech {argv[0]}: error: argument "), (argv, err)
+            elif err:
                 # a failure message replaces the report
                 assert code != 0 and out == "", (argv, text, err)
                 assert err.startswith("supermech: ") and err.count("\n") == 1, (argv, text, err)

@@ -23,7 +23,6 @@ from supermech import (
     interior,
     lift_vector_field,
     normalize,
-    pair,
     semibasic_check,
     total_derivative,
     transpose_vertical,
@@ -347,10 +346,9 @@ def test_pair_agrees_with_interior():
             form = form + GradedForm.differential(g).scale(random_expr(rng, CHART, r, 2, 2))
         if form.is_zero():
             continue
+        semibasic_check(form, l)
         lhs = interior(lift_vector_field(x, k), form).coefficient(())
-        rhs = pair(
-            lift_vector_field(x, l).widen_target(r + l), semibasic_check(form, l)
-        )
+        rhs = interior(lift_vector_field(x, l).widen_target(r + l), form).coefficient(())
         assert lhs == rhs
 
 
@@ -360,5 +358,5 @@ def test_pair_koszul_sign():
         Parity.ODD,
     )
     form = d("q", 0).scale(coord("th", 1))
-    # odd coefficient against an odd field: pair flips the sign
-    assert pair(x, semibasic_check(form, 0)) == -(coord("th", 1) * coord("th", 0))
+    # odd coefficient against an odd field: the contraction flips the sign
+    assert interior(x, form).coefficient(()) == -(coord("th", 1) * coord("th", 0))
