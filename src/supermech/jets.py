@@ -219,22 +219,21 @@ def total_derivative_field(chart: Chart, source_order: int) -> VectorFieldAlong:
 def lift_vector_field(x_field: VectorFieldAlong, l: int) -> VectorFieldAlong:
     """The l-th lift of a field along T^k -> base.
 
-    The component on the j-th derivative of a base coordinate is the j-th
-    total derivative of the base component; the result is a field along
-    T^(k+l) -> T^l.
+    The component on the j-th derivative of a base coordinate is the total
+    derivative of the one on the (j-1)-th, l total derivatives in all per
+    component; the result is a field along T^(k+l) -> T^l.
     """
     if x_field.source_order != 0:
         raise DomainMismatch("lifting is defined for fields along a projection to the base")
     if l < 0:
         raise ValueError("lift order must be non-negative")
-    chart = x_field.chart
     comps: dict[GeneratorSymbol, SuperExpr] = {}
-    for base_gen in chart.at_order(0).coordinates():
-        comp = x_field.component(base_gen)
-        for j in range(l + 1):
-            if not comp.is_zero():
-                comps[base_gen.shifted(j)] = iterated_total_derivative(comp, j)
-    return VectorFieldAlong(chart, l, x_field.target_order + l, comps, x_field.parity)
+    for base_gen, comp in x_field.components.items():
+        comps[base_gen] = comp
+        for j in range(1, l + 1):
+            comp = total_derivative(comp)
+            comps[base_gen.shifted(j)] = comp
+    return VectorFieldAlong(x_field.chart, l, x_field.target_order + l, comps, x_field.parity)
 
 
 def vertical_lift_field(x_field: VectorFieldAlong) -> VectorFieldAlong:

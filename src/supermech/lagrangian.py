@@ -156,17 +156,19 @@ class CartanData:
     ``theta`` is certified semibasic at level k-1, and
     ``theta.coefficient((x,))`` is the momentum of the coordinate x.
     ``energy`` is the interior product of the total-derivative field with
-    ``theta``, minus the Lagrangian; ``delta`` is the variational one-form
-    on T^(2k), dL minus the total derivative of the momentum form, whose
-    components (``delta_check``) are the graded field equations.  The
-    solve plan with its regularity report, and the solved dynamics, are
-    computed on first use and kept.
+    ``theta``, minus the Lagrangian, and ``d_energy`` is dE, read by the
+    chain identity and the check of the dynamics.  ``delta`` is the
+    variational one-form on T^(2k), dL minus the total derivative of the
+    momentum form, whose components (``delta_check``) are the graded field
+    equations.  The solve plan with its regularity report, and the solved
+    dynamics, are computed on first use and kept.
     """
 
     lagrangian: SuperLagrangian
     theta: GradedForm
     omega: GradedForm
     energy: SuperExpr
+    d_energy: GradedForm
     delta: GradedForm
     delta_check: CheckForm
 
@@ -190,17 +192,18 @@ def cartan_data(lag: SuperLagrangian) -> CartanData:
     and the variational form from it.  One total-derivative field T on
     T^(2k-1) gives the energy, i_T theta - L, and the alternative route to
     the variational form, i_T omega - dE, which must agree and is checked
-    here."""
+    here.  dE is computed once and kept."""
     dl = exterior_d(lag.expr)
     theta = _momentum(lag, dl)
     omega = -exterior_d(theta)
     t_field = total_derivative_field(lag.chart, 2 * lag.order - 1)
     energy = interior(t_field, theta).coefficient(()) - lag.expr
+    d_energy = exterior_d(energy)
     delta = dl - form_total_derivative(theta)
     delta_check = semibasic_check(delta, 0)
-    if interior(t_field, omega) - exterior_d(energy) != delta:
+    if interior(t_field, omega) - d_energy != delta:
         raise LagrangianError("internal identity failure relating the variational form to the two-form")
-    return CartanData(lag, theta, omega, energy, delta, delta_check)
+    return CartanData(lag, theta, omega, energy, d_energy, delta, delta_check)
 
 
 # -- linear algebra over the superalgebra ----------------------------------
@@ -295,6 +298,11 @@ class Dynamics:
         return 2 * self.lagrangian.order - 1
 
     def field(self) -> VectorFieldAlong:
+        """The dynamics as a field on T^(2k-1), built once per ``Dynamics``."""
+        return self._field
+
+    @cached_property
+    def _field(self) -> VectorFieldAlong:
         chart = self.lagrangian.chart
         top = self.order
         comps: dict[GeneratorSymbol, SuperExpr] = {}
@@ -342,11 +350,12 @@ def _until_stable(step, value, passes: int, failure: str):
 
 @dataclass(frozen=True)
 class _Sector:
-    """A square block of field equations, each row read as ``rest + sum
-    coeffs[u] * u`` over the unknowns, with the determinant and adjugate
-    of the body of its coefficient matrix."""
+    """A square block of field equations ``matrix u = rhs`` over the
+    unknowns, split once by ``_sector``, with the determinant and adjugate
+    of the body of the matrix."""
 
-    rows: tuple[_Split, ...] = ()
+    matrix: tuple[Sequence[SuperExpr], ...] = ()
+    rhs: tuple[SuperExpr, ...] = ()
     unknowns: tuple[GeneratorSymbol, ...] = ()
     det: SuperExpr = SuperExpr.constant(1)
     adjugate: tuple[Sequence[SuperExpr], ...] = ()
@@ -367,14 +376,11 @@ def _degenerate(note: str, determinants: Sequence[SuperExpr] = ()) -> _SolvePlan
     return _SolvePlan(RegularityReport(Regularity.DEGENERATE, tuple(determinants), note))
 
 
-def _matrix(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> list[list[SuperExpr]]:
-    return [[coeffs.get(u, SuperExpr.zero()) for u in unknowns] for _, coeffs in rows]
-
-
 def _sector(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> _Sector:
-    body = [[e.body() for e in row] for row in _matrix(rows, unknowns)]
-    det, adjugate = _det_adjugate(body)
-    return _Sector(tuple(rows), tuple(unknowns), det, tuple(adjugate))
+    """Split the rows ``rest + sum coeffs[u] * u`` once into ``matrix u = -rest``."""
+    matrix = tuple([coeffs.get(u, SuperExpr.zero()) for u in unknowns] for _, coeffs in rows)
+    det, adjugate = _det_adjugate([[e.body() for e in row] for row in matrix])
+    return _Sector(matrix, tuple(-rest for rest, _ in rows), tuple(unknowns), det, tuple(adjugate))
 
 
 def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
@@ -471,8 +477,7 @@ def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[Gener
     det = sector.det
     if det.is_zero() or det.max_jet_order() >= 0:
         raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
-    matrix = _matrix(sector.rows, sector.unknowns)
-    rhs = [-rest for rest, _ in sector.rows]
+    matrix, rhs = sector.matrix, sector.rhs
     inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
     soul = [[e - e.body() for e in row] for row in matrix]
     u = _until_stable(
@@ -526,7 +531,7 @@ def _solve_dynamics(data: CartanData) -> Dynamics:
     if not is_sode(gamma):
         raise SingularSystem("the dynamics field is not second-order-type")
 
-    residual = interior(gamma, data.omega) - exterior_d(data.energy)
+    residual = interior(gamma, data.omega) - data.d_energy
     if not dyn.reduce_form(residual).is_zero():
         raise SingularSystem("dynamics verification failed: contraction identity residual")
     for base in chart.at_order(0).coordinates():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supermech import Chart, GradedForm, SuperExpr, cli, format_problem, lagrangian, parse_problem
+from supermech import Chart, GradedForm, SuperExpr, cli, format_problem, forms, lagrangian, parse_problem
 from supermech.cli import latex_expr, latex_form, main
 from supermech.problems import MAX_NESTING
 
@@ -455,17 +455,17 @@ def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsy
     assert cli.build_parser() is cli.build_parser()
 
 
-def _count_calls(monkeypatch, stages) -> Counter:
-    """Count the calls of the named ``lagrangian`` functions."""
+def _count_calls(monkeypatch, stages, module=lagrangian) -> Counter:
+    """Count the calls of the named functions of ``module``."""
     calls = Counter()
     for stage in stages:
-        real = getattr(lagrangian, stage)
+        real = getattr(module, stage)
 
         def counted(*args, _stage=stage, _real=real, **kwargs):
             calls[_stage] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(lagrangian, stage, counted)
+        monkeypatch.setattr(module, stage, counted)
     return calls
 
 
@@ -520,6 +520,38 @@ def test_each_command_builds_each_field_once(argv, counts, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert tuple(calls[stage] for stage in stages) == counts
+
+
+@pytest.mark.parametrize(
+    "problem, module, stage, count",
+    [
+        ("superparticle.sm", lagrangian, "exterior_d", 3),
+        ("ostrogradski.sm", forms, "transpose_vertical", 2),
+    ],
+    ids=["exterior-d", "transpose"],
+)
+def test_derive_builds_each_form_once(problem, module, stage, count, monkeypatch, capsys):
+    # dL, d(theta) and dE, the last kept for the contraction check of the
+    # dynamics; at order 2, S* once for S*^1 and once more for S*^2
+    calls = _count_calls(monkeypatch, [stage], module)
+    code = main(["derive", str(PROBLEMS / problem)])
+    capsys.readouterr()
+    assert code == 0
+    assert calls[stage] == count
+
+
+@pytest.mark.parametrize(
+    "argv", [["noether", "--symmetry", "susy"], ["simulate"]], ids=["symmetry", "simulate"]
+)
+def test_each_command_builds_the_dynamics_field_once(argv, monkeypatch, capsys):
+    # the verification of the dynamics, the conservation check and the
+    # integrator all read the one field kept on ``Dynamics``; no other
+    # field is built in ``lagrangian`` on these commands
+    calls = _count_calls(monkeypatch, ["VectorFieldAlong"])
+    code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert calls["VectorFieldAlong"] == 1
 
 
 def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from supermech import (
     UndeclaredGenerator,
     VectorFieldAlong,
     iterated_total_derivative,
+    jets,
     lift_vector_field,
     liouville_field,
     parity_of,
@@ -228,6 +229,22 @@ def test_lift_vector_field_components():
     assert lifted.component(gen("q", 2)) == (
         2 * coord("q", 1) ** 2 + 2 * coord("q", 0) * coord("q", 2)
     )
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_lift_takes_one_total_derivative_per_level(l, monkeypatch):
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return total_derivative(expr)
+
+    monkeypatch.setattr(jets, "total_derivative", counted)
+    x = VectorFieldAlong(CHART, 0, 0, {gen("q", 0): coord("q", 0) ** 2})
+    lifted = lift_vector_field(x, l)
+    assert len(calls) == l
+    for j in range(l + 1):
+        assert lifted.component(gen("q", j)) == iterated_total_derivative(coord("q", 0) ** 2, j)
 
 
 def test_lift_requires_base_source():
