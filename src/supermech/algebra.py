@@ -48,7 +48,10 @@ class Parity(Enum):
 
 
 def parity_product(*parities: Parity) -> Parity:
-    return Parity(sum(p.value for p in parities) % 2)
+    odd = False
+    for parity in parities:
+        odd ^= parity is Parity.ODD
+    return Parity.ODD if odd else Parity.EVEN
 
 
 class AlgebraError(Exception):
@@ -139,12 +142,13 @@ def reorder(letters: Iterable[GeneratorSymbol], degree: int) -> tuple[int, tuple
         j = i
         while j > 0 and word[j].sort_key < word[j - 1].sort_key:
             a, b = word[j - 1], word[j]
-            if (degree + a.parity.value * b.parity.value) % 2:
+            # sort_key[0] is the parity's value
+            if (degree + a.sort_key[0] * b.sort_key[0]) % 2:
                 sign = -sign
             word[j - 1], word[j] = b, a
             j -= 1
     for a, b in zip(word, word[1:]):
-        if a is b and (degree + a.parity.value) % 2:
+        if a is b and (degree + a.sort_key[0]) % 2:
             return None
     return sign, tuple(word)
 
@@ -349,8 +353,15 @@ class SuperExpr:
 
     def max_jet_order(self) -> int:
         """Largest derivative subscript present; -1 for constants."""
-        gens = self.generators()
-        return max((g.jet_order for g in gens), default=-1)
+        top = -1
+        for even, odd in self._nums:
+            for g, _ in even:
+                if g.jet_order > top:
+                    top = g.jet_order
+            for g in odd:
+                if g.jet_order > top:
+                    top = g.jet_order
+        return top
 
     def constant_term(self) -> Fraction:
         return Fraction(self._nums.get(_UNIT, 0), self._den)
@@ -537,25 +548,69 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
     term.  When ``declared`` is given, every factor must belong to it.
     """
     allowed = set(declared) if declared is not None else None
-    terms: dict[TermKey, Fraction] = {}
-    for coeff, factors in raw:
+
+    def monomials():
+        for coeff, factors in raw:
+            if allowed is not None:
+                for gen in factors:
+                    if gen not in allowed:
+                        raise UndeclaredGenerator(f"generator {gen} is not declared")
+            coeff = Fraction(coeff)
+            yield coeff.numerator, coeff.denominator, factors
+
+    return from_monomials(monomials())
+
+
+def from_monomials(terms: Iterable[tuple[int, int, Sequence[GeneratorSymbol]]]) -> SuperExpr:
+    """The canonical sum of monomials ``numerator / denominator * factors``,
+    each denominator positive and each factor list an ordered product.
+    Evens may repeat; odd factors are put in order with their sign by
+    ``reorder``, and a repeated odd factor kills the term.  The sum runs on
+    integer numerators over the least common denominator, with one gcd."""
+    nums: dict[TermKey, int] = {}
+    get = nums.get
+    den = 1
+    for num, d, factors in terms:
+        if not num:
+            continue
         evens: list[GeneratorSymbol] = []
         odds: list[GeneratorSymbol] = []
         for gen in factors:
-            if allowed is not None and gen not in allowed:
-                raise UndeclaredGenerator(f"generator {gen} is not declared")
-            (evens if gen.parity is Parity.EVEN else odds).append(gen)
-        sorted_odd = reorder(odds, 0)
-        if sorted_odd is None:
-            continue
-        sign, odd_word = sorted_odd
-        exps: dict[GeneratorSymbol, int] = {}
-        for gen in evens:
-            exps[gen] = exps.get(gen, 0) + 1
-        even_mono = tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
+            # sort_key[0] is the parity's value
+            (odds if gen.sort_key[0] else evens).append(gen)
+        if len(odds) > 1:
+            ordered = reorder(odds, 0)
+            if ordered is None:
+                continue
+            sign, odd_word = ordered
+            if sign < 0:
+                num = -num
+        else:
+            odd_word = tuple(odds)
+        if len(evens) > 1:
+            exps: dict[GeneratorSymbol, int] = {}
+            for gen in evens:
+                exps[gen] = exps.get(gen, 0) + 1
+            even_mono = tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
+        else:
+            even_mono = ((evens[0], 1),) if evens else ()
         key = (even_mono, odd_word)
-        terms[key] = terms.get(key, 0) + Fraction(coeff) * sign
-    return SuperExpr(terms)
+        if d != den:
+            # widen the common denominator to the least common multiple
+            lcm = den // math.gcd(den, d) * d
+            if lcm != den:
+                scale = lcm // den
+                nums = {k: n * scale for k, n in nums.items()}
+                get = nums.get
+                den = lcm
+            num *= den // d
+        # as in ``SuperExpr.sum``, a sum cancels only on a key present
+        acc = get(key, 0) + num
+        if acc:
+            nums[key] = acc
+        else:
+            del nums[key]
+    return _reduced(nums, den)
 
 
 def parity_of(expr: SuperExpr) -> Parity:
@@ -569,7 +624,7 @@ def parity_of(expr: SuperExpr) -> Parity:
     parities = {len(odd) % 2 for (_, odd) in expr._nums}
     if len(parities) > 1:
         raise MixedParity(f"expression {expr} mixes parities")
-    return Parity(parities.pop())
+    return Parity.ODD if parities.pop() else Parity.EVEN
 
 
 def has_parity(expr: SuperExpr, parity: Parity) -> bool:

@@ -83,11 +83,11 @@ class Chart:
 
     def coordinates(self) -> tuple[GeneratorSymbol, ...]:
         """Every generator of the chart, sorted by ``sort_key``."""
-        return _coordinates(self)[0]
+        return _coordinates(self.base_even, self.base_odd, self.order)[0]
 
     def coordinate_set(self) -> frozenset[GeneratorSymbol]:
         """The generators of the chart, for membership tests."""
-        return _coordinates(self)[1]
+        return _coordinates(self.base_even, self.base_odd, self.order)[1]
 
     def base_names(self) -> tuple[str, ...]:
         return self.base_even + self.base_odd
@@ -105,12 +105,17 @@ class Chart:
 
 
 @functools.cache
-def _coordinates(chart: Chart) -> tuple[tuple[GeneratorSymbol, ...], frozenset[GeneratorSymbol]]:
-    """A chart's sorted generators and their set, built once per chart
-    value and shared by every equal chart.  Like the intern table of
+def _coordinates(
+    base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int
+) -> tuple[tuple[GeneratorSymbol, ...], frozenset[GeneratorSymbol]]:
+    """The sorted generators of the chart of ``order`` over a base and
+    their set, built once per chart value and shared by every equal chart.
+    Keyed by the fields, so that a field along a projection looks up its
+    source chart without building it.  Like the intern table of
     ``GeneratorSymbol``, the cache keeps one entry per distinct chart."""
+    chart = Chart(base_even, base_odd, order)
     gens = sorted(
-        (chart.gen(name, j) for name in chart.base_names() for j in range(chart.order + 1)),
+        (chart.gen(name, j) for name in chart.base_names() for j in range(order + 1)),
         key=lambda g: g.sort_key,
     )
     return tuple(gens), frozenset(gens)
@@ -150,7 +155,8 @@ class VectorFieldAlong:
     def __post_init__(self):
         if self.source_order > self.target_order:
             raise DomainMismatch("a field along a projection cannot lower the order")
-        source = self.chart.at_order(self.source_order).coordinate_set()
+        chart = self.chart
+        source = _coordinates(chart.base_even, chart.base_odd, self.source_order)[1]
         clean: dict[GeneratorSymbol, SuperExpr] = {}
         inferred: Parity | None = self.parity
         for gen, comp in self.components.items():

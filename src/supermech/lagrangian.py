@@ -351,12 +351,13 @@ def _until_stable(step, value, passes: int, failure: str):
 @dataclass(frozen=True)
 class _Sector:
     """A square block of field equations ``matrix u = rhs`` over the
-    unknowns, split once by ``_sector``, with the determinant and adjugate
-    of the body of the matrix."""
+    unknowns, split once by ``_sector``, with the body of the matrix (each
+    entry's body taken once) and its determinant and adjugate."""
 
     matrix: tuple[Sequence[SuperExpr], ...] = ()
     rhs: tuple[SuperExpr, ...] = ()
     unknowns: tuple[GeneratorSymbol, ...] = ()
+    body: tuple[Sequence[SuperExpr], ...] = ()
     det: SuperExpr = SuperExpr.constant(1)
     adjugate: tuple[Sequence[SuperExpr], ...] = ()
 
@@ -379,8 +380,10 @@ def _degenerate(note: str, determinants: Sequence[SuperExpr] = ()) -> _SolvePlan
 def _sector(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> _Sector:
     """Split the rows ``rest + sum coeffs[u] * u`` once into ``matrix u = -rest``."""
     matrix = tuple([coeffs.get(u, SuperExpr.zero()) for u in unknowns] for _, coeffs in rows)
-    det, adjugate = _det_adjugate([[e.body() for e in row] for row in matrix])
-    return _Sector(matrix, tuple(-rest for rest, _ in rows), tuple(unknowns), det, tuple(adjugate))
+    body = tuple([e.body() for e in row] for row in matrix)
+    det, adjugate = _det_adjugate(body)
+    rhs = tuple(-rest for rest, _ in rows)
+    return _Sector(matrix, rhs, tuple(unknowns), body, det, tuple(adjugate))
 
 
 def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
@@ -479,7 +482,7 @@ def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[Gener
         raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
     matrix, rhs = sector.matrix, sector.rhs
     inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
-    soul = [[e - e.body() for e in row] for row in matrix]
+    soul = [[e - b for e, b in zip(row, body_row)] for row, body_row in zip(matrix, sector.body)]
     u = _until_stable(
         lambda v: _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, v))]),
         _mat_vec(inv_body, rhs), nilpotency_cap + 1, "nilpotent correction failed to terminate",

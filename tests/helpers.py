@@ -1,13 +1,15 @@
 """Shared test utilities.
 
-Seven kinds of helpers live here: seeded random generators for
+Eight kinds of helpers live here: seeded random generators for
 expressions, forms, and fields; a small independent polynomial calculator
 for the one-even-coordinate case; a reference product and even partial
-that spell each term out as a list of factors; the ring operations on
-plain ``Fraction`` dictionaries, one coefficient per term; a reference
-variational derivative and on-shell substitution written as the textbook
-sum and the nested loop the package's single passes replace; a reference
-Grassmann product, evaluator and Runge-Kutta stepper for the numeric
+that spell each term out as a list of factors; a reference reader of
+coordinate expressions that applies each operator to ``SuperExpr``
+operands as it reads it; the ring operations on plain ``Fraction``
+dictionaries, one coefficient per term; a reference variational
+derivative and on-shell substitution written as the textbook sum and the
+nested loop the package's single passes replace; a reference Grassmann
+product, evaluator and Runge-Kutta stepper for the numeric
 layer; and reference exact linear algebra.  The calculator represents
 polynomials as plain exponent-tuple dictionaries and knows nothing about
 the package internals, so momenta and field equations computed with it
@@ -26,6 +28,7 @@ replace.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +304,72 @@ def reference_even_partial(expr: SuperExpr, gen) -> SuperExpr:
             factors.remove(gen)
             raw.append((coeff * count, factors))
     return normalize(raw)
+
+
+# -- reference: expressions one operator at a time ---------------------------
+# The grammar of coordinate expressions read by recursive descent, each
+# operator applied to ``SuperExpr`` operands as soon as it is read: the
+# parser's monomial terms and their one canonical pass are checked against
+# sums, products, quotients and powers of the algebra itself.
+
+_EXPRESSION_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|\S)")
+
+
+def reference_expression(text: str, chart: Chart) -> SuperExpr:
+    """The value of a valid coordinate expression: ``-`` negates, ``*``
+    multiplies, ``/`` divides by the constant term of its operand, ``^``
+    is a power by repeated products, and sums are left to right."""
+    tokens = _EXPRESSION_TOKEN.findall(text) + [""]
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expression() -> SuperExpr:
+        value = term()
+        while tokens[pos] in ("+", "-"):
+            if take() == "+":
+                value = value + term()
+            else:
+                value = value - term()
+        return value
+
+    def term() -> SuperExpr:
+        value = factor()
+        while tokens[pos] in ("*", "/"):
+            if take() == "*":
+                value = value * factor()
+            else:
+                value = value / factor().constant_term()
+        return value
+
+    def factor() -> SuperExpr:
+        if tokens[pos] in ("+", "-"):
+            return -factor() if take() == "-" else factor()
+        value = atom()
+        if tokens[pos] == "^":
+            take()
+            value = value ** int(take())
+        return value
+
+    def atom() -> SuperExpr:
+        token = take()
+        if token.isdigit():
+            return SuperExpr.constant(int(token))
+        if token == "(":
+            value = expression()
+            assert take() == ")"
+            return value
+        assert take() == "["
+        index = int(take())
+        assert take() == "]"
+        return chart.coord(token, index)
+
+    value = expression()
+    assert tokens[pos] == "", text
+    return value
 
 
 # -- reference: the ring on Fraction dictionaries ----------------------------

@@ -10,7 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from supermech import Chart, GradedForm, SuperExpr, cli, format_problem, forms, lagrangian, parse_problem
+from supermech import (
+    Chart,
+    GradedForm,
+    SuperExpr,
+    cli,
+    format_problem,
+    forms,
+    lagrangian,
+    parse_problem,
+    problems,
+)
 from supermech.cli import latex_expr, latex_form, main
 from supermech.problems import MAX_NESTING
 
@@ -552,6 +562,43 @@ def test_each_command_builds_the_dynamics_field_once(argv, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert calls["VectorFieldAlong"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive"],
+        ["noether", "--symmetry", "susy"],
+        ["noether", "--from-charge", "q[1]*theta[0]"],
+        ["simulate"],
+    ],
+    ids=["derive", "symmetry", "inverse", "simulate"],
+)
+def test_each_command_builds_each_symmetry_field_once(argv, monkeypatch, capsys):
+    # the parser builds each declared symmetry's field (susy and time) to
+    # check its parity and keeps it; the commands read the kept field
+    calls = _count_calls(monkeypatch, ["VectorFieldAlong"], module=problems)
+    code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert calls["VectorFieldAlong"] == 2
+
+
+def test_derive_takes_each_sector_body_once(monkeypatch, capsys):
+    # the superparticle has a 1x1 dynamical and a 1x1 constraint sector;
+    # the solve reads the bodies kept on each sector
+    real = SuperExpr.body
+    calls = Counter()
+
+    def counted(self):
+        calls["body"] += 1
+        return real(self)
+
+    monkeypatch.setattr(SuperExpr, "body", counted)
+    code = main(["derive", str(PROBLEMS / "superparticle.sm")])
+    capsys.readouterr()
+    assert code == 0
+    assert calls["body"] == 2
 
 
 def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):

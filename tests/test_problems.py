@@ -22,8 +22,9 @@ from supermech import (
     parse_expression,
     parse_problem,
 )
-from supermech.problems import MAX_NESTING, _tokenize
+from supermech.problems import MAX_NESTING, _kind, _position, _tokens
 
+from helpers import reference_expression
 from test_cli_fuzz import problem_texts
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "problems"
@@ -98,6 +99,69 @@ def test_expression_grammar():
     )
     assert parse_expression("2/3*q[0]", chart, 2) == Fraction(2, 3) * q0
     assert parse_expression("q[0]*(1 + q[1])", chart, 2) == q0 + q0 * q1
+
+
+# -- expressions against the operator-by-operator reference -----------------
+
+_REFERENCE_CHART = Chart.create(["q", "r"], ["th", "ps"], 1)
+# odd coordinates are half of the draws, so products repeat them and
+# put them out of order often
+_COORDINATES = st.sampled_from(["q[0]", "q[1]", "r[1]", "th[0]", "th[1]", "ps[0]", "th[0]", "ps[1]"])
+_SIGNS = st.sampled_from(["", "", "", "-", "+", "--", "-+"])
+
+
+@st.composite
+def _factor_texts(draw, depth: int):
+    """Unary signs, an integer, a coordinate or (while ``depth`` lasts)
+    a parenthesised expression, and a power that may be ``^0``."""
+    kinds = ["integer", "coordinate", "coordinate"] + ["parenthesis"] * 2 * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        atom = str(draw(st.integers(0, 5)))
+    elif kind == "coordinate":
+        atom = draw(_COORDINATES)
+    else:
+        atom = "(" + draw(_expression_texts(depth - 1)) + ")"
+    power = draw(st.sampled_from(["", "", "", "^0", "^1", "^2"] + ["^3"] * (kind != "parenthesis")))
+    return draw(_SIGNS) + atom + power
+
+
+@st.composite
+def _divisor_texts(draw):
+    """A factor whose value is a nonzero constant."""
+    over, under, plus = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    atom = draw(st.sampled_from([
+        str(over),
+        f"({over}/{under} + {plus})",
+        f"(-{over} - {plus}*{under})",
+        draw(_COORDINATES) + "^0",
+    ]))
+    power = "" if atom.endswith("^0") else draw(st.sampled_from(["", "^0", "^2"]))
+    return draw(_SIGNS) + atom + power
+
+
+@st.composite
+def _expression_texts(draw, depth: int = 2):
+    """A sum of 1-3 terms, each a product of 1-4 factors, some divided by
+    integers or parenthesised constants."""
+    text = ""
+    for position in range(draw(st.integers(1, 3))):
+        if position:
+            text += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+        text += draw(_factor_texts(depth))
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.integers(0, 3)):
+                text += draw(st.sampled_from(["*", " * "])) + draw(_factor_texts(depth))
+            else:
+                text += "/" + draw(_divisor_texts())
+    return text
+
+
+@given(_expression_texts())
+def test_expressions_match_the_operator_by_operator_reference(text):
+    expr = parse_expression(text, _REFERENCE_CHART, 1)
+    event("zero" if expr.is_zero() else "nonzero")
+    assert expr == reference_expression(text, _REFERENCE_CHART)
 
 
 def test_shipped_example_files_parse():
@@ -231,6 +295,12 @@ def test_syntax_errors_carry_positions():
     assert (err.line, err.column) == (3, 12)
     err = error_of("order 1; even q; L = q[1] $;")
     assert "unexpected character" in str(err)
+    # the scanner reports the first bad token of the text, before any
+    # parse error and whatever follows it
+    assert str(error_of("order 1; @ even q; L = q[1] $ @;")) == "line 1, column 10: unexpected character '@'"
+    text = f"order 1; even q; L = {'9' * 4301}*q[1] $;"
+    assert str(error_of(text)) == "line 1, column 22: integer literal longer than 4300 digits"
+    assert str(error_of("order 1; even q; L = $ " + "9" * 4301)) == "line 1, column 22: unexpected character '$'"
 
 
 def test_parse_expression_rejects_trailing_input():
@@ -285,15 +355,19 @@ def _commented_texts(draw):
 
 @given(_commented_texts())
 def test_every_token_points_at_its_text(text):
-    tokens = _tokenize(text)
+    tokens = _tokens(text)
     lines = text.split("\n")
     for token in tokens[:-1]:
-        start = token.column - 1
-        assert lines[token.line - 1][start : start + len(token.text)] == token.text
-        assert token.kind in ("INT", "FLOAT", "NAME", "ARROW", token.text)
-    assert tokens[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1)
+        assert _kind(token) in ("INT", "FLOAT", "NAME", "ARROW", token)
+    # each position costs a scan, as on an error: check about 40 of them
+    for index in range(0, len(tokens) - 1, max(1, len(tokens) // 40)):
+        line, column = _position(text, index)
+        token = tokens[index]
+        assert lines[line - 1][column - 1 : column - 1 + len(token)] == token
+    assert tokens[-1] == "" and _kind("") == "EOF"
+    assert _position(text, len(tokens) - 1) == (len(lines), len(lines[-1]) + 1)
     # only white space and comments fall between the tokens
-    assert "".join(token.text for token in tokens) == "".join(re.sub("#[^\n]*", "", text).split())
+    assert "".join(tokens) == "".join(re.sub("#[^\n]*", "", text).split())
 
 
 # -- initial values ----------------------------------------------------------
