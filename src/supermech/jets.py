@@ -57,10 +57,14 @@ class Chart:
 
     @staticmethod
     def create(base_even: Sequence[str], base_odd: Sequence[str], order: int) -> "Chart":
-        return Chart(tuple(base_even), tuple(base_odd), order)
+        return _chart(tuple(base_even), tuple(base_odd), order)
 
     def at_order(self, order: int) -> "Chart":
-        return Chart(self.base_even, self.base_odd, order)
+        """The chart of ``order`` over the same base: this chart for its own
+        order, otherwise the one shared chart of that value."""
+        if order == self.order:
+            return self
+        return _chart(self.base_even, self.base_odd, order)
 
     def parity_of_name(self, name: str) -> Parity:
         if name in self.base_even:
@@ -105,6 +109,13 @@ class Chart:
 
 
 @functools.cache
+def _chart(base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int) -> Chart:
+    """The chart of ``order`` over a base, built (and its names checked)
+    once per chart value; keyed by the fields like ``_coordinates``."""
+    return Chart(base_even, base_odd, order)
+
+
+@functools.cache
 def _coordinates(
     base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int
 ) -> tuple[tuple[GeneratorSymbol, ...], frozenset[GeneratorSymbol]]:
@@ -113,7 +124,7 @@ def _coordinates(
     Keyed by the fields, so that a field along a projection looks up its
     source chart without building it.  Like the intern table of
     ``GeneratorSymbol``, the cache keeps one entry per distinct chart."""
-    chart = Chart(base_even, base_odd, order)
+    chart = _chart(base_even, base_odd, order)
     gens = sorted(
         (chart.gen(name, j) for name in chart.base_names() for j in range(order + 1)),
         key=lambda g: g.sort_key,

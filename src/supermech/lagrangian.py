@@ -15,6 +15,7 @@ All checks are symbolic and exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -605,50 +606,89 @@ def _solve_rational(columns: Sequence[SuperExpr], target: SuperExpr) -> list[Fra
     """Find rational coefficients with sum(c_i * columns_i) = target, or
     None when inconsistent.  Free coefficients are set to zero.
 
-    Sparse Gauss-Jordan: one equation per term key, held as a
-    ``{column: Fraction}`` row with the target in column ``len(columns)``.
-    Each row is reduced by the pivot rows found so far; its first
+    Sparse Gauss-Jordan over integers: one equation per term key, held as
+    a ``{column: int}`` row of the columns' numerators with the target's
+    in column ``len(columns)``.  Reading each column over its own
+    denominator d_c (and the target over d_t) scales the columns and
+    keeps the pivot columns; the answer, ``t*d_c / (lead*d_t)`` per pivot
+    row, is scaled back at the end.  Each row is reduced by the pivot
+    rows found so far (``a*row - f*pivot`` over ``gcd(a, f)``); its first
     remaining column becomes a new pivot, cleared from the earlier pivot
-    rows.  The pivot rows end as the unique reduced row-echelon form, so
-    the answer does not depend on the order of the rows, and the term
-    dicts are read unsorted.
+    rows that hold it, which an index from each column to those rows
+    finds without a scan of every pivot row.  Every pivot row is kept
+    primitive with a positive lead, so the entries stay as small as the
+    reduced row-echelon form allows; no ``Fraction`` is built before the
+    answer.  The reduced row-echelon form is unique, so the answer does
+    not depend on the order of the rows, and the term dicts are read
+    unsorted.
     """
     width = len(columns)
     equations: dict = {}
+    dens = []
     for c, col in enumerate([*columns, target]):
         nums, den = col.numerators()
+        dens.append(den)
         for key, n in nums.items():
-            equations.setdefault(key, {})[c] = Fraction(n, den)
-    pivots: dict[int, dict[int, Fraction]] = {}
+            equations.setdefault(key, {})[c] = n
+    pivots: dict[int, dict[int, int]] = {}
+    # for each column that is no pivot, the leads of the pivot rows that
+    # hold it
+    holders: dict[int, set[int]] = {}
     for row in equations.values():
         for col in [c for c in row if c in pivots]:
-            _eliminate(row, pivots[col], col)
-        lead = min(row, default=width)
-        if lead == width:
-            if row:
-                return None
+            row = _eliminate(row, pivots[col], col)
+        if not row:
             continue
-        scale = row[lead]
-        row = {c: v / scale for c, v in row.items()}
-        for other in pivots.values():
-            if lead in other:
-                _eliminate(other, row, lead)
+        lead = min(row)
+        if lead == width:
+            return None
+        row = _primitive(row, lead)
+        for col in holders.pop(lead, ()):
+            other = pivots[col] = _primitive(_eliminate(pivots[col], row, lead), col)
+            # the update changes ``other`` only in the columns of ``row``
+            for c in row:
+                if c in other:
+                    holders.setdefault(c, set()).add(col)
+                elif c != lead:
+                    holders[c].discard(col)
+        for c in row:
+            if c != lead:
+                holders.setdefault(c, set()).add(lead)
         pivots[lead] = row
     solution = [Fraction(0)] * width
     for col, row in pivots.items():
-        solution[col] = row.get(width, Fraction(0))
+        if width in row:
+            solution[col] = Fraction(row[width] * dens[col], row[col] * dens[width])
     return solution
 
 
-def _eliminate(row: dict[int, Fraction], pivot: Mapping[int, Fraction], col: int) -> None:
-    """Clear ``col`` from ``row`` in place with a pivot row that has 1 there."""
-    factor = row[col]
+def _eliminate(row: dict[int, int], pivot: Mapping[int, int], col: int) -> dict[int, int]:
+    """Clear ``col`` from ``row`` with an integer pivot row: ``a*row -
+    f*pivot`` over ``gcd(a, f)``, a and f the two rows' entries at
+    ``col``.  The row is changed in place when a divides f."""
+    a, f = pivot[col], row[col]
+    g = math.gcd(a, f)
+    if g != a:
+        row = {c: v * (a // g) for c, v in row.items()}
+    f //= g
     for c, v in pivot.items():
-        acc = row.get(c, 0) - factor * v
+        acc = row.get(c, 0) - f * v
         if acc:
             row[c] = acc
         else:
-            row.pop(c, None)
+            del row[c]
+    return row
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries, signed so that the
+    entry at ``lead`` is positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
 
 
 def conservation_witness(

@@ -17,6 +17,7 @@ from supermech import (
     cli,
     format_problem,
     forms,
+    jets,
     lagrangian,
     parse_problem,
     problems,
@@ -437,6 +438,16 @@ def test_coprime_denominator_outputs_are_fixed(argv, expected, capsys):
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
+def test_dense_witness_output_is_fixed(capsys):
+    # the dense-symbolic benchmark system N4-M2-k1 of seed 1, with its
+    # time charge: the witness search solves a 44-column rational system
+    # with odd coordinates
+    expected = (ROOT / "data" / "dense-N4-M2-k1.noether_inverse.time.json").read_text(encoding="utf-8")
+    charge = json.loads(expected)["charge"]
+    assert main(["noether", str(ROOT / "data" / "dense-N4-M2-k1.sm"), f"--from-charge={charge}"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
     # each call follows one that sets an option it leaves at its default,
     # or a usage error; every call prints what it prints alone: the stored
@@ -599,6 +610,26 @@ def test_derive_takes_each_sector_body_once(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert calls["body"] == 2
+
+
+def test_derive_builds_each_chart_once(monkeypatch, capsys):
+    # the order-k chart and every chart ``at_order`` reaches are shared
+    # values, so each is built (and its names checked) once; the shared
+    # charts are dropped first, so the count does not depend on earlier
+    # tests
+    real = Chart.__post_init__
+    built = Counter()
+
+    def counted(self):
+        built[self.base_even, self.base_odd, self.order] += 1
+        real(self)
+
+    monkeypatch.setattr(Chart, "__post_init__", counted)
+    jets._chart.cache_clear()
+    code = main(["derive", str(PROBLEMS / "superparticle.sm")])
+    capsys.readouterr()
+    assert code == 0
+    assert built == {(("q",), ("theta",), 0): 1, (("q",), ("theta",), 1): 1}
 
 
 def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):

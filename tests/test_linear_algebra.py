@@ -74,29 +74,57 @@ def test_adjugate_inverts_up_to_the_determinant(matrix):
     assert _mat_mul(matrix, adjugate) == scaled_identity
 
 
+# pairwise coprime column denominators, and one for the target that no
+# column shares
+DENOMINATORS = (7, 11, 13, 23)
+TARGET_DENOMINATOR = 17
+# numerators of about 30 digits, either sign
+big = st.tuples(st.integers(10**29, 10**30), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
 @st.composite
 def rational_systems(draw):
     """Columns and a target over a small pool of term keys.  Repeated and
     combined columns make rank-deficient systems, and a target with a
-    term outside the columns' span an inconsistent one."""
-    def combination():
-        picks = draw(st.lists(st.tuples(small, st.sampled_from(MONOMIALS)), max_size=4))
-        return SuperExpr.sum(c * m for c, m in picks)
+    term outside the columns' span an inconsistent one.
 
-    columns = [combination() for _ in range(draw(st.integers(0, 6)))]
+    Half the systems have small coefficients.  In the other half each
+    column lies over its own denominator from ``DENOMINATORS`` with
+    numerators of about 30 digits, the target lies over
+    ``TARGET_DENOMINATOR``, and each term key carries a factor of either
+    sign that its whole row shares, so rows have a common content and
+    often a negative lead."""
+    wide = draw(st.booleans())
+    content = [draw(st.sampled_from((1, -1, 6, -30, 10**6))) if wide else 1 for _ in MONOMIALS]
+
+    def combination(den):
+        coefficient = big.map(lambda n: Fraction(n, den)) if wide else small
+        picks = draw(st.lists(
+            st.tuples(coefficient, st.integers(0, len(MONOMIALS) - 1)), max_size=4
+        ))
+        return SuperExpr.sum(c * content[i] * MONOMIALS[i] for c, i in picks)
+
+    dens = [draw(st.sampled_from(DENOMINATORS)) for _ in range(draw(st.integers(0, 6)))]
+    columns = [combination(den) for den in dens]
     if len(columns) >= 2 and draw(st.booleans()):
-        a, b = draw(small), draw(small)
+        factor = st.integers(-3, 3) if wide else small
+        a, b = draw(factor), draw(factor)
         columns.append(a * columns[0] + b * columns[1])
+        dens.append(dens[0] * dens[1])
     if columns and draw(st.booleans()):
-        # a target in the span of the columns
-        weights = [draw(small) for _ in columns]
+        # a target in the span of the columns; a wide one keeps the
+        # target denominator alone
+        if wide:
+            weights = [Fraction(draw(big) * den, TARGET_DENOMINATOR) for den in dens]
+        else:
+            weights = [draw(small) for _ in columns]
         target = SuperExpr.sum(w * col for w, col in zip(weights, columns))
     else:
-        target = combination()
+        target = combination(TARGET_DENOMINATOR)
     return columns, target
 
 
-@settings(max_examples=100)
+@settings(max_examples=200)
 @given(rational_systems())
 def test_sparse_elimination_matches_dense(system):
     columns, target = system
