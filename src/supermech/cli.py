@@ -12,7 +12,9 @@ Three subcommands work on problem files:
 Reports are JSON on stdout (``--emit latex`` switches derive to LaTeX
 lines).  Exit code 0 means success, 1 a mathematical failure (not a
 symmetry, not regular, drift out of tolerance), 2 bad usage or input,
-or a stdout closed before the report is written.  Output is
+or a stdout closed before the report is written.  A failure prints one
+``supermech: ...`` line on stderr instead of the report, a rejected
+option value included; ``--help`` prints its text and exits 0.  Output is
 deterministic: identical inputs give identical bytes.  Only ``simulate``
 loads the numeric layer, and numpy with it.
 
@@ -81,10 +83,19 @@ class _NumericFailure(Exception):
     (exit 1) without loading the numeric layer for the other commands."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are ``_InputFailure``s, so that a
+    bad option value prints one ``supermech:`` line like any other bad
+    input; ``--help`` prints its text and exits 0 as usual."""
+
+    def error(self, message: str):
+        raise _InputFailure(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of the command line, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supermech",
         description="Symbolic higher-order Lagrangian mechanics with even and odd coordinates.",
     )
@@ -129,12 +140,8 @@ def _tolerance(text: str) -> float:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         problem = _load_problem(args.problem)
         if args.command == "derive":
             output = run_derive(problem, emit=args.emit)
@@ -149,6 +156,9 @@ def main(argv=None) -> int:
         text, code = output if isinstance(output, tuple) else (output, 0)
         print(text)
         sys.stdout.flush()
+    except SystemExit as exc:
+        # only ``--help`` exits from the parser
+        return int(exc.code or 0)
     except BrokenPipeError as exc:
         # the reader closed stdout: send what is still buffered to devnull,
         # so the interpreter's last flush does not fail again

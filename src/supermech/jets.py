@@ -97,15 +97,16 @@ class Chart:
         return self.base_even + self.base_odd
 
     def validate(self, expr: SuperExpr) -> None:
-        """Check that an expression uses only this chart's generators."""
+        """Check that an expression uses only this chart's generators: one
+        set lookup each, and one more for a generator that is not one of
+        them, to tell a higher jet of this base from a foreign one."""
+        members = self.coordinate_set()
         for g in expr.generators():
-            if (
-                g.name not in self.base_names()
-                or self.at_order(g.jet_order).gen(g.name, g.jet_order) != g
-            ):
+            if g in members:
+                continue
+            if g.shifted(-g.jet_order) not in members:
                 raise UndeclaredGenerator(f"generator {g} does not belong to this chart")
-            if g.jet_order > self.order:
-                raise OrderExceeded(f"{g} exceeds jet order {self.order}")
+            raise OrderExceeded(f"{g} exceeds jet order {self.order}")
 
 
 @functools.cache

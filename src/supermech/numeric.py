@@ -11,27 +11,38 @@ mask, sign)``, ordered by left mask and then right mask; it is built on
 first use and cached.
 
 One product rule.  Polynomials are compiled once against a coordinate
-order into a product schedule, ``_Schedule``: each term is a float
-coefficient times a chain of factors (the coordinates, their even
+order and a support into a product schedule, ``_Schedule``: each term is
+a float coefficient times a chain of factors (the coordinates, their even
 powers, and the unit for constants), with powers formed before they
-multiply in and odd factors in canonical order.  The structural support
-of a coordinate is the subsets of its parity; that of a power or a
-partial product is whatever the product reaches from its operands'
-structural supports.  A coefficient of a product is the IEEE sum, from
-+0.0 in product-table order, of the signed pairs between the two
-operands' structural supports, and each output sums its terms in the
-same way, in term order.  So a value depends neither on the values that
-happen to be zero nor on the other expressions compiled with it.  A
-``GrassmannValue`` has no parity, and its products pair the nonzero
-coefficients of the two operands.
+multiply in and odd factors in canonical order.  The support is the set
+of coordinate coefficients that take part, and each evaluation builds it
+once from its data: ``integrate`` closes the initial state's nonzero
+coefficients under the field (adding every coefficient a component
+produces from the set, until nothing new appears) and runs the RK4 step
+and the initial constraint check on that set; a ``Trajectory`` keeps the
+coefficients that are nonzero in some stored state, for the conservation
+and constraint reports; ``evaluate`` takes its state's nonzero
+coefficients.  A power or a partial product holds whatever the product
+reaches from its operands' supports.  A coefficient of a product is the
+IEEE sum, from +0.0 in product-table order, of the signed pairs between
+the two operands' supports, and each output sums its terms in the same
+way, in term order.  A ``GrassmannValue`` has no parity, and its products
+pair the nonzero coefficients of the two operands.
+
+So a coefficient that the data never makes nonzero takes part in no
+product.  While every value is finite this changes no float: each pair
+it would join has a factor of +-0.0 and adds +-0.0 to a sum that starts
+from +0.0, so every output is, byte for byte, what pairing every
+coefficient of each coordinate's parity gives, and a value does not
+depend on the other expressions compiled with it.  Only an overflowing
+run can differ, as the exact algebra does: inf times a coefficient that
+is zero for the whole run gives no term, where pairing it would give NaN.
 
 The schedule is evaluated in two ways:
 
 * batched numpy over ``(states, registers)``, in chunks of states whose
   temporaries hold about ``_CHUNK_BYTES``: ``evaluate``, the initial
-  constraint check and the conservation and constraint reports.  These
-  compute the rule's floats on the coefficients that are nonzero in some
-  state, which is exact while every value is finite (``_evaluate``).
+  constraint check and the conservation and constraint reports.
 * RK4 steps of the field.  The schedule's size gives the float
   operations of one step, and that count picks the code: at most
   ``_KERNEL_MAX_OPS``, straight-line Python float code, one name per
@@ -44,21 +55,22 @@ Integration is classic fixed-step fourth-order Runge-Kutta, stored as one
 
 Checks: the initial state's parity is checked when the ``NumericState``
 is built and its constraints before the first step; a field with a
-component outside its coordinate's parity has no schedule; every stored
-state is checked for finiteness, a block of steps at a time, and the
-first one that is not finite is an error; a ``Trajectory`` checks the
-parity support of its states when it is built, by one mask test over the
-whole array; drift is measured on every stored state, and a quantity or
-residual that is not finite there is an error.  Numeric failures are
-reported by these checks alone: numpy's overflow warnings are silenced
-while integrating and reporting.
+component that is not of its coordinate's parity is refused before the
+first step, whether or not the data reaches that component's terms;
+every stored state is checked for finiteness, a block of steps at a
+time, and the first one that is not finite is an error; a ``Trajectory``
+checks the parity of its states' nonzero coefficients when it is built,
+by one mask test over the whole array; drift is measured on every stored
+state, and a quantity or residual that is not finite there is an error.
+Numeric failures are reported by these checks alone: numpy's overflow
+warnings are silenced while integrating and reporting.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -66,7 +78,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import GeneratorSymbol, Parity, SuperExpr, grassmann_coefficients
+from .algebra import GeneratorSymbol, Parity, SuperExpr, grassmann_coefficients, has_parity
 from .lagrangian import Dynamics
 
 # bound on the bytes that the temporaries of one batched evaluation hold
@@ -80,8 +92,9 @@ _MAX_TRAJECTORY_BYTES = 1 << 30
 # Measured on a 2-core x86 VM, straight-line code costs 12-30 ns per
 # operation per step and 3-8 us per operation to compile, and the numpy
 # step 15-70 us per step on the same fields, so at 400 operations the
-# compile is repaid within 40-140 steps.  The shipped problems need 42-136
-# operations, the benchmark's n=4..8 systems 608 and more.
+# compile is repaid within 40-140 steps.  On the coefficients their data
+# reaches, the shipped problems need 42-76 operations and the seed-1
+# grassmann-sim systems (n=4..8) 165-2268.
 _KERNEL_MAX_OPS = 400
 # largest sup-norm constraint residual ``integrate`` accepts initially
 _CONSTRAINT_TOL = 1e-9
@@ -140,13 +153,6 @@ def _product_table(directions: int) -> np.ndarray:
     for i in range(directions):
         crossings += (right >> i & 1) * sizes[left >> (i + 1)]
     return _frozen(np.stack([left, right, left | right, 1 - 2 * (crossings & 1)]))
-
-
-def _parity_masks(coordinates: Sequence[GeneratorSymbol], directions: int) -> np.ndarray:
-    """Boolean ``(coordinates, 2**n)`` mask: the subsets of each
-    coordinate's parity."""
-    odd = np.array([gen.parity is Parity.ODD for gen in coordinates], dtype=bool)
-    return odd[:, None] == _odd_subsets(directions)
 
 
 def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -385,10 +391,9 @@ class _Schedule:
     """Polynomials compiled against a coordinate order into fixed rounds
     over registers.
 
-    Registers hold the coefficients of the coordinates' support, which is
-    ``support`` (a boolean ``(coordinates, 2**n)`` array) or by default
-    each coordinate's subsets of its parity, and what products reach from
-    it: the state's registers first, in chart order (``index`` holds
+    Registers hold the coefficients that ``support``, a boolean
+    ``(coordinates, 2**n)`` array, marks and what products reach from
+    them: the state's registers first, in chart order (``index`` holds
     their ``coordinate * 2**n + mask``), then the unit, each power and
     each term's value after every round.  A term is a coefficient times a
     chain of factors (the coordinates, their even powers, and the unit
@@ -407,7 +412,7 @@ class _Schedule:
         exprs: Sequence[SuperExpr],
         coordinates: Sequence[GeneratorSymbol],
         directions: int,
-        support: np.ndarray | None = None,
+        support: np.ndarray,
     ):
         index = {gen: row for row, gen in enumerate(coordinates)}
         terms = []
@@ -421,9 +426,8 @@ class _Schedule:
                 terms.append((which, _float(coeff), chain))
 
         self.directions = directions
+        self.support = support
         size = 1 << directions
-        if support is None:
-            support = _parity_masks(coordinates, directions)
         self.registers = 0
         # (first register, masks) of each factor
         slots = {
@@ -499,10 +503,10 @@ class _Schedule:
             rounds.append(_Round(lo, self.registers, *map(np.concatenate, zip(*parts))))
         return values
 
-    def evaluate(self, states: np.ndarray) -> Iterator[tuple[int, np.ndarray, bool]]:
+    def evaluate(self, states: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Evaluate on ``(count, coordinates, 2**n)`` states, ``chunk``
-        states at a time; yields each chunk's first index, its ``(chunk,
-        outputs, 2**n)`` values and whether every register was finite."""
+        states at a time; yields each chunk's first index and its ``(chunk,
+        outputs, 2**n)`` values."""
         flat = states.reshape(len(states), -1)
         size = 1 << self.directions
         lo, hi, sources, coeffs = self.first
@@ -517,54 +521,32 @@ class _Schedule:
             registers[:, lo:hi] = registers[:, sources] * coeffs
             _run(self.rounds, registers)
             values = _binned(registers[:, summed], targets, self.outputs * size)
-            yield (
-                first,
-                values.reshape(len(block), self.outputs, size),
-                bool(np.isfinite(registers).all()),
-            )
+            yield first, values.reshape(len(block), self.outputs, size)
 
 
-def _evaluate(
-    exprs: Sequence[SuperExpr],
-    coordinates: Sequence[GeneratorSymbol],
-    directions: int,
-    states: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The expressions' values on ``(count, coordinates, 2**n)`` states, a
-    chunk of states at a time, with each chunk's first index.
-
-    They are the structural schedule's values, computed by the schedule of
-    the coefficients that are nonzero in some state.  While every register
-    that it keeps is finite, every register that it leaves out is zero in
-    the structural schedule, round by round: each pair it leaves out has
-    such a factor, so it adds +-0.0, which changes no sum from +0.0.  From
-    the first chunk with a register that is not finite on, the structural
-    schedule computes the values itself.
-    """
-    support = _parity_masks(coordinates, directions) & np.any(states != 0, axis=0)
-    schedule = _Schedule(exprs, coordinates, directions, support)
-    for first, values, finite in schedule.evaluate(states):
-        if not finite:
-            structural = _Schedule(exprs, coordinates, directions)
-            for offset, values, _ in structural.evaluate(states[first:]):
-                yield first + offset, values
-            return
-        yield first, values
-
-
-def _field_schedule(field, coordinates: Sequence[GeneratorSymbol], directions: int) -> _Schedule:
-    """The schedule of the field's components along the coordinates, with
-    each sum's target a state register; raises on a component with
-    support outside its coordinate's parity, which has no register."""
-    schedule = _Schedule([field.component(gen) for gen in coordinates], coordinates, directions)
-    summed, targets = schedule.sums
-    register = np.full(len(coordinates) << directions, -1, dtype=np.intp)
+def _field_schedule(
+    vector_field, coordinates: Sequence[GeneratorSymbol], directions: int, start: np.ndarray
+) -> _Schedule:
+    """The schedule of the field's components along the coordinates on the
+    closure of the nonzero coefficients of the ``(coordinates, 2**n)``
+    state ``start``: each pass adds every coefficient that a component
+    produces from the set, until nothing new appears, and each sum's
+    target is then a state register.  Raises on a component that is not
+    of its coordinate's parity."""
+    components = [vector_field.component(gen) for gen in coordinates]
+    for gen, component in zip(coordinates, components):
+        if not has_parity(component, gen.parity):
+            raise ParityViolation(f"the field's component for {gen} has support of the wrong parity")
+    support = start != 0
+    while True:
+        schedule = _Schedule(components, coordinates, directions, support)
+        summed, targets = schedule.sums
+        if support.flat[targets].all():
+            break
+        support.flat[targets] = True
+    register = np.empty(support.size, dtype=np.intp)
     register[schedule.index] = np.arange(schedule.state)
-    moved = register[targets]
-    if (moved < 0).any():
-        gen = coordinates[targets[np.argmin(moved)] >> directions]
-        raise ParityViolation(f"the field's component for {gen} has support of the wrong parity")
-    schedule.sums = (summed, moved)
+    schedule.sums = (summed, register[targets])
     return schedule
 
 
@@ -584,9 +566,10 @@ def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
     """Evaluate a polynomial expression on a state.  Factors multiply in
     canonical order, so this is an algebra homomorphism."""
     coordinates = tuple(state.values)
-    states = _stack(state, coordinates)[None]
+    stacked = _stack(state, coordinates)
+    schedule = _Schedule([expr], coordinates, state.directions, stacked != 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, values = next(_evaluate([expr], coordinates, state.directions, states))
+        _, values = next(schedule.evaluate(stacked[None]))
     return GrassmannValue(state.directions, values[0, 0])
 
 
@@ -598,24 +581,29 @@ def _constraint_residuals(dynamics: Dynamics):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A fixed-step run: ``values[i, c]`` holds the coefficients of
-    ``coordinates[c]`` at ``times[i]``.  Every stored coefficient outside
-    its coordinate's parity must be zero: the reports read each value on
-    the subsets of its parity alone."""
+    ``coordinates[c]`` at ``times[i]``.  ``support`` marks the
+    ``(coordinate, mask)`` coefficients that are nonzero in some stored
+    state, on which the reports evaluate; each must be of its
+    coordinate's parity."""
 
     dynamics: Dynamics
     times: tuple[float, ...]
     coordinates: tuple[GeneratorSymbol, ...]
     values: np.ndarray
     directions: int
+    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        misplaced = self.values != 0
-        misplaced &= ~_parity_masks(self.coordinates, self.directions)
-        if misplaced.any():
-            step, row, _ = np.argwhere(misplaced)[0]
+        nonzero = self.values != 0
+        support = nonzero.any(axis=0)
+        odd = np.array([gen.parity is Parity.ODD for gen in self.coordinates], dtype=bool)
+        misplaced = odd[:, None] != _odd_subsets(self.directions)
+        if (support & misplaced).any():
+            step, row, _ = np.argwhere(nonzero & misplaced)[0]
             raise ParityViolation(
                 f"value for {self.coordinates[row]} has support of the wrong parity at step {step}"
             )
+        object.__setattr__(self, "support", _frozen(support))
 
     @cached_property
     def states(self) -> tuple[NumericState, ...]:
@@ -642,12 +630,11 @@ class Trajectory:
             return 0.0
         labels = [f"residual of the {gen} constraint" for gen in gens]
         # overflow is reported by the finiteness check alone
+        schedule = _Schedule(residuals, self.coordinates, self.directions, self.support)
         with np.errstate(over="ignore", invalid="ignore"):
             return max(
                 float(_finite_norms(values, first, labels).max())
-                for first, values in _evaluate(
-                    residuals, self.coordinates, self.directions, self.values
-                )
+                for first, values in schedule.evaluate(self.values)
             )
 
     def export_rows(self) -> list[str]:
@@ -658,15 +645,6 @@ class Trajectory:
                 for mask, coeff in enumerate(coeffs):
                     rows.append(f"{time!r}\t{gen}\t{mask}\t{coeff!r}")
         return rows
-
-
-def _check_finite(state: np.ndarray, coordinates: Sequence[GeneratorSymbol], step: int):
-    """Raise on the first coordinate, in chart order, with a non-finite
-    coefficient in ``state``."""
-    finite = np.isfinite(state)
-    if not finite.all():
-        bad = coordinates[int(np.argmin(finite.all(axis=-1)))]
-        raise IntegrationError(f"non-finite value for {bad} at step {step}")
 
 
 def _scaled(coeff: float, value: str) -> str:
@@ -782,7 +760,8 @@ def _numpy_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray], None]
         run(powers)
         np.multiply(registers[sources], coeffs, out=scaled)
         run(rounds)
-        return np.bincount(targets, registers[summed], size)
+        # float even when no sum has a term, which bincount counts as int
+        return np.bincount(targets, registers[summed], size).astype(float, copy=False)
 
     h2, h6, index = dt / 2, dt / 6, schedule.index
 
@@ -831,8 +810,10 @@ def _rk4(schedule: _Schedule, values: np.ndarray, dt: float, coordinates: Sequen
         advance(rows)
         finite = np.isfinite(rows[1:]).all(axis=1)
         if not finite.all():
+            # the first coordinate, in chart order, that is not finite there
             bad = step + 1 + int(np.argmin(finite))
-            _check_finite(values[bad], coordinates, bad)
+            row = int(np.argmin(np.isfinite(values[bad]).all(axis=-1)))
+            raise IntegrationError(f"non-finite value for {coordinates[row]} at step {bad}")
 
 
 def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: float) -> Trajectory:
@@ -841,9 +822,10 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
 
     The initial state must satisfy the solved constraints within
     ``_CONSTRAINT_TOL``; the run aborts on non-finite values.  The field
-    runs its product schedule, as straight-line code when a step needs at
-    most ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise;
-    both store the same floats.
+    runs its product schedule on the closure of the initial state's nonzero
+    coefficients, as straight-line code when a step needs at most
+    ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise; both
+    store the same floats.
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
@@ -865,19 +847,20 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
             "stored trajectory"
         )
     start = _stack(initial, coordinates)
+    schedule = _field_schedule(dynamics.field(), coordinates, directions, start)
 
     # a blow-up is reported once, by the finiteness check, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         gens, residuals = _constraint_residuals(dynamics)
         if residuals:
-            _, residual = next(_evaluate(residuals, coordinates, directions, start[None]))
+            check = _Schedule(residuals, coordinates, directions, schedule.support)
+            _, residual = next(check.evaluate(start[None]))
             for gen, norm in zip(gens, np.abs(residual[0]).max(axis=-1)):
                 if norm > _CONSTRAINT_TOL:
                     raise ConstraintViolation(
                         f"initial data violates {gen} constraint by {norm:.3e}"
                     )
 
-        schedule = _field_schedule(dynamics.field(), coordinates, directions)
         values = np.zeros((steps + 1,) + start.shape)
         values[0] = start
         _rk4(schedule, values, dt, coordinates)
@@ -892,14 +875,17 @@ def conservation_report(
     coefficient-wise sup norm; raises on a quantity whose value, or
     deviation, is not finite on a stored state."""
     names = list(quantities)
-    exprs = [quantities[name] for name in names]
+    schedule = _Schedule(
+        [quantities[name] for name in names],
+        trajectory.coordinates,
+        trajectory.directions,
+        trajectory.support,
+    )
     start = None
     worst = np.zeros(len(names))
     # overflow is reported by the finiteness checks alone
     with np.errstate(over="ignore", invalid="ignore"):
-        for first, values in _evaluate(
-            exprs, trajectory.coordinates, trajectory.directions, trajectory.values
-        ):
+        for first, values in schedule.evaluate(trajectory.values):
             _finite_norms(values, first, [f"value of {name}" for name in names])
             if start is None:
                 start, values, first = values[0], values[1:], first + 1

@@ -380,7 +380,8 @@ def _fixed_outputs():
     """Every command on each shipped problem with the output it must print:
     simulate reports in tests/data, derive and noether reports in the
     benchmark's reference outputs.  An inverse command starts from the
-    charge its symmetry command printed."""
+    charge its symmetry command printed.  One sparse n=8 system's
+    simulate report is pinned too."""
     cases = []
     for name in ("oscillator", "ostrogradski", "superparticle"):
         problem = str(PROBLEMS / f"{name}.sm")
@@ -403,6 +404,12 @@ def _fixed_outputs():
                     ["noether", problem, f"--from-charge={charge}"], inverse, id=inverse.stem
                 ),
             ]
+    # the seed-1 benchmark system N1-M1-k1-n8-s100: its run touches 11 of
+    # the 512 coefficients of each value
+    sparse = ROOT / "data" / "sparse-n8"
+    cases.append(
+        pytest.param(["simulate", f"{sparse}.sm"], sparse.with_suffix(".simulate.json"), id="sparse-n8")
+    )
     return cases
 
 
@@ -831,3 +838,33 @@ def test_unknown_subcommand_is_usage_error(problem_file, capsys):
     code = main(["frobnicate", problem_file(OSCILLATOR)])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["simulate", "{path}", "--tol", "nan"], "argument --tol: tolerance must be a finite number >= 0, got 'nan'"),
+        (["simulate", "{path}", "--tol"], "argument --tol: expected one argument"),
+        (["derive", "{path}", "--emit", "xml"], "argument --emit: invalid choice: 'xml'"),
+        (["derive"], "the following arguments are required: problem"),
+        (["noether", "{path}"], "one of the arguments --symmetry --from-charge is required"),
+        (["derive", "{path}", "extra"], "unrecognized arguments: extra"),
+        (["frobnicate", "{path}"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+)
+def test_a_rejected_argument_prints_one_line(problem_file, capsys, args, message):
+    # no usage line: the one ``supermech:`` line of every other failure
+    path = problem_file(OSCILLATOR)
+    code = main([arg.format(path=path) for arg in args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"supermech: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    assert main(["derive", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: supermech derive ")
+    assert captured.err == ""

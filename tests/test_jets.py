@@ -108,6 +108,15 @@ def test_chart_validate():
     other = Chart.create(["x"], [], 1)
     with pytest.raises(UndeclaredGenerator):
         small.validate(other.coord("x", 0))
+    # a generator of this base above the order, and foreign generators
+    # that share a name with a base coordinate but not its parity or its
+    # place in the base, each with its message
+    with pytest.raises(OrderExceeded, match=r"^q\[5\] exceeds jet order 1$"):
+        small.validate(coord("q", 1) * coord("q", 5))
+    foreign = [Chart.create([], ["q"], 2).coord("q", 0), Chart.create(["p", "q"], [], 2).coord("q", 2)]
+    for expr in foreign:
+        with pytest.raises(UndeclaredGenerator, match=r"^generator q\[[02]\] does not belong to this chart$"):
+            small.validate(expr)
 
 
 # -- total derivative ------------------------------------------------------

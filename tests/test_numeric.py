@@ -33,7 +33,7 @@ from supermech import (
 )
 
 from supermech import numeric
-from supermech.numeric import _evaluate, _field_schedule, _rk4, _Schedule
+from supermech.numeric import _field_schedule, _rk4, _Schedule
 
 from helpers import oracle_evaluate, oracle_product, random_expr, reference_rk4
 
@@ -418,6 +418,22 @@ def wrong_parity_field(chart):
     return WrongField()
 
 
+@pytest.mark.parametrize("directions", [0, 2])
+def test_a_wrong_parity_term_the_data_never_reaches_is_refused(monkeypatch, directions):
+    # q[1]' = th[0] breaks parity, and th is zero for the whole run (at
+    # n=0 it has no coefficient at all), so no value would show it: the
+    # field is refused before the first step all the same
+    chart, dyn = superparticle_setup()
+    monkeypatch.setattr(Dynamics, "field", lambda self: wrong_parity_field(chart))
+    values = {gen: GrassmannValue(directions) for gen in chart.at_order(1).coordinates()}
+    values[chart.gen("q", 1)] = scalar(1.0, directions)
+    wrong = r"^the field's component for q\[1\] has support of the wrong parity$"
+    with mock.patch.object(numeric, "_rk4") as rk4:
+        with pytest.raises(ParityViolation, match=wrong):
+            integrate(dyn, NumericState(0.0, values, directions), dt=0.1, t_end=1.0)
+    assert rk4.call_count == 0
+
+
 def test_integrate_checks_parity_of_stored_states(monkeypatch):
     # a field that breaks parity has no schedule: integrate stops before
     # the first step
@@ -519,9 +535,9 @@ def test_chunked_reports_match_per_state_evaluation(seed):
         values[:, row, odd if gen.parity is Parity.EVEN else ~odd] = 0.0
     traj = Trajectory(dyn, tuple(0.1 * i for i in range(2000)), coords, values, 8)
     exprs = [random_expr(rng, chart, 1, 2, 3) for _ in range(2)]
-    schedule = _Schedule(exprs, coords, 8)
+    schedule = _Schedule(exprs, coords, 8, traj.support)
     assert schedule.chunk < 2000
-    batched = np.concatenate([chunk for _, chunk, _ in schedule.evaluate(values)])
+    batched = np.concatenate([chunk for _, chunk in schedule.evaluate(values)])
     single = np.array([[evaluate(e, state).coeffs for e in exprs] for state in traj.states])
     assert np.array_equal(batched, single)
 
@@ -543,9 +559,10 @@ def test_evaluation_on_nonzero_coefficients_stores_the_structural_floats(
     seed, directions, exponent
 ):
     # coefficients that are zero in every state are left out of the
-    # products; states up to 1e200 overflow, and then the structural
-    # schedule takes over, so the bytes, NaNs and infinities included,
-    # are the structural schedule's
+    # products, and every output that pairing all coefficients of each
+    # coordinate's parity leaves finite keeps its bytes; states up to
+    # 1e200 overflow, and a left-out pair of inf and a zero that no state
+    # makes nonzero is then a NaN there and no term here
     rng, draws = random.Random(seed), np.random.default_rng(seed)
     chart = Chart.create(["q", "p"], ["a"], 1)
     coords = chart.at_order(1).coordinates()
@@ -558,12 +575,19 @@ def test_evaluation_on_nonzero_coefficients_stores_the_structural_floats(
     )
     states[:, draws.random(states.shape[1:]) < 0.5] = 0.0
     states *= 10.0**exponent
+    odd = np.array([mask.bit_count() % 2 == 1 for mask in range(1 << directions)])
+    parity = np.array([odd if gen.parity is Parity.ODD else ~odd for gen in coords])
+
+    def evaluated(support):
+        schedule = _Schedule(exprs, coords, directions, support)
+        return np.concatenate([values for _, values in schedule.evaluate(states)])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        pruned = [values for _, values in _evaluate(exprs, coords, directions, states)]
-        structural = [
-            values for _, values, _ in _Schedule(exprs, coords, directions).evaluate(states)
-        ]
-    assert np.concatenate(pruned).tobytes() == np.concatenate(structural).tobytes()
+        pruned, structural = evaluated((states != 0).any(axis=0)), evaluated(parity)
+    finite = np.isfinite(structural)
+    assert pruned[finite].tobytes() == structural[finite].tobytes()
+    if exponent < 50:
+        assert finite.all()
 
 
 def test_reports_name_a_quantity_that_is_not_finite():
@@ -593,6 +617,7 @@ def test_reports_name_a_quantity_that_is_not_finite():
 # -- the scheduled RK4 steps -------------------------------------------------
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_field_dynamics(rng, chart):
@@ -620,9 +645,10 @@ def random_state(rng, coordinates, directions, time):
     return NumericState(time, values, directions)
 
 
-def schedule_for(dyn, directions):
+def schedule_for(dyn, initial):
     coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
-    return _field_schedule(dyn.field(), coordinates, directions)
+    start = np.array([initial.get(gen).coeffs for gen in coordinates])
+    return _field_schedule(dyn.field(), coordinates, initial.directions, start)
 
 
 # ``_KERNEL_MAX_OPS`` values that send every field to one evaluation
@@ -634,7 +660,7 @@ def run_both_paths(dyn, initial, dt, steps):
     numpy steps, each from the same initial state: the two must be equal,
     and a finite run must store the floats of ``reference_rk4``."""
     coordinates = dyn.lagrangian.chart.at_order(dyn.order).coordinates()
-    schedule = schedule_for(dyn, initial.directions)
+    schedule = schedule_for(dyn, initial)
     outcomes = []
     for ops in EVALUATIONS.values():
         values = np.zeros((steps + 1, len(coordinates), 1 << initial.directions))
@@ -678,6 +704,38 @@ def test_straight_line_and_numpy_steps_store_reference_rk4_floats(seed, directio
     # the times appended one step at a time, zero signs included
     expected = [time] + [time + step * dt for step in range(1, steps + 1)]
     assert np.array(trajectory.times).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_a_finite_run_stores_zero_outside_its_support_and_reference_rk4_floats(seed, directions):
+    # sparse initial data, whole coordinates and single coefficients left
+    # at zero: the run's support is the closure of the nonzero
+    # coefficients under the field, each later state stores +0.0 outside
+    # it, and the stored bytes are those of the reference, which pairs
+    # every nonzero coefficient
+    rng = random.Random(seed)
+    dyn = random_field_dynamics(rng, Chart.create(["q", "p"], ["a"], 1))
+    coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
+    drawn = random_state(rng, coordinates, directions, 0.0)
+    values = {}
+    for gen, value in drawn.values.items():
+        kept = [rng.random() < 0.6 for _ in value.coeffs] if rng.random() < 0.7 else False
+        values[gen] = GrassmannValue(directions, np.where(kept, value.coeffs, 0.0))
+    initial = NumericState(0.0, values, directions)
+    support = schedule_for(dyn, initial).support
+    dt, steps = rng.choice([0.01, 0.1]), rng.randint(1, 12)
+    try:
+        trajectory = integrate(dyn, initial, dt=dt, t_end=steps * dt)
+    except IntegrationError:
+        return
+    assert not (trajectory.support & ~support).any()
+    outside = trajectory.values[1:, ~support]
+    assert outside.tobytes() == np.zeros(outside.shape).tobytes()
+    start = {gen: initial.get(gen).coeffs for gen in coordinates}
+    reference = reference_rk4(dyn, start, directions, dt, steps)
+    expected = np.array([[state[gen] for gen in coordinates] for state in reference])
+    assert expected.tobytes() == trajectory.values.tobytes()
 
 
 @settings(max_examples=40)
@@ -736,9 +794,10 @@ def test_blowup_raises_the_same_error_on_both_paths(evaluation, directions):
 
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
 def test_straight_line_and_numpy_steps_fail_alike_on_inf_times_zero(evaluation):
-    # q^2 overflows and p is zero: the product q^2 * p pairs inf with the
-    # structural coefficient of p, 0.0, into a NaN on both evaluations,
-    # whatever a product of the values alone would drop
+    # q^2 overflows and p is zero at the start, but p' = 1 makes p's
+    # coefficient part of the run: the product q^2 * p pairs inf with it,
+    # 0.0, into a NaN on both evaluations, whatever a product of the
+    # values alone would drop
     chart = Chart.create(["q", "p"], [], 1)
     q0, p0 = chart.coord("q", 0), chart.coord("p", 0)
     forces = {
@@ -748,12 +807,22 @@ def test_straight_line_and_numpy_steps_fail_alike_on_inf_times_zero(evaluation):
     dyn = Dynamics(SuperLagrangian(chart, SuperExpr.zero()), forces, {})
     values = {gen: scalar(0.0, 0) for gen in chart.at_order(1).coordinates()}
     values[chart.gen("q", 0)] = scalar(1e200, 0)
+    values[chart.gen("p", 1)] = scalar(1.0, 0)
     initial = NumericState(0.0, values, 0)
     outcome = run_both_paths(dyn, initial, 0.1, 10)
     assert outcome == "non-finite value for q[0] at step 1"
     with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
         with pytest.raises(IntegrationError, match=r"^non-finite value for q\[0\] at step 1$"):
             integrate(dyn, initial, dt=0.1, t_end=1.0)
+    # with p zero for the whole run its coefficient takes part in no
+    # product: q^2 * p has no term, as in the exact algebra, and q stays
+    values[chart.gen("p", 1)] = scalar(0.0, 0)
+    still = NumericState(0.0, values, 0)
+    outcome = run_both_paths(dyn, still, 0.1, 10)
+    with mock.patch.object(numeric, "_KERNEL_MAX_OPS", EVALUATIONS[evaluation]):
+        trajectory = integrate(dyn, still, dt=0.1, t_end=1.0)
+    assert trajectory.values.tobytes() == outcome
+    assert (trajectory.values[:, 0, 0] == 1e200).all()
 
 
 @pytest.mark.parametrize("evaluation", EVALUATIONS)
@@ -782,35 +851,50 @@ def test_an_overflow_that_no_pair_reads_leaves_both_steps_on_reference_rk4(evalu
 
 
 def test_a_quantity_does_not_depend_on_what_is_evaluated_with_it():
-    # q^2*p overflows into inf*0: a NaN whether or not q*r, whose factor
-    # r is nonzero, is evaluated in the same report
+    # q^2*p overflows into inf*0 at step 0, where p is zero; p is nonzero
+    # at step 1, so its coefficient is part of the run: a NaN whether or
+    # not q*r, whose factor r is nonzero, is evaluated in the same report
     chart = Chart.create(["q", "p", "r"], [], 1)
     q0, p0, r0 = (chart.coord(name, 0) for name in "qpr")
     coords = chart.at_order(0).coordinates()
-    values = np.array([[[1e200], [0.0], [1.0]]])
+    values = np.array([[[1e200], [0.0], [1.0]], [[1e200], [1.0], [1.0]]])
     dyn = Dynamics(SuperLagrangian(chart, SuperExpr.zero()), {}, {})
-    trajectory = Trajectory(dyn, (0.0,), coords, values, 0)
+    trajectory = Trajectory(dyn, (0.0, 0.1), coords, values, 0)
     a, b = q0**2 * p0, q0 * r0
     for quantities in ({"a": a}, {"a": a, "b": b}):
         with pytest.raises(NumericError, match="^non-finite value of a at step 0$"):
             conservation_report(trajectory, quantities)
-    assert not np.isfinite(evaluate(a, trajectory.states[0]).coeffs).all()
+    # evaluate reads one state: where p is zero, q^2*p has no term
+    assert evaluate(a, trajectory.states[0]) == scalar(0.0, 0)
+    assert not np.isfinite(evaluate(a, trajectory.states[1]).coeffs).all()
+    # with p zero for the whole run, a is zero throughout, with or without b
+    still = Trajectory(dyn, (0.0,), coords, values[:1], 0)
+    assert conservation_report(still, {"a": a}) == {"a": 0.0}
+    assert conservation_report(still, {"a": a, "b": b}) == {"a": 0.0, "b": 0.0}
 
 
 def test_which_path_each_system_takes():
-    # the shipped problems take the straight-line step and an n=8 state
-    # the numpy step, while a field that breaks parity has no schedule
+    # the shipped problems take the straight-line step and a dense n=8
+    # state the numpy step, while a field that breaks parity has no schedule
     for name in ("oscillator", "ostrogradski", "superparticle"):
         problem = parse_problem((PROBLEMS / f"{name}.sm").read_text(encoding="utf-8"))
         dyn = solve_dynamics(problem.lagrangian())
-        schedule = schedule_for(dyn, problem.simulation.directions)
+        schedule = schedule_for(dyn, problem.initial_state())
         assert schedule.ops <= numeric._KERNEL_MAX_OPS, name
     chart, dyn = superparticle_setup()
-    assert schedule_for(dyn, 8).ops > numeric._KERNEL_MAX_OPS
-    assert schedule_for(dyn, 2).ops <= numeric._KERNEL_MAX_OPS
     coordinates = chart.at_order(1).coordinates()
+    dense = random_state(random.Random(8), coordinates, 8, 0.0)
+    assert schedule_for(dyn, dense).ops > numeric._KERNEL_MAX_OPS
+    initial = superparticle_state(chart, scalar(0.0, 2))
+    assert schedule_for(dyn, initial).ops <= numeric._KERNEL_MAX_OPS
+    # the seed-1 benchmark system at n=8 touches 11 of its 512
+    # coefficients, so its step needs 207 operations, not 9728
+    problem = parse_problem((DATA / "sparse-n8.sm").read_text(encoding="utf-8"))
+    schedule = schedule_for(solve_dynamics(problem.lagrangian()), problem.initial_state())
+    assert (schedule.state, schedule.ops) == (11, 207)
+    start = np.array([initial.get(gen).coeffs for gen in coordinates])
     with pytest.raises(ParityViolation, match=r"q\[1\] has support of the wrong parity"):
-        _field_schedule(wrong_parity_field(chart), coordinates, 2)
+        _field_schedule(wrong_parity_field(chart), coordinates, 2, start)
 
 
 def test_schedule_is_built_once_per_run():
@@ -820,7 +904,7 @@ def test_schedule_is_built_once_per_run():
     chart, dyn = quartic_dynamics()
     coordinates = chart.at_order(1).coordinates()
     initial = random_state(random.Random(7), coordinates, 6, 0.0)
-    assert schedule_for(dyn, 6).ops > numeric._KERNEL_MAX_OPS
+    assert schedule_for(dyn, initial).ops > numeric._KERNEL_MAX_OPS
     with mock.patch.object(numeric, "_product", wraps=numeric._product) as product:
         trajectory = integrate(dyn, initial, dt=0.01, t_end=0.2)
     assert product.call_count == 0

@@ -22,12 +22,13 @@ does the calculus in t.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from supermech import Chart, Parity, SuperLagrangian, cartan_data  # noqa: E402
+from supermech import Chart, Parity, Regularity, SuperLagrangian, cartan_data  # noqa: E402
 
 from helpers import random_expr  # noqa: E402
 
@@ -86,10 +87,23 @@ def corpus():
     return cases
 
 
-@pytest.mark.parametrize("n, lag", corpus())
-def test_field_equations_and_energy_match_the_top_coefficient(n, lag):
-    top = tuple(range(n))
-    components = {
+def regular_corpus():
+    """The corpus Lagrangians plus ``1/2*q[k]^2 + th[k]*ps[k]``, a top-order
+    kinetic term for every coordinate, where that makes them REGULAR."""
+    cases = []
+    for case in corpus():
+        n, lag = case.values
+        chart, k = lag.chart, lag.order
+        kinetic = Fraction(1, 2) * chart.coord("q", k) ** 2 + chart.coord("th", k) * chart.coord("ps", k)
+        regular = SuperLagrangian(chart, lag.expr + kinetic)
+        if cartan_data(regular).regularity.verdict is Regularity.REGULAR:
+            cases.append(pytest.param(n, regular, id=case.id))
+    return cases
+
+
+def components_of(n):
+    """The envelope's component functions x_I(t) of every coordinate."""
+    return {
         name: {
             index: sympy.Function(f"{name}_{''.join(map(str, index))}")(t)
             for size in range(n + 1)
@@ -99,18 +113,24 @@ def test_field_equations_and_energy_match_the_top_coefficient(n, lag):
         for names, parity in ((EVEN, 0), (ODD, 1))
         for name in names
     }
+
+
+def euler_lagrange(l_top, f, k):
+    return sum((-1) ** j * sympy.diff(l_top.diff(sympy.diff(f, t, j)), t, j) for j in range(k + 1))
+
+
+@pytest.mark.parametrize("n, lag", corpus())
+def test_field_equations_and_energy_match_the_top_coefficient(n, lag):
+    top = tuple(range(n))
+    components = components_of(n)
     l_top = sympy.expand(envelope(lag.expr, components).get(top, 0))
     data = cartan_data(lag)
     k = lag.order
     for name, functions in components.items():
         field_equation = envelope(data.delta_check.component(lag.chart.gen(name, 0)), components)
         for index, f in functions.items():
-            euler_lagrange = sum(
-                (-1) ** j * sympy.diff(l_top.diff(sympy.diff(f, t, j)), t, j)
-                for j in range(k + 1)
-            )
             expected = product(field_equation, {index: 1}).get(top, 0)
-            assert sympy.expand(euler_lagrange - expected) == 0, (name, index)
+            assert sympy.expand(euler_lagrange(l_top, f, k) - expected) == 0, (name, index)
 
     energy = -l_top
     for f in (f for functions in components.values() for f in functions.values()):
@@ -121,3 +141,26 @@ def test_field_equations_and_energy_match_the_top_coefficient(n, lag):
             )
             energy += momentum * sympy.diff(f, t, i)
     assert sympy.expand(envelope(data.energy, components).get(top, 0) - energy) == 0
+
+
+@pytest.mark.parametrize("n, lag", regular_corpus())
+def test_forces_solve_the_top_coefficient_equations(n, lag):
+    # the Euler-Lagrange equations of L_top are affine in the top
+    # derivatives of the x_I; sympy solves them, and each solution must be
+    # the coefficient of env(force) for x's force at I
+    top = tuple(range(n))
+    components = components_of(n)
+    l_top = sympy.expand(envelope(lag.expr, components).get(top, 0))
+    k = lag.order
+    functions = [f for fs in components.values() for f in fs.values()]
+    unknowns = [sympy.Symbol(f"top_{f.func.__name__}") for f in functions]
+    highest = {sympy.diff(f, t, 2 * k): u for f, u in zip(functions, unknowns)}
+    equations = [sympy.expand(euler_lagrange(l_top, f, k)).subs(highest) for f in functions]
+    (solution,) = sympy.solve(equations, unknowns, dict=True)
+    forces = cartan_data(lag).dynamics.forces
+    for name, fs in components.items():
+        force = envelope(forces[lag.chart.gen(name, 0).shifted(2 * k)], components)
+        assert set(force) <= set(fs), name
+        for index, f in fs.items():
+            solved = solution[highest[sympy.diff(f, t, 2 * k)]]
+            assert sympy.expand(solved - force.get(index, 0)) == 0, (name, index)
