@@ -5,8 +5,10 @@ odd-word``.  Even generators commute with everything and carry integer
 exponents; odd generators anticommute among themselves and square to zero,
 so an odd word is a product of distinct odd generators kept in a fixed
 total order.  ``reorder`` is the one rule for putting a graded word in
-that order: it sorts odd generators (form degree 0) here and differentials
-(form degree 1) in ``forms``, collecting the bidegree sign.
+that order, collecting the bidegree sign: it sorts odd generators (form
+degree 0) here, the joined words of each term pair of a product and the
+factors of each monomial alike, and differentials (form degree 1) in
+``forms``.
 ``grassmann_coefficients`` applies the same sign to products of the odd
 directions of a numeric Grassmann value, without numpy, so that a problem
 file's initial data parses without loading the numeric layer.
@@ -243,31 +245,6 @@ Scalar = Union[int, Fraction]
 RawTerm = tuple[Scalar, Sequence[GeneratorSymbol]]
 
 
-def _merge_odd_words(left: OddWord, right: OddWord) -> tuple[int, OddWord] | None:
-    """Merge two canonical odd words, counting the crossings."""
-    if not left or not right:
-        return 1, left or right
-    sign = 1
-    out: list[GeneratorSymbol] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return None
-        if a.sort_key < b.sort_key:
-            out.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining factors of left
-            if (len(left) - i) % 2:
-                sign = -sign
-            out.append(b)
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return sign, tuple(out)
-
-
 def _merge_even(left: EvenMonomial, right: EvenMonomial) -> EvenMonomial:
     """Multiply two canonical even monomials, adding the exponents of a
     shared generator."""
@@ -438,9 +415,9 @@ class SuperExpr:
         # as in ``sum``, a product cancels only on a key already present
         for (ev1, od1), n1 in left.items():
             for (ev2, od2), n2 in right.items():
-                merged = _merge_odd_words(od1, od2)
-                if merged is not None:
-                    sign, odd = merged
+                ordered = reorder(od1 + od2, 0) if od1 and od2 else (1, od1 or od2)
+                if ordered is not None:
+                    sign, odd = ordered
                     key = (_merge_even(ev1, ev2), odd)
                     acc = get(key, 0) + (n1 * n2 if sign > 0 else -n1 * n2)
                     if acc:

@@ -324,8 +324,8 @@ def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
     quantities: dict[str, SuperExpr] = {"energy": data.energy}
     for name in problem.symmetries:
         field = problem.symmetry_field(name)
-        # NotSymmetry -> exit 1
-        quantities[name] = certify_symmetry(field, lag, data, verify=False).charge
+        # NotSymmetry, or a charge not constant along the dynamics -> exit 1
+        quantities[name] = certify_symmetry(field, lag, data).charge
 
     sim = problem.simulation
     try:

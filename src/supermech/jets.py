@@ -85,13 +85,22 @@ class Chart:
     def coord(self, name: str, jet_order: int) -> SuperExpr:
         return SuperExpr.generator(self.gen(name, jet_order))
 
+    @functools.cached_property
+    def _generators(self) -> tuple[tuple[GeneratorSymbol, ...], frozenset[GeneratorSymbol]]:
+        # built on first use; ``_chart`` keeps one chart, so one tuple, per value
+        gens = sorted(
+            (self.gen(name, j) for name in self.base_names() for j in range(self.order + 1)),
+            key=lambda g: g.sort_key,
+        )
+        return tuple(gens), frozenset(gens)
+
     def coordinates(self) -> tuple[GeneratorSymbol, ...]:
         """Every generator of the chart, sorted by ``sort_key``."""
-        return _coordinates(self.base_even, self.base_odd, self.order)[0]
+        return self._generators[0]
 
     def coordinate_set(self) -> frozenset[GeneratorSymbol]:
         """The generators of the chart, for membership tests."""
-        return _coordinates(self.base_even, self.base_odd, self.order)[1]
+        return self._generators[1]
 
     def base_names(self) -> tuple[str, ...]:
         return self.base_even + self.base_odd
@@ -112,25 +121,9 @@ class Chart:
 @functools.cache
 def _chart(base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int) -> Chart:
     """The chart of ``order`` over a base, built (and its names checked)
-    once per chart value; keyed by the fields like ``_coordinates``."""
+    once per chart value.  Like the intern table of ``GeneratorSymbol``,
+    the cache keeps one entry per distinct chart."""
     return Chart(base_even, base_odd, order)
-
-
-@functools.cache
-def _coordinates(
-    base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int
-) -> tuple[tuple[GeneratorSymbol, ...], frozenset[GeneratorSymbol]]:
-    """The sorted generators of the chart of ``order`` over a base and
-    their set, built once per chart value and shared by every equal chart.
-    Keyed by the fields, so that a field along a projection looks up its
-    source chart without building it.  Like the intern table of
-    ``GeneratorSymbol``, the cache keeps one entry per distinct chart."""
-    chart = _chart(base_even, base_odd, order)
-    gens = sorted(
-        (chart.gen(name, j) for name in chart.base_names() for j in range(order + 1)),
-        key=lambda g: g.sort_key,
-    )
-    return tuple(gens), frozenset(gens)
 
 
 def total_derivative(expr: SuperExpr) -> SuperExpr:
@@ -167,8 +160,7 @@ class VectorFieldAlong:
     def __post_init__(self):
         if self.source_order > self.target_order:
             raise DomainMismatch("a field along a projection cannot lower the order")
-        chart = self.chart
-        source = _coordinates(chart.base_even, chart.base_odd, self.source_order)[1]
+        source = self.chart.at_order(self.source_order).coordinate_set()
         clean: dict[GeneratorSymbol, SuperExpr] = {}
         inferred: Parity | None = self.parity
         for gen, comp in self.components.items():

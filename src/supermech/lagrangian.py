@@ -699,8 +699,8 @@ def conservation_witness(
     """Find a field along the projection to the base whose interior
     product with the variational form reproduces the total derivative of
     the quantity (with a minus sign).  Components are sought as
-    polynomials of growing degree, up to deg G + 2k; raises NoWitness when
-    that bound is exhausted.
+    polynomials of growing degree, from the first degree a witness can
+    have up to deg G + 2k; raises NoWitness when that bound is exhausted.
 
     A witness makes the quantity constant on shell.  So once the search
     reaches the quantity's own degree without a witness, a regular system
@@ -728,7 +728,10 @@ def conservation_witness(
     # every degree's columns include the lower degrees' ones, each computed
     # once per call
     products: dict[tuple[GeneratorSymbol, SuperExpr], SuperExpr] = {}
-    for degree in range(cap + 1):
+    # T(G) = -sum_a koszul(F_a)*W_a, so deg T(G) <= deg W + max_a deg F_a:
+    # no witness has a lower degree than the first one searched
+    first = max(0, target.total_degree() - max((f.total_degree() for _, f, _ in scaled), default=0))
+    for degree in range(first, cap + 1):
         if (
             degree == g_degree
             and data.regularity.verdict is Regularity.REGULAR
@@ -877,13 +880,14 @@ def certify_symmetry(
     x_field: VectorFieldAlong,
     lag: SuperLagrangian,
     data: CartanData | None = None,
-    verify: bool = True,
 ) -> NoetherCertificate:
     """Check the candidate field and bundle it with its generating
-    function and conserved charge; raises NotSymmetry otherwise."""
+    function and conserved charge, checked constant along the dynamics
+    when the system is regular; raises NotSymmetry when the field is not a
+    symmetry."""
     data = data or cartan_data(lag)
     generating = check_symmetry(x_field, lag)
-    charge = noether_charge(x_field, generating, lag, data, verify=verify)
+    charge = noether_charge(x_field, generating, lag, data)
     return NoetherCertificate(x_field, generating, charge)
 
 

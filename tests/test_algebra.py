@@ -222,7 +222,9 @@ EXPRS = st.lists(
 @settings(max_examples=200)
 @given(EXPRS, EXPRS)
 def test_product_matches_the_factor_list_reference(a, b):
-    assert a * b == reference_product(a, b)
+    # the reference counts inversions itself: products and ``normalize``
+    # both order their words with ``reorder``
+    assert fraction_terms(a * b) == fraction_product(fraction_terms(a), fraction_terms(b))
 
 
 @settings(max_examples=200)

@@ -455,6 +455,14 @@ def test_dense_witness_output_is_fixed(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_dense_odd_coupled_derive_output_is_fixed(capsys):
+    # the same system's derive report: a REGULAR system whose x1*th0*th1
+    # coupling gives products with odd words in both factors
+    expected = (ROOT / "data" / "dense-N4-M2-k1.derive.json").read_text(encoding="utf-8")
+    assert main(["derive", str(ROOT / "data" / "dense-N4-M2-k1.sm")]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
     # each call follows one that sets an option it leaves at its default,
     # or a usage error; every call prints what it prints alone: the stored
@@ -503,17 +511,19 @@ def _count_calls(monkeypatch, stages, module=lagrangian) -> Counter:
         (["derive"], (1, 1, 1, 0, 2, 0, 6)),
         (["derive", "--emit", "latex"], (1, 1, 0, 0, 2, 0, 0)),
         (["noether", "--symmetry", "susy"], (1, 1, 1, 1, 2, 0, 8)),
-        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 2, 0)),
-        (["simulate"], (1, 1, 1, 0, 2, 0, 6)),
+        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 1, 0)),
+        (["simulate"], (1, 1, 1, 2, 2, 0, 9)),
     ],
     ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
 )
 def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
-    # theta built, solve plan run, dynamics solved, conservation checked,
-    # one determinant and adjugate per sector of the plan, one rational
-    # system per degree of the witness search, and one substitution per
-    # pass of the on-shell and constraint loops; generating functions of
-    # symmetries solve no system
+    # theta built, solve plan run, dynamics solved, conservation checked
+    # once per charge a command reports (simulate reports two), one
+    # determinant and adjugate per sector of the plan, one rational system
+    # per degree of the witness search (the superparticle's susy charge
+    # q[1]*theta[0] is searched from degree 1, the first a witness can
+    # have), and one substitution per pass of the on-shell and constraint
+    # loops; generating functions of symmetries solve no system
     stages = (
         "cartan_operator",
         "_solve_plan",
@@ -639,18 +649,35 @@ def test_derive_builds_each_chart_once(monkeypatch, capsys):
     assert built == {(("q",), ("theta",), 0): 1, (("q",), ("theta",), 1): 1}
 
 
-def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):
-    # degrees 0 and 1 are searched; at degree 2, the charge's own, the
-    # dynamics show it is not conserved, so no degree up to 4 is tried
+def _not_conserved_calls(path, charge, monkeypatch, capsys) -> Counter:
+    """Run ``noether --from-charge`` on a charge that is not conserved,
+    check its one-line refusal, and return the witness search's calls."""
     calls = _count_calls(monkeypatch, ["_solve_rational", "check_constant_of_motion"])
-    code = main(["noether", problem_file(OSCILLATOR), "--from-charge", "q[0]^2"])
+    code = main(["noether", path, "--from-charge", charge])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("supermech: ")
-    assert "witness" in captured.err
-    assert "not constant along the dynamics" in captured.err
-    assert calls == {"_solve_rational": 2, "check_constant_of_motion": 1}
+    assert captured.err == (
+        "supermech: no witness field of any degree: the quantity is not constant along the dynamics\n"
+    )
+    return calls
+
+
+def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):
+    # T(q[0]^2) has degree 2 and the field equation degree 1, so the search
+    # starts at degree 1; at degree 2, the charge's own, the dynamics show
+    # it is not conserved, so no degree up to 4 is tried
+    calls = _not_conserved_calls(problem_file(OSCILLATOR), "q[0]^2", monkeypatch, capsys)
+    assert calls == {"_solve_rational": 1, "check_constant_of_motion": 1}
+
+
+def test_from_charge_search_starts_at_the_first_degree_a_witness_can_have(problem_file, monkeypatch, capsys):
+    # the free particle's field equation q[2] has degree 1, so no witness
+    # of degree below 127 can give T(G), of degree 128: one system is
+    # solved, not the 128 of degrees 0..127
+    free = "order 1; even q; L = 1/2*q[1]^2;"
+    calls = _not_conserved_calls(problem_file(free), "q[0]^64*q[1]^64", monkeypatch, capsys)
+    assert calls == {"_solve_rational": 1, "check_constant_of_motion": 1}
 
 
 # -- rendering -------------------------------------------------------------

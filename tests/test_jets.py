@@ -73,6 +73,15 @@ def test_chart_coordinates_match_the_explicit_construction(chart):
     assert twin.coordinates() is chart.coordinates()
 
 
+def test_a_chart_keeps_one_coordinate_tuple():
+    chart = Chart.create(["q", "r"], ["th"], 2)
+    first = chart.coordinates()
+    assert chart.coordinates() is first
+    assert chart.coordinate_set() is chart.coordinate_set()
+    assert Chart.create(("q", "r"), ["th"], 2).coordinates() is first
+    assert chart.at_order(0).at_order(2).coordinates() is first
+
+
 @given(charts(), st.data())
 def test_field_components_must_lie_in_the_source_chart(chart, data):
     source = data.draw(st.integers(0, chart.order))
