@@ -614,6 +614,81 @@ def has_parity(expr: SuperExpr, parity: Parity) -> bool:
         return False
 
 
+def exact_quotient(dividend: SuperExpr, divisor: SuperExpr) -> SuperExpr:
+    """The quotient of two expressions free of odd generators when the
+    divisor divides the dividend in Q[even generators].  Raises
+    ``AlgebraError`` when it does not (a nonzero remainder) or when an
+    operand has an odd generator.
+
+    Division cancels the leading term of the remainder, in the
+    lexicographic order with the generator that sorts first weighing most,
+    until nothing is left.  Each monomial is packed into one int, its
+    exponents the digits, so that a product adds ints and the order is the
+    order of ints.  An exact quotient has at most ``deg_x(dividend) -
+    deg_x(divisor)`` factors of each x; a quotient term past that bound
+    means a remainder, and within it no digit of a product overflows, so
+    an empty remainder is an identity of polynomials.  The numerators stay
+    ints: the quotient is kept times a scale that grows by what the
+    divisor's leading coefficient does not divide."""
+    if any(odd for _, odd in dividend._nums) or any(odd for _, odd in divisor._nums):
+        raise AlgebraError("exact division takes expressions free of odd generators")
+    if divisor.is_zero():
+        raise ZeroDivisionError("division of a SuperExpr by zero")
+    if len(divisor._nums) == 1 and _UNIT in divisor._nums:
+        return dividend / divisor.constant_term()
+    degrees: list[dict[GeneratorSymbol, int]] = [{}, {}]
+    for expr, degree in zip((dividend, divisor), degrees):
+        for even, _ in expr._nums:
+            for g, e in even:
+                if e > degree.get(g, 0):
+                    degree[g] = e
+    top_degree, divisor_degree = degrees
+    gens = sorted(top_degree.keys() | divisor_degree.keys(), key=lambda g: g.sort_key, reverse=True)
+    bounds = [top_degree.get(g, 0) - divisor_degree.get(g, 0) for g in gens]
+    base = max(top_degree.values(), default=0) + 1
+    # the last generator in sort order is the lowest digit
+    place = {g: base**i for i, g in enumerate(gens)}
+
+    def pack(even: EvenMonomial) -> int:
+        return sum(e * place[g] for g, e in even)
+
+    rest = {pack(even): n for (even, _), n in dividend._nums.items()}
+    terms = {pack(even): n for (even, _), n in divisor._nums.items()}
+    lead = max(terms)
+    lead_coeff = terms[lead]
+    quotient: dict[TermKey, int] = {}
+    scale = 1
+    while rest:
+        top = max(rest)
+        n = rest[top]
+        shift = rem = top - lead
+        exps = []
+        # the digits of the shift, each within its bound; a negative shift
+        # leaves a negative rest
+        for g, bound in zip(gens, bounds):
+            rem, e = divmod(rem, base)
+            if e > bound or rem < 0:
+                raise AlgebraError(f"{divisor} does not divide {dividend}")
+            if e:
+                exps.append((g, e))
+        grow = abs(lead_coeff) // math.gcd(n, lead_coeff)
+        if grow != 1:
+            scale *= grow
+            rest = {key: m * grow for key, m in rest.items()}
+            quotient = {key: m * grow for key, m in quotient.items()}
+            n *= grow
+        coeff = n // lead_coeff
+        quotient[(tuple(reversed(exps)), ())] = coeff
+        for key, m in terms.items():
+            key += shift
+            acc = rest.get(key, 0) - coeff * m
+            if acc:
+                rest[key] = acc
+            else:
+                del rest[key]
+    return _reduced({key: n * divisor._den for key, n in quotient.items()}, scale * dividend._den)
+
+
 def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
     """Left partial derivative with respect to a generator.
 

@@ -23,9 +23,11 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebra import (
+    AlgebraError,
     GeneratorSymbol,
     Parity,
     SuperExpr,
+    exact_quotient,
     has_parity,
     koszul,
     left_partial,
@@ -210,33 +212,78 @@ def cartan_data(lag: SuperLagrangian) -> CartanData:
 # -- linear algebra over the superalgebra ----------------------------------
 
 
-def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]]]:
-    """Determinant and adjugate of a matrix with commuting (even) entries
-    by the Faddeev-LeVerrier recurrence: n matrix products and divisions
-    by the integers 1..n only.
+def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]] | None]:
+    """Determinant and adjugate of a square matrix A whose entries are free
+    of odd generators, by fraction-free Gauss-Jordan elimination on
+    ``[A | I]`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams,
+    SIGSAM Bull. 31(3), 1997).  A singular matrix has a determinant of 0
+    and no adjugate.
 
-    With ``M_0 = 0`` and ``c_0 = 1``, step k sets ``M_k = A M_(k-1) +
-    c_(k-1) I`` and ``c_k = -tr(A M_k) / k``; then ``det A = (-1)^n c_n``
-    and ``adj A = (-1)^(n+1) M_n``.
+    Step k takes the first row at or below k with a nonzero entry in
+    column k as its pivot row (a swap flips the sign) and replaces each
+    other row by ``(p_k row_i - a_ik row_k) / p_(k-1)``, with p_k the k-th
+    pivot and ``p_(-1) = 1``: an exact division, by Sylvester's identity.
+    After step k the rows are p_k times those of Gauss-Jordan with unit
+    pivots, so the columns up to k are not read again and not updated, an
+    entry p_(k-1) with nothing to subtract becomes p_k, and the run ends
+    at ``[d I | M]`` with ``det A = ±d`` and ``adj A = ±M``.  A column
+    with no pivot makes the matrix singular.
+
+    A constant matrix is scaled by the least common multiple s of its
+    denominators and eliminated on ints, each division checked by
+    ``divmod``; then ``det = ±d / s^n`` and ``adj = ±M / s^(n-1)``.  Any
+    other matrix is eliminated on its entries, in the integral domain
+    Q[even generators], with ``exact_quotient``.
     """
     n = len(matrix)
-    product = [[SuperExpr.zero()] * n for _ in range(n)]
-    coefficient = SuperExpr.constant(1)
-    m: list[list[SuperExpr]] = []
-    for k in range(1, n + 1):
-        m = [
-            [e + coefficient if i == j else e for j, e in enumerate(row)]
-            for i, row in enumerate(product)
-        ]
-        product = _mat_mul(matrix, m)
-        coefficient = -SuperExpr.sum(product[i][i] for i in range(n)) / k
-    if n % 2:
-        return -coefficient, m
-    return coefficient, [[-e for e in row] for row in m]
+    constant = all(e.max_jet_order() < 0 for row in matrix for e in row)
+    if constant:
+        values = [[e.constant_term() for e in row] for row in matrix]
+        scale = math.lcm(*(v.denominator for row in values for v in row))
+        one, quotient, nonzero = 1, _int_quotient, bool
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
+    else:
+        one, quotient, nonzero = SuperExpr.constant(1), exact_quotient, lambda e: not e.is_zero()
+        rows = [list(row) for row in matrix]
+    zero = one - one
+    for i, row in enumerate(rows):
+        row += [one if i == j else zero for j in range(n)]
+    sign, previous = 1, one
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if nonzero(rows[i][k])), None)
+        if pivot_row is None:
+            return SuperExpr.zero(), None
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        line = rows[k]
+        pivot = line[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            factor = row[k]
+            live = nonzero(factor)
+            for j in range(k + 1, 2 * n):
+                a = row[j]
+                if live and nonzero(line[j]):
+                    row[j] = quotient(pivot * a - factor * line[j], previous)
+                elif a == previous:
+                    row[j] = pivot
+                elif nonzero(a):
+                    row[j] = quotient(pivot * a, previous)
+        previous = pivot
+    if not constant:
+        return sign * previous, [[sign * e for e in row[n:]] for row in rows]
+    return SuperExpr.constant(Fraction(sign * previous, scale**n)), [
+        [SuperExpr.constant(Fraction(sign * e, scale ** (n - 1))) for e in row[n:]] for row in rows
+    ]
 
 
-def _mat_mul(a: Sequence[Sequence[SuperExpr]], b: Sequence[Sequence[SuperExpr]]) -> list[list[SuperExpr]]:
-    return [[SuperExpr.sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _int_quotient(dividend: int, divisor: int) -> int:
+    quotient, remainder = divmod(dividend, divisor)
+    if remainder:
+        raise AlgebraError(f"{divisor} does not divide {dividend}")
+    return quotient
 
 
 def _mat_vec(a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr]) -> list[SuperExpr]:
@@ -353,7 +400,8 @@ def _until_stable(step, value, passes: int, failure: str):
 class _Sector:
     """A square block of field equations ``matrix u = rhs`` over the
     unknowns, split once by ``_sector``, with the body of the matrix (each
-    entry's body taken once) and its determinant and adjugate."""
+    entry's body taken once) and its determinant, with the adjugate when
+    the determinant is nonzero."""
 
     matrix: tuple[Sequence[SuperExpr], ...] = ()
     rhs: tuple[SuperExpr, ...] = ()
@@ -384,7 +432,7 @@ def _sector(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> _Sec
     body = tuple([e.body() for e in row] for row in matrix)
     det, adjugate = _det_adjugate(body)
     rhs = tuple(-rest for rest, _ in rows)
-    return _Sector(matrix, rhs, tuple(unknowns), body, det, tuple(adjugate))
+    return _Sector(matrix, rhs, tuple(unknowns), body, det, tuple(adjugate or ()))
 
 
 def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:

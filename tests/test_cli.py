@@ -381,17 +381,24 @@ def _fixed_outputs():
     simulate reports in tests/data, derive and noether reports in the
     benchmark's reference outputs.  An inverse command starts from the
     charge its symmetry command printed.  One sparse n=8 system's
-    simulate report is pinned too."""
+    simulate report is pinned too, and the derive reports of two systems
+    whose leading matrix is not constant, which exit 1: one whose
+    determinant depends on the point and one whose determinant is
+    identically zero."""
+
+    def case(argv, expected, id, code=0):
+        return pytest.param(argv, expected, code, id=id)
+
     cases = []
     for name in ("oscillator", "ostrogradski", "superparticle"):
         problem = str(PROBLEMS / f"{name}.sm")
         cases += [
-            pytest.param(["simulate", problem], ROOT / "data" / f"{name}.simulate.json", id=name),
-            pytest.param(["derive", problem], REFERENCE / f"{name}.derive.txt", id=f"{name}.derive"),
-            pytest.param(
+            case(["simulate", problem], ROOT / "data" / f"{name}.simulate.json", name),
+            case(["derive", problem], REFERENCE / f"{name}.derive.txt", f"{name}.derive"),
+            case(
                 ["derive", problem, "--emit", "latex"],
                 REFERENCE / f"{name}.derive.latex.txt",
-                id=f"{name}.derive.latex",
+                f"{name}.derive.latex",
             ),
         ]
         for path in sorted(REFERENCE.glob(f"{name}.noether_symmetry.*.txt")):
@@ -399,25 +406,23 @@ def _fixed_outputs():
             charge = json.loads(path.read_text(encoding="utf-8"))["charge"]
             inverse = REFERENCE / f"{name}.noether_inverse.{symmetry}.txt"
             cases += [
-                pytest.param(["noether", problem, "--symmetry", symmetry], path, id=path.stem),
-                pytest.param(
-                    ["noether", problem, f"--from-charge={charge}"], inverse, id=inverse.stem
-                ),
+                case(["noether", problem, "--symmetry", symmetry], path, path.stem),
+                case(["noether", problem, f"--from-charge={charge}"], inverse, inverse.stem),
             ]
     # the seed-1 benchmark system N1-M1-k1-n8-s100: its run touches 11 of
     # the 512 coefficients of each value
     sparse = ROOT / "data" / "sparse-n8"
-    cases.append(
-        pytest.param(["simulate", f"{sparse}.sm"], sparse.with_suffix(".simulate.json"), id="sparse-n8")
-    )
+    cases.append(case(["simulate", f"{sparse}.sm"], sparse.with_suffix(".simulate.json"), "sparse-n8"))
+    for name in ("indeterminate", "degenerate-mass"):
+        data = ROOT / "data" / name
+        cases.append(case(["derive", f"{data}.sm"], data.with_suffix(".derive.json"), name, code=1))
     return cases
 
 
-@pytest.mark.parametrize("argv, expected", _fixed_outputs())
-def test_simulate_output_is_fixed(argv, expected, capsys):
+@pytest.mark.parametrize("argv, expected, code", _fixed_outputs())
+def test_simulate_output_is_fixed(argv, expected, code, capsys):
     # the expected reports fix every drift value to the last bit
-    code = main(argv)
-    assert code == 0
+    assert main(argv) == code
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 

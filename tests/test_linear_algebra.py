@@ -1,17 +1,20 @@
-"""The exact linear-algebra kernels against their textbook references:
-the Faddeev-LeVerrier determinant and adjugate against Laplace expansion,
-and the sparse rational elimination against dense Gauss-Jordan; and the
+"""The exact linear-algebra kernels against their references: the
+fraction-free determinant and adjugate against Laplace expansion and
+sympy, with the exact division in Q[even generators] that it runs on;
+the sparse rational elimination against dense Gauss-Jordan; and the
 affine split that reads a field equation as a row of a linear system."""
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermech import Chart, SingularSystem, SuperExpr, normalize
-from supermech.lagrangian import _affine_split, _det_adjugate, _mat_mul, _solve_rational
+from supermech import AlgebraError, Chart, SingularSystem, SuperExpr, normalize
+from supermech.algebra import exact_quotient
+from supermech.lagrangian import _affine_split, _det_adjugate, _solve_rational
 
 from helpers import dense_solve_rational, laplace_adjugate, laplace_det, random_expr
 
@@ -57,21 +60,104 @@ constant_matrices = matrices(small.map(SuperExpr.constant))
 polynomial_matrices = matrices(even_polynomials())
 
 
+def mat_mul(a, b):
+    return [[SuperExpr.sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 @settings(max_examples=60)
 @given(st.one_of(constant_matrices, polynomial_matrices))
 def test_det_adjugate_matches_laplace(matrix):
+    # a singular matrix leaves a column with no pivot, so it has no adjugate
     det, adjugate = _det_adjugate(matrix)
     assert det == laplace_det(matrix)
-    assert adjugate == laplace_adjugate(matrix)
+    if det.is_zero():
+        assert adjugate is None
+    else:
+        assert adjugate == laplace_adjugate(matrix)
 
 
 @settings(max_examples=40)
 @given(st.one_of(constant_matrices, polynomial_matrices))
 def test_adjugate_inverts_up_to_the_determinant(matrix):
     det, adjugate = _det_adjugate(matrix)
+    if det.is_zero():
+        return
     n = len(matrix)
     scaled_identity = [[det if i == j else SuperExpr.zero() for j in range(n)] for i in range(n)]
-    assert _mat_mul(matrix, adjugate) == scaled_identity
+    assert mat_mul(matrix, adjugate) == scaled_identity
+    assert mat_mul(adjugate, matrix) == scaled_identity
+
+
+def rational_matrix(rng, n, leading_zeros=0):
+    """A dense n x n matrix of nonzero rationals with ``leading_zeros``
+    zeros at the start of row 0."""
+    rows = [
+        [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    rows[0][:leading_zeros] = [Fraction(0)] * leading_zeros
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, leading_zeros",
+    [(6, 0), (7, 0), (8, 0), (9, 0), (7, 1), (8, 2)],
+    ids=["6", "7", "8", "9", "7-one-swap", "8-two-swaps"],
+)
+def test_constant_det_adjugate_matches_sympy(n, leading_zeros):
+    # a zero in row 0, column 0 makes the first step swap rows 0 and 1; a
+    # second zero in row 0, column 1 makes the second step swap again, so
+    # both parities of the row-swap sign are checked
+    values = rational_matrix(random.Random(n), n, leading_zeros)
+    det, adjugate = _det_adjugate([[SuperExpr.constant(v) for v in row] for row in values])
+    reference = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in values])
+    assert det == SuperExpr.constant(Fraction(str(reference.det())))
+    assert adjugate == [[SuperExpr.constant(Fraction(str(e))) for e in row] for row in reference.adjugate().tolist()]
+
+
+def test_constant_det_adjugate_runs_on_integers(monkeypatch):
+    # the constant path scales to integer rows and makes no product of
+    # expressions; a 12 x 12 matrix would take 12^4 of them otherwise
+    calls = []
+    real = SuperExpr.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    values = rational_matrix(random.Random(12), 12)
+    matrix = [[SuperExpr.constant(v) for v in row] for row in values]
+    monkeypatch.setattr(SuperExpr, "__mul__", counted)
+    det, adjugate = _det_adjugate(matrix)
+    assert not calls
+    assert not det.is_zero() and len(adjugate) == 12
+
+
+nonzero_polynomials = even_polynomials().filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=100)
+@given(even_polynomials(), nonzero_polynomials)
+def test_exact_quotient_undoes_a_product(p, q):
+    assert exact_quotient(p * q, q) == p
+
+
+@settings(max_examples=100)
+@given(even_polynomials(), nonzero_polynomials.filter(lambda q: q.total_degree() > 0), st.data())
+def test_exact_quotient_rejects_a_non_multiple(p, q, data):
+    # a nonzero r of lower degree than q is no multiple of q, so neither
+    # is p*q + r
+    r = data.draw(nonzero_polynomials.filter(lambda r: r.total_degree() < q.total_degree()))
+    with pytest.raises(AlgebraError):
+        exact_quotient(p * q + r, q)
+
+
+@pytest.mark.parametrize("odd_side", ["dividend", "divisor"])
+def test_exact_quotient_rejects_odd_generators(odd_side):
+    x, theta = SuperExpr.generator(EVENS[0]), SuperExpr.generator(CHART.gen("th", 0))
+    operands = (x * theta, x) if odd_side == "dividend" else (x * x, x + theta)
+    with pytest.raises(AlgebraError):
+        exact_quotient(*operands)
 
 
 # pairwise coprime column denominators, and one for the target that no
