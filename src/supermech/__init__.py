@@ -27,6 +27,7 @@ from .algebra import (
     normalize,
     parity_of,
     parity_product,
+    partials,
     substitute,
 )
 from .jets import (
@@ -198,6 +199,7 @@ __all__ = [
     "normalize",
     "parity_of",
     "parity_product",
+    "partials",
     "parse_expression",
     "parse_problem",
     "regularity",

@@ -689,34 +689,69 @@ def exact_quotient(dividend: SuperExpr, divisor: SuperExpr) -> SuperExpr:
     return _reduced({key: n * divisor._den for key, n in quotient.items()}, scale * dividend._den)
 
 
-def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
-    """Left partial derivative with respect to a generator.
+def partials(expr: SuperExpr) -> dict[GeneratorSymbol, SuperExpr]:
+    """Every nonzero left partial derivative, keyed by generator, from one
+    pass over the terms: the keys are exactly ``expr.generators()``.
 
-    For an odd generator the factor is moved to the front of its word,
-    collecting a Koszul sign, and then removed.
+    An even factor ``g^e`` gives ``e`` times the term with one ``g`` fewer;
+    an odd factor is moved to the front of its word, collecting a Koszul
+    sign, and then removed.  Removing a factor keeps a key canonical.
     """
-    # distinct terms keep distinct keys, so nothing cancels
+    # distinct terms keep distinct keys under one partial, so nothing cancels
+    parts: dict[GeneratorSymbol, dict[TermKey, int]] = {}
+    for (even, odd), n in expr._nums.items():
+        for i, (g, e) in enumerate(even):
+            rest = even[:i] + ((g, e - 1),) + even[i + 1:] if e > 1 else even[:i] + even[i + 1:]
+            parts.setdefault(g, {})[(rest, odd)] = n * e
+        for pos, g in enumerate(odd):
+            parts.setdefault(g, {})[(even, odd[:pos] + odd[pos + 1:])] = -n if pos % 2 else n
+    den = expr._den
+    return {g: _reduced(nums, den) for g, nums in parts.items()}
+
+
+def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
+    """Left partial derivative with respect to a generator: its entry in
+    ``partials``."""
+    return partials(expr).get(gen) or SuperExpr.zero()
+
+
+def shift_derivative(expr: SuperExpr) -> SuperExpr:
+    """The sum over generators g of ``g' * d(expr)/dg``, left partials, with
+    g' the generator one jet order up: the total time derivative.
+
+    Each factor g of a term becomes g' in place.  No generator sorts
+    between g and g', so an even monomial merges g' into the next entry or
+    inserts it there, and an odd word keeps its order and its sign (the
+    Koszul sign of the partial cancels the one of moving g' back); a word
+    that already holds g' loses the term.  No product is formed."""
     nums: dict[TermKey, int] = {}
-    if gen.parity is Parity.EVEN:
-        for (even, odd), n in expr._nums.items():
-            exps = dict(even)
-            exp = exps.get(gen)
-            if not exp:
-                continue
-            # the monomial is sorted and the dict keeps its order, so the
-            # key stays canonical without sorting again
-            if exp == 1:
-                del exps[gen]
-                nums[(tuple(exps.items()), odd)] = n
+    get = nums.get
+    successor: dict[GeneratorSymbol, GeneratorSymbol] = {}
+    # as in ``SuperExpr.sum``, different terms reach one key and a sum
+    # cancels only on a key present
+    for (even, odd), n in expr._nums.items():
+        for i, (g, e) in enumerate(even):
+            up = successor.get(g) or successor.setdefault(g, g.shifted())
+            head = even[:i] + ((g, e - 1),) if e > 1 else even[:i]
+            if i + 1 < len(even) and even[i + 1][0] is up:
+                key = (head + ((up, even[i + 1][1] + 1),) + even[i + 2:], odd)
             else:
-                exps[gen] = exp - 1
-                nums[(tuple(exps.items()), odd)] = n * exp
-    else:
-        for (even, odd), n in expr._nums.items():
-            if gen not in odd:
+                key = (head + ((up, 1),) + even[i + 1:], odd)
+            acc = get(key, 0) + n * e
+            if acc:
+                nums[key] = acc
+            else:
+                del nums[key]
+        for pos, g in enumerate(odd):
+            up = successor.get(g) or successor.setdefault(g, g.shifted())
+            if pos + 1 < len(odd) and odd[pos + 1] is up:
                 continue
-            pos = odd.index(gen)
-            nums[(even, odd[:pos] + odd[pos + 1:])] = -n if pos % 2 else n
+            key = (even, odd[:pos] + (up,) + odd[pos + 1:])
+            acc = get(key, 0) + n
+            if acc:
+                nums[key] = acc
+            else:
+                del nums[key]
     return _reduced(nums, expr._den)
 
 
@@ -725,7 +760,8 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
 
     Each assigned value must be homogeneous of the generator's parity
     (zero always passes); the substitution is then an algebra map and the
-    Koszul bookkeeping is inherited from multiplication.
+    Koszul bookkeeping is inherited from multiplication.  A term with no
+    assigned factor is kept as it is, with no product.
     """
     values: dict[GeneratorSymbol, SuperExpr] = {}
     for gen, value in assignment.items():
@@ -733,13 +769,19 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
         if not has_parity(value, gen.parity):
             raise ParityMismatch(f"value {value} assigned to {gen} is not {gen.parity}")
         values[gen] = value
+    kept: dict[TermKey, int] = {}
     terms: list[SuperExpr] = []
     for (even, odd), n in expr._nums.items():
+        if not any(gen in values for gen, _ in even) and not any(gen in values for gen in odd):
+            kept[(even, odd)] = n
+            continue
         term = _raw({_UNIT: n})
         for gen, exp in even:
             term = term * values.get(gen, SuperExpr.generator(gen)) ** exp
         for gen in odd:
             term = term * values.get(gen, SuperExpr.generator(gen))
         terms.append(term)
-    total = SuperExpr.sum(terms)
+    if not terms:
+        return expr
+    total = SuperExpr.sum([_raw(kept), *terms])
     return _reduced(total._nums, total._den * expr._den)

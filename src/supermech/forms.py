@@ -27,7 +27,7 @@ from .algebra import (
     GeneratorSymbol,
     SuperExpr,
     koszul,
-    left_partial,
+    partials,
     reorder,
     scaled,
     signed_sum,
@@ -183,8 +183,8 @@ def differential_of_function(f: SuperExpr) -> GradedForm:
     """df as a one-form, coefficients moved to the left of the
     differentials with the Koszul sign."""
     return _collect(
-        ((gen,), koszul(left_partial(f, gen), gen.parity.value))
-        for gen in sorted(f.generators(), key=lambda g: g.sort_key)
+        ((gen,), koszul(d, gen.parity.value))
+        for gen, d in sorted(partials(f).items(), key=lambda it: it[0].sort_key)
     )
 
 

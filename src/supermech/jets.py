@@ -22,9 +22,10 @@ from .algebra import (
     Parity,
     SuperExpr,
     UndeclaredGenerator,
-    left_partial,
     parity_of,
     parity_product,
+    partials,
+    shift_derivative,
 )
 
 
@@ -129,9 +130,7 @@ def _chart(base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int) ->
 def total_derivative(expr: SuperExpr) -> SuperExpr:
     """The total time derivative: shifts each subscript up through the
     graded chain rule.  Output lives one order higher than the input."""
-    return SuperExpr.sum(
-        SuperExpr.generator(g.shifted()) * left_partial(expr, g) for g in expr.generators()
-    )
+    return shift_derivative(expr)
 
 
 def iterated_total_derivative(expr: SuperExpr, times: int) -> SuperExpr:
@@ -191,7 +190,8 @@ class VectorFieldAlong:
             raise DomainMismatch(
                 f"argument of jet order {f.max_jet_order()} is not a function on T^{self.source_order}"
             )
-        return SuperExpr.sum(self.component(gen) * left_partial(f, gen) for gen in f.generators())
+        comps = self.components
+        return SuperExpr.sum(comps[gen] * d for gen, d in partials(f).items() if gen in comps)
 
     def widen_target(self, new_target: int) -> "VectorFieldAlong":
         """View the same components along a taller projection."""

@@ -30,10 +30,10 @@ from .algebra import (
     exact_quotient,
     has_parity,
     koszul,
-    left_partial,
     normalize,
     parity_of,
     parity_product,
+    partials,
     substitute,
 )
 from .forms import (
@@ -119,21 +119,25 @@ def variational_derivative(expr: SuperExpr, base_gen: GeneratorSymbol) -> SuperE
     last link R_0 of the chain walked by ``_sweep``."""
     if base_gen.jet_order != 0:
         raise ValueError("variational derivatives are taken per base coordinate")
-    return _sweep(expr, base_gen)[0]
+    return _sweep(partials(expr), base_gen)[0]
 
 
-def _sweep(expr: SuperExpr, base: GeneratorSymbol) -> tuple[SuperExpr, SuperExpr]:
+def _sweep(
+    derivs: Mapping[GeneratorSymbol, SuperExpr], base: GeneratorSymbol
+) -> tuple[SuperExpr, SuperExpr]:
     """Walk the chain R_i = d(expr)/du^(i) - T(R_(i+1)) for one base
-    coordinate u, with left partials, from the top order of u in ``expr``
-    down to 0.  Return R_0, the variational derivative, and the homotopy
-    part sum_(i>=1) u^(i-1) R_i."""
-    top = max((g.jet_order for g in expr.generators() if g.name == base.name), default=0)
-    remainder = SuperExpr.zero()
+    coordinate u, with the left partials ``derivs`` of an expression (its
+    ``partials``), from the top order of u in it down to 0.  Return R_0,
+    the variational derivative, and the homotopy part
+    sum_(i>=1) u^(i-1) R_i."""
+    top = max((g.jet_order for g in derivs if g.name == base.name), default=0)
+    zero = SuperExpr.zero()
+    remainder = zero
     parts = []
     for i in range(top, 0, -1):
-        remainder = left_partial(expr, base.shifted(i)) - expr_total_derivative(remainder)
+        remainder = derivs.get(base.shifted(i), zero) - expr_total_derivative(remainder)
         parts.append(SuperExpr.generator(base.shifted(i - 1)) * remainder)
-    return left_partial(expr, base) - expr_total_derivative(remainder), SuperExpr.sum(parts)
+    return derivs.get(base, zero) - expr_total_derivative(remainder), SuperExpr.sum(parts)
 
 
 # -- Cartan package --------------------------------------------------------
@@ -300,8 +304,9 @@ def _affine_split(expr: SuperExpr, unknowns: set[GeneratorSymbol]) -> _Split:
     past it.  Fails when an unknown is left in a coefficient, that is when
     an unknown appears nonlinearly or two unknowns share a term."""
     coeffs: dict[GeneratorSymbol, SuperExpr] = {}
-    for u in sorted(expr.generators() & unknowns, key=lambda g: g.sort_key):
-        coeff = koszul(left_partial(expr, u), u.parity.value)
+    derivs = partials(expr)
+    for u in sorted(derivs.keys() & unknowns, key=lambda g: g.sort_key):
+        coeff = koszul(derivs[u], u.parity.value)
         if coeff.generators() & unknowns:
             raise SingularSystem(
                 f"equation is not affine in the unknowns: the coefficient of {u} is {coeff}"
@@ -823,11 +828,11 @@ def conservation_witness(
 
 
 def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], SuperExpr]:
-    """One ``_sweep`` per base coordinate of the target: the variational
-    derivative of each, and the F with T(F) = target and zero constant
-    term when the target is exact, by the one-dimensional homotopy
-    operator (Olver, Applications of Lie Groups to Differential
-    Equations, GTM 107, section 5.4).
+    """One ``_sweep`` per base coordinate of the target, all reading one
+    ``partials`` of it: the variational derivative of each, and the F with
+    T(F) = target and zero constant term when the target is exact, by the
+    one-dimensional homotopy operator (Olver, Applications of Lie Groups
+    to Differential Equations, GTM 107, section 5.4).
 
     With f_d the part of the target of total degree d (odd factors count
     once) and u_a^(i) the coordinates,
@@ -842,8 +847,9 @@ def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], Supe
     term of the target vanish; nothing here checks that."""
     derivatives: dict[GeneratorSymbol, SuperExpr] = {}
     parts = []
-    for base in sorted({g.shifted(-g.jet_order) for g in target.generators()}, key=lambda g: g.sort_key):
-        derivatives[base], part = _sweep(target, base)
+    derivs = partials(target)
+    for base in sorted({g.shifted(-g.jet_order) for g in derivs}, key=lambda g: g.sort_key):
+        derivatives[base], part = _sweep(derivs, base)
         parts.append(part)
     homotopy = SuperExpr.sum(parts)
     return derivatives, SuperExpr({

@@ -337,6 +337,13 @@ def _row(index: Mapping[GeneratorSymbol, int], gen: GeneratorSymbol) -> int:
         raise MissingValue(f"no value for coordinate {gen}") from None
 
 
+def _chain(index: Mapping[GeneratorSymbol, int], even, odd) -> list[tuple[int, int]]:
+    """A term's factors as ``(row, exponent)``, even powers first and odd
+    factors in canonical order."""
+    chain = [(_row(index, gen), exponent) for gen, exponent in even]
+    return chain + [(_row(index, gen), 1) for gen in odd]
+
+
 def _binned(terms: np.ndarray, bins: np.ndarray, count: int) -> np.ndarray:
     """Sum the ``(rows, pairs)`` terms into ``(rows, count)`` bins, each bin
     from +0.0 in the terms' order: ``bincount`` adds its weights in input
@@ -419,8 +426,7 @@ class _Schedule:
         top: dict[int, int] = {}
         for which, expr in enumerate(exprs):
             for (even, odd), coeff in expr.items():
-                chain = [(_row(index, gen), exponent) for gen, exponent in even]
-                chain += [(_row(index, gen), 1) for gen in odd]
+                chain = _chain(index, even, odd)
                 for row, exponent in chain:
                     top[row] = max(top.get(row, 1), exponent)
                 terms.append((which, _float(coeff), chain))
@@ -524,6 +530,31 @@ class _Schedule:
             yield first, values.reshape(len(block), self.outputs, size)
 
 
+def _reached(chains, support: np.ndarray, directions: int) -> Iterator[int]:
+    """The ``output * 2**n + mask`` of every coefficient that the terms,
+    each an output and a chain of ``(row, exponent)`` factors, reach from
+    the boolean ``(coordinates, 2**n)`` support: the masks of the values
+    that ``_Schedule`` forms on it, read from the ``_pairs`` targets with
+    no schedule built."""
+    size = 1 << directions
+    rows = [tuple(compress(range(size), masks)) for masks in support.tolist()]
+    powers: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def masks_of(row: int, exponent: int) -> tuple[int, ...]:
+        if exponent == 1:
+            return rows[row]
+        if (row, exponent) not in powers:
+            powers[row, exponent] = _pairs(directions, masks_of(row, exponent - 1), rows[row])[2]
+        return powers[row, exponent]
+
+    for which, chain in chains:
+        masks = masks_of(*chain[0]) if chain else (0,)
+        for factor in chain[1:]:
+            masks = _pairs(directions, masks, masks_of(*factor))[2]
+        for mask in masks:
+            yield which * size + mask
+
+
 def _field_schedule(
     vector_field, coordinates: Sequence[GeneratorSymbol], directions: int, start: np.ndarray
 ) -> _Schedule:
@@ -531,19 +562,28 @@ def _field_schedule(
     closure of the nonzero coefficients of the ``(coordinates, 2**n)``
     state ``start``: each pass adds every coefficient that a component
     produces from the set, until nothing new appears, and each sum's
-    target is then a state register.  Raises on a component that is not
-    of its coordinate's parity."""
+    target is then a state register.  The passes follow only the masks
+    each term reaches, read from the ``_pairs`` targets as ``_Schedule``
+    forms them, and one schedule is built on the closed support.  Raises
+    on a component that is not of its coordinate's parity."""
     components = [vector_field.component(gen) for gen in coordinates]
     for gen, component in zip(coordinates, components):
         if not has_parity(component, gen.parity):
             raise ParityViolation(f"the field's component for {gen} has support of the wrong parity")
+    index = {gen: row for row, gen in enumerate(coordinates)}
+    chains = [
+        (which, _chain(index, even, odd))
+        for which, component in enumerate(components)
+        for even, odd in component.numerators()[0]
+    ]
     support = start != 0
     while True:
-        schedule = _Schedule(components, coordinates, directions, support)
-        summed, targets = schedule.sums
-        if support.flat[targets].all():
+        reached = np.array(list(_reached(chains, support, directions)), dtype=np.intp)
+        if support.flat[reached].all():
             break
-        support.flat[targets] = True
+        support.flat[reached] = True
+    schedule = _Schedule(components, coordinates, directions, support)
+    summed, targets = schedule.sums
     register = np.empty(support.size, dtype=np.intp)
     register[schedule.index] = np.arange(schedule.state)
     schedule.sums = (summed, register[targets])

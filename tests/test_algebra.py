@@ -24,17 +24,21 @@ from supermech import (
     normalize,
     parity_of,
     parity_product,
+    partials,
     substitute,
+    total_derivative,
 )
 from supermech.algebra import koszul
 
 from helpers import (
+    factor_list,
     fraction_left_partial,
     fraction_normalize,
     fraction_power,
     fraction_product,
     fraction_substitute,
     fraction_sum,
+    fraction_term,
     fraction_terms,
     random_expr,
     reference_even_partial,
@@ -307,6 +311,68 @@ def test_substitute_is_canonical_and_matches_the_fraction_reference(e, u, v, x, 
     }
     reference = fraction_substitute(fraction_terms(e), {g: fraction_terms(w) for g, w in values.items()})
     assert_exact(substitute(e, values), reference)
+
+
+def paired_terms(parity):
+    """Terms that hold a generator g of ``parity`` and its successor g' (one
+    jet order up), and up to two more factors."""
+    pairs = [(g, g.shifted()) for g in GENS if g.parity is parity and g.jet_order < 2]
+    return st.tuples(
+        COEFFS.filter(bool), st.sampled_from(pairs), st.lists(st.sampled_from(GENS), max_size=2)
+    ).map(lambda t: (t[0], [*t[1], *t[2]]))
+
+
+# Each of these expressions has an odd word and an even monomial that hold
+# some g and g': where the total derivative's g' meets a factor already
+# there.  The other terms are free.
+SHIFT_EXPRS = st.tuples(paired_terms(Parity.ODD), paired_terms(Parity.EVEN), RAW_TERMS).map(
+    lambda t: normalize([t[0], t[1], *t[2]])
+)
+
+
+def fraction_total_derivative(terms: dict) -> dict:
+    """The sum over the generators g of g' * (left partial by g), built
+    from products: the definition that the shift kernel replaces."""
+    gens = {g for key in terms for g in factor_list(key)}
+    return fraction_sum(
+        item
+        for g in gens
+        for item in fraction_product(
+            dict([fraction_term(Fraction(1), [g.shifted()])]), fraction_left_partial(terms, g)
+        ).items()
+    )
+
+
+@settings(max_examples=150)
+@given(st.one_of(SHIFT_EXPRS, WIDE_EXPRS))
+def test_partials_are_every_left_partial_from_one_pass(e):
+    fe = fraction_terms(e)
+    derivs = partials(e)
+    assert derivs.keys() == e.generators()
+    for g, d in derivs.items():
+        assert_exact(d, fraction_left_partial(fe, g))
+        assert left_partial(e, g) == d
+
+
+@settings(max_examples=150)
+@given(st.one_of(SHIFT_EXPRS, WIDE_EXPRS))
+def test_total_derivative_shifts_each_factor_as_the_product_reference(e):
+    assert_exact(total_derivative(e), fraction_total_derivative(fraction_terms(e)))
+
+
+@settings(max_examples=100)
+@given(WIDE_EXPRS, WIDE_EXPRS, st.sampled_from(GENS), RAW_TERMS)
+def test_substitute_keeps_terms_without_an_assigned_factor(u, e, x, free):
+    # the terms of ``free`` without x pass through as they are
+    value = u.parity_split()[x.parity.value]
+    e = e + normalize([(c, f) for c, f in free if x not in f])
+    reference = fraction_substitute(fraction_terms(e), {x: fraction_terms(value)})
+    assert_exact(substitute(e, {x: value}), reference)
+
+
+def test_substitute_returns_an_expression_it_does_not_touch():
+    e = coord("q", 0) * coord("th", 1) + Fraction(1, 3)
+    assert substitute(e, {gen("q", 1): coord("q", 0)}) is e
 
 
 # -- parity queries --------------------------------------------------------

@@ -468,6 +468,14 @@ def test_dense_odd_coupled_derive_output_is_fixed(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_dense_odd_coupled_symmetry_output_is_fixed(capsys):
+    # the same system's time symmetry: the rate X^(1)(L) and the homotopy
+    # sweeps that give F carry the odd-coupled terms of the Lagrangian
+    expected = (ROOT / "data" / "dense-N4-M2-k1.noether_symmetry.time.json").read_text(encoding="utf-8")
+    assert main(["noether", str(ROOT / "data" / "dense-N4-M2-k1.sm"), "--symmetry", "time"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
     # each call follows one that sets an option it leaves at its default,
     # or a usage error; every call prints what it prints alone: the stored

@@ -21,6 +21,7 @@ from supermech import (
     lift_vector_field,
     liouville_field,
     parity_of,
+    partials,
     total_derivative,
     total_derivative_field,
     vertical_endomorphism,
@@ -154,6 +155,31 @@ def test_total_derivative_is_an_even_derivation():
                     assert parity_of(total_derivative(part)) is parity_of(part)
 
 
+def test_total_derivative_makes_no_product(monkeypatch):
+    # every factor turns into its successor in place: a dense expression
+    # in the 12 generators of order 0..5 takes no product of expressions
+    gens = CHART.at_order(5).coordinates()
+    linear = SuperExpr.sum(SuperExpr.generator(g) * (i + 1) for i, g in enumerate(gens))
+    dense = linear * linear * linear + linear * SuperExpr.generator(gens[-1])
+    calls = []
+    real = SuperExpr.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SuperExpr, "__mul__", counted)
+    derivative = total_derivative(dense)
+    assert not calls
+    monkeypatch.undo()
+    # T is an even derivation
+    t, top = total_derivative(linear), SuperExpr.generator(gens[-1])
+    assert derivative == (
+        t * linear * linear + linear * t * linear + linear * linear * t
+        + t * top + linear * SuperExpr.generator(gens[-1].shifted())
+    )
+
+
 def test_iterated_total_derivative():
     assert iterated_total_derivative(coord("q", 0), 3) == coord("q", 3)
     assert iterated_total_derivative(coord("q", 0) ** 2, 2) == (
@@ -209,6 +235,23 @@ def test_field_apply_graded_derivation_randomized():
             continue
         sign = (-1) ** (x.parity.value * parity_of(f).value)
         assert x.apply(f * g) == x.apply(f) * g + sign * (f * x.apply(g))
+
+
+def test_field_apply_takes_the_partials_once(monkeypatch):
+    # one sweep over the argument's terms gives every partial it needs
+    calls = []
+
+    def counted(expr):
+        calls.append(expr)
+        return partials(expr)
+
+    monkeypatch.setattr(jets, "partials", counted)
+    x = VectorFieldAlong(CHART, 1, 2, {gen("q", 0): coord("q", 1), gen("th", 1): coord("th", 2)})
+    f = coord("q", 0) ** 2 * coord("th", 0) * coord("th", 1) + coord("q", 1)
+    assert x.apply(f) == 2 * coord("q", 0) * coord("q", 1) * coord("th", 0) * coord("th", 1) + (
+        coord("q", 0) ** 2 * coord("th", 0) * coord("th", 2)
+    )
+    assert len(calls) == 1
 
 
 def basis_field(order, g):

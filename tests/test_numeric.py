@@ -897,6 +897,20 @@ def test_which_path_each_system_takes():
         _field_schedule(wrong_parity_field(chart), coordinates, 2, start)
 
 
+def test_the_support_closes_before_the_one_schedule_is_built():
+    # the seed-1 benchmark system at n=8 needs more than one closure pass,
+    # each following only the masks its terms reach; one schedule is
+    # built, on the closed support
+    problem = parse_problem((DATA / "sparse-n8.sm").read_text(encoding="utf-8"))
+    dyn = solve_dynamics(problem.lagrangian())
+    with mock.patch.object(numeric, "_Schedule", wraps=_Schedule) as build, mock.patch.object(
+        numeric, "_reached", wraps=numeric._reached
+    ) as passes:
+        schedule = schedule_for(dyn, problem.initial_state())
+    assert build.call_count == 1 and passes.call_count > 1
+    assert (schedule.state, schedule.ops) == (11, 207)
+
+
 def test_schedule_is_built_once_per_run():
     # a finite n=6 run with powers and products never calls the product
     # of two values: the schedule, built before the first step, holds
