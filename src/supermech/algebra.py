@@ -19,9 +19,13 @@ key over one denominator per expression (the layout of FLINT's
 numerator is zero, the denominator and the numerators have no common
 factor, and zero has denominator 1.  Products, sums, partials and
 substitutions run on Python ints and end with one ``math.gcd`` per result,
-skipped when the denominator is 1.  Every operation returns the unique
-canonical form, so equality is equality of the denominators and the
-numerator dicts.  ``items()``, ``constant_term()`` and the constructor
+skipped when the denominator is 1.  ``sum_of_products`` is the one product
+routine: it adds every term pair of a sum of signed products straight into
+one dict and normalises once per result, the role of the geobucket in Yan,
+"The geobucket data structure for polynomials", J. Symb. Comp. 25 (1998);
+``*``, ``-`` and ``SuperExpr.sum`` are its cases.  Every operation returns
+the unique canonical form, so equality is equality of the denominators and
+the numerator dicts.  ``items()``, ``constant_term()`` and the constructor
 ``SuperExpr(mapping)`` still take and return ``Fraction`` coefficients,
 reduced term by term.
 
@@ -364,25 +368,9 @@ class SuperExpr:
 
     @staticmethod
     def sum(exprs: Iterable["SuperExpr"]) -> "SuperExpr":
-        """Add many expressions over their least common denominator."""
-        parts = [expr for expr in exprs if expr._nums]
-        if len(parts) < 2:
-            return parts[0] if parts else _raw({})
-        den = math.lcm(*(expr._den for expr in parts))
-        first, *rest = parts
-        scale = den // first._den
-        out = dict(first._nums) if scale == 1 else {key: n * scale for key, n in first._nums.items()}
-        get = out.get
-        # every numerator is nonzero, so a sum cancels only on a key present
-        for expr in rest:
-            scale = den // expr._den
-            for key, n in expr._nums.items():
-                acc = get(key, 0) + n * scale
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return _reduced(out, den)
+        """Add many expressions: each is a product with the unit in
+        ``sum_of_products``."""
+        return sum_of_products((1, expr, _ONE) for expr in exprs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -395,36 +383,13 @@ class SuperExpr:
         return _raw({key: -n for key, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        return self + (-_coerce(other))
+        return sum_of_products(((1, self, _ONE), (-1, _coerce(other), _ONE)))
 
     def __rsub__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
-        if not isinstance(other, SuperExpr):
-            other = _coerce(other)
-        left, right, den = self._nums, other._nums, self._den * other._den
-        # a constant factor scales the numerators; most products have one
-        if len(left) == 1 and _UNIT in left:
-            left, right = right, left
-        if len(right) == 1 and _UNIT in right:
-            scale = right[_UNIT]
-            return _reduced({key: n * scale for key, n in left.items()}, den)
-        out: dict[TermKey, int] = {}
-        get = out.get
-        # as in ``sum``, a product cancels only on a key already present
-        for (ev1, od1), n1 in left.items():
-            for (ev2, od2), n2 in right.items():
-                ordered = reorder(od1 + od2, 0) if od1 and od2 else (1, od1 or od2)
-                if ordered is not None:
-                    sign, odd = ordered
-                    key = (_merge_even(ev1, ev2), odd)
-                    acc = get(key, 0) + (n1 * n2 if sign > 0 else -n1 * n2)
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return _reduced(out, den)
+        return sum_of_products(((1, self, _coerce(other)),))
 
     def __rmul__(self, other: "SuperExpr | Scalar") -> "SuperExpr":
         return _coerce(other) * self
@@ -492,6 +457,69 @@ def _reduced(nums: dict[TermKey, int], den: int) -> SuperExpr:
             den //= common
             nums = {key: n // common for key, n in nums.items()}
     return _raw(nums, den)
+
+
+# the unit, a one-term constant operand of ``sum_of_products``
+_ONE = _raw({_UNIT: 1})
+
+
+def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> SuperExpr:
+    """The canonical sum of ``weight * left * right`` over ``(weight, left,
+    right)`` triples, each weight a nonzero int (a sign at most callers):
+    the one product routine.  ``*`` is its one-triple case, ``-`` a sum of
+    two signed products with the unit, and ``SuperExpr.sum`` one product
+    with the unit per part.  Every term pair adds straight into one
+    numerator dict over a common denominator widened as in
+    ``from_monomials``, a one-term constant operand scales the other, and
+    one gcd ends the sum."""
+    out: dict[TermKey, int] = {}
+    get = out.get
+    den = 1
+    for weight, a, b in triples:
+        left, right = a._nums, b._nums
+        if not left or not right:
+            continue
+        d = a._den * b._den
+        if not out:
+            # an empty sum takes any denominator
+            den = d
+        elif d != den:
+            lcm = den // math.gcd(den, d) * d
+            if lcm != den:
+                scale = lcm // den
+                out = {key: n * scale for key, n in out.items()}
+                get = out.get
+                den = lcm
+            weight *= den // d
+        if len(left) == 1 and _UNIT in left:
+            left, right = right, left
+        if len(right) == 1 and _UNIT in right:
+            weight *= right[_UNIT]
+            if not out:
+                out = dict(left) if weight == 1 else {key: n * weight for key, n in left.items()}
+                get = out.get
+                continue
+            for key, n in left.items():
+                acc = get(key, 0) + n * weight
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+            continue
+        # every numerator is nonzero, so a sum cancels only on a key present
+        for (ev1, od1), n1 in left.items():
+            n1 *= weight
+            for (ev2, od2), n2 in right.items():
+                ordered = reorder(od1 + od2, 0) if od1 and od2 else (1, od1 or od2)
+                if ordered is not None:
+                    sign, odd = ordered
+                    key = (_merge_even(ev1, ev2), odd)
+                    acc = get(key, 0) + (n1 * n2 if sign > 0 else -n1 * n2)
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+    return _reduced(out, den)
 
 
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
@@ -581,7 +609,7 @@ def from_monomials(terms: Iterable[tuple[int, int, Sequence[GeneratorSymbol]]]) 
                 get = nums.get
                 den = lcm
             num *= den // d
-        # as in ``SuperExpr.sum``, a sum cancels only on a key present
+        # as in ``sum_of_products``, a sum cancels only on a key present
         acc = get(key, 0) + num
         if acc:
             nums[key] = acc
@@ -727,7 +755,7 @@ def shift_derivative(expr: SuperExpr) -> SuperExpr:
     nums: dict[TermKey, int] = {}
     get = nums.get
     successor: dict[GeneratorSymbol, GeneratorSymbol] = {}
-    # as in ``SuperExpr.sum``, different terms reach one key and a sum
+    # as in ``sum_of_products``, different terms reach one key and a sum
     # cancels only on a key present
     for (even, odd), n in expr._nums.items():
         for i, (g, e) in enumerate(even):
@@ -761,7 +789,8 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
     Each assigned value must be homogeneous of the generator's parity
     (zero always passes); the substitution is then an algebra map and the
     Koszul bookkeeping is inherited from multiplication.  A term with no
-    assigned factor is kept as it is, with no product.
+    assigned factor is kept as it is, with no product; the others multiply
+    out all but their last factor, and that one into one ``sum_of_products``.
     """
     values: dict[GeneratorSymbol, SuperExpr] = {}
     for gen, value in assignment.items():
@@ -770,18 +799,16 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
             raise ParityMismatch(f"value {value} assigned to {gen} is not {gen.parity}")
         values[gen] = value
     kept: dict[TermKey, int] = {}
-    terms: list[SuperExpr] = []
+    triples = []
     for (even, odd), n in expr._nums.items():
         if not any(gen in values for gen, _ in even) and not any(gen in values for gen in odd):
             kept[(even, odd)] = n
             continue
-        term = _raw({_UNIT: n})
-        for gen, exp in even:
-            term = term * values.get(gen, SuperExpr.generator(gen)) ** exp
-        for gen in odd:
-            term = term * values.get(gen, SuperExpr.generator(gen))
-        terms.append(term)
-    if not terms:
+        factors = [values.get(gen, SuperExpr.generator(gen)) ** exp for gen, exp in even]
+        factors += [values.get(gen, SuperExpr.generator(gen)) for gen in odd]
+        *head, last = factors
+        triples.append((n, math.prod(head[1:], start=head[0]) if head else _ONE, last))
+    if not triples:
         return expr
-    total = SuperExpr.sum([_raw(kept), *terms])
+    total = sum_of_products([(1, _raw(kept), _ONE), *triples])
     return _reduced(total._nums, total._den * expr._den)

@@ -9,7 +9,9 @@ Canonical words keep differentials sorted by the generator order, and
 ``algebra.reorder(word, 1)`` puts a word in that order with its sign.
 Every form is built by collecting ``(word, coefficient)`` pairs
 (``_collect``): each word is reordered, its sign moved onto the
-coefficient, and the coefficients of one word added together.
+coefficient, and the coefficients of one word added together.  The
+interior product keeps its words canonical and adds the products of each
+word into one ``algebra.sum_of_products``.
 
 The exterior differential is built from ``df = sum dx * (df/dx)`` with
 left partials, which makes ``d(f w) = df ^ w + f dw`` and ``d ^ 2 = 0``
@@ -31,6 +33,7 @@ from .algebra import (
     reorder,
     scaled,
     signed_sum,
+    sum_of_products,
 )
 from .jets import DomainMismatch, OrderExceeded, VectorFieldAlong, total_derivative as expr_total_derivative
 
@@ -221,7 +224,8 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
     without ``dx_t``, with n_t the odd differentials before t: passing
     the first t letters gives ``(-1)^(t + |X| n_t)``, moving ``X(x_t)``
     left past them ``(-1)^((|X| + |x_t|) n_t)``.  Removing a letter leaves
-    a canonical word.
+    a canonical word, so the products of each word add into one
+    ``sum_of_products``.
 
     Any field whose source order reaches the form's highest differential
     subscript will do.  On a one-form the result is a function, read with
@@ -234,18 +238,17 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
         raise DomainMismatch(
             f"form has differentials of jet order {max_jet}, field source is T^{x_field.source_order}"
         )
-    pairs: list[tuple[WedgeWord, SuperExpr]] = []
+    triples: dict[WedgeWord, list[tuple[int, SuperExpr, SuperExpr]]] = {}
     for word, coeff in form._terms.items():
         moved = koszul(coeff, x_parity)
         odd_before = 0
         for t, gen in enumerate(word):
             value = x_field.components.get(gen)
             if value is not None:
-                term = moved * value
                 flip = (t + gen.parity.value * odd_before) % 2
-                pairs.append((word[:t] + word[t + 1:], -term if flip else term))
+                triples.setdefault(word[:t] + word[t + 1:], []).append((-1 if flip else 1, moved, value))
             odd_before += gen.parity.value
-    return _collect(pairs)
+    return GradedForm({word: sum_of_products(parts) for word, parts in triples.items()})
 
 
 def transpose_vertical(form: GradedForm, k: int) -> GradedForm:

@@ -26,6 +26,7 @@ from .algebra import (
     parity_product,
     partials,
     shift_derivative,
+    sum_of_products,
 )
 
 
@@ -191,7 +192,7 @@ class VectorFieldAlong:
                 f"argument of jet order {f.max_jet_order()} is not a function on T^{self.source_order}"
             )
         comps = self.components
-        return SuperExpr.sum(comps[gen] * d for gen, d in partials(f).items() if gen in comps)
+        return sum_of_products((1, comps[gen], d) for gen, d in partials(f).items() if gen in comps)
 
     def widen_target(self, new_target: int) -> "VectorFieldAlong":
         """View the same components along a taller projection."""

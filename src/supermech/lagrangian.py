@@ -35,6 +35,7 @@ from .algebra import (
     parity_product,
     partials,
     substitute,
+    sum_of_products,
 )
 from .forms import (
     CheckForm,
@@ -124,20 +125,20 @@ def variational_derivative(expr: SuperExpr, base_gen: GeneratorSymbol) -> SuperE
 
 def _sweep(
     derivs: Mapping[GeneratorSymbol, SuperExpr], base: GeneratorSymbol
-) -> tuple[SuperExpr, SuperExpr]:
+) -> tuple[SuperExpr, list[tuple[int, SuperExpr, SuperExpr]]]:
     """Walk the chain R_i = d(expr)/du^(i) - T(R_(i+1)) for one base
     coordinate u, with the left partials ``derivs`` of an expression (its
     ``partials``), from the top order of u in it down to 0.  Return R_0,
     the variational derivative, and the homotopy part
-    sum_(i>=1) u^(i-1) R_i."""
+    sum_(i>=1) u^(i-1) R_i as ``sum_of_products`` triples."""
     top = max((g.jet_order for g in derivs if g.name == base.name), default=0)
     zero = SuperExpr.zero()
     remainder = zero
     parts = []
     for i in range(top, 0, -1):
         remainder = derivs.get(base.shifted(i), zero) - expr_total_derivative(remainder)
-        parts.append(SuperExpr.generator(base.shifted(i - 1)) * remainder)
-    return derivs.get(base, zero) - expr_total_derivative(remainder), SuperExpr.sum(parts)
+        parts.append((1, SuperExpr.generator(base.shifted(i - 1)), remainder))
+    return derivs.get(base, zero) - expr_total_derivative(remainder), parts
 
 
 # -- Cartan package --------------------------------------------------------
@@ -291,7 +292,7 @@ def _int_quotient(dividend: int, divisor: int) -> int:
 
 
 def _mat_vec(a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr]) -> list[SuperExpr]:
-    return [SuperExpr.sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum_of_products((1, x, y) for x, y in zip(row, v)) for row in a]
 
 
 # an expression as its part free of the unknowns and the coefficient of each
@@ -312,7 +313,8 @@ def _affine_split(expr: SuperExpr, unknowns: set[GeneratorSymbol]) -> _Split:
                 f"equation is not affine in the unknowns: the coefficient of {u} is {coeff}"
             )
         coeffs[u] = coeff
-    rest = expr - SuperExpr.sum(c * SuperExpr.generator(u) for u, c in coeffs.items())
+    terms = ((-1, c, SuperExpr.generator(u)) for u, c in coeffs.items())
+    rest = sum_of_products([(1, expr, SuperExpr.constant(1)), *terms])
     return rest, coeffs
 
 
@@ -529,18 +531,21 @@ def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[Gener
     the body B of A; the determinant must be a nonzero constant.  With S
     the nilpotent rest of A, the iteration ``u <- B^-1 (rhs - S u)`` from
     ``u = B^-1 rhs`` runs through the partial sums of the finite geometric
-    series and stops when ``u`` does; the result is verified exactly and
-    each value must have its unknown's parity."""
+    series and stops when ``u`` does; with S zero, ``B^-1 rhs`` is the
+    answer.  The result is verified exactly and each value must have its
+    unknown's parity."""
     det = sector.det
     if det.is_zero() or det.max_jet_order() >= 0:
         raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
     matrix, rhs = sector.matrix, sector.rhs
     inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
     soul = [[e - b for e, b in zip(row, body_row)] for row, body_row in zip(matrix, sector.body)]
-    u = _until_stable(
-        lambda v: _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, v))]),
-        _mat_vec(inv_body, rhs), nilpotency_cap + 1, "nilpotent correction failed to terminate",
-    )
+    u = _mat_vec(inv_body, rhs)
+    if any(not e.is_zero() for row in soul for e in row):
+        u = _until_stable(
+            lambda v: _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, v))]),
+            u, nilpotency_cap + 1, "nilpotent correction failed to terminate",
+        )
     residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
     if any(not r.is_zero() for r in residual):
         raise SingularSystem("affine solve verification failed")
@@ -814,10 +819,11 @@ def conservation_witness(
         solution = _solve_rational(columns, target)
         if solution is None:
             continue
-        components: dict[GeneratorSymbol, SuperExpr] = {}
+        parts: dict[GeneratorSymbol, list[tuple[int, SuperExpr, SuperExpr]]] = {}
         for (base, mono), coeff in zip(labels, solution):
             if coeff:
-                components[base] = components.get(base, SuperExpr.zero()) + coeff * mono
+                parts.setdefault(base, []).append((1, SuperExpr.constant(coeff), mono))
+        components = {base: sum_of_products(terms) for base, terms in parts.items()}
         witness = VectorFieldAlong(chart, 0, 2 * k - 1, components, g_parity)
         if target + interior(witness, data.delta).coefficient(()) != SuperExpr.zero():
             raise LagrangianError("witness verification failed")
@@ -850,8 +856,8 @@ def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], Supe
     derivs = partials(target)
     for base in sorted({g.shifted(-g.jet_order) for g in derivs}, key=lambda g: g.sort_key):
         derivatives[base], part = _sweep(derivs, base)
-        parts.append(part)
-    homotopy = SuperExpr.sum(parts)
+        parts += part
+    homotopy = sum_of_products(parts)
     return derivatives, SuperExpr({
         (even, odd): coeff / (sum(e for _, e in even) + len(odd))
         for (even, odd), coeff in homotopy.items()

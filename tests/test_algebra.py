@@ -28,7 +28,7 @@ from supermech import (
     substitute,
     total_derivative,
 )
-from supermech.algebra import koszul
+from supermech.algebra import koszul, sum_of_products
 
 from helpers import (
     factor_list,
@@ -293,6 +293,42 @@ def test_operations_stay_canonical_and_match_the_fraction_reference(a, b, c, k, 
     assert_exact(a.body(), {key: v for key, v in fa.items() if not key[1]})
     # a sum that cancels to zero, or to a part with a smaller denominator
     assert_exact((a + b) - b, fa)
+
+
+# Operands of the kernel: expressions with odd words and pairwise-coprime
+# denominators, and one-term constants, which take the scale path.
+OPERANDS = st.one_of(WIDE_EXPRS, WIDE_COEFFS.map(SuperExpr.constant))
+TRIPLES = st.lists(
+    st.tuples(st.one_of(st.sampled_from([1, -1]), st.integers(-5, 5).filter(bool)), OPERANDS, OPERANDS),
+    max_size=5,
+)
+
+
+@settings(max_examples=150)
+@given(TRIPLES, st.booleans())
+def test_sum_of_products_matches_the_fraction_reference(triples, cancel):
+    if cancel:
+        # every product again with the opposite sign: the sum is zero
+        triples = [*triples, *((-w, a, b) for w, a, b in reversed(triples))]
+    reference = fraction_sum(
+        (key, w * c)
+        for w, a, b in triples
+        for key, c in fraction_product(fraction_terms(a), fraction_terms(b)).items()
+    )
+    result = sum_of_products(triples)
+    assert_exact(result, reference)
+    if cancel:
+        assert result.numerators() == ({}, 1)
+
+
+@settings(max_examples=100)
+@given(OPERANDS, OPERANDS, st.sampled_from([1, -1]))
+def test_product_and_difference_are_cases_of_the_kernel(a, b, sign):
+    one = SuperExpr.constant(1)
+    assert a * b == sum_of_products([(1, a, b)]) == sign * sum_of_products([(sign, a, b)])
+    assert a - b == sum_of_products([(1, a, one), (-1, one, b)]) == a + (-b)
+    assert a * b - b * a == sum_of_products([(1, a, b), (-1, b, a)])
+    assert sum_of_products([(sign, a, b), (-sign, a, b)]).numerators() == ({}, 1)
 
 
 @settings(max_examples=100)

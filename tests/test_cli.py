@@ -476,6 +476,30 @@ def test_dense_odd_coupled_symmetry_output_is_fixed(capsys):
     assert capsys.readouterr().out == expected
 
 
+def _order_two_odd_sector_outputs():
+    """The dense-symbolic benchmark system N2-M1-k2 of seed 1: order 2,
+    with the odd coordinate th0 solved as a constraint sector
+    (th0[1..3]), and the outputs its commands must print."""
+    problem, data = str(ROOT / "data" / "dense-N2-M1-k2.sm"), ROOT / "data"
+    symmetry = data / "dense-N2-M1-k2.noether_symmetry.time.json"
+    charge = json.loads(symmetry.read_text(encoding="utf-8"))["charge"]
+    return [
+        pytest.param(["derive", problem], data / "dense-N2-M1-k2.derive.json", id="derive"),
+        pytest.param(["noether", problem, "--symmetry", "time"], symmetry, id="noether_symmetry"),
+        pytest.param(
+            ["noether", problem, f"--from-charge={charge}"],
+            data / "dense-N2-M1-k2.noether_inverse.time.json",
+            id="noether_inverse",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("argv, expected", _order_two_odd_sector_outputs())
+def test_order_two_odd_sector_outputs_are_fixed(argv, expected, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
 def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
     # each call follows one that sets an option it leaves at its default,
     # or a usage error; every call prints what it prints alone: the stored

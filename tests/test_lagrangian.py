@@ -35,8 +35,9 @@ from supermech import (
     total_derivative_field,
     variational_derivative,
 )
+from supermech import forms, jets, lagrangian
 from supermech.algebra import normalize
-from supermech.lagrangian import NoWitness, _homotopy, check_symmetry
+from supermech.lagrangian import NoWitness, _affine_split, _homotopy, _mat_vec, check_symmetry
 
 from helpers import random_expr, reference_on_shell, reference_variational_derivative
 
@@ -393,3 +394,47 @@ def test_variational_derivative_matches_the_sum_of_iterated_derivatives(terms):
 def test_generating_functions_of_the_shipped_symmetries(problem, symmetry, generating):
     spec = parse_problem((PROBLEMS / f"{problem}.sm").read_text(encoding="utf-8"))
     assert str(check_symmetry(spec.symmetry_field(symmetry), spec.lagrangian())) == generating
+
+
+def test_sums_of_products_take_one_kernel_call_per_output(monkeypatch):
+    # the contraction, a field acting on a function, the matrix-vector
+    # product, the affine split and the homotopy sweeps add every product
+    # into one ``sum_of_products`` per result and never call ``*``, on a
+    # system whose x1*th0*th1 coupling gives odd words in both factors
+    text = (Path(__file__).parent / "data" / "dense-N4-M2-k1.sm").read_text(encoding="utf-8")
+    lag = parse_problem(text).lagrangian()
+    data = cartan_data(lag)
+    t_field = total_derivative_field(lag.chart, 1)
+    sector = data._plan.dynamical
+    equation = data.delta_check.component(lag.chart.gen("x1", 0))
+    rate = total_derivative(lag.expr)
+    products, kernel = [], []
+    real_mul = SuperExpr.__mul__
+    monkeypatch.setattr(SuperExpr, "__mul__", lambda a, b: products.append(1) or real_mul(a, b))
+    for module in (forms, jets, lagrangian):
+        real = module.sum_of_products
+        monkeypatch.setattr(
+            module, "sum_of_products", lambda triples, real=real: kernel.append(1) or real(triples)
+        )
+
+    def counted(run):
+        products.clear()
+        kernel.clear()
+        run()
+        return len(products), len(kernel)
+
+    # one result per word of the two-form with a letter removed
+    words = {
+        word[:t] + word[t + 1:]
+        for word, _ in data.omega.items()
+        for t, g in enumerate(word)
+        if g in t_field.components
+    }
+    assert counted(lambda: interior(t_field, data.omega)) == (0, len(words))
+    assert counted(lambda: t_field.apply(data.energy)) == (0, 1)
+    assert counted(lambda: _mat_vec(sector.matrix, sector.rhs)) == (0, len(sector.matrix))
+    assert counted(lambda: _affine_split(equation, set(sector.unknowns))) == (0, 1)
+    assert counted(lambda: _homotopy(rate)) == (0, 1)
+    # T(L) integrates back to L, and every variational derivative is zero
+    derivatives, integral = _homotopy(rate)
+    assert integral == lag.expr and all(d.is_zero() for d in derivatives.values())
