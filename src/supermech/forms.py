@@ -7,11 +7,11 @@ coordinates anticommute among themselves, differentials of odd
 coordinates commute, so the square of an odd differential survives.
 Canonical words keep differentials sorted by the generator order, and
 ``algebra.reorder(word, 1)`` puts a word in that order with its sign.
-Every form is built by collecting ``(word, coefficient)`` pairs
-(``_collect``): each word is reordered, its sign moved onto the
-coefficient, and the coefficients of one word added together.  The
-interior product keeps its words canonical and adds the products of each
-word into one ``algebra.sum_of_products``.
+One accumulator, ``_collect``, adds the ``(word, weight, left, right)``
+entries of every form, the products of each canonical word into one
+``algebra.sum_of_products``.  Only a word built out of order (wedge, d,
+a shifted letter, ``GradedForm.term``) is first reordered by
+``_ordered``; linear operations enter their canonical words as they are.
 
 The exterior differential is built from ``df = sum dx * (df/dx)`` with
 left partials, which makes ``d(f w) = df ^ w + f dw`` and ``d ^ 2 = 0``
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .algebra import (
@@ -39,6 +40,8 @@ from .jets import DomainMismatch, OrderExceeded, VectorFieldAlong, total_derivat
 
 WedgeWord = tuple[GeneratorSymbol, ...]
 Scalar = Union[int, Fraction]
+Entry = tuple[WedgeWord, int, SuperExpr, SuperExpr]
+_ONE = SuperExpr.constant(1)
 
 
 class FormError(Exception):
@@ -54,7 +57,9 @@ def _word_parity(word: WedgeWord) -> int:
 
 
 class GradedForm:
-    """A sum of wedge terms with SuperExpr coefficients on the left."""
+    """A sum of wedge terms with SuperExpr coefficients on the left, keyed by
+    canonical words: ``GradedForm(mapping)`` takes them unchecked, as ``items()``
+    returns them, and ``GradedForm.term`` takes a word in any order."""
 
     __slots__ = ("_terms",)
 
@@ -79,7 +84,7 @@ class GradedForm:
 
     @staticmethod
     def term(coeff: SuperExpr, word: Iterable[GeneratorSymbol]) -> "GradedForm":
-        return _collect([(word, coeff)])
+        return _collect(_ordered([(word, 1, coeff, _ONE)]))
 
     # -- structure ---------------------------------------------------------
 
@@ -93,7 +98,11 @@ class GradedForm:
 
     @staticmethod
     def sum(forms: Iterable["GradedForm"]) -> "GradedForm":
-        return _collect(pair for form in forms for pair in form._terms.items())
+        return _collect(entry for form in forms for entry in form._entries())
+
+    def _entries(self, weight: int = 1, left: SuperExpr = _ONE) -> Iterable[Entry]:
+        """The terms as ``_collect`` entries, times ``weight * left``."""
+        return ((word, weight, left, coeff) for word, coeff in self._terms.items())
 
     def coefficient(self, word: WedgeWord) -> SuperExpr:
         return self._terms.get(word, SuperExpr.zero())
@@ -117,25 +126,25 @@ class GradedForm:
         return GradedForm.sum((self, other))
 
     def __neg__(self) -> "GradedForm":
-        return GradedForm({word: -coeff for word, coeff in self._terms.items()})
+        return _collect(self._entries(-1))
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
-        return self + (-other)
+        return _collect(chain(self._entries(), other._entries(-1)))
 
     def scale(self, factor: SuperExpr | Scalar) -> "GradedForm":
         """Multiply by a function from the left."""
         if not isinstance(factor, SuperExpr):
             factor = SuperExpr.constant(factor)
-        return GradedForm({word: factor * coeff for word, coeff in self._terms.items()})
+        return _collect(self._entries(1, factor))
 
     def wedge(self, other: "GradedForm") -> "GradedForm":
         # move each coefficient of other (degree 0) to the left across
         # the differentials of self
-        return _collect(
-            (w1 + w2, f1 * koszul(f2, _word_parity(w1)))
+        return _collect(_ordered(
+            (w1 + w2, 1, f1, koszul(f2, _word_parity(w1)))
             for w1, f1 in self._terms.items()
             for w2, f2 in other._terms.items()
-        )
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedForm):
@@ -159,21 +168,23 @@ class GradedForm:
         return f"GradedForm({self})"
 
 
-def _collect(pairs: Iterable[tuple[Iterable[GeneratorSymbol], SuperExpr]]) -> GradedForm:
-    """The form with these ``(word, coefficient)`` terms: each word is put
-    in canonical order by ``reorder(word, 1)`` with its sign moved onto the
-    coefficient, a vanishing word is dropped, and each canonical word's
-    coefficients are added with one ``SuperExpr.sum``."""
-    parts: dict[WedgeWord, list[SuperExpr]] = {}
-    for word, coeff in pairs:
+def _collect(entries: Iterable[Entry]) -> GradedForm:
+    """The form of these ``(word, weight, left, right)`` terms on canonical words:
+    the one place that adds coefficients, a word's products in one ``sum_of_products``."""
+    parts: dict[WedgeWord, list[tuple[int, SuperExpr, SuperExpr]]] = {}
+    for word, weight, left, right in entries:
+        parts.setdefault(word, []).append((weight, left, right))
+    return GradedForm({word: sum_of_products(triples) for word, triples in parts.items()})
+
+
+def _ordered(entries: Iterable[Entry]) -> Iterable[Entry]:
+    """Entries with each word put in order by ``reorder(word, 1)``, its
+    sign on the weight; a vanishing word is dropped."""
+    for word, weight, left, right in entries:
         ordered = reorder(word, 1)
         if ordered is not None:
             sign, canonical = ordered
-            parts.setdefault(canonical, []).append(coeff if sign > 0 else -coeff)
-    return GradedForm({
-        word: coeffs[0] if len(coeffs) == 1 else SuperExpr.sum(coeffs)
-        for word, coeffs in parts.items()
-    })
+            yield canonical, sign * weight, left, right
 
 
 def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
@@ -185,10 +196,7 @@ def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
 def differential_of_function(f: SuperExpr) -> GradedForm:
     """df as a one-form, coefficients moved to the left of the
     differentials with the Koszul sign."""
-    return _collect(
-        ((gen,), koszul(d, gen.parity.value))
-        for gen, d in sorted(partials(f).items(), key=lambda it: it[0].sort_key)
-    )
+    return GradedForm({(gen,): koszul(d, gen.parity.value) for gen, d in partials(f).items()})
 
 
 def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
@@ -196,23 +204,21 @@ def exterior_d(form: GradedForm | SuperExpr) -> GradedForm:
     and square zero."""
     if isinstance(form, SuperExpr):
         return differential_of_function(form)
-    return _collect(
-        (dx + word, c)
+    return _collect(_ordered(
+        ((gen,) + word, 1, koszul(d, gen.parity.value), _ONE)
         for word, coeff in form._terms.items()
-        for dx, c in differential_of_function(coeff)._terms.items()
-    )
+        for gen, d in partials(coeff).items()
+    ))
 
 
 def total_derivative(form: GradedForm) -> GradedForm:
     """Extend the total time derivative to forms as an even derivation:
     coefficients differentiate, each differential shifts one subscript up."""
-    pairs: list[tuple[WedgeWord, SuperExpr]] = []
-    for word, coeff in form._terms.items():
-        pairs.append((word, expr_total_derivative(coeff)))
-        pairs.extend(
-            (word[:t] + (word[t].shifted(),) + word[t + 1:], coeff) for t in range(len(word))
-        )
-    return _collect(pairs)
+    terms = form._terms.items()
+    # a shifted letter can meet its successor, and an even square vanishes
+    shifted = _ordered((word[:t] + (word[t].shifted(),) + word[t + 1:], 1, coeff, _ONE)
+                       for word, coeff in terms for t in range(len(word)))
+    return _collect(chain(((w, 1, expr_total_derivative(c), _ONE) for w, c in terms), shifted))
 
 
 def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
@@ -238,7 +244,7 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
         raise DomainMismatch(
             f"form has differentials of jet order {max_jet}, field source is T^{x_field.source_order}"
         )
-    triples: dict[WedgeWord, list[tuple[int, SuperExpr, SuperExpr]]] = {}
+    entries: list[Entry] = []
     for word, coeff in form._terms.items():
         moved = koszul(coeff, x_parity)
         odd_before = 0
@@ -246,9 +252,9 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
             value = x_field.components.get(gen)
             if value is not None:
                 flip = (t + gen.parity.value * odd_before) % 2
-                triples.setdefault(word[:t] + word[t + 1:], []).append((-1 if flip else 1, moved, value))
+                entries.append((word[:t] + word[t + 1:], -1 if flip else 1, moved, value))
             odd_before += gen.parity.value
-    return GradedForm({word: sum_of_products(parts) for word, parts in triples.items()})
+    return _collect(entries)
 
 
 def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
@@ -258,11 +264,11 @@ def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
         raise FormError("the vertical transpose acts on one-forms")
     if max(form.differential_order(), form.coefficient_order()) > k:
         raise OrderExceeded(f"form does not live on T^{k}")
-    return _collect(
-        ((word[0].shifted(-1),), word[0].jet_order * coeff)
+    return GradedForm({
+        (word[0].shifted(-1),): word[0].jet_order * coeff
         for word, coeff in form._terms.items()
         if word[0].jet_order
-    )
+    })
 
 
 def cartan_operator(form: GradedForm, k: int) -> GradedForm:
@@ -276,7 +282,7 @@ def cartan_operator(form: GradedForm, k: int) -> GradedForm:
     """
     if k < 1:
         raise OrderExceeded("the momentum construction needs k >= 1")
-    pieces: list[GradedForm] = []
+    entries: list[Entry] = []
     transposed = form
     factorial = 1
     for l in range(1, k + 1):
@@ -284,8 +290,8 @@ def cartan_operator(form: GradedForm, k: int) -> GradedForm:
         piece = transposed = transpose_vertical(transposed, k)
         for _ in range(l - 1):
             piece = total_derivative(piece)
-        pieces.append(piece.scale(Fraction((-1) ** (l + 1), factorial)))
-    return GradedForm.sum(pieces)
+        entries.extend(piece._entries((-1) ** (l + 1), SuperExpr.constant(Fraction(1, factorial))))
+    return _collect(entries)
 
 
 @dataclass(frozen=True)

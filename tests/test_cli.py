@@ -460,6 +460,16 @@ def test_dense_witness_output_is_fixed(capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_second_order_odd_square_latex_output_is_fixed(capsys):
+    # an order-2 system with one odd coordinate: Omega_L carries the odd
+    # square d th0[0] ^ d th0[0], which survives, in the LaTeX printer
+    expected = (ROOT / "data" / "dense-N2-M1-k2.derive.latex.txt").read_text(encoding="utf-8")
+    assert main(["derive", str(ROOT / "data" / "dense-N2-M1-k2.sm"), "--emit", "latex"]) == 0
+    out = capsys.readouterr().out
+    assert r"\mathrm{d}\mathrm{th0}_{0} \wedge \mathrm{d}\mathrm{th0}_{0}" in out
+    assert out == expected
+
+
 def test_dense_odd_coupled_derive_output_is_fixed(capsys):
     # the same system's derive report: a REGULAR system whose x1*th0*th1
     # coupling gives products with odd words in both factors

@@ -210,6 +210,17 @@ def test_form_total_derivative_wedge_leibniz_randomized():
         ) + a.wedge(form_total_derivative(b))
 
 
+def test_form_total_derivative_drops_even_squares_of_shifted_letters():
+    # shifting the first letter of d(q[0])^d(q[1]) meets its successor:
+    # the even square vanishes, while the odd square d(th[1])^d(th[1]) stays
+    even = form_total_derivative(d("q", 0).wedge(d("q", 1)))
+    assert (gen("q", 1), gen("q", 1)) not in dict(even.items())
+    assert even == d("q", 0).wedge(d("q", 2))
+    odd = form_total_derivative(d("th", 0).wedge(d("th", 1)))
+    assert odd.coefficient((gen("th", 1), gen("th", 1))) == SuperExpr.constant(1)
+    assert odd == d("th", 1).wedge(d("th", 1)) + d("th", 0).wedge(d("th", 2))
+
+
 def test_form_total_derivative_agrees_on_functions():
     rng = random.Random(307)
     for _ in range(10):
@@ -217,6 +228,79 @@ def test_form_total_derivative_agrees_on_functions():
         assert form_total_derivative(GradedForm.from_function(f)) == (
             GradedForm.from_function(total_derivative(f))
         )
+
+
+# -- linear operations against a word-by-word reference -------------------
+
+FUNCTION_LETTERS = [gen("q", 0), gen("q", 1), gen("th", 0), gen("th", 1)]
+SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+RAW_TERMS = st.lists(
+    st.tuples(SCALARS, st.lists(st.sampled_from(FUNCTION_LETTERS), max_size=3)), max_size=3
+)
+FUNCTIONS = RAW_TERMS.map(normalize)
+# a function with at least one term odd in the generators
+ODD_FUNCTIONS = st.tuples(
+    RAW_TERMS, SCALARS.filter(bool), st.sampled_from([gen("th", 0), gen("th", 1)]),
+    st.lists(st.sampled_from([gen("q", 0), gen("q", 1)]), max_size=2),
+).map(lambda t: normalize(t[0] + [(t[1], [t[2], *t[3]])]))
+
+
+def canonical_word(letters):
+    """The sorted word, or None when an even letter repeats."""
+    word = tuple(sorted(letters, key=lambda g: g.sort_key))
+    if any(a is b and a.parity is Parity.EVEN for a, b in zip(word, word[1:])):
+        return None
+    return word
+
+
+WORDS = st.lists(st.sampled_from(LETTERS), max_size=3).map(canonical_word).filter(
+    lambda word: word is not None
+)
+# forms built straight from canonical words, not through the operations tested
+FORMS = st.dictionaries(WORDS, FUNCTIONS, max_size=4).map(GradedForm)
+
+
+def word_by_word(rule, *forms):
+    """The form whose coefficient on each word is ``rule`` of the operands'
+    coefficients on that word."""
+    words = {word for form in forms for word, _ in form.items()}
+    return GradedForm({w: rule(*(form.coefficient(w) for form in forms)) for w in words})
+
+
+@settings(max_examples=100, deadline=None)
+@given(FORMS, FORMS, FORMS, ODD_FUNCTIONS)
+def test_linear_form_operations_match_the_word_by_word_reference(a, b, c, f):
+    assert a + b == word_by_word(lambda x, y: x + y, a, b)
+    assert a - b == word_by_word(lambda x, y: x - y, a, b)
+    assert -a == word_by_word(lambda x: -x, a)
+    assert GradedForm.sum([a, b, c]) == word_by_word(lambda x, y, z: x + y + z, a, b, c)
+    assert a.scale(f) == word_by_word(lambda x: f * x, a)
+    assert (a - a).items() == []
+
+
+def two_pass_cartan(form, k):
+    """The Cartan combination in two passes, the reference for its one
+    accumulator: each level scaled by (-1)^(l+1)/l!, then the levels
+    summed, both word by word."""
+    pieces = []
+    transposed = form
+    factorial = 1
+    for l in range(1, k + 1):
+        factorial *= l
+        piece = transposed = transpose_vertical(transposed, k)
+        for _ in range(l - 1):
+            piece = form_total_derivative(piece)
+        weight = SuperExpr.constant(Fraction((-1) ** (l + 1), factorial))
+        pieces.append(word_by_word(lambda x: weight * x, piece))
+    return word_by_word(lambda *xs: SuperExpr.sum(xs), *pieces)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_cartan_operator_matches_the_two_pass_rule(k, rng):
+    lag = random_expr(rng, CHART, k, 3, 4, Parity.EVEN)
+    dl = exterior_d(lag)
+    assert cartan_operator(dl, k) == two_pass_cartan(dl, k)
 
 
 # -- interior products -----------------------------------------------------

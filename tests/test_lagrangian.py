@@ -21,6 +21,7 @@ from supermech import (
     SuperLagrangian,
     cartan_data,
     cartan_one_form,
+    cartan_operator,
     check_constant_of_motion,
     conservation_witness,
     exterior_d,
@@ -33,9 +34,10 @@ from supermech import (
     solve_dynamics,
     total_derivative,
     total_derivative_field,
+    transpose_vertical,
     variational_derivative,
 )
-from supermech import forms, jets, lagrangian
+from supermech import algebra, forms, jets, lagrangian
 from supermech.algebra import normalize
 from supermech.lagrangian import NoWitness, _affine_split, _homotopy, _mat_vec, check_symmetry
 
@@ -438,3 +440,57 @@ def test_sums_of_products_take_one_kernel_call_per_output(monkeypatch):
     # T(L) integrates back to L, and every variational derivative is zero
     derivatives, integral = _homotopy(rate)
     assert integral == lag.expr and all(d.is_zero() for d in derivatives.values())
+
+
+def test_linear_form_operations_add_canonical_words_in_one_accumulator(monkeypatch):
+    # sums, differences, scalings, the contraction, the vertical transpose
+    # and the Cartan combination take the canonical words of their operands
+    # as they are: no word is reordered, no coefficient is negated or summed
+    # apart, and each output word is one ``sum_of_products`` call
+    text = (Path(__file__).parent / "data" / "dense-N4-M2-k1.sm").read_text(encoding="utf-8")
+    lag = parse_problem(text).lagrangian()
+    data = cartan_data(lag)
+    dl = exterior_d(lag.expr)
+    t_field = total_derivative_field(lag.chart, 1)
+    odd = lag.chart.coord("th0", 0)
+    calls = {"reorder": 0, "sum": 0, "neg": 0, "kernel": 0}
+
+    def counting(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    monkeypatch.setattr(forms, "reorder", counting("reorder", forms.reorder))
+    monkeypatch.setattr(SuperExpr, "sum", staticmethod(counting("sum", SuperExpr.sum)))
+    monkeypatch.setattr(SuperExpr, "__neg__", counting("neg", SuperExpr.__neg__))
+    for module in (forms, algebra):
+        monkeypatch.setattr(module, "sum_of_products", counting("kernel", module.sum_of_products))
+
+    def words(*operands):
+        return {word for form in operands for word, _ in form.items()}
+
+    def counted(run):
+        for name in calls:
+            calls[name] = 0
+        run()
+        return calls["reorder"], calls["sum"], calls["neg"], calls["kernel"]
+
+    contracted = {
+        word[:t] + word[t + 1:]
+        for word, _ in data.omega.items()
+        for t, g in enumerate(word)
+        if g in t_field.components
+    }
+    assert counted(lambda: GradedForm.sum([dl, data.theta, data.delta])) == (
+        0, 0, 0, len(words(dl, data.theta, data.delta))
+    )
+    assert counted(lambda: dl - data.theta) == (0, 0, 0, len(words(dl, data.theta)))
+    assert counted(lambda: -data.omega) == (0, 0, 0, len(words(data.omega)))
+    assert counted(lambda: data.theta.scale(odd)) == (0, 0, 0, len(words(data.theta)))
+    assert counted(lambda: interior(t_field, data.omega)) == (0, 0, 0, len(contracted))
+    # a transpose multiplies each coefficient by its subscript, and on a
+    # first-order system the Cartan combination adds that one level into
+    # its accumulator: one call per word for each
+    assert counted(lambda: transpose_vertical(dl, 1)) == (0, 0, 0, len(words(data.theta)))
+    assert counted(lambda: cartan_operator(dl, 1)) == (0, 0, 0, 2 * len(words(data.theta)))
