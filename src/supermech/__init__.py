@@ -15,6 +15,7 @@ import without numpy.
 from .algebra import (
     AlgebraError,
     CoefficientTooLarge,
+    ExponentTooLarge,
     GeneratorSymbol,
     MixedParity,
     Parity,
@@ -137,6 +138,7 @@ __all__ = [
     "ConstraintViolation",
     "DomainMismatch",
     "Dynamics",
+    "ExponentTooLarge",
     "FormError",
     "GeneratorSymbol",
     "GradedForm",

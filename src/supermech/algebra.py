@@ -5,10 +5,9 @@ odd-word``.  Even generators commute with everything and carry integer
 exponents; odd generators anticommute among themselves and square to zero,
 so an odd word is a product of distinct odd generators kept in a fixed
 total order.  ``reorder`` is the one rule for putting a graded word in
-that order, collecting the bidegree sign: it sorts odd generators (form
-degree 0) here, the joined words of each term pair of a product and the
-factors of each monomial alike, and differentials (form degree 1) in
-``forms``.
+sort order, collecting the bidegree sign: it sorts the odd generators of a
+term read out of an expression (form degree 0) and differentials (form
+degree 1) in ``forms``.
 ``grassmann_coefficients`` applies the same sign to products of the odd
 directions of a numeric Grassmann value, without numpy, so that a problem
 file's initial data parses without loading the numeric layer.
@@ -25,14 +24,25 @@ one dict and normalises once per result, the role of the geobucket in Yan,
 "The geobucket data structure for polynomials", J. Symb. Comp. 25 (1998);
 ``*``, ``-`` and ``SuperExpr.sum`` are its cases.  Every operation returns
 the unique canonical form, so equality is equality of the denominators and
-the numerator dicts.  ``items()``, ``constant_term()`` and the constructor
-``SuperExpr(mapping)`` still take and return ``Fraction`` coefficients,
-reduced term by term.
+the numerator dicts.
 
 Generators are interned: constructing a ``GeneratorSymbol`` returns the one
 instance with those fields, so symbols hash and compare by identity, in C.
-Term keys are nested tuples of symbols that every dictionary operation
-rehashes, which makes this the cost under every sum, product and partial.
+A term key is one int with a fixed field per interned generator, allocated
+in the order the generators are first built: ``FIELD_BITS`` bits for an
+even generator, its exponent under a guard bit, and one bit for an odd one
+(the packed exponent vectors of Monagan and Pearce, CASC 2007, as in
+FLINT's ``mpoly``, and the bitmap blades of Dorst, Fontijne and Mann,
+*Geometric Algebra for Computer Science*, section 19).  Inside an
+expression an odd word is read in bit order, so a product of two terms
+adds their keys: it is zero when the odd bits overlap, and its sign is
+the parity of the crossings of the two words' bits, counted with
+``int.bit_count``.  An exponent that reaches a guard bit raises
+``ExponentTooLarge``; no carry passes silently into the next field.  Keys
+are decoded only at the boundary: ``items()`` and the constructor
+``SuperExpr(mapping)`` take and return ``(even-monomial, odd-word)`` keys
+in sort order, with ``Fraction`` coefficients reduced term by term, and
+pickling goes through that mapping.
 """
 
 from __future__ import annotations
@@ -41,6 +51,8 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -82,6 +94,10 @@ class ParityMismatch(AlgebraError):
 
 class CoefficientTooLarge(AlgebraError):
     """A coefficient has more digits than the interpreter converts to text."""
+
+
+class ExponentTooLarge(AlgebraError):
+    """An exponent does not fit the field of its generator in a term key."""
 
 
 def coefficient_text(value: int | Fraction) -> str:
@@ -133,7 +149,8 @@ def koszul(expr: "SuperExpr", odd: int) -> "SuperExpr":
     moving past an expression is decided here."""
     if not odd:
         return expr
-    return _raw({key: -n if len(key[1]) % 2 else n for key, n in expr._nums.items()}, expr._den)
+    bits = _ODD
+    return _raw({key: -n if (key & bits).bit_count() & 1 else n for key, n in expr._nums.items()}, expr._den)
 
 
 def reorder(letters: Iterable[GeneratorSymbol], degree: int) -> tuple[int, tuple[GeneratorSymbol, ...]] | None:
@@ -193,10 +210,12 @@ class GeneratorSymbol:
     different jet orders share them.  ``sort_key`` is computed once, here:
     odd generators sort after even ones, and within a class the order is
     lexicographic on ``(base_index, jet_order)``.  The intern table keeps
-    every symbol ever built, one per distinct coordinate.
+    every symbol ever built, one per distinct coordinate, and each symbol
+    keeps its field of a packed term key: ``offset`` is its lowest bit and
+    ``unit`` the key of the generator alone.
     """
 
-    __slots__ = ("name", "parity", "base_index", "jet_order", "sort_key")
+    __slots__ = ("name", "parity", "base_index", "jet_order", "sort_key", "offset", "unit")
 
     def __new__(cls, name: str, parity: Parity, base_index: int, jet_order: int) -> "GeneratorSymbol":
         key = (name, parity, base_index, jet_order)
@@ -204,11 +223,20 @@ class GeneratorSymbol:
             return _INTERNED[key]
         except KeyError:
             pass
+        global _ODD, _GUARDS
         self = super().__new__(cls)
-        values = (*key, (parity.value, base_index, jet_order))
+        offset = len(_OWNER)
+        values = (*key, (parity.value, base_index, jet_order), offset, 1 << offset)
         for attr, value in zip(cls.__slots__, values):
             object.__setattr__(self, attr, value)
-        return _INTERNED.setdefault(key, self)
+        if parity is Parity.ODD:
+            _OWNER.append(self)
+            _ODD |= self.unit
+        else:
+            _OWNER.extend([self] * FIELD_BITS)
+            _GUARDS |= self.unit << (FIELD_BITS - 1)
+        _INTERNED[key] = self
+        return self
 
     def __setattr__(self, attr: str, value: object) -> None:
         raise AttributeError(f"GeneratorSymbol is immutable; cannot set {attr!r}")
@@ -238,57 +266,144 @@ class GeneratorSymbol:
 
 _INTERNED: dict[tuple[str, Parity, int, int], GeneratorSymbol] = {}
 
+# The field of an even generator in a packed term key: an exponent of up to
+# MAX_TERM_EXPONENT under a guard bit, which a carry out of the exponent sets.
+FIELD_BITS = 32
+MAX_TERM_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+# the generator that owns each bit of a packed key, a field per generator in
+# the order they were interned
+_OWNER: list[GeneratorSymbol] = []
+# the bits of the odd generators, and the guard bits of the even ones
+_ODD = 0
+_GUARDS = 0
+# how many decoded keys are kept: the terms of a run's expressions share
+# few distinct keys, so a small table answers most decodes
+_DECODED = 4096
 
 EvenMonomial = tuple[tuple[GeneratorSymbol, int], ...]
 OddWord = tuple[GeneratorSymbol, ...]
+# a term key as ``items()`` gives it and ``SuperExpr(mapping)`` takes it
 TermKey = tuple[EvenMonomial, OddWord]
-# the key of the constant term
-_UNIT: TermKey = ((), ())
 
 Scalar = Union[int, Fraction]
 RawTerm = tuple[Scalar, Sequence[GeneratorSymbol]]
 
 
-def _merge_even(left: EvenMonomial, right: EvenMonomial) -> EvenMonomial:
-    """Multiply two canonical even monomials, adding the exponents of a
-    shared generator."""
-    if not left or not right:
-        return left or right
-    out: list[tuple[GeneratorSymbol, int]] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        (a, ea), (b, eb) = left[i], right[j]
-        if a is b:
-            out.append((a, ea + eb))
-            i += 1
-            j += 1
-        elif a.sort_key < b.sort_key:
-            out.append(left[i])
-            i += 1
-        else:
-            out.append(right[j])
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
+@lru_cache(maxsize=_DECODED)
+def _factors(key: int) -> tuple[tuple[GeneratorSymbol, int], ...]:
+    """The factors ``(generator, exponent)`` of a packed key in bit order,
+    read from the lowest set bit up; an odd factor has exponent 1."""
+    out = []
+    while key:
+        g = _OWNER[(key & -key).bit_length() - 1]
+        e = 1 if g.sort_key[0] else key >> g.offset & _FIELD
+        key -= e * g.unit
+        out.append((g, e))
     return tuple(out)
 
 
+@lru_cache(maxsize=_DECODED)
+def _top_order(key: int) -> int:
+    """The largest jet order of a factor of a packed key; -1 for none."""
+    return max((g.jet_order for g, _ in _factors(key)), default=-1)
+
+
+def _degree(key: int) -> int:
+    """The total degree of a packed key, odd factors counted once."""
+    return sum(e for _, e in _factors(key))
+
+
+def _crossings(left: int, right: int) -> int:
+    """How many pairs of a bit of ``left`` and a lower bit of ``right``
+    there are: the swaps that put the odd word ``left`` followed by the
+    disjoint word ``right`` in bit order."""
+    count = 0
+    while right:
+        bit = right & -right
+        count += (left & -bit).bit_count()
+        right ^= bit
+    return count
+
+
+def _too_large(key: int) -> ExponentTooLarge:
+    """The error for a key with a guard bit set."""
+    g = _OWNER[(key & _GUARDS).bit_length() - 1]
+    return ExponentTooLarge(
+        f"an exponent of {g} exceeds {MAX_TERM_EXPONENT}, the largest a term can hold"
+    )
+
+
+def _pack(factors: Iterable[tuple[GeneratorSymbol, int]]) -> tuple[int, int] | None:
+    """``(sign, key)`` of an ordered product of factors ``g^e``, or None
+    when it is zero (an odd factor repeats).  Each factor adds its units to
+    the key, and an odd one crosses the odd factors before it whose bits
+    lie above its own, a sign each."""
+    key = mask = swaps = 0
+    for g, e in factors:
+        if g.sort_key[0]:
+            if e > 1 or mask & g.unit:
+                return None
+            swaps += (mask & -g.unit).bit_count()
+            mask |= g.unit
+        elif e < 1:
+            raise ValueError(f"the exponent {e} of {g} is not positive")
+        elif e > MAX_TERM_EXPONENT:
+            raise ExponentTooLarge(
+                f"the exponent {e} of {g} exceeds {MAX_TERM_EXPONENT}, the largest a term can hold"
+            )
+        key += e * g.unit
+    if key & _GUARDS:
+        raise _too_large(key)
+    return -1 if swaps & 1 else 1, key
+
+
+@lru_cache(maxsize=_DECODED)
+def _unpack(key: int) -> tuple[int, TermKey, tuple]:
+    """``(sign, (even-monomial, odd-word), sort key)`` of a packed key, both
+    parts in sort order: the sign puts the odd word from bit order in sort
+    order, and the sort key orders the terms of ``items()``."""
+    even = []
+    odd = []
+    for g, e in _factors(key):
+        if g.sort_key[0]:
+            odd.append(g)
+        else:
+            even.append((g, e))
+    even.sort(key=lambda item: item[0].sort_key)
+    sign, word = reorder(odd, 0) if len(odd) > 1 else (1, tuple(odd))
+    order = (tuple((g.sort_key, e) for g, e in even), tuple(g.sort_key for g in word))
+    return sign, (tuple(even), word), order
+
+
 class SuperExpr:
-    """A canonical supercommutative polynomial: integer numerators by term
-    key over one positive denominator with no factor common to all of them
-    (``1`` for zero).  ``SuperExpr(mapping)`` takes ``Fraction`` (or int)
-    coefficients by term key."""
+    """A canonical supercommutative polynomial: integer numerators by packed
+    term key over one positive denominator with no factor common to all of
+    them (``1`` for zero).  ``SuperExpr(mapping)`` takes ``Fraction`` (or
+    int) coefficients by ``(even-monomial, odd-word)`` key, each an ordered
+    product."""
 
     __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, terms: Mapping[TermKey, Scalar] | None = None):
-        coeffs = {key: c for key, c in (terms or {}).items() if c}
+        coeffs: dict[int, Scalar] = {}
+        for (even, odd), c in (terms or {}).items():
+            packed = _pack([*even, *((g, 1) for g in odd)]) if c else None
+            if packed is not None:
+                sign, key = packed
+                coeffs[key] = coeffs.get(key, 0) + sign * c
+        coeffs = {key: c for key, c in coeffs.items() if c}
         # the least common multiple of reduced denominators leaves no common
         # factor, so the result is canonical without a gcd
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         self._nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self._den = den
         self._hash: int | None = None
+
+    def __reduce__(self):
+        # the packed keys depend on the order generators were interned, so
+        # pickle and deepcopy go through the public mapping
+        return (SuperExpr, (dict(self.items()),))
 
     # -- constructors ------------------------------------------------------
 
@@ -299,72 +414,56 @@ class SuperExpr:
     @staticmethod
     def constant(value: Scalar) -> "SuperExpr":
         value = Fraction(value)
-        return _raw({_UNIT: value.numerator} if value else {}, value.denominator)
+        return _raw({0: value.numerator} if value else {}, value.denominator)
 
     @staticmethod
     def generator(gen: GeneratorSymbol) -> "SuperExpr":
-        if gen.parity is Parity.EVEN:
-            return _raw({(((gen, 1),), ()): 1})
-        return _raw({((), (gen,)): 1})
+        return _raw({gen.unit: 1})
 
     # -- structure ---------------------------------------------------------
 
     def items(self) -> list[tuple[TermKey, Fraction]]:
         """The terms, sorted, each coefficient a reduced ``Fraction``."""
         den = self._den
-        return sorted(
-            ((key, Fraction(n, den)) for key, n in self._nums.items()),
-            key=lambda it: _term_sort_key(it[0]),
-        )
+        decoded = sorted(((_unpack(key), n) for key, n in self._nums.items()), key=lambda it: it[0][2])
+        return [(term, Fraction(sign * n, den)) for (sign, term, _), n in decoded]
 
-    def numerators(self) -> tuple[Mapping[TermKey, int], int]:
-        """The integer numerators by term key, unsorted and read-only, and
-        the one denominator they share."""
+    def numerators(self) -> tuple[Mapping[int, int], int]:
+        """The integer numerators by packed term key, unsorted and
+        read-only, and the one denominator they share."""
         return MappingProxyType(self._nums), self._den
 
     def is_zero(self) -> bool:
         return not self._nums
 
     def generators(self) -> set[GeneratorSymbol]:
-        out: set[GeneratorSymbol] = set()
-        for (even, odd) in self._nums:
-            out.update(g for g, _ in even)
-            out.update(odd)
-        return out
+        # a field of the union of the keys is nonzero where a term has it
+        return {g for g, _ in _factors(reduce(or_, self._nums, 0))}
 
     def max_jet_order(self) -> int:
         """Largest derivative subscript present; -1 for constants."""
-        top = -1
-        for even, odd in self._nums:
-            for g, _ in even:
-                if g.jet_order > top:
-                    top = g.jet_order
-            for g in odd:
-                if g.jet_order > top:
-                    top = g.jet_order
-        return top
+        return _top_order(reduce(or_, self._nums, 0))
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._nums.get(_UNIT, 0), self._den)
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def total_degree(self) -> int:
         """Largest total degree of a term (odd factors count once each)."""
-        deg = 0
-        for (even, odd) in self._nums:
-            deg = max(deg, sum(e for _, e in even) + len(odd))
-        return deg
+        return max(map(_degree, self._nums), default=0)
 
     def parity_split(self) -> tuple["SuperExpr", "SuperExpr"]:
         """Split into the even-parity and odd-parity parts."""
-        even_nums: dict[TermKey, int] = {}
-        odd_nums: dict[TermKey, int] = {}
+        even_nums: dict[int, int] = {}
+        odd_nums: dict[int, int] = {}
+        odd = _ODD
         for key, n in self._nums.items():
-            (odd_nums if len(key[1]) % 2 else even_nums)[key] = n
+            (odd_nums if (key & odd).bit_count() & 1 else even_nums)[key] = n
         return _reduced(even_nums, self._den), _reduced(odd_nums, self._den)
 
     def body(self) -> "SuperExpr":
         """The terms free of odd generators."""
-        return _reduced({key: n for key, n in self._nums.items() if not key[1]}, self._den)
+        odd = _ODD
+        return _reduced({key: n for key, n in self._nums.items() if not key & odd}, self._den)
 
     @staticmethod
     def sum(exprs: Iterable["SuperExpr"]) -> "SuperExpr":
@@ -439,7 +538,7 @@ class SuperExpr:
         return f"SuperExpr({self})"
 
 
-def _raw(nums: dict[TermKey, int], den: int = 1) -> SuperExpr:
+def _raw(nums: dict[int, int], den: int = 1) -> SuperExpr:
     """The internal constructor: ``nums`` and ``den`` already canonical."""
     expr = object.__new__(SuperExpr)
     expr._nums = nums
@@ -448,7 +547,7 @@ def _raw(nums: dict[TermKey, int], den: int = 1) -> SuperExpr:
     return expr
 
 
-def _reduced(nums: dict[TermKey, int], den: int) -> SuperExpr:
+def _reduced(nums: dict[int, int], den: int) -> SuperExpr:
     """Canonical form of nonzero numerators over a positive denominator:
     one gcd, skipped when ``den`` is 1 (zero ends with ``den`` 1)."""
     if den != 1:
@@ -459,8 +558,9 @@ def _reduced(nums: dict[TermKey, int], den: int) -> SuperExpr:
     return _raw(nums, den)
 
 
-# the unit, a one-term constant operand of ``sum_of_products``
-_ONE = _raw({_UNIT: 1})
+# the unit, a one-term constant operand of ``sum_of_products``; the key of
+# a constant term is 0
+_ONE = _raw({0: 1})
 
 
 def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> SuperExpr:
@@ -471,8 +571,9 @@ def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> Supe
     with the unit per part.  Every term pair adds straight into one
     numerator dict over a common denominator widened as in
     ``from_monomials``, a one-term constant operand scales the other, and
-    one gcd ends the sum."""
-    out: dict[TermKey, int] = {}
+    one gcd ends the sum.  The key of a term pair is the sum of its keys,
+    signed by the crossings of the two odd words."""
+    out: dict[int, int] = {}
     get = out.get
     den = 1
     for weight, a, b in triples:
@@ -491,10 +592,10 @@ def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> Supe
                 get = out.get
                 den = lcm
             weight *= den // d
-        if len(left) == 1 and _UNIT in left:
+        if len(left) == 1 and 0 in left:
             left, right = right, left
-        if len(right) == 1 and _UNIT in right:
-            weight *= right[_UNIT]
+        if len(right) == 1 and 0 in right:
+            weight *= right[0]
             if not out:
                 out = dict(left) if weight == 1 else {key: n * weight for key, n in left.items()}
                 get = out.get
@@ -506,20 +607,48 @@ def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> Supe
                 else:
                     del out[key]
             continue
+        # read per product: a lazy iterable of triples may intern generators
+        odd, guards = _ODD, _GUARDS
         # every numerator is nonzero, so a sum cancels only on a key present
-        for (ev1, od1), n1 in left.items():
+        for k1, n1 in left.items():
             n1 *= weight
-            for (ev2, od2), n2 in right.items():
-                ordered = reorder(od1 + od2, 0) if od1 and od2 else (1, od1 or od2)
-                if ordered is not None:
-                    sign, odd = ordered
-                    key = (_merge_even(ev1, ev2), odd)
-                    acc = get(key, 0) + (n1 * n2 if sign > 0 else -n1 * n2)
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+            o1 = k1 & odd
+            for k2, n2 in right.items():
+                if o1:
+                    o2 = k2 & odd
+                    if o1 & o2:
+                        continue
+                    if o2 and _crossings(o1, o2) & 1:
+                        n2 = -n2
+                key = k1 + k2
+                if key & guards:
+                    raise _too_large(key)
+                acc = get(key, 0) + n1 * n2
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
     return _reduced(out, den)
+
+
+def times_term(expr: SuperExpr, term: SuperExpr) -> SuperExpr:
+    """``expr * term`` for a one-term ``term``, with no product formed:
+    each key of ``expr`` plus the term's key, a term dropped where the odd
+    words overlap and signed by their crossings.  Distinct keys stay
+    distinct, so nothing is added."""
+    ((k2, n2),) = term._nums.items()
+    odd, guards = _ODD, _GUARDS
+    o2 = k2 & odd
+    nums = {}
+    for k1, n1 in expr._nums.items():
+        o1 = k1 & odd
+        if o1 & o2:
+            continue
+        key = k1 + k2
+        if key & guards:
+            raise _too_large(key)
+        nums[key] = -n1 * n2 if o1 and _crossings(o1, o2) & 1 else n1 * n2
+    return _reduced(nums, expr._den * term._den)
 
 
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
@@ -528,14 +657,6 @@ def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
     if isinstance(value, (int, Fraction)):
         return SuperExpr.constant(value)
     raise TypeError(f"cannot interpret {value!r} as a SuperExpr")
-
-
-def _term_sort_key(key: TermKey):
-    even, odd = key
-    return (
-        tuple((g.sort_key, e) for g, e in even),
-        tuple(g.sort_key for g in odd),
-    )
 
 
 def _format_monomial(key: TermKey) -> str:
@@ -568,38 +689,19 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
 
 def from_monomials(terms: Iterable[tuple[int, int, Sequence[GeneratorSymbol]]]) -> SuperExpr:
     """The canonical sum of monomials ``numerator / denominator * factors``,
-    each denominator positive and each factor list an ordered product.
-    Evens may repeat; odd factors are put in order with their sign by
-    ``reorder``, and a repeated odd factor kills the term.  The sum runs on
-    integer numerators over the least common denominator, with one gcd."""
-    nums: dict[TermKey, int] = {}
+    each denominator positive and each factor list an ordered product,
+    packed by ``_pack`` (a repeated odd factor kills the term).  The sum
+    runs on integer numerators over the least common denominator, with one
+    gcd."""
+    nums: dict[int, int] = {}
     get = nums.get
     den = 1
     for num, d, factors in terms:
-        if not num:
+        packed = _pack((gen, 1) for gen in factors) if num else None
+        if packed is None:
             continue
-        evens: list[GeneratorSymbol] = []
-        odds: list[GeneratorSymbol] = []
-        for gen in factors:
-            # sort_key[0] is the parity's value
-            (odds if gen.sort_key[0] else evens).append(gen)
-        if len(odds) > 1:
-            ordered = reorder(odds, 0)
-            if ordered is None:
-                continue
-            sign, odd_word = ordered
-            if sign < 0:
-                num = -num
-        else:
-            odd_word = tuple(odds)
-        if len(evens) > 1:
-            exps: dict[GeneratorSymbol, int] = {}
-            for gen in evens:
-                exps[gen] = exps.get(gen, 0) + 1
-            even_mono = tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
-        else:
-            even_mono = ((evens[0], 1),) if evens else ()
-        key = (even_mono, odd_word)
+        sign, key = packed
+        num *= sign
         if d != den:
             # widen the common denominator to the least common multiple
             lcm = den // math.gcd(den, d) * d
@@ -626,7 +728,8 @@ def parity_of(expr: SuperExpr) -> Parity:
     """
     if expr.is_zero():
         raise ZeroExpression("the zero expression has no definite parity")
-    parities = {len(odd) % 2 for (_, odd) in expr._nums}
+    odd = _ODD
+    parities = {(key & odd).bit_count() & 1 for key in expr._nums}
     if len(parities) > 1:
         raise MixedParity(f"expression {expr} mixes parities")
     return Parity.ODD if parities.pop() else Parity.EVEN
@@ -648,57 +751,50 @@ def exact_quotient(dividend: SuperExpr, divisor: SuperExpr) -> SuperExpr:
     ``AlgebraError`` when it does not (a nonzero remainder) or when an
     operand has an odd generator.
 
-    Division cancels the leading term of the remainder, in the
-    lexicographic order with the generator that sorts first weighing most,
-    until nothing is left.  Each monomial is packed into one int, its
-    exponents the digits, so that a product adds ints and the order is the
-    order of ints.  An exact quotient has at most ``deg_x(dividend) -
-    deg_x(divisor)`` factors of each x; a quotient term past that bound
-    means a remainder, and within it no digit of a product overflows, so
-    an empty remainder is an identity of polynomials.  The numerators stay
-    ints: the quotient is kept times a scale that grows by what the
-    divisor's leading coefficient does not divide."""
-    if any(odd for _, odd in dividend._nums) or any(odd for _, odd in divisor._nums):
+    Division cancels the leading term of the remainder, in the order of the
+    packed keys as ints (lexicographic, the generator interned last weighing
+    most), until nothing is left.  A quotient term is the difference of two
+    keys: each field's guard bit, set before the subtraction, is still set
+    after it exactly where that field did not go negative.  An exact
+    quotient has at most ``deg_x(dividend) - deg_x(divisor)`` factors of
+    each x; a quotient term past that bound means a remainder, and within
+    it no field of a product overflows, so an empty remainder is an
+    identity of polynomials.  The numerators stay ints: the quotient is
+    kept times a scale that grows by what the divisor's leading coefficient
+    does not divide."""
+    odd, guards = _ODD, _GUARDS
+    if any(key & odd for key in dividend._nums) or any(key & odd for key in divisor._nums):
         raise AlgebraError("exact division takes expressions free of odd generators")
     if divisor.is_zero():
         raise ZeroDivisionError("division of a SuperExpr by zero")
-    if len(divisor._nums) == 1 and _UNIT in divisor._nums:
+    if len(divisor._nums) == 1 and 0 in divisor._nums:
         return dividend / divisor.constant_term()
-    degrees: list[dict[GeneratorSymbol, int]] = [{}, {}]
-    for expr, degree in zip((dividend, divisor), degrees):
-        for even, _ in expr._nums:
-            for g, e in even:
+    top_degree: dict[GeneratorSymbol, int] = {}
+    for expr, sign in ((dividend, 1), (divisor, -1)):
+        degree: dict[GeneratorSymbol, int] = {}
+        for key in expr._nums:
+            for g, e in _factors(key):
                 if e > degree.get(g, 0):
                     degree[g] = e
-    top_degree, divisor_degree = degrees
-    gens = sorted(top_degree.keys() | divisor_degree.keys(), key=lambda g: g.sort_key, reverse=True)
-    bounds = [top_degree.get(g, 0) - divisor_degree.get(g, 0) for g in gens]
-    base = max(top_degree.values(), default=0) + 1
-    # the last generator in sort order is the lowest digit
-    place = {g: base**i for i, g in enumerate(gens)}
-
-    def pack(even: EvenMonomial) -> int:
-        return sum(e * place[g] for g, e in even)
-
-    rest = {pack(even): n for (even, _), n in dividend._nums.items()}
-    terms = {pack(even): n for (even, _), n in divisor._nums.items()}
+        for g, e in degree.items():
+            top_degree[g] = top_degree.get(g, 0) + sign * e
+    if dividend._nums and min(top_degree.values()) < 0:
+        raise AlgebraError(f"{divisor} does not divide {dividend}")
+    bound = sum(e * g.unit for g, e in top_degree.items()) + guards
+    rest = dict(dividend._nums)
+    terms = divisor._nums
     lead = max(terms)
     lead_coeff = terms[lead]
-    quotient: dict[TermKey, int] = {}
+    quotient: dict[int, int] = {}
     scale = 1
     while rest:
         top = max(rest)
         n = rest[top]
-        shift = rem = top - lead
-        exps = []
-        # the digits of the shift, each within its bound; a negative shift
-        # leaves a negative rest
-        for g, bound in zip(gens, bounds):
-            rem, e = divmod(rem, base)
-            if e > bound or rem < 0:
-                raise AlgebraError(f"{divisor} does not divide {dividend}")
-            if e:
-                exps.append((g, e))
+        # a field that went negative or past its bound clears its guard
+        shift = top + guards - lead
+        if shift & guards != guards or (bound + guards - shift) & guards != guards:
+            raise AlgebraError(f"{divisor} does not divide {dividend}")
+        shift -= guards
         grow = abs(lead_coeff) // math.gcd(n, lead_coeff)
         if grow != 1:
             scale *= grow
@@ -706,7 +802,7 @@ def exact_quotient(dividend: SuperExpr, divisor: SuperExpr) -> SuperExpr:
             quotient = {key: m * grow for key, m in quotient.items()}
             n *= grow
         coeff = n // lead_coeff
-        quotient[(tuple(reversed(exps)), ())] = coeff
+        quotient[shift] = coeff
         for key, m in terms.items():
             key += shift
             acc = rest.get(key, 0) - coeff * m
@@ -721,18 +817,25 @@ def partials(expr: SuperExpr) -> dict[GeneratorSymbol, SuperExpr]:
     """Every nonzero left partial derivative, keyed by generator, from one
     pass over the terms: the keys are exactly ``expr.generators()``.
 
-    An even factor ``g^e`` gives ``e`` times the term with one ``g`` fewer;
-    an odd factor is moved to the front of its word, collecting a Koszul
-    sign, and then removed.  Removing a factor keeps a key canonical.
+    Each term's factors are read from its lowest bit up.  An even factor
+    ``g^e`` gives ``e`` times the term with one ``g`` fewer; an odd factor
+    is moved to the front of its word past the odd factors read before it,
+    one sign each, and then removed.
     """
     # distinct terms keep distinct keys under one partial, so nothing cancels
-    parts: dict[GeneratorSymbol, dict[TermKey, int]] = {}
-    for (even, odd), n in expr._nums.items():
-        for i, (g, e) in enumerate(even):
-            rest = even[:i] + ((g, e - 1),) + even[i + 1:] if e > 1 else even[:i] + even[i + 1:]
-            parts.setdefault(g, {})[(rest, odd)] = n * e
-        for pos, g in enumerate(odd):
-            parts.setdefault(g, {})[(even, odd[:pos] + odd[pos + 1:])] = -n if pos % 2 else n
+    parts: dict[GeneratorSymbol, dict[int, int]] = {}
+    for key, n in expr._nums.items():
+        below = 0
+        for g, e in _factors(key):
+            if g.sort_key[0]:
+                c = -n if below & 1 else n
+                below += 1
+            else:
+                c = n * e
+            part = parts.get(g)
+            if part is None:
+                part = parts[g] = {}
+            part[key - g.unit] = c
     den = expr._den
     return {g: _reduced(nums, den) for g, nums in parts.items()}
 
@@ -747,40 +850,49 @@ def shift_derivative(expr: SuperExpr) -> SuperExpr:
     """The sum over generators g of ``g' * d(expr)/dg``, left partials, with
     g' the generator one jet order up: the total time derivative.
 
-    Each factor g of a term becomes g' in place.  No generator sorts
-    between g and g', so an even monomial merges g' into the next entry or
-    inserts it there, and an odd word keeps its order and its sign (the
-    Koszul sign of the partial cancels the one of moving g' back); a word
-    that already holds g' loses the term.  No product is formed."""
-    nums: dict[TermKey, int] = {}
+    Each factor g of a term becomes g' in place: the key loses g's unit and
+    gains g''s.  An odd g' moves from g's bit to its own past the odd bits
+    between the two, one sign each (the Koszul sign of the partial cancels
+    the one of moving g' to the front), and a word that already holds g'
+    loses the term.  No product is formed."""
+    nums: dict[int, int] = {}
     get = nums.get
-    successor: dict[GeneratorSymbol, GeneratorSymbol] = {}
+    steps = _STEPS
+    # one step up reaches a guard bit only from a field of 2^30 or more
+    checked = reduce(or_, expr._nums, 0) & _GUARDS >> 1
     # as in ``sum_of_products``, different terms reach one key and a sum
     # cancels only on a key present
-    for (even, odd), n in expr._nums.items():
-        for i, (g, e) in enumerate(even):
-            up = successor.get(g) or successor.setdefault(g, g.shifted())
-            head = even[:i] + ((g, e - 1),) if e > 1 else even[:i]
-            if i + 1 < len(even) and even[i + 1][0] is up:
-                key = (head + ((up, even[i + 1][1] + 1),) + even[i + 2:], odd)
+    for key, n in expr._nums.items():
+        for g, e in _factors(key):
+            delta, up, between = steps.get(g) or steps.setdefault(g, _step(g))
+            if g.sort_key[0]:
+                if key & up:
+                    continue
+                c = -n if (key & between).bit_count() & 1 else n
             else:
-                key = (head + ((up, 1),) + even[i + 1:], odd)
-            acc = get(key, 0) + n * e
+                c = n * e
+            new = key + delta
+            if checked and new & _GUARDS:
+                raise _too_large(new)
+            acc = get(new, 0) + c
             if acc:
-                nums[key] = acc
+                nums[new] = acc
             else:
-                del nums[key]
-        for pos, g in enumerate(odd):
-            up = successor.get(g) or successor.setdefault(g, g.shifted())
-            if pos + 1 < len(odd) and odd[pos + 1] is up:
-                continue
-            key = (even, odd[:pos] + (up,) + odd[pos + 1:])
-            acc = get(key, 0) + n
-            if acc:
-                nums[key] = acc
-            else:
-                del nums[key]
+                del nums[new]
     return _reduced(nums, expr._den)
+
+
+def _step(g: GeneratorSymbol) -> tuple[int, int, int]:
+    """For ``shift_derivative``: the change of a key when g becomes g', the
+    unit of g' and the odd bits strictly between g and g'.  Kept in
+    ``_STEPS``, one entry per generator: no bit is allocated between two
+    that exist, so the entry stays true."""
+    up = g.shifted().unit
+    low, high = sorted((g.unit, up))
+    return up - g.unit, up, (high - 2 * low) & _ODD
+
+
+_STEPS: dict[GeneratorSymbol, tuple[int, int, int]] = {}
 
 
 def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr | Scalar]) -> SuperExpr:
@@ -790,25 +902,38 @@ def substitute(expr: SuperExpr, assignment: Mapping[GeneratorSymbol, SuperExpr |
     (zero always passes); the substitution is then an algebra map and the
     Koszul bookkeeping is inherited from multiplication.  A term with no
     assigned factor is kept as it is, with no product; the others multiply
-    out all but their last factor, and that one into one ``sum_of_products``.
+    out all but their last factor, read in bit order, and that one into one
+    ``sum_of_products``.
     """
     values: dict[GeneratorSymbol, SuperExpr] = {}
+    fields = 0
     for gen, value in assignment.items():
         value = _coerce(value)
         if not has_parity(value, gen.parity):
             raise ParityMismatch(f"value {value} assigned to {gen} is not {gen.parity}")
         values[gen] = value
-    kept: dict[TermKey, int] = {}
+        fields |= gen.unit if gen.sort_key[0] else gen.unit * _FIELD
+    kept: dict[int, int] = {}
     triples = []
-    for (even, odd), n in expr._nums.items():
-        if not any(gen in values for gen, _ in even) and not any(gen in values for gen in odd):
-            kept[(even, odd)] = n
+    for key, n in expr._nums.items():
+        if not key & fields:
+            kept[key] = n
             continue
-        factors = [values.get(gen, SuperExpr.generator(gen)) ** exp for gen, exp in even]
-        factors += [values.get(gen, SuperExpr.generator(gen)) for gen in odd]
+        factors = [values[gen] ** e if gen in values else _raw({e * gen.unit: 1}) for gen, e in _factors(key)]
         *head, last = factors
         triples.append((n, math.prod(head[1:], start=head[0]) if head else _ONE, last))
     if not triples:
         return expr
     total = sum_of_products([(1, _raw(kept), _ONE), *triples])
     return _reduced(total._nums, total._den * expr._den)
+
+
+def divide_by_degree(expr: SuperExpr) -> SuperExpr:
+    """Each term divided by its total degree (odd factors count once each),
+    read from its key: the numerators over one common multiple of the
+    degrees.  Raises ``ZeroDivisionError`` on a constant term."""
+    degrees = {key: _degree(key) for key in expr._nums}
+    if 0 in degrees.values():
+        raise ZeroDivisionError("a constant term has degree 0")
+    common = math.lcm(*degrees.values())
+    return _reduced({key: n * (common // degrees[key]) for key, n in expr._nums.items()}, expr._den * common)

@@ -259,13 +259,14 @@ def interior(x_field: VectorFieldAlong, form: GradedForm) -> GradedForm:
 
 def transpose_vertical(form: GradedForm, k: int) -> GradedForm:
     """Transpose of the vertical endomorphism on one-forms over T^k:
-    ``dx_{j+1}`` becomes ``(j+1) dx_j`` and bottom differentials vanish."""
+    ``dx_{j+1}`` becomes ``(j+1) dx_j`` and bottom differentials vanish;
+    a coefficient of ``dx_1`` is kept as it is."""
     if not form.is_one_form():
         raise FormError("the vertical transpose acts on one-forms")
     if max(form.differential_order(), form.coefficient_order()) > k:
         raise OrderExceeded(f"form does not live on T^{k}")
     return GradedForm({
-        (word[0].shifted(-1),): word[0].jet_order * coeff
+        (word[0].shifted(-1),): coeff if word[0].jet_order == 1 else word[0].jet_order * coeff
         for word, coeff in form._terms.items()
         if word[0].jet_order
     })

@@ -27,6 +27,7 @@ from .algebra import (
     GeneratorSymbol,
     Parity,
     SuperExpr,
+    divide_by_degree,
     exact_quotient,
     has_parity,
     koszul,
@@ -36,6 +37,7 @@ from .algebra import (
     partials,
     substitute,
     sum_of_products,
+    times_term,
 )
 from .forms import (
     CheckForm,
@@ -813,7 +815,7 @@ def conservation_witness(
             for mono in monomials[comp_parity]:
                 label = (base, mono)
                 if label not in products:
-                    products[label] = column_factor * mono
+                    products[label] = times_term(column_factor, mono)
                 columns.append(products[label])
                 labels.append(label)
         solution = _solve_rational(columns, target)
@@ -848,20 +850,17 @@ def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], Supe
     with left partials and u_a^(j) multiplied on the left; T is even, so
     the integration by parts adds no sign.  The inner sums are the sweep's
     homotopy parts, and since the sum over a and i keeps the degree of
-    each term, the 1/d is applied term by term to the whole sum.  F is
-    meaningful only when every variational derivative and the constant
-    term of the target vanish; nothing here checks that."""
+    each term, the 1/d is applied term by term to the whole sum
+    (``divide_by_degree``).  F is meaningful only when every variational
+    derivative and the constant term of the target vanish; nothing here
+    checks that."""
     derivatives: dict[GeneratorSymbol, SuperExpr] = {}
     parts = []
     derivs = partials(target)
     for base in sorted({g.shifted(-g.jet_order) for g in derivs}, key=lambda g: g.sort_key):
         derivatives[base], part = _sweep(derivs, base)
         parts += part
-    homotopy = sum_of_products(parts)
-    return derivatives, SuperExpr({
-        (even, odd): coeff / (sum(e for _, e in even) + len(odd))
-        for (even, odd), coeff in homotopy.items()
-    })
+    return derivatives, divide_by_degree(sum_of_products(parts))
 
 
 def check_symmetry(

@@ -574,7 +574,7 @@ def _field_schedule(
     chains = [
         (which, _chain(index, even, odd))
         for which, component in enumerate(components)
-        for even, odd in component.numerators()[0]
+        for (even, odd), _ in component.items()
     ]
     support = start != 0
     while True:

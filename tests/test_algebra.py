@@ -28,7 +28,17 @@ from supermech import (
     substitute,
     total_derivative,
 )
-from supermech.algebra import koszul, sum_of_products
+from supermech.algebra import (
+    MAX_TERM_EXPONENT,
+    AlgebraError,
+    ExponentTooLarge,
+    divide_by_degree,
+    exact_quotient,
+    koszul,
+    shift_derivative,
+    sum_of_products,
+    times_term,
+)
 
 from helpers import (
     factor_list,
@@ -215,8 +225,18 @@ def test_supercommutativity_randomized():
         assert a * b == sign * (b * a)
 
 
+# Generators interned in reverse sort order, base indices past the chart's:
+# each term key holds their bits against the order ``items()`` gives, so
+# every sign of putting a word from one order in the other is exercised.
+LATE = [
+    GeneratorSymbol(name, parity, base, j)
+    for name, parity, base in (
+        ("late_chi", Parity.ODD, 3), ("late_eta", Parity.ODD, 2), ("late_w", Parity.EVEN, 2)
+    )
+    for j in (2, 1, 0)
+]
 # The order-2 chart has six odd generators, so products merge long words.
-GENS = CHART.at_order(2).coordinates()
+GENS = (*CHART.at_order(2).coordinates(), *LATE)
 COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 EXPRS = st.lists(
     st.tuples(COEFFS, st.lists(st.sampled_from(GENS), max_size=5)), max_size=6
@@ -546,3 +566,133 @@ def test_substitute_is_a_homomorphism_randomized():
         assert substitute(a + b, assignment) == substitute(a, assignment) + substitute(
             b, assignment
         )
+
+
+# -- packed term keys ----------------------------------------------------------
+
+ODD_GENS = [g for g in GENS if g.parity is Parity.ODD]
+EVEN_GENS = [g for g in GENS if g.parity is Parity.EVEN]
+# every term has an odd word, of one to three letters, and up to two more
+# factors
+WORDED = st.lists(
+    st.tuples(
+        COEFFS.filter(bool),
+        st.lists(st.sampled_from(ODD_GENS), min_size=1, max_size=3),
+        st.lists(st.sampled_from(GENS), max_size=2),
+    ).map(lambda t: (t[0], t[1] + t[2])),
+    max_size=4,
+).map(normalize)
+BODIES = st.lists(
+    st.tuples(COEFFS, st.lists(st.sampled_from(EVEN_GENS), max_size=4)), max_size=4
+).map(normalize)
+
+
+@settings(max_examples=150)
+@given(WORDED, WORDED, st.sampled_from([1, -1]), st.sampled_from(ODD_GENS))
+def test_odd_words_in_both_operands_match_the_fraction_reference(a, b, sign, x):
+    fa, fb = fraction_terms(a), fraction_terms(b)
+    assert_exact(a * b, fraction_product(fa, fb))
+    assert_exact(
+        sum_of_products([(sign, a, b), (1, b, a)]),
+        fraction_sum([
+            *((key, sign * c) for key, c in fraction_product(fa, fb).items()),
+            *fraction_product(fb, fa).items(),
+        ]),
+    )
+    for key, c in fb.items():
+        assert_exact(times_term(a, SuperExpr({key: c})), fraction_product(fa, {key: c}))
+    for g, d in partials(a).items():
+        assert_exact(d, fraction_left_partial(fa, g))
+    assert_exact(shift_derivative(a), fraction_total_derivative(fa))
+    value = b.parity_split()[1]
+    assert_exact(substitute(a, {x: value}), fraction_substitute(fa, {x: fraction_terms(value)}))
+
+
+@settings(max_examples=100)
+@given(BODIES, BODIES.filter(lambda b: not b.is_zero()))
+def test_exact_quotient_matches_the_fraction_reference(a, b):
+    fa = fraction_terms(a)
+    dividend = SuperExpr(fraction_product(fa, fraction_terms(b)))
+    assert_exact(exact_quotient(dividend, b), fa)
+    if b.total_degree():
+        # b divides a*b + 1 only when it divides 1
+        with pytest.raises(AlgebraError, match="does not divide"):
+            exact_quotient(dividend + 1, b)
+
+
+@settings(max_examples=100)
+@given(WIDE_EXPRS)
+def test_divide_by_degree_matches_the_fraction_reference(e):
+    fe = fraction_terms(e)
+    if e.constant_term():
+        with pytest.raises(ZeroDivisionError):
+            divide_by_degree(e)
+    else:
+        assert_exact(divide_by_degree(e), {key: c / len(factor_list(key)) for key, c in fe.items()})
+
+
+def test_exponents_past_a_field_width_add_and_stop_at_the_guard():
+    q, q0, q1 = coord("q", 0), gen("q", 0), gen("q", 1)
+    assert str(q**64 * q**64) == "q[0]^128"
+    assert str((q**64) ** 64) == "q[0]^4096"
+    assert str(((q**64) ** 64) ** 64) == "q[0]^262144"
+    top = SuperExpr({(((q0, MAX_TERM_EXPONENT),), ()): 1})
+    assert top.total_degree() == MAX_TERM_EXPONENT
+    assert left_partial(top, q0) == MAX_TERM_EXPONENT * SuperExpr({(((q0, MAX_TERM_EXPONENT - 1),), ()): 1})
+    # a carry out of q[0]'s field raises, and never reaches the next field
+    with pytest.raises(ExponentTooLarge, match=f"q\\[0\\] exceeds {MAX_TERM_EXPONENT}"):
+        top * q
+    with pytest.raises(ExponentTooLarge, match=f"q\\[0\\] exceeds {MAX_TERM_EXPONENT}"):
+        sum_of_products([(1, q, coord("th", 0)), (1, top, q)])
+    with pytest.raises(ExponentTooLarge, match="q\\[1\\]"):
+        shift_derivative(SuperExpr({(((q0, 1), (q1, MAX_TERM_EXPONENT)), ()): 1}))
+    with pytest.raises(ExponentTooLarge, match=f"{MAX_TERM_EXPONENT + 1} of q\\[0\\]"):
+        SuperExpr({(((q0, MAX_TERM_EXPONENT + 1),), ()): 1})
+    with pytest.raises(ExponentTooLarge):
+        SuperExpr({(((q0, MAX_TERM_EXPONENT), (q0, 1)), ()): 1})
+
+
+def test_mapping_keys_are_ordered_products_in_any_bit_order():
+    chi0, eta0, eta1 = (GeneratorSymbol(n, Parity.ODD, b, j) for n, b, j in (
+        ("late_chi", 3, 0), ("late_eta", 2, 0), ("late_eta", 2, 1)
+    ))
+    w0 = GeneratorSymbol("late_w", Parity.EVEN, 2, 0)
+    # interned in reverse: the bits run against the sort order
+    assert eta1.offset < eta0.offset and chi0.offset < eta0.offset
+    forward = SuperExpr({((), (eta0, eta1)): 1})
+    assert forward.items() == [(((), (eta0, eta1)), 1)]
+    assert str(forward) == "late_eta[0]*late_eta[1]"
+    assert SuperExpr({((), (eta1, eta0)): 1}) == -forward
+    assert SuperExpr({((), (eta1, eta0)): 2, ((), (eta0, eta1)): 2}).is_zero()
+    assert SuperExpr({((), (eta0, eta0)): 1}).is_zero()
+    word = SuperExpr({(((w0, 2),), (chi0, eta1, eta0)): Fraction(3, 2)})
+    assert word == normalize([(Fraction(3, 2), [w0, chi0, eta1, w0, eta0])])
+    assert word.items() == [((((w0, 2),), (eta0, eta1, chi0)), Fraction(-3, 2))]
+    assert str(word) == "-3/2*late_w[0]^2*late_eta[0]*late_eta[1]*late_chi[0]"
+
+
+def test_generators_that_share_a_sort_key_stay_apart():
+    first = Chart.create(["x"], ["th"], 1)
+    second = Chart.create(["y"], ["ps"], 1)
+    x, th = first.coord("x", 0), first.coord("th", 0)
+    y, ps = second.coord("y", 0), second.coord("ps", 0)
+    gx, gth, gy, gps = first.gen("x", 0), first.gen("th", 0), second.gen("y", 0), second.gen("ps", 0)
+    assert gx.sort_key == gy.sort_key and gth.sort_key == gps.sort_key
+    e = x * y + th * ps + x * th
+    assert e.generators() == {gx, gy, gth, gps}
+    assert (x * y).items() in ([((((gx, 1), (gy, 1)), ()), 1)], [((((gy, 1), (gx, 1)), ()), 1)])
+    assert x * y == y * x and x * y != x**2 and x * y != y**2
+    assert th * ps == -(ps * th) and not (th * ps).is_zero()
+    assert (th * ps * th).is_zero()
+    assert partials(x * y + th * ps) == {gx: y, gy: x, gth: ps, gps: -th}
+    assert substitute(e, {gx: SuperExpr.constant(2)}) == 2 * y + th * ps + 2 * th
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_pickling_goes_through_the_public_mapping():
+    expr = Fraction(1, 2) * coord("q", 1) ** 3 * coord("th", 0) * coord("ps", 2) - coord("r", 0)
+    rebuild, (mapping,) = expr.__reduce__()
+    assert rebuild is SuperExpr
+    assert mapping == dict(expr.items())
+    assert all(isinstance(g, GeneratorSymbol) for key in mapping for g in factor_list(key))
+    assert copy.deepcopy(expr) == expr and pickle.loads(pickle.dumps(expr)) == expr

@@ -22,6 +22,7 @@ from supermech import (
     parse_problem,
     problems,
 )
+from supermech.algebra import MAX_TERM_EXPONENT
 from supermech.cli import latex_expr, latex_form, main
 from supermech.problems import MAX_NESTING
 
@@ -508,6 +509,23 @@ def _order_two_odd_sector_outputs():
 def test_order_two_odd_sector_outputs_are_fixed(argv, expected, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
+def test_huge_exponent_output_is_fixed(capsys):
+    # q[0]^262144 from three nested powers: each exponent adds within the
+    # field of its generator in a term key
+    expected = (ROOT / "data" / "huge-exponent.derive.json").read_text(encoding="utf-8")
+    assert main(["derive", str(ROOT / "data" / "huge-exponent.sm")]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_exponent_past_the_field_limit_exits_one(problem_file, capsys):
+    # q[0]^(2^31) does not fit the exponent field of a term key
+    path = problem_file("order 1; even q; L = 1/2*q[1]^2 - (((((q[0]^64)^64)^64)^64)^64)^2;\n")
+    assert main(["derive", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"supermech: an exponent of q[0] exceeds {MAX_TERM_EXPONENT}, the largest a term can hold\n"
 
 
 def test_calls_in_one_process_share_a_parser_and_leak_nothing(monkeypatch, capsys):
