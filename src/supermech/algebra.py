@@ -729,10 +729,12 @@ def parity_of(expr: SuperExpr) -> Parity:
     if expr.is_zero():
         raise ZeroExpression("the zero expression has no definite parity")
     odd = _ODD
-    parities = {(key & odd).bit_count() & 1 for key in expr._nums}
-    if len(parities) > 1:
-        raise MixedParity(f"expression {expr} mixes parities")
-    return Parity.ODD if parities.pop() else Parity.EVEN
+    keys = iter(expr._nums)
+    first = (next(keys) & odd).bit_count() & 1
+    for key in keys:
+        if (key & odd).bit_count() & 1 != first:
+            raise MixedParity(f"expression {expr} mixes parities")
+    return Parity.ODD if first else Parity.EVEN
 
 
 def has_parity(expr: SuperExpr, parity: Parity) -> bool:
@@ -743,74 +745,6 @@ def has_parity(expr: SuperExpr, parity: Parity) -> bool:
         return parity_of(expr) is parity
     except MixedParity:
         return False
-
-
-def exact_quotient(dividend: SuperExpr, divisor: SuperExpr) -> SuperExpr:
-    """The quotient of two expressions free of odd generators when the
-    divisor divides the dividend in Q[even generators].  Raises
-    ``AlgebraError`` when it does not (a nonzero remainder) or when an
-    operand has an odd generator.
-
-    Division cancels the leading term of the remainder, in the order of the
-    packed keys as ints (lexicographic, the generator interned last weighing
-    most), until nothing is left.  A quotient term is the difference of two
-    keys: each field's guard bit, set before the subtraction, is still set
-    after it exactly where that field did not go negative.  An exact
-    quotient has at most ``deg_x(dividend) - deg_x(divisor)`` factors of
-    each x; a quotient term past that bound means a remainder, and within
-    it no field of a product overflows, so an empty remainder is an
-    identity of polynomials.  The numerators stay ints: the quotient is
-    kept times a scale that grows by what the divisor's leading coefficient
-    does not divide."""
-    odd, guards = _ODD, _GUARDS
-    if any(key & odd for key in dividend._nums) or any(key & odd for key in divisor._nums):
-        raise AlgebraError("exact division takes expressions free of odd generators")
-    if divisor.is_zero():
-        raise ZeroDivisionError("division of a SuperExpr by zero")
-    if len(divisor._nums) == 1 and 0 in divisor._nums:
-        return dividend / divisor.constant_term()
-    top_degree: dict[GeneratorSymbol, int] = {}
-    for expr, sign in ((dividend, 1), (divisor, -1)):
-        degree: dict[GeneratorSymbol, int] = {}
-        for key in expr._nums:
-            for g, e in _factors(key):
-                if e > degree.get(g, 0):
-                    degree[g] = e
-        for g, e in degree.items():
-            top_degree[g] = top_degree.get(g, 0) + sign * e
-    if dividend._nums and min(top_degree.values()) < 0:
-        raise AlgebraError(f"{divisor} does not divide {dividend}")
-    bound = sum(e * g.unit for g, e in top_degree.items()) + guards
-    rest = dict(dividend._nums)
-    terms = divisor._nums
-    lead = max(terms)
-    lead_coeff = terms[lead]
-    quotient: dict[int, int] = {}
-    scale = 1
-    while rest:
-        top = max(rest)
-        n = rest[top]
-        # a field that went negative or past its bound clears its guard
-        shift = top + guards - lead
-        if shift & guards != guards or (bound + guards - shift) & guards != guards:
-            raise AlgebraError(f"{divisor} does not divide {dividend}")
-        shift -= guards
-        grow = abs(lead_coeff) // math.gcd(n, lead_coeff)
-        if grow != 1:
-            scale *= grow
-            rest = {key: m * grow for key, m in rest.items()}
-            quotient = {key: m * grow for key, m in quotient.items()}
-            n *= grow
-        coeff = n // lead_coeff
-        quotient[shift] = coeff
-        for key, m in terms.items():
-            key += shift
-            acc = rest.get(key, 0) - coeff * m
-            if acc:
-                rest[key] = acc
-            else:
-                del rest[key]
-    return _reduced({key: n * divisor._den for key, n in quotient.items()}, scale * dividend._den)
 
 
 def partials(expr: SuperExpr) -> dict[GeneratorSymbol, SuperExpr]:

@@ -28,7 +28,6 @@ from .algebra import (
     Parity,
     SuperExpr,
     divide_by_degree,
-    exact_quotient,
     has_parity,
     koszul,
     normalize,
@@ -221,43 +220,40 @@ def cartan_data(lag: SuperLagrangian) -> CartanData:
 
 def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]] | None]:
     """Determinant and adjugate of a square matrix A whose entries are free
-    of odd generators, by fraction-free Gauss-Jordan elimination on
-    ``[A | I]`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams,
-    SIGSAM Bull. 31(3), 1997).  A singular matrix has a determinant of 0
-    and no adjugate.
-
-    Step k takes the first row at or below k with a nonzero entry in
-    column k as its pivot row (a swap flips the sign) and replaces each
-    other row by ``(p_k row_i - a_ik row_k) / p_(k-1)``, with p_k the k-th
-    pivot and ``p_(-1) = 1``: an exact division, by Sylvester's identity.
-    After step k the rows are p_k times those of Gauss-Jordan with unit
-    pivots, so the columns up to k are not read again and not updated, an
-    entry p_(k-1) with nothing to subtract becomes p_k, and the run ends
-    at ``[d I | M]`` with ``det A = ±d`` and ``adj A = ±M``.  A column
-    with no pivot makes the matrix singular.
+    of odd generators.  A singular matrix has a determinant of 0 and no
+    adjugate.
 
     A constant matrix is scaled by the least common multiple s of its
-    denominators and eliminated on ints, each division checked by
-    ``divmod``; then ``det = ±d / s^n`` and ``adj = ±M / s^(n-1)``.  Any
-    other matrix is eliminated on its entries, in the integral domain
-    Q[even generators], with ``exact_quotient``.
+    denominators and eliminated on ints by fraction-free Gauss-Jordan on
+    ``[A | I]`` (Bareiss, Math. Comp. 22, 1968; Nakos, Turner & Williams,
+    SIGSAM Bull. 31(3), 1997).  Step k takes the first row at or below k
+    with a nonzero entry in column k as its pivot row (a swap flips the
+    sign) and replaces each other row by ``(p_k row_i - a_ik row_k) /
+    p_(k-1)``, with p_k the k-th pivot and ``p_(-1) = 1``: an exact
+    division by Sylvester's identity, checked by ``divmod``.  After step k
+    the rows are p_k times those of Gauss-Jordan with unit pivots, so the
+    columns up to k are not read again and not updated, an entry p_(k-1)
+    with nothing to subtract becomes p_k, and the run ends at ``[d I | M]``
+    with ``det = ±d / s^n`` and ``adj = ±M / s^(n-1)``.  A column with no
+    pivot makes the matrix singular.
+
+    Any other matrix runs the Faddeev-LeVerrier recurrence from ``M_0 =
+    0`` and ``c_0 = 1``, ``M_k = A M_(k-1) + c_(k-1) I`` and ``c_k =
+    -tr(A M_k) / k``, which divides only by the integers 1..n: ``det A =
+    (-1)^n c_n`` and ``adj A = (-1)^(n+1) M_n``.
     """
     n = len(matrix)
-    constant = all(e.max_jet_order() < 0 for row in matrix for e in row)
-    if constant:
-        values = [[e.constant_term() for e in row] for row in matrix]
-        scale = math.lcm(*(v.denominator for row in values for v in row))
-        one, quotient, nonzero = 1, _int_quotient, bool
-        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in values]
-    else:
-        one, quotient, nonzero = SuperExpr.constant(1), exact_quotient, lambda e: not e.is_zero()
-        rows = [list(row) for row in matrix]
-    zero = one - one
-    for i, row in enumerate(rows):
-        row += [one if i == j else zero for j in range(n)]
-    sign, previous = 1, one
+    if any(e.max_jet_order() >= 0 for row in matrix for e in row):
+        return _faddeev_leverrier(matrix)
+    values = [[e.constant_term() for e in row] for row in matrix]
+    scale = math.lcm(*(v.denominator for row in values for v in row))
+    rows = [
+        [v.numerator * (scale // v.denominator) for v in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(values)
+    ]
+    sign, previous = 1, 1
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if nonzero(rows[i][k])), None)
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot_row is None:
             return SuperExpr.zero(), None
         if pivot_row != k:
@@ -269,21 +265,34 @@ def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, lis
             if i == k:
                 continue
             factor = row[k]
-            live = nonzero(factor)
             for j in range(k + 1, 2 * n):
                 a = row[j]
-                if live and nonzero(line[j]):
-                    row[j] = quotient(pivot * a - factor * line[j], previous)
+                if factor and line[j]:
+                    row[j] = _int_quotient(pivot * a - factor * line[j], previous)
                 elif a == previous:
                     row[j] = pivot
-                elif nonzero(a):
-                    row[j] = quotient(pivot * a, previous)
+                elif a:
+                    row[j] = _int_quotient(pivot * a, previous)
         previous = pivot
-    if not constant:
-        return sign * previous, [[sign * e for e in row[n:]] for row in rows]
     return SuperExpr.constant(Fraction(sign * previous, scale**n)), [
         [SuperExpr.constant(Fraction(sign * e, scale ** (n - 1))) for e in row[n:]] for row in rows
     ]
+
+
+def _faddeev_leverrier(a: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]] | None]:
+    n = len(a)
+    one = SuperExpr.constant(1)
+    # M_1 = I and A M_1 = A
+    m, product = [[one if i == j else SuperExpr.zero() for j in range(n)] for i in range(n)], a
+    for k in range(1, n + 1):
+        c = sum_of_products((-1, product[i][i], one) for i in range(n)) / k
+        if k < n:
+            m = [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(product)]
+            product = [[sum_of_products((1, x, y) for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+    if c.is_zero():
+        return SuperExpr.zero(), None
+    sign = (-1) ** n
+    return sign * c, [[-sign * e for e in row] for row in m]
 
 
 def _int_quotient(dividend: int, divisor: int) -> int:

@@ -30,10 +30,8 @@ from supermech import (
 )
 from supermech.algebra import (
     MAX_TERM_EXPONENT,
-    AlgebraError,
     ExponentTooLarge,
     divide_by_degree,
-    exact_quotient,
     koszul,
     shift_derivative,
     sum_of_products,
@@ -571,7 +569,6 @@ def test_substitute_is_a_homomorphism_randomized():
 # -- packed term keys ----------------------------------------------------------
 
 ODD_GENS = [g for g in GENS if g.parity is Parity.ODD]
-EVEN_GENS = [g for g in GENS if g.parity is Parity.EVEN]
 # every term has an odd word, of one to three letters, and up to two more
 # factors
 WORDED = st.lists(
@@ -581,9 +578,6 @@ WORDED = st.lists(
         st.lists(st.sampled_from(GENS), max_size=2),
     ).map(lambda t: (t[0], t[1] + t[2])),
     max_size=4,
-).map(normalize)
-BODIES = st.lists(
-    st.tuples(COEFFS, st.lists(st.sampled_from(EVEN_GENS), max_size=4)), max_size=4
 ).map(normalize)
 
 
@@ -606,18 +600,6 @@ def test_odd_words_in_both_operands_match_the_fraction_reference(a, b, sign, x):
     assert_exact(shift_derivative(a), fraction_total_derivative(fa))
     value = b.parity_split()[1]
     assert_exact(substitute(a, {x: value}), fraction_substitute(fa, {x: fraction_terms(value)}))
-
-
-@settings(max_examples=100)
-@given(BODIES, BODIES.filter(lambda b: not b.is_zero()))
-def test_exact_quotient_matches_the_fraction_reference(a, b):
-    fa = fraction_terms(a)
-    dividend = SuperExpr(fraction_product(fa, fraction_terms(b)))
-    assert_exact(exact_quotient(dividend, b), fa)
-    if b.total_degree():
-        # b divides a*b + 1 only when it divides 1
-        with pytest.raises(AlgebraError, match="does not divide"):
-            exact_quotient(dividend + 1, b)
 
 
 @settings(max_examples=100)

@@ -427,26 +427,38 @@ def test_simulate_output_is_fixed(argv, expected, code, capsys):
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
-def _coprime_outputs():
-    """The commands on a dense mass matrix whose coefficients have
-    pairwise-coprime denominators, with the outputs they must print."""
-    problem, data = str(ROOT / "data" / "coprime.sm"), ROOT / "data"
-    symmetry = data / "coprime.noether_symmetry.time.json"
+def _system_outputs(name):
+    """The derive and time-symmetry noether commands on
+    ``tests/data/<name>.sm``, both directions, with the outputs they must
+    print; derive --emit latex where its output is stored."""
+    problem, data = str(ROOT / "data" / f"{name}.sm"), ROOT / "data"
+    symmetry = data / f"{name}.noether_symmetry.time.json"
     charge = json.loads(symmetry.read_text(encoding="utf-8"))["charge"]
+    latex = data / f"{name}.derive.latex.txt"
     return [
-        pytest.param(["derive", problem], data / "coprime.derive.json", id="derive"),
-        pytest.param(["derive", problem, "--emit", "latex"], data / "coprime.derive.latex.txt", id="derive.latex"),
+        pytest.param(["derive", problem], data / f"{name}.derive.json", id="derive"),
+        *([pytest.param(["derive", problem, "--emit", "latex"], latex, id="derive.latex")] if latex.exists() else []),
         pytest.param(["noether", problem, "--symmetry", "time"], symmetry, id="noether_symmetry"),
         pytest.param(
             ["noether", problem, f"--from-charge={charge}"],
-            data / "coprime.noether_inverse.time.json",
+            data / f"{name}.noether_inverse.time.json",
             id="noether_inverse",
         ),
     ]
 
 
-@pytest.mark.parametrize("argv, expected", _coprime_outputs())
+@pytest.mark.parametrize("argv, expected", _system_outputs("coprime"))
 def test_coprime_denominator_outputs_are_fixed(argv, expected, capsys):
+    # a dense mass matrix whose coefficients have pairwise-coprime
+    # denominators
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, expected", _system_outputs("sheared"))
+def test_polynomial_body_outputs_are_fixed(argv, expected, capsys):
+    # a regular system whose body has entries in z[0] and determinant 1:
+    # the determinant and adjugate are found over polynomials
     assert main(argv) == 0
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 

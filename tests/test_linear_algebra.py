@@ -1,8 +1,9 @@
 """The exact linear-algebra kernels against their references: the
-fraction-free determinant and adjugate against Laplace expansion and
-sympy, with the exact division in Q[even generators] that it runs on;
-the sparse rational elimination against dense Gauss-Jordan; and the
-affine split that reads a field equation as a row of a linear system."""
+determinant and adjugate (integer Bareiss elimination on a constant
+matrix, Faddeev-LeVerrier on a polynomial one) against Laplace expansion
+and sympy; the sparse rational elimination against dense Gauss-Jordan;
+and the affine split that reads a field equation as a row of a linear
+system."""
 
 import random
 from fractions import Fraction
@@ -12,8 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermech import AlgebraError, Chart, SingularSystem, SuperExpr, normalize
-from supermech.algebra import exact_quotient
+from supermech import Chart, SingularSystem, SuperExpr, normalize
 from supermech.lagrangian import _affine_split, _det_adjugate, _solve_rational
 
 from helpers import dense_solve_rational, laplace_adjugate, laplace_det, random_expr
@@ -133,31 +133,71 @@ def test_constant_det_adjugate_runs_on_integers(monkeypatch):
     assert not det.is_zero() and len(adjugate) == 12
 
 
-nonzero_polynomials = even_polynomials().filter(lambda p: not p.is_zero())
+def mass_body(n, seed):
+    """The body of a mass matrix with one position-dependent mass per row:
+    ``c_i + x_(i+1)^2`` on the diagonal, the index taken mod n, and
+    symmetric rational couplings off it; the same matrix over sympy
+    symbols."""
+    rng = random.Random(seed)
+    chart = Chart.create([f"x{i}" for i in range(n)], [], 1)
+    xs = [chart.coord(f"x{i}", 0) for i in range(n)]
+    symbols = sympy.symbols(f"x0:{n}")
+    body = [[None] * n for _ in range(n)]
+    reference = sympy.zeros(n, n)
+    for i in range(n):
+        c = rng.randint(1, 5)
+        body[i][i] = c + xs[(i + 1) % n] ** 2
+        reference[i, i] = c + symbols[(i + 1) % n] ** 2
+        for j in range(i + 1, n):
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            body[i][j] = body[j][i] = SuperExpr.constant(c)
+            reference[i, j] = reference[j, i] = sympy.Rational(c.numerator, c.denominator)
+    return body, reference, dict(zip(chart.at_order(0).coordinates(), symbols))
 
 
-@settings(max_examples=100)
-@given(even_polynomials(), nonzero_polynomials)
-def test_exact_quotient_undoes_a_product(p, q):
-    assert exact_quotient(p * q, q) == p
+def to_sympy(expr, symbols):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(symbols[g] ** e for g, e in even))
+        for (even, _), c in expr.items()
+    ))
 
 
-@settings(max_examples=100)
-@given(even_polynomials(), nonzero_polynomials.filter(lambda q: q.total_degree() > 0), st.data())
-def test_exact_quotient_rejects_a_non_multiple(p, q, data):
-    # a nonzero r of lower degree than q is no multiple of q, so neither
-    # is p*q + r
-    r = data.draw(nonzero_polynomials.filter(lambda r: r.total_degree() < q.total_degree()))
-    with pytest.raises(AlgebraError):
-        exact_quotient(p * q + r, q)
+@pytest.mark.parametrize(
+    "n, singular", [(4, False), (5, False), (6, False), (3, True)], ids=["4", "5", "6", "3-singular"]
+)
+def test_polynomial_det_adjugate_matches_sympy(n, singular):
+    body, reference, symbols = mass_body(n, n)
+    if singular:
+        # the last row becomes x0 times the first plus the second
+        x0, s0 = next(iter(symbols.items()))
+        body[-1] = [SuperExpr.generator(x0) * a + b for a, b in zip(body[0], body[1])]
+        reference[n - 1, :] = s0 * reference[0, :] + reference[1, :]
+    det, adjugate = _det_adjugate(body)
+    assert sympy.expand(to_sympy(det, symbols) - reference.det(method="berkowitz")) == 0
+    if singular:
+        assert det.is_zero() and adjugate is None
+        return
+    expected = reference.adjugate(method="berkowitz")
+    for i in range(n):
+        for j in range(n):
+            assert sympy.expand(to_sympy(adjugate[i][j], symbols) - expected[i, j]) == 0
 
 
-@pytest.mark.parametrize("odd_side", ["dividend", "divisor"])
-def test_exact_quotient_rejects_odd_generators(odd_side):
-    x, theta = SuperExpr.generator(EVENS[0]), SuperExpr.generator(CHART.gen("th", 0))
-    operands = (x * theta, x) if odd_side == "dividend" else (x * x, x + theta)
-    with pytest.raises(AlgebraError):
-        exact_quotient(*operands)
+def test_polynomial_det_adjugate_divides_only_by_one_to_n(monkeypatch):
+    # Faddeev-LeVerrier's one division per step, c_k = -tr(A M_k) / k: no
+    # division by an expression, as polynomial elimination would need
+    divisors = []
+    real = SuperExpr.__truediv__
+
+    def counted(self, other):
+        divisors.append(other)
+        return real(self, other)
+
+    body, _, _ = mass_body(5, 5)
+    monkeypatch.setattr(SuperExpr, "__truediv__", counted)
+    det, adjugate = _det_adjugate(body)
+    assert divisors == [1, 2, 3, 4, 5] and all(type(d) is int for d in divisors)
+    assert not det.is_zero() and len(adjugate) == 5
 
 
 # pairwise coprime column denominators, and one for the target that no
