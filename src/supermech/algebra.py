@@ -22,7 +22,10 @@ skipped when the denominator is 1.  ``sum_of_products`` is the one product
 routine: it adds every term pair of a sum of signed products straight into
 one dict and normalises once per result, the role of the geobucket in Yan,
 "The geobucket data structure for polynomials", J. Symb. Comp. 25 (1998);
-``*``, ``-`` and ``SuperExpr.sum`` are its cases.  Every operation returns
+``*``, ``-`` and ``SuperExpr.sum`` are its cases.  ``from_monomials`` is
+the one packer of raw terms: ``SuperExpr(mapping)``, ``normalize``, the
+parser and the witness monomials hand it ordered products of powers
+``(generator, exponent)``.  Every operation returns
 the unique canonical form, so equality is equality of the denominators and
 the numerator dicts.
 
@@ -336,25 +339,28 @@ def _too_large(key: int) -> ExponentTooLarge:
 
 def _pack(factors: Iterable[tuple[GeneratorSymbol, int]]) -> tuple[int, int] | None:
     """``(sign, key)`` of an ordered product of factors ``g^e``, or None
-    when it is zero (an odd factor repeats).  Each factor adds its units to
-    the key, and an odd one crosses the odd factors before it whose bits
-    lie above its own, a sign each."""
+    when it is zero (an odd factor repeats or has an exponent above 1).
+    Each factor adds its units to the key, and an odd one crosses the odd
+    factors before it whose bits lie above its own, a sign each.  The
+    guard bits are checked after each factor: a field below its guard bit
+    takes an exponent of at most ``MAX_TERM_EXPONENT`` with no carry out,
+    so a generator may repeat."""
     key = mask = swaps = 0
     for g, e in factors:
+        if e < 1:
+            raise ValueError(f"the exponent {e} of {g} is not positive")
         if g.sort_key[0]:
             if e > 1 or mask & g.unit:
                 return None
             swaps += (mask & -g.unit).bit_count()
             mask |= g.unit
-        elif e < 1:
-            raise ValueError(f"the exponent {e} of {g} is not positive")
         elif e > MAX_TERM_EXPONENT:
             raise ExponentTooLarge(
                 f"the exponent {e} of {g} exceeds {MAX_TERM_EXPONENT}, the largest a term can hold"
             )
         key += e * g.unit
-    if key & _GUARDS:
-        raise _too_large(key)
+        if key & _GUARDS:
+            raise _too_large(key)
     return -1 if swaps & 1 else 1, key
 
 
@@ -381,24 +387,16 @@ class SuperExpr:
     term key over one positive denominator with no factor common to all of
     them (``1`` for zero).  ``SuperExpr(mapping)`` takes ``Fraction`` (or
     int) coefficients by ``(even-monomial, odd-word)`` key, each an ordered
-    product."""
+    product, and sums them in ``from_monomials``."""
 
     __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, terms: Mapping[TermKey, Scalar] | None = None):
-        coeffs: dict[int, Scalar] = {}
-        for (even, odd), c in (terms or {}).items():
-            packed = _pack([*even, *((g, 1) for g in odd)]) if c else None
-            if packed is not None:
-                sign, key = packed
-                coeffs[key] = coeffs.get(key, 0) + sign * c
-        coeffs = {key: c for key, c in coeffs.items() if c}
-        # the least common multiple of reduced denominators leaves no common
-        # factor, so the result is canonical without a gcd
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        self._nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
-        self._den = den
-        self._hash: int | None = None
+        expr = from_monomials(
+            (c.numerator, c.denominator, [*even, *((g, 1) for g in odd)])
+            for (even, odd), c in (terms or {}).items()
+        )
+        self._nums, self._den, self._hash = expr._nums, expr._den, None
 
     def __reduce__(self):
         # the packed keys depend on the order generators were interned, so
@@ -522,8 +520,12 @@ class SuperExpr:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
+        # a constant (or zero) equals its Fraction, so it hashes as one
         if self._hash is None:
-            self._hash = hash((frozenset(self._nums.items()), self._den))
+            nums = self._nums
+            self._hash = (
+                hash(self.constant_term()) if nums.keys() <= {0} else hash((frozenset(nums.items()), self._den))
+            )
         return self._hash
 
     # -- display -----------------------------------------------------------
@@ -631,26 +633,6 @@ def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> Supe
     return _reduced(out, den)
 
 
-def times_term(expr: SuperExpr, term: SuperExpr) -> SuperExpr:
-    """``expr * term`` for a one-term ``term``, with no product formed:
-    each key of ``expr`` plus the term's key, a term dropped where the odd
-    words overlap and signed by their crossings.  Distinct keys stay
-    distinct, so nothing is added."""
-    ((k2, n2),) = term._nums.items()
-    odd, guards = _ODD, _GUARDS
-    o2 = k2 & odd
-    nums = {}
-    for k1, n1 in expr._nums.items():
-        o1 = k1 & odd
-        if o1 & o2:
-            continue
-        key = k1 + k2
-        if key & guards:
-            raise _too_large(key)
-        nums[key] = -n1 * n2 if o1 and _crossings(o1, o2) & 1 else n1 * n2
-    return _reduced(nums, expr._den * term._den)
-
-
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
     if isinstance(value, SuperExpr):
         return value
@@ -682,22 +664,23 @@ def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None
                     if gen not in allowed:
                         raise UndeclaredGenerator(f"generator {gen} is not declared")
             coeff = Fraction(coeff)
-            yield coeff.numerator, coeff.denominator, factors
+            yield coeff.numerator, coeff.denominator, [(gen, 1) for gen in factors]
 
     return from_monomials(monomials())
 
 
-def from_monomials(terms: Iterable[tuple[int, int, Sequence[GeneratorSymbol]]]) -> SuperExpr:
+def from_monomials(terms: Iterable[tuple[int, int, Iterable[tuple[GeneratorSymbol, int]]]]) -> SuperExpr:
     """The canonical sum of monomials ``numerator / denominator * factors``,
-    each denominator positive and each factor list an ordered product,
-    packed by ``_pack`` (a repeated odd factor kills the term).  The sum
-    runs on integer numerators over the least common denominator, with one
-    gcd."""
+    each denominator positive and each factor list an ordered product of
+    powers ``(generator, exponent)``, a generator free to repeat: the one
+    packer of raw terms.  Each monomial is packed by ``_pack`` (an odd
+    power above 1 or a repeated odd factor kills it), and the sum runs on
+    integer numerators over the least common denominator, with one gcd."""
     nums: dict[int, int] = {}
     get = nums.get
     den = 1
     for num, d, factors in terms:
-        packed = _pack((gen, 1) for gen in factors) if num else None
+        packed = _pack(factors) if num else None
         if packed is None:
             continue
         sign, key = packed
@@ -781,8 +764,9 @@ def left_partial(expr: SuperExpr, gen: GeneratorSymbol) -> SuperExpr:
 
 
 def shift_derivative(expr: SuperExpr) -> SuperExpr:
-    """The sum over generators g of ``g' * d(expr)/dg``, left partials, with
-    g' the generator one jet order up: the total time derivative.
+    """The total time derivative (``jets.total_derivative``), one jet order
+    above its argument: the sum over generators g of ``g' * d(expr)/dg``,
+    left partials, with g' the generator one jet order up.
 
     Each factor g of a term becomes g' in place: the key loses g's unit and
     gains g''s.  An odd g' moves from g's bit to its own past the odd bits

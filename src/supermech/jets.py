@@ -128,10 +128,7 @@ def _chart(base_even: tuple[str, ...], base_odd: tuple[str, ...], order: int) ->
     return Chart(base_even, base_odd, order)
 
 
-def total_derivative(expr: SuperExpr) -> SuperExpr:
-    """The total time derivative: shifts each subscript up through the
-    graded chain rule.  Output lives one order higher than the input."""
-    return shift_derivative(expr)
+total_derivative = shift_derivative
 
 
 def iterated_total_derivative(expr: SuperExpr, times: int) -> SuperExpr:

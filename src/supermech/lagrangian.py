@@ -28,15 +28,14 @@ from .algebra import (
     Parity,
     SuperExpr,
     divide_by_degree,
+    from_monomials,
     has_parity,
     koszul,
-    normalize,
     parity_of,
     parity_product,
     partials,
     substitute,
     sum_of_products,
-    times_term,
 )
 from .forms import (
     CheckForm,
@@ -656,9 +655,9 @@ def _monomials(
         for subset in itertools.combinations(odds, subset_size):
             budget = max_degree - subset_size
             for exponents in _exponent_vectors(len(evens), budget):
-                factors = [g for g, e in zip(evens, exponents) for _ in range(e)]
-                factors.extend(subset)
-                out.append(normalize([(1, factors)]))
+                factors = [(g, e) for g, e in zip(evens, exponents) if e]
+                factors.extend((g, 1) for g in subset)
+                out.append(from_monomials([(1, 1, factors)]))
     return out
 
 
@@ -824,7 +823,7 @@ def conservation_witness(
             for mono in monomials[comp_parity]:
                 label = (base, mono)
                 if label not in products:
-                    products[label] = times_term(column_factor, mono)
+                    products[label] = column_factor * mono
                 columns.append(products[label])
                 labels.append(label)
         solution = _solve_rational(columns, target)

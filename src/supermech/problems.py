@@ -31,10 +31,10 @@ initial data up to 2k-1.  Every error carries a line and column.
 The tokens come from one ``findall`` pass as plain strings, each with a
 kind read from its first character; an error scans again for its line
 and column.  A term of integers, coordinates, powers and divisions by
-constants is collected as a coefficient and a list of factors, and the
-terms of an expression are made canonical once, together
-(``algebra.from_monomials``); only a factor in parentheses is multiplied
-out with ``SuperExpr`` arithmetic.
+constants is collected as a coefficient and a list of powers
+``(coordinate, exponent)``, and the terms of an expression are made
+canonical once, together (``algebra.from_monomials``); only a factor in
+parentheses is multiplied out with ``SuperExpr`` arithmetic.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ class _Parser:
         monomial, and the monomials are made canonical together at the end;
         a term with a factor in parentheses is multiplied out."""
         kinds = self.kinds
-        monomials: list[tuple[int, int, list[GeneratorSymbol]]] = []
+        monomials: list[tuple[int, int, list[tuple[GeneratorSymbol, int]]]] = []
         products: list[SuperExpr] = []
         sign = 1
         while True:
@@ -301,7 +301,7 @@ class _Parser:
         sign: int,
         chart: Chart,
         max_index: int,
-        monomials: list[tuple[int, int, list[GeneratorSymbol]]],
+        monomials: list[tuple[int, int, list[tuple[GeneratorSymbol, int]]]],
         products: list[SuperExpr],
     ) -> None:
         """``factor (('*' | '/') factor)*`` times ``sign``, as a monomial
@@ -312,9 +312,9 @@ class _Parser:
         num, den, factors = sign, 1, []
         product: SuperExpr | None = None
         while True:
-            coeff, gens, sub = self.parse_factor(chart, max_index)
+            coeff, power, sub = self.parse_factor(chart, max_index)
             num *= coeff
-            factors += gens
+            factors += power
             if sub is not None:
                 head = from_monomials([(num, den, factors)])
                 product = head * sub if product is None else product * head * sub
@@ -322,8 +322,8 @@ class _Parser:
             while kinds[self.pos] == "/":
                 slash = self.pos
                 self.pos += 1
-                coeff, gens, sub = self.parse_factor(chart, max_index)
-                constant = not gens and (sub is None or sub.max_jet_order() < 0)
+                coeff, power, sub = self.parse_factor(chart, max_index)
+                constant = not power and (sub is None or sub.max_jet_order() < 0)
                 if not constant or not coeff or (sub is not None and sub.is_zero()):
                     raise self.error("division is only defined by nonzero constants", slash)
                 if sub is None:
@@ -344,11 +344,12 @@ class _Parser:
 
     def parse_factor(
         self, chart: Chart, max_index: int
-    ) -> tuple[int, list[GeneratorSymbol], SuperExpr | None]:
-        """``('+' | '-')* atom ('^' INT)?`` as ``(coefficient, generators,
-        expression)``: an integer power, a coordinate repeated by its
-        exponent, or a power of a parenthesised expression (else None),
-        with the signs in the coefficient."""
+    ) -> tuple[int, list[tuple[GeneratorSymbol, int]], SuperExpr | None]:
+        """``('+' | '-')* atom ('^' INT)?`` as ``(coefficient, powers,
+        expression)``: an integer power, a coordinate's power as one
+        ``(coordinate, exponent)`` (none at exponent 0), or a power of a
+        parenthesised expression (else None), with the signs in the
+        coefficient."""
         kinds, texts = self.kinds, self.texts
         pos = self.pos
         outer = depth = self.depth
@@ -360,14 +361,14 @@ class _Parser:
             pos += 1
         kind = kinds[pos]
         value = 1
-        gens: list[GeneratorSymbol] = []
+        power: list[tuple[GeneratorSymbol, int]] = []
         sub = None
         if kind == "INT":
             value = int(texts[pos])
             pos += 1
         elif kind == "NAME":
             self.pos = pos
-            gens.append(self.parse_coordinate(chart, max_index))
+            power.append((self.parse_coordinate(chart, max_index), 1))
             pos = self.pos
         elif kind == "(":
             self.depth = self.nested(depth, pos)
@@ -393,12 +394,12 @@ class _Parser:
             pos = index + 1
             if sub is not None:
                 sub = sub**exponent
-            elif gens:
-                gens *= exponent
+            elif power:
+                power = [(power[0][0], exponent)] if exponent else []
             else:
                 value **= exponent
         self.pos = pos
-        return coeff * value, gens, sub
+        return coeff * value, power, sub
 
     def parse_coordinate(self, chart: Chart, max_index: int) -> GeneratorSymbol:
         """``NAME '[' INT ']'``: a declared coordinate with a subscript up

@@ -24,6 +24,7 @@ from supermech import (
     normalize,
     parity_of,
     parity_product,
+    parse_expression,
     partials,
     substitute,
     total_derivative,
@@ -32,10 +33,10 @@ from supermech.algebra import (
     MAX_TERM_EXPONENT,
     ExponentTooLarge,
     divide_by_degree,
+    from_monomials,
     koszul,
     shift_derivative,
     sum_of_products,
-    times_term,
 )
 
 from helpers import (
@@ -355,6 +356,50 @@ def test_normalize_is_canonical_and_matches_the_fraction_reference(raw):
     assert_exact(normalize(raw), fraction_normalize(raw))
 
 
+# Terms as a coefficient and an ordered product of powers ``(generator,
+# exponent)``, in which a generator may repeat; an odd power above 1 is zero.
+# The parser reads the chart's coordinates only.
+POWER_TERMS = st.lists(
+    st.tuples(
+        WIDE_COEFFS,
+        st.lists(st.tuples(st.sampled_from(CHART.at_order(2).coordinates()), st.integers(1, 3)), max_size=5),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150)
+@given(POWER_TERMS)
+def test_every_way_into_an_expression_matches_the_fraction_reference(terms):
+    raw = [(c, [g for g, e in powers for _ in range(e)]) for c, powers in terms]
+    reference = fraction_normalize(raw)
+    # a mapping key holds the even powers, then the odd word: even factors
+    # commute with everything, so the product is the same
+    mapping = {}
+    for c, powers in terms:
+        key = (
+            tuple((g, e) for g, e in powers if g.parity is Parity.EVEN),
+            tuple(g for g, e in powers if g.parity is Parity.ODD for _ in range(e)),
+        )
+        mapping[key] = mapping.get(key, 0) + c
+    text = " + ".join(
+        f"{c.numerator}/{c.denominator}" + "".join(f"*{g}^{e}" for g, e in powers) for c, powers in terms
+    )
+    assert_exact(SuperExpr(mapping), reference)
+    assert_exact(normalize(raw), reference)
+    assert_exact(parse_expression(text or "0", CHART, 2), reference)
+
+
+def test_constants_hash_as_the_numbers_they_equal():
+    for value in (1, Fraction(1, 2), 0):
+        expr = SuperExpr.constant(value)
+        assert expr == value and hash(expr) == hash(value)
+        assert len({expr, value}) == 1
+        assert {value: "number"}[expr] == "number" and {expr: "expression"}[value] == "expression"
+    members = {SuperExpr.zero(), 0, SuperExpr.constant(1), 1, Fraction(1, 2), SuperExpr.constant(Fraction(1, 2))}
+    assert len(members) == 3
+
+
 @settings(max_examples=100)
 @given(WIDE_EXPRS, WIDE_EXPRS, WIDE_EXPRS, st.sampled_from(GENS), st.sampled_from(GENS))
 def test_substitute_is_canonical_and_matches_the_fraction_reference(e, u, v, x, y):
@@ -594,7 +639,7 @@ def test_odd_words_in_both_operands_match_the_fraction_reference(a, b, sign, x):
         ]),
     )
     for key, c in fb.items():
-        assert_exact(times_term(a, SuperExpr({key: c})), fraction_product(fa, {key: c}))
+        assert_exact(a * SuperExpr({key: c}), fraction_product(fa, {key: c}))
     for g, d in partials(a).items():
         assert_exact(d, fraction_left_partial(fa, g))
     assert_exact(shift_derivative(a), fraction_total_derivative(fa))
@@ -630,8 +675,20 @@ def test_exponents_past_a_field_width_add_and_stop_at_the_guard():
         shift_derivative(SuperExpr({(((q0, 1), (q1, MAX_TERM_EXPONENT)), ()): 1}))
     with pytest.raises(ExponentTooLarge, match=f"{MAX_TERM_EXPONENT + 1} of q\\[0\\]"):
         SuperExpr({(((q0, MAX_TERM_EXPONENT + 1),), ()): 1})
+    # exponents of one generator summing past the field, from each way in:
+    # three of the largest would carry past the guard bit into the next field
     with pytest.raises(ExponentTooLarge):
         SuperExpr({(((q0, MAX_TERM_EXPONENT), (q0, 1)), ()): 1})
+    with pytest.raises(ExponentTooLarge, match="q\\[0\\]"):
+        SuperExpr({(((q0, MAX_TERM_EXPONENT),) * 3, ()): 1})
+    with pytest.raises(ExponentTooLarge, match="q\\[0\\]"):
+        from_monomials([(1, 1, [(q0, MAX_TERM_EXPONENT), (gen("th", 0), 1), (q0, MAX_TERM_EXPONENT), (q1, 1)])])
+    # the parser's exponents stop at 64, so its powers reach the field's top
+    # through parentheses: 64^5 is 2^30
+    power = "((((q[0]^64)^64)^64)^64)^64"
+    assert str(parse_expression(power, CHART, 2)) == f"q[0]^{2**30}"
+    with pytest.raises(ExponentTooLarge, match="q\\[0\\]"):
+        parse_expression(f"q[0]*{power}*q[0]^63*{power}", CHART, 2)
 
 
 def test_mapping_keys_are_ordered_products_in_any_bit_order():

@@ -26,6 +26,8 @@ from supermech.algebra import MAX_TERM_EXPONENT
 from supermech.cli import latex_expr, latex_form, main
 from supermech.problems import MAX_NESTING
 
+from pinned import pinned_outputs
+
 ROOT = Path(__file__).parent
 PROBLEMS = ROOT.parent / "problems"
 REFERENCE = ROOT.parent / "perfbench" / "reference"
@@ -377,158 +379,111 @@ def test_simulate_trajectory_out(problem_file, tmp_path, capsys):
     assert len(lines) == 1 + 1001 * 2
 
 
-def _fixed_outputs():
-    """Every command on each shipped problem with the output it must print:
-    simulate reports in tests/data, derive and noether reports in the
-    benchmark's reference outputs.  An inverse command starts from the
-    charge its symmetry command printed.  One sparse n=8 system's
-    simulate report is pinned too, and the derive reports of two systems
-    whose leading matrix is not constant, which exit 1: one whose
-    determinant depends on the point and one whose determinant is
-    identically zero."""
+# Every pinned output (tests/pinned.py) is checked by exactly one test,
+# under a stable test id: a few outputs have tests of their own, the
+# problems of OWN_PROBLEMS one test each, and every other output is checked
+# by test_simulate_output_is_fixed.
+PINNED = pinned_outputs()
+OWN_TESTS = (
+    "dense-N2-M1-k2.derive.latex",
+    "dense-N4-M2-k1.derive",
+    "dense-N4-M2-k1.noether_symmetry.time",
+    "dense-N4-M2-k1.noether_inverse.time",
+    "huge-exponent.derive",
+)
+OWN_PROBLEMS = ("coprime", "sheared", "dense-N2-M1-k2")
 
-    def case(argv, expected, id, code=0):
-        return pytest.param(argv, expected, code, id=id)
 
+def assert_pinned(stem, capsys) -> str:
+    """Run a pinned command and check its exit code and output."""
+    argv, expected, code = PINNED[stem]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == expected.read_text(encoding="utf-8")
+    return out
+
+
+def _shared_cases():
+    """The pinned outputs of no other test, each id'd by its stem; a
+    simulate report, and a derive report that exits 1, by the problem's
+    name alone."""
     cases = []
-    for name in ("oscillator", "ostrogradski", "superparticle"):
-        problem = str(PROBLEMS / f"{name}.sm")
-        cases += [
-            case(["simulate", problem], ROOT / "data" / f"{name}.simulate.json", name),
-            case(["derive", problem], REFERENCE / f"{name}.derive.txt", f"{name}.derive"),
-            case(
-                ["derive", problem, "--emit", "latex"],
-                REFERENCE / f"{name}.derive.latex.txt",
-                f"{name}.derive.latex",
-            ),
-        ]
-        for path in sorted(REFERENCE.glob(f"{name}.noether_symmetry.*.txt")):
-            symmetry = path.name.split(".")[2]
-            charge = json.loads(path.read_text(encoding="utf-8"))["charge"]
-            inverse = REFERENCE / f"{name}.noether_inverse.{symmetry}.txt"
-            cases += [
-                case(["noether", problem, "--symmetry", symmetry], path, path.stem),
-                case(["noether", problem, f"--from-charge={charge}"], inverse, inverse.stem),
-            ]
-    # the seed-1 benchmark system N1-M1-k1-n8-s100: its run touches 11 of
-    # the 512 coefficients of each value
-    sparse = ROOT / "data" / "sparse-n8"
-    cases.append(case(["simulate", f"{sparse}.sm"], sparse.with_suffix(".simulate.json"), "sparse-n8"))
-    for name in ("indeterminate", "degenerate-mass"):
-        data = ROOT / "data" / name
-        cases.append(case(["derive", f"{data}.sm"], data.with_suffix(".derive.json"), name, code=1))
+    for stem, (_, _, code) in PINNED.items():
+        name, command = stem.split(".")[:2]
+        if name not in OWN_PROBLEMS and stem not in OWN_TESTS:
+            cases.append(pytest.param(stem, id=name if command == "simulate" or code else stem))
     return cases
 
 
-@pytest.mark.parametrize("argv, expected, code", _fixed_outputs())
-def test_simulate_output_is_fixed(argv, expected, code, capsys):
-    # the expected reports fix every drift value to the last bit
-    assert main(argv) == code
-    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
-
-
-def _system_outputs(name):
-    """The derive and time-symmetry noether commands on
-    ``tests/data/<name>.sm``, both directions, with the outputs they must
-    print; derive --emit latex where its output is stored."""
-    problem, data = str(ROOT / "data" / f"{name}.sm"), ROOT / "data"
-    symmetry = data / f"{name}.noether_symmetry.time.json"
-    charge = json.loads(symmetry.read_text(encoding="utf-8"))["charge"]
-    latex = data / f"{name}.derive.latex.txt"
+def _problem_cases(name):
+    """The pinned outputs of ``tests/data/<name>.sm`` without a test of
+    their own, each id'd by its command."""
     return [
-        pytest.param(["derive", problem], data / f"{name}.derive.json", id="derive"),
-        *([pytest.param(["derive", problem, "--emit", "latex"], latex, id="derive.latex")] if latex.exists() else []),
-        pytest.param(["noether", problem, "--symmetry", "time"], symmetry, id="noether_symmetry"),
-        pytest.param(
-            ["noether", problem, f"--from-charge={charge}"],
-            data / f"{name}.noether_inverse.time.json",
-            id="noether_inverse",
-        ),
+        pytest.param(stem, id=stem.partition(".")[2].removesuffix(".time"))
+        for stem in PINNED
+        if stem.startswith(f"{name}.") and stem not in OWN_TESTS
     ]
 
 
-@pytest.mark.parametrize("argv, expected", _system_outputs("coprime"))
-def test_coprime_denominator_outputs_are_fixed(argv, expected, capsys):
+@pytest.mark.parametrize("stem", _shared_cases())
+def test_simulate_output_is_fixed(stem, capsys):
+    # the shipped problems, the sparse n=8 system of the seed-1 benchmark,
+    # and two systems whose leading matrix is not constant, which exit 1:
+    # the simulate reports fix every drift value to the last bit
+    assert_pinned(stem, capsys)
+
+
+@pytest.mark.parametrize("stem", _problem_cases("coprime"))
+def test_coprime_denominator_outputs_are_fixed(stem, capsys):
     # a dense mass matrix whose coefficients have pairwise-coprime
     # denominators
-    assert main(argv) == 0
-    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+    assert_pinned(stem, capsys)
 
 
-@pytest.mark.parametrize("argv, expected", _system_outputs("sheared"))
-def test_polynomial_body_outputs_are_fixed(argv, expected, capsys):
+@pytest.mark.parametrize("stem", _problem_cases("sheared"))
+def test_polynomial_body_outputs_are_fixed(stem, capsys):
     # a regular system whose body has entries in z[0] and determinant 1:
     # the determinant and adjugate are found over polynomials
-    assert main(argv) == 0
-    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+    assert_pinned(stem, capsys)
 
 
-def test_dense_witness_output_is_fixed(capsys):
-    # the dense-symbolic benchmark system N4-M2-k1 of seed 1, with its
-    # time charge: the witness search solves a 44-column rational system
-    # with odd coordinates
-    expected = (ROOT / "data" / "dense-N4-M2-k1.noether_inverse.time.json").read_text(encoding="utf-8")
-    charge = json.loads(expected)["charge"]
-    assert main(["noether", str(ROOT / "data" / "dense-N4-M2-k1.sm"), f"--from-charge={charge}"]) == 0
-    assert capsys.readouterr().out == expected
+@pytest.mark.parametrize("stem", _problem_cases("dense-N2-M1-k2"))
+def test_order_two_odd_sector_outputs_are_fixed(stem, capsys):
+    # the dense-symbolic benchmark system N2-M1-k2 of seed 1: order 2, with
+    # the odd coordinate th0 solved as a constraint sector (th0[1..3])
+    assert_pinned(stem, capsys)
 
 
 def test_second_order_odd_square_latex_output_is_fixed(capsys):
-    # an order-2 system with one odd coordinate: Omega_L carries the odd
-    # square d th0[0] ^ d th0[0], which survives, in the LaTeX printer
-    expected = (ROOT / "data" / "dense-N2-M1-k2.derive.latex.txt").read_text(encoding="utf-8")
-    assert main(["derive", str(ROOT / "data" / "dense-N2-M1-k2.sm"), "--emit", "latex"]) == 0
-    out = capsys.readouterr().out
+    # the same system: Omega_L carries the odd square d th0[0] ^ d th0[0],
+    # which survives, in the LaTeX printer
+    out = assert_pinned("dense-N2-M1-k2.derive.latex", capsys)
     assert r"\mathrm{d}\mathrm{th0}_{0} \wedge \mathrm{d}\mathrm{th0}_{0}" in out
-    assert out == expected
 
 
 def test_dense_odd_coupled_derive_output_is_fixed(capsys):
-    # the same system's derive report: a REGULAR system whose x1*th0*th1
-    # coupling gives products with odd words in both factors
-    expected = (ROOT / "data" / "dense-N4-M2-k1.derive.json").read_text(encoding="utf-8")
-    assert main(["derive", str(ROOT / "data" / "dense-N4-M2-k1.sm")]) == 0
-    assert capsys.readouterr().out == expected
+    # the dense-symbolic benchmark system N4-M2-k1 of seed 1: a REGULAR
+    # system whose x1*th0*th1 coupling gives products with odd words in
+    # both factors
+    assert_pinned("dense-N4-M2-k1.derive", capsys)
 
 
 def test_dense_odd_coupled_symmetry_output_is_fixed(capsys):
     # the same system's time symmetry: the rate X^(1)(L) and the homotopy
     # sweeps that give F carry the odd-coupled terms of the Lagrangian
-    expected = (ROOT / "data" / "dense-N4-M2-k1.noether_symmetry.time.json").read_text(encoding="utf-8")
-    assert main(["noether", str(ROOT / "data" / "dense-N4-M2-k1.sm"), "--symmetry", "time"]) == 0
-    assert capsys.readouterr().out == expected
+    assert_pinned("dense-N4-M2-k1.noether_symmetry.time", capsys)
 
 
-def _order_two_odd_sector_outputs():
-    """The dense-symbolic benchmark system N2-M1-k2 of seed 1: order 2,
-    with the odd coordinate th0 solved as a constraint sector
-    (th0[1..3]), and the outputs its commands must print."""
-    problem, data = str(ROOT / "data" / "dense-N2-M1-k2.sm"), ROOT / "data"
-    symmetry = data / "dense-N2-M1-k2.noether_symmetry.time.json"
-    charge = json.loads(symmetry.read_text(encoding="utf-8"))["charge"]
-    return [
-        pytest.param(["derive", problem], data / "dense-N2-M1-k2.derive.json", id="derive"),
-        pytest.param(["noether", problem, "--symmetry", "time"], symmetry, id="noether_symmetry"),
-        pytest.param(
-            ["noether", problem, f"--from-charge={charge}"],
-            data / "dense-N2-M1-k2.noether_inverse.time.json",
-            id="noether_inverse",
-        ),
-    ]
-
-
-@pytest.mark.parametrize("argv, expected", _order_two_odd_sector_outputs())
-def test_order_two_odd_sector_outputs_are_fixed(argv, expected, capsys):
-    assert main(argv) == 0
-    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+def test_dense_witness_output_is_fixed(capsys):
+    # the same system's time charge: the witness search solves a 44-column
+    # rational system with odd coordinates
+    assert_pinned("dense-N4-M2-k1.noether_inverse.time", capsys)
 
 
 def test_huge_exponent_output_is_fixed(capsys):
     # q[0]^262144 from three nested powers: each exponent adds within the
     # field of its generator in a term key
-    expected = (ROOT / "data" / "huge-exponent.derive.json").read_text(encoding="utf-8")
-    assert main(["derive", str(ROOT / "data" / "huge-exponent.sm")]) == 0
-    assert capsys.readouterr().out == expected
+    assert_pinned("huge-exponent.derive", capsys)
 
 
 def test_exponent_past_the_field_limit_exits_one(problem_file, capsys):
