@@ -54,14 +54,15 @@ Integration is classic fixed-step fourth-order Runge-Kutta, stored as one
 ``(steps + 1, coordinates, 2**n)`` array.
 
 Checks: the initial state's parity is checked when the ``NumericState``
-is built and its constraints before the first step; a field with a
-component that is not of its coordinate's parity is refused before the
-first step, whether or not the data reaches that component's terms;
-every stored state is checked for finiteness, a block of steps at a
-time, and the first one that is not finite is an error; a ``Trajectory``
-checks the parity of its states' nonzero coefficients when it is built,
-by one mask test over the whole array; drift is measured on every stored
-state, and a quantity or residual that is not finite there is an error.
+is built; a field with a component that is not of its coordinate's parity
+is refused before the first step, whether or not the data reaches that
+component's terms; every stored state is checked for finiteness, a block
+of steps at a time, and the first one that is not finite is an error; a
+``Trajectory`` checks the parity of its states' nonzero coefficients when
+it is built, by one mask test over the whole array.  The initial
+constraint residuals, before the first step, and the reports, on every
+stored state, are checked by one rule (``_largest_norms``): the first
+state, then output, whose value or drift is not finite is an error.
 Numeric failures are reported by these checks alone: numpy's overflow
 warnings are silenced while integrating and reporting.
 """
@@ -590,16 +591,28 @@ def _field_schedule(
     return schedule
 
 
-def _finite_norms(values: np.ndarray, first: int, labels: Sequence[str]) -> np.ndarray:
-    """The ``(states, quantities)`` sup norms of ``(states, quantities,
-    2**n)`` values whose first state is stored at step ``first``; raises
-    on the first state, then quantity, whose norm is not finite."""
-    norms = np.abs(values).max(axis=-1)
-    finite = np.isfinite(norms)
-    if not finite.all():
-        step, which = np.argwhere(~finite)[0]
-        raise NumericError(f"non-finite {labels[which]} at step {first + step}")
-    return norms
+def _largest_norms(schedule: _Schedule, states: np.ndarray, labels, drifts=None) -> np.ndarray:
+    """The largest sup norm of each output of ``schedule`` over the
+    ``(count, coordinates, 2**n)`` states: of its value or, with ``drifts``,
+    of its change from the first state.  Raises on the first state, then
+    output, whose value (named by ``labels``) or change (by ``drifts``) is
+    not finite."""
+    worst, start = np.zeros(schedule.outputs), None
+    # overflow is reported by the finiteness check alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, values in schedule.evaluate(states):
+            norms = np.abs(values).max(axis=-1)
+            finite = np.isfinite(norms)
+            if drifts is not None:
+                start = values[0] if start is None else start
+                norms = np.abs(values - start).max(axis=-1)
+            bad = ~(finite & np.isfinite(norms))
+            if bad.any():
+                step, which = np.argwhere(bad)[0]
+                label = (labels if not finite[step, which] else drifts)[which]
+                raise NumericError(f"non-finite {label} at step {first + step}")
+            worst = np.maximum(worst, norms.max(axis=0))
+    return worst
 
 
 def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
@@ -613,9 +626,15 @@ def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
     return GrassmannValue(state.directions, values[0, 0])
 
 
-def _constraint_residuals(dynamics: Dynamics):
+def _residual_norms(dynamics: Dynamics, coordinates, directions: int, support, states) -> dict:
+    """Each solved constraint's largest residual sup norm over the states."""
     gens = [gen for gen in dynamics.constraints if gen.jet_order <= dynamics.order]
-    return gens, [SuperExpr.generator(gen) - dynamics.constraints[gen] for gen in gens]
+    if not gens:
+        return {}
+    residuals = [SuperExpr.generator(gen) - dynamics.constraints[gen] for gen in gens]
+    schedule = _Schedule(residuals, coordinates, directions, support)
+    labels = [f"residual of the {gen} constraint" for gen in gens]
+    return dict(zip(gens, _largest_norms(schedule, states, labels).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -665,17 +684,10 @@ class Trajectory:
         """Largest constraint residual over the whole run (zero when the
         dynamics has no constraints); raises on a residual that is not
         finite."""
-        gens, residuals = _constraint_residuals(self.dynamics)
-        if not residuals:
-            return 0.0
-        labels = [f"residual of the {gen} constraint" for gen in gens]
-        # overflow is reported by the finiteness check alone
-        schedule = _Schedule(residuals, self.coordinates, self.directions, self.support)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return max(
-                float(_finite_norms(values, first, labels).max())
-                for first, values in schedule.evaluate(self.values)
-            )
+        norms = _residual_norms(
+            self.dynamics, self.coordinates, self.directions, self.support, self.values
+        )
+        return max(norms.values(), default=0.0)
 
     def export_rows(self) -> list[str]:
         """Tab-separated rows: time, coordinate, subset mask, coefficient."""
@@ -889,20 +901,15 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
     start = _stack(initial, coordinates)
     schedule = _field_schedule(dynamics.field(), coordinates, directions, start)
 
+    norms = _residual_norms(dynamics, coordinates, directions, schedule.support, start[None])
+    for gen, norm in norms.items():
+        if norm > _CONSTRAINT_TOL:
+            raise ConstraintViolation(f"initial data violates {gen} constraint by {norm:.3e}")
+
+    values = np.zeros((steps + 1,) + start.shape)
+    values[0] = start
     # a blow-up is reported once, by the finiteness check, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        gens, residuals = _constraint_residuals(dynamics)
-        if residuals:
-            check = _Schedule(residuals, coordinates, directions, schedule.support)
-            _, residual = next(check.evaluate(start[None]))
-            for gen, norm in zip(gens, np.abs(residual[0]).max(axis=-1)):
-                if norm > _CONSTRAINT_TOL:
-                    raise ConstraintViolation(
-                        f"initial data violates {gen} constraint by {norm:.3e}"
-                    )
-
-        values = np.zeros((steps + 1,) + start.shape)
-        values[0] = start
         _rk4(schedule, values, dt, coordinates)
     times = (initial.time,) + tuple(initial.time + step * dt for step in range(1, steps + 1))
     return Trajectory(dynamics, times, coordinates, _frozen(values), directions)
@@ -921,14 +928,6 @@ def conservation_report(
         trajectory.directions,
         trajectory.support,
     )
-    start = None
-    worst = np.zeros(len(names))
-    # overflow is reported by the finiteness checks alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first, values in schedule.evaluate(trajectory.values):
-            _finite_norms(values, first, [f"value of {name}" for name in names])
-            if start is None:
-                start, values, first = values[0], values[1:], first + 1
-            norms = _finite_norms(values - start, first, [f"drift of {name}" for name in names])
-            worst = np.maximum(worst, norms.max(axis=0, initial=0.0))
-    return {name: float(value) for name, value in zip(names, worst)}
+    labels = [f"value of {name}" for name in names]
+    drifts = [f"drift of {name}" for name in names]
+    return dict(zip(names, _largest_norms(schedule, trajectory.values, labels, drifts).tolist()))

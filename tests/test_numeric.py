@@ -334,6 +334,30 @@ def test_integrate_rejects_violated_constraints():
         integrate(dyn, bad, dt=1e-3, t_end=1.0)
 
 
+NON_FINITE_RESIDUAL = """order 1; even x, y; odd a, b, c;
+L = 1/2*x[1]^2 + 1/2*y[1]^2 + 1/2*a[0]*a[1] + 1/2*b[0]*b[1] + 1/2*c[0]*c[1]
+    + x[0]*a[0]*b[0] + y[0]*a[0]*c[0];
+simulate { n = 2; dt = 0.1; t = 1.0; init x[0] = 1e200; init y[0] = 1e200;
+    init b[0] = 1e200*g[0]; init c[0] = %s; }
+"""
+
+
+@pytest.mark.parametrize("c0", ["-1e200*g[0]", "1e200*g[1]"], ids=["nan", "inf"])
+def test_integrate_rejects_a_non_finite_initial_residual(c0):
+    # the constraint a[1] = -x[0]*b[0] - y[0]*c[0] overflows: at a[1] = 0
+    # its residual is inf*g[0] - inf*g[0], NaN, or inf*g[0] + inf*g[1], inf.
+    # Both are refused before the first step, as the reports refuse a
+    # residual that is not finite, and not compared with the tolerance
+    problem = parse_problem(NON_FINITE_RESIDUAL % c0)
+    dyn = solve_dynamics(problem.lagrangian())
+    residual = r"^non-finite residual of the a\[1\] constraint at step 0$"
+    with mock.patch.object(numeric, "_rk4") as rk4:
+        with pytest.raises(NumericError, match=residual) as raised:
+            integrate(dyn, problem.initial_state(), dt=0.1, t_end=1.0)
+    assert type(raised.value) is NumericError
+    assert rk4.call_count == 0
+
+
 def test_integrate_rejects_bad_spans():
     chart, dyn = oscillator_dynamics()
     initial = NumericState(
@@ -590,7 +614,12 @@ def test_evaluation_on_nonzero_coefficients_stores_the_structural_floats(
         assert finite.all()
 
 
-def test_reports_name_a_quantity_that_is_not_finite():
+@pytest.mark.parametrize("chunk_bytes", [numeric._CHUNK_BYTES, 1], ids=["default", "one-state"])
+def test_reports_name_a_quantity_that_is_not_finite(monkeypatch, chunk_bytes):
+    # at one byte each chunk holds one state: the first chunk holds only
+    # the state the drifts start from, and a value can fail after it; the
+    # drifts and the steps named must be those of one chunk for all states
+    monkeypatch.setattr(numeric, "_CHUNK_BYTES", chunk_bytes)
     chart, dyn = superparticle_setup()
     coords = chart.at_order(1).coordinates()
     q1 = chart.coord("q", 1)
@@ -608,6 +637,9 @@ def test_reports_name_a_quantity_that_is_not_finite():
         conservation_report(run([1.0, 2.0, 1e200, 3.0], 0.0), {"speed": q1, "energy": q1 * q1})
     with pytest.raises(NumericError, match="^non-finite drift of speed at step 1$"):
         conservation_report(run([1e308, -1e308, 0.0, 0.0], 0.0), {"speed": q1})
+    # a drift that fails before a value does is named, whatever the chunks
+    with pytest.raises(NumericError, match="^non-finite drift of speed at step 1$"):
+        conservation_report(run([1e308, -1e308, math.inf, 0.0], 0.0), {"speed": q1})
     assert run(1.0, [0.0, 0.5, -2.0, 0.0]).constraint_drift() == 2.0
     residual = r"^non-finite residual of the th\[1\] constraint at step 3$"
     with pytest.raises(NumericError, match=residual):
@@ -909,6 +941,29 @@ def test_the_support_closes_before_the_one_schedule_is_built():
         schedule = schedule_for(dyn, problem.initial_state())
     assert build.call_count == 1 and passes.call_count > 1
     assert (schedule.state, schedule.ops) == (11, 207)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_the_closure_reaches_exactly_the_targets_of_the_schedule(seed, directions):
+    # ``_field_schedule`` maps each sum target to a state register through
+    # an uninitialised array, so ``_reached`` must yield, in order, the
+    # ``output * 2**n + mask`` of every sum of a schedule on the same
+    # support: random terms with even powers, odd factors and constants
+    rng, draws = random.Random(seed), np.random.default_rng(seed)
+    chart = Chart.create(["q", "p"], ["a", "b"], 1)
+    coords = chart.at_order(1).coordinates()
+    exprs = [random_expr(rng, chart, 1, 4, rng.randint(0, 6)) for _ in range(3)]
+    support = draws.random((len(coords), 1 << directions)) < rng.random()
+    index = {gen: row for row, gen in enumerate(coords)}
+    chains = [
+        (which, numeric._chain(index, even, odd))
+        for which, expr in enumerate(exprs)
+        for (even, odd), _ in expr.items()
+    ]
+    schedule = _Schedule(exprs, coords, directions, support)
+    reached = list(numeric._reached(chains, support, directions))
+    assert reached == schedule.sums[1].tolist()
 
 
 def test_schedule_is_built_once_per_run():
