@@ -275,7 +275,10 @@ def run_noether(problem: ProblemFile, symmetry: str | None, from_charge: str | N
                 },
             }
             return _render(report), 1
-        # certify_symmetry has checked conservation when the system is regular
+        # certify_symmetry has checked the first-variation identity, so the
+        # charge is constant along every solution of the field equations;
+        # only a regular system is known to have a dynamics, so only there
+        # is it reported conserved.  No dynamics is solved here.
         conserved = True if data.regularity.verdict is Regularity.REGULAR else None
         report = {
             "schema": SCHEMA_VERSION,

@@ -632,12 +632,33 @@ def is_sode(field: VectorFieldAlong) -> bool:
 
 def check_constant_of_motion(g_expr: SuperExpr, dyn: Dynamics) -> bool:
     """True when the dynamics field annihilates the quantity after the
-    solved constraints are imposed."""
+    solved constraints are imposed.
+
+    This needs the solved dynamics.  The certificates of charges and
+    witnesses need none: they check the first-variation identity
+    (``_check_first_variation``).  ``conservation_witness`` calls this
+    only to end its search early on a regular system."""
     value = dyn.field().apply(g_expr)
     return dyn.reduce(value).is_zero()
 
 
 # -- symmetry and conserved quantity correspondence ------------------------
+
+
+def _check_first_variation(
+    rate: SuperExpr, field: VectorFieldAlong, data: CartanData, failure: str
+) -> None:
+    """Check T(G) + i_W delta == 0 exactly, with ``rate`` the total
+    derivative T(G) of a quantity G and W a field along the projection to
+    the base; raise LagrangianError(failure) when it fails.
+
+    delta is semibasic at level 0, so i_W delta is sum_a W_a E_a over the
+    field equations E_a, with the Koszul sign of ``interior``.  The
+    identity holds on jets, off shell: it makes G constant along every
+    solution of the field equations, and no dynamics is solved to check it
+    (Olver, GTM 107, sections 4.3 and 5.3)."""
+    if not (rate + interior(field, data.delta).coefficient(())).is_zero():
+        raise LagrangianError(failure)
 
 
 def _monomials(
@@ -770,10 +791,12 @@ def conservation_witness(
     polynomials of growing degree, from the first degree a witness can
     have up to deg G + 2k; raises NoWitness when that bound is exhausted.
 
-    A witness makes the quantity constant on shell.  So once the search
-    reaches the quantity's own degree without a witness, a regular system
-    checks that along its dynamics, and a quantity that is not constant
-    raises NoWitness at once: no degree would give a witness."""
+    The witness found is checked by the first-variation identity
+    T(G) = -i_W delta (``_check_first_variation``), which makes the
+    quantity constant on shell.  So once the search reaches the
+    quantity's own degree without a witness, a regular system checks that
+    along its dynamics, and a quantity that is not constant raises
+    NoWitness at once: no degree would give a witness."""
     data = data or cartan_data(lag)
     chart = lag.chart
     k = lag.order
@@ -835,8 +858,7 @@ def conservation_witness(
                 parts.setdefault(base, []).append((1, SuperExpr.constant(coeff), mono))
         components = {base: sum_of_products(terms) for base, terms in parts.items()}
         witness = VectorFieldAlong(chart, 0, 2 * k - 1, components, g_parity)
-        if target + interior(witness, data.delta).coefficient(()) != SuperExpr.zero():
-            raise LagrangianError("witness verification failed")
+        _check_first_variation(target, witness, data, "witness verification failed")
         return witness
     raise NoWitness(
         f"no witness field with polynomial components of degree <= {cap}"
@@ -913,9 +935,15 @@ def noether_charge(
 ) -> SuperExpr:
     """The conserved quantity attached to a symmetry: the interior product
     of the (k-1)-th lift with the momentum form, minus the generating
-    function.  The result must only involve coordinates up to order 2k-1;
-    for a regular Lagrangian it is checked to be constant along the
-    dynamics."""
+    function.  The result must only involve coordinates up to order 2k-1.
+
+    With ``verify``, the charge Q is certified by the first-variation
+    identity T(Q) = -sum_a X_a E_a, with the symmetry X as its own witness
+    (``_check_first_variation``), on every system whatever its regularity.
+    The identity holds off shell, so Q is constant along every solution of
+    the field equations E_a = 0; on a regular system, whose body
+    determinant is a nonzero constant, that includes the solved dynamics.
+    No dynamics is solved here."""
     data = data or cartan_data(lag)
     k = lag.order
     charge = interior(lift_vector_field(x_field, k - 1), data.theta).coefficient(()) - generating
@@ -923,9 +951,11 @@ def noether_charge(
         raise NotProjectable(
             f"charge involves jet order {charge.max_jet_order()}, above {2 * k - 1}"
         )
-    regular = data.regularity.verdict is Regularity.REGULAR
-    if verify and regular and not check_constant_of_motion(charge, data.dynamics):
-        raise LagrangianError("charge verification failed: not constant along the dynamics")
+    if verify:
+        _check_first_variation(
+            expr_total_derivative(charge), x_field, data,
+            "charge verification failed: the first-variation identity does not hold",
+        )
     return charge
 
 
@@ -934,8 +964,9 @@ class NoetherCertificate:
     """A symmetry together with its generating function and charge.
 
     ``x_field`` raises the Lagrangian by the total derivative of
-    ``generating`` under the top-order lift, and ``charge`` is constant
-    along the dynamics.
+    ``generating`` under the top-order lift, and ``charge`` satisfies the
+    first-variation identity with ``x_field``, so it is constant along
+    every solution of the field equations.
     """
 
     x_field: VectorFieldAlong
@@ -949,9 +980,9 @@ def certify_symmetry(
     data: CartanData | None = None,
 ) -> NoetherCertificate:
     """Check the candidate field and bundle it with its generating
-    function and conserved charge, checked constant along the dynamics
-    when the system is regular; raises NotSymmetry when the field is not a
-    symmetry."""
+    function and conserved charge, certified by the first-variation
+    identity (``noether_charge``) without solving the dynamics; raises
+    NotSymmetry when the field is not a symmetry."""
     data = data or cartan_data(lag)
     generating = check_symmetry(x_field, lag)
     charge = noether_charge(x_field, generating, lag, data)

@@ -1,15 +1,21 @@
 """The two-way correspondence between symmetries and conserved charges."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfbench import gen
 from supermech import (
     Chart,
     LagrangianError,
     NotProjectable,
     NotSymmetry,
     Parity,
+    Regularity,
     SuperExpr,
     SuperLagrangian,
     VectorFieldAlong,
@@ -17,11 +23,15 @@ from supermech import (
     certify_symmetry,
     check_constant_of_motion,
     check_symmetry,
+    interior,
     noether_charge,
     noether_inverse,
     parse_problem,
     solve_dynamics,
+    total_derivative,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make(even, odd, order, build):
@@ -192,6 +202,20 @@ def test_charge_with_wrong_generating_function_fails_verification():
         noether_charge(x, SuperExpr.zero(), lag)
 
 
+def test_wrong_generating_function_fails_verification_on_a_degenerate_system():
+    # the first-variation identity needs no dynamics, so a charge is
+    # checked whatever the regularity: here the gauge system, whose time
+    # symmetry has generating function L, not 0
+    spec = parse_problem((ROOT / "tests" / "data" / "gauge.sm").read_text(encoding="utf-8"))
+    lag = spec.lagrangian()
+    data = cartan_data(lag)
+    assert data.regularity.verdict is Regularity.DEGENERATE
+    x = spec.symmetry_field("time")
+    assert check_symmetry(x, lag) == lag.expr
+    with pytest.raises(LagrangianError, match="first-variation identity"):
+        noether_charge(x, SuperExpr.zero(), lag, data)
+
+
 def test_charge_that_does_not_project_is_rejected():
     lag = second_order_chain()
     wide = lag.chart.at_order(3)
@@ -249,3 +273,43 @@ def test_inverse_of_zero_charge():
     witness, generating = noether_inverse(SuperExpr.zero(), lag)
     assert not witness.components
     assert generating.is_zero()
+
+
+# -- the first-variation identity ------------------------------------------
+
+
+def assert_charges_satisfy_the_first_variation_identity(text):
+    """Every declared symmetry's charge Q satisfies T(Q) = -i_X delta with
+    its symmetry X; on a regular system it is also constant along the
+    solved dynamics, the certificate the identity replaced."""
+    spec = parse_problem(text)
+    lag = spec.lagrangian()
+    data = cartan_data(lag)
+    regular = data.regularity.verdict is Regularity.REGULAR
+    for name in sorted(spec.symmetries):
+        x = spec.symmetry_field(name)
+        charge = noether_charge(x, check_symmetry(x, lag), lag, data, verify=False)
+        assert (total_derivative(charge) + interior(x, data.delta).coefficient(())).is_zero()
+        if regular:
+            assert check_constant_of_motion(charge, data.dynamics)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), st.integers(1, 2)
+)
+def test_generated_charges_satisfy_the_first_variation_identity(seed, n_even, n_odd, order):
+    system = gen.system(random.Random(seed), n_even, n_odd, order)
+    assert_charges_satisfy_the_first_variation_identity(system.text)
+
+
+SYMMETRIC_PROBLEMS = sorted(
+    path
+    for path in [*(ROOT / "problems").glob("*.sm"), *(ROOT / "tests" / "data").glob("*.sm")]
+    if parse_problem(path.read_text(encoding="utf-8")).symmetries
+)
+
+
+@pytest.mark.parametrize("path", SYMMETRIC_PROBLEMS, ids=[p.stem for p in SYMMETRIC_PROBLEMS])
+def test_declared_charges_satisfy_the_first_variation_identity(path):
+    assert_charges_satisfy_the_first_variation_identity(path.read_text(encoding="utf-8"))
