@@ -449,15 +449,6 @@ class SuperExpr:
         """Largest total degree of a term (odd factors count once each)."""
         return max(map(_degree, self._nums), default=0)
 
-    def parity_split(self) -> tuple["SuperExpr", "SuperExpr"]:
-        """Split into the even-parity and odd-parity parts."""
-        even_nums: dict[int, int] = {}
-        odd_nums: dict[int, int] = {}
-        odd = _ODD
-        for key, n in self._nums.items():
-            (odd_nums if (key & odd).bit_count() & 1 else even_nums)[key] = n
-        return _reduced(even_nums, self._den), _reduced(odd_nums, self._den)
-
     def body(self) -> "SuperExpr":
         """The terms free of odd generators."""
         odd = _ODD

@@ -10,11 +10,14 @@ Three subcommands work on problem files:
   drift.
 
 Reports are JSON on stdout (``--emit latex`` switches derive to LaTeX
-lines).  Exit code 0 means success, 1 a mathematical failure (not a
-symmetry, not regular, drift out of tolerance), 2 bad usage or input,
-or a stdout closed before the report is written.  A failure prints one
-``supermech: ...`` line on stderr instead of the report, a rejected
-option value included; ``--help`` prints its text and exits 0.  Output is
+lines).  Exit code 0 means success, 1 a mathematical failure, 2 bad
+usage or input, or a stdout closed before the report is written.  Three
+verdicts at exit 1 are reports, printed on stdout with nothing on
+stderr: ``derive`` of a system that is not regular, ``noether
+--symmetry`` of a field that is not a symmetry, and ``simulate`` with a
+drift out of tolerance.  Any other failure prints one ``supermech: ...``
+line on stderr and no report, a rejected option value included;
+``--help`` prints its text and exits 0.  Output is
 deterministic: identical inputs give identical bytes.  Only ``simulate``
 loads the numeric layer, and numpy with it.
 
@@ -327,7 +330,7 @@ def run_simulate(problem: ProblemFile, tol: float, trajectory_out: str | None):
     quantities: dict[str, SuperExpr] = {"energy": data.energy}
     for name in problem.symmetries:
         field = problem.symmetry_field(name)
-        # NotSymmetry, or a charge not constant along the dynamics -> exit 1
+        # NotSymmetry, or a charge that fails the first-variation identity -> exit 1
         quantities[name] = certify_symmetry(field, lag, data).charge
 
     sim = problem.simulation

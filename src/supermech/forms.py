@@ -75,10 +75,6 @@ class GradedForm:
         return GradedForm()
 
     @staticmethod
-    def from_function(f: SuperExpr) -> "GradedForm":
-        return GradedForm({(): f})
-
-    @staticmethod
     def differential(gen: GeneratorSymbol) -> "GradedForm":
         return GradedForm({(gen,): SuperExpr.constant(1)})
 

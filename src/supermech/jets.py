@@ -191,12 +191,6 @@ class VectorFieldAlong:
         comps = self.components
         return sum_of_products((1, comps[gen], d) for gen, d in partials(f).items() if gen in comps)
 
-    def widen_target(self, new_target: int) -> "VectorFieldAlong":
-        """View the same components along a taller projection."""
-        if new_target < self.target_order:
-            raise OrderExceeded("widening cannot lower the target order")
-        return VectorFieldAlong(self.chart, self.source_order, new_target, self.components, self.parity)
-
     def __add__(self, other: "VectorFieldAlong") -> "VectorFieldAlong":
         if (self.chart.base_names(), self.source_order, self.target_order) != (
             other.chart.base_names(),

@@ -5,10 +5,11 @@ coefficients: a value with ``n`` directions stores one coefficient per
 subset of the directions, indexed by bitmask.  Products merge disjoint
 subsets with the usual alternating sign and vanish on overlap, so
 symbolic identities evaluate exactly (up to roundoff) without any
-re-ordering logic here: canonical ordering happens upstream.  A per-``n``
-table lists the disjoint subset pairs ``(left mask, right mask, target
-mask, sign)``, ordered by left mask and then right mask; it is built on
-first use and cached.
+re-ordering logic here: canonical ordering happens upstream.  One routine,
+``_pairs``, pairs subsets: given two ascending mask lists it lists their
+disjoint pairs by left mask and then right mask, each with its target
+mask and sign, at a cost of one comparison per pair of masks; it caches
+its results.
 
 One product rule.  Polynomials are compiled once against a coordinate
 order and a support into a product schedule, ``_Schedule``: each term is
@@ -24,7 +25,7 @@ coefficients that are nonzero in some stored state, for the conservation
 and constraint reports; ``evaluate`` takes its state's nonzero
 coefficients.  A power or a partial product holds whatever the product
 reaches from its operands' supports.  A coefficient of a product is the
-IEEE sum, from +0.0 in product-table order, of the signed pairs between
+IEEE sum, from +0.0 in ``_pairs`` order, of the signed pairs between
 the two operands' supports, and each output sums its terms in the same
 way, in term order.  A ``GrassmannValue`` has no parity, and its products
 pair the nonzero coefficients of the two operands.
@@ -70,16 +71,15 @@ warnings are silenced while integrating and reporting.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import GeneratorSymbol, Parity, SuperExpr, grassmann_coefficients, has_parity
+from .algebra import GeneratorSymbol, Parity, SuperExpr, has_parity
 from .lagrangian import Dynamics
 
 # bound on the bytes that the temporaries of one batched evaluation hold
@@ -142,28 +142,22 @@ def _odd_subsets(directions: int) -> np.ndarray:
     return _frozen(_subset_sizes(directions) % 2 == 1)
 
 
-@lru_cache(maxsize=None)
-def _product_table(directions: int) -> np.ndarray:
-    """Rows: left masks, right masks, target masks and signs of all
-    disjoint subset pairs, ordered by left mask and then right mask.  The
-    sign counts the swaps that interleave the two ordered subsets."""
-    masks = np.arange(1 << directions, dtype=np.uint16)
+@lru_cache(maxsize=128)
+def _pairs(directions: int, lmasks: tuple[int, ...], rmasks: tuple[int, ...]):
+    """The disjoint pairs between two ascending mask lists, by left mask
+    and then right mask: their positions in the two lists, the target
+    masks, each pair's target and sign.  The sign counts the swaps that
+    interleave the two ordered subsets."""
+    left, right = np.array(lmasks, dtype=np.intp), np.array(rmasks, dtype=np.intp)
+    lpos, rpos = np.nonzero((left[:, None] & right) == 0)
+    left, right = left[lpos], right[rpos]
     sizes = _subset_sizes(directions)
-    left, right = np.nonzero((masks[:, None] & masks) == 0)
-    crossings = np.zeros(len(left), dtype=np.intp)
+    crossings = np.zeros(len(lpos), dtype=np.intp)
     for i in range(directions):
         crossings += (right >> i & 1) * sizes[left >> (i + 1)]
-    return _frozen(np.stack([left, right, left | right, 1 - 2 * (crossings & 1)]))
-
-
-def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The exterior product of two ``(2**n,)`` coefficient arrays, summed
-    over the table's pairs of nonzero coefficients, each target from +0.0
-    in table order, as a double loop over the nonzero coefficients adds
-    them."""
-    table = _product_table(left.size.bit_length() - 1)
-    left_mask, right_mask, target, sign = table[:, (left != 0)[table[0]] & (right != 0)[table[1]]]
-    return np.bincount(target, left[left_mask] * right[right_mask] * sign, left.size)
+    targets, inverse = np.unique(left | right, return_inverse=True)
+    sign = (1 - 2 * (crossings & 1)).astype(float)
+    return _frozen(lpos), _frozen(rpos), tuple(targets.tolist()), _frozen(inverse), _frozen(sign)
 
 
 class GrassmannValue:
@@ -186,78 +180,24 @@ class GrassmannValue:
                 )
         self.coeffs = coeffs
 
-    @staticmethod
-    def scalar(value: float, directions: int) -> "GrassmannValue":
-        out = GrassmannValue(directions)
-        out.coeffs[0] = float(value)
-        return out
-
-    @staticmethod
-    def direction(index: int, directions: int) -> "GrassmannValue":
-        if not 0 <= index < directions:
-            raise NumericError(f"direction index {index} out of range")
-        out = GrassmannValue(directions)
-        out.coeffs[1 << index] = 1.0
-        return out
-
-    @staticmethod
-    def from_terms(
-        terms: Iterable[tuple[float, Sequence[int]]], directions: int
-    ) -> "GrassmannValue":
-        """Build from (coefficient, direction indices) pairs by
-        ``grassmann_coefficients``: repeated indices kill a term and odd
-        permutations flip its sign."""
-        out = GrassmannValue(directions)
-        try:
-            out.coeffs[:] = grassmann_coefficients(terms, directions)
-        except IndexError as exc:
-            raise NumericError(str(exc)) from None
-        return out
-
-    def body(self) -> float:
-        return float(self.coeffs[0])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def is_even_support(self) -> bool:
-        return not self.coeffs[_odd_subsets(self.directions)].any()
-
-    def is_odd_support(self) -> bool:
-        return not self.coeffs[~_odd_subsets(self.directions)].any()
-
     def supports_parity(self, parity: Parity) -> bool:
-        return self.is_even_support() if parity is Parity.EVEN else self.is_odd_support()
+        """Whether every nonzero coefficient is on a subset of ``parity``."""
+        odd = _odd_subsets(self.directions)
+        return not self.coeffs[odd if parity is Parity.EVEN else ~odd].any()
 
-    def __add__(self, other: "GrassmannValue") -> "GrassmannValue":
-        self._compatible(other)
-        return GrassmannValue(self.directions, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "GrassmannValue") -> "GrassmannValue":
-        self._compatible(other)
-        return GrassmannValue(self.directions, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "GrassmannValue":
-        return GrassmannValue(self.directions, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            return GrassmannValue(self.directions, self.coeffs * float(other))
-        self._compatible(other)
-        return GrassmannValue(self.directions, _product(self.coeffs, other.coeffs))
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return GrassmannValue(self.directions, self.coeffs * float(other))
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "GrassmannValue":
-        if exponent < 0:
-            raise NumericError("negative powers are not defined")
-        out = GrassmannValue.scalar(1.0, self.directions)
-        for _ in range(exponent):
-            out = out * self
-        return out
+    def __mul__(self, other: "GrassmannValue") -> "GrassmannValue":
+        """The exterior product, each target summed from +0.0 in ``_pairs`` order."""
+        if not isinstance(other, GrassmannValue):
+            return NotImplemented
+        if other.directions != self.directions:
+            raise NumericError("mismatched numbers of odd directions")
+        lmasks, rmasks = np.flatnonzero(self.coeffs), np.flatnonzero(other.coeffs)
+        left, right, targets, inverse, sign = _pairs(
+            self.directions, tuple(lmasks.tolist()), tuple(rmasks.tolist())
+        )
+        terms = self.coeffs[lmasks[left]] * other.coeffs[rmasks[right]] * sign
+        target = np.array(targets, dtype=np.intp)[inverse]
+        return GrassmannValue(self.directions, np.bincount(target, terms, self.coeffs.size))
 
     def __eq__(self, other) -> bool:
         return (
@@ -275,12 +215,6 @@ class GrassmannValue:
             label = "*".join(f"g[{i}]" for i in indices) or "1"
             parts.append(f"{float(value)!r}*{label}")
         return f"GrassmannValue({' + '.join(parts) or '0.0'})"
-
-    def _compatible(self, other: "GrassmannValue"):
-        if not isinstance(other, GrassmannValue):
-            raise NumericError(f"cannot combine with {type(other).__name__}")
-        if self.directions != other.directions:
-            raise NumericError("mismatched numbers of odd directions")
 
 
 @dataclass(frozen=True)
@@ -354,25 +288,6 @@ def _binned(terms: np.ndarray, bins: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(bins, terms.ravel(), rows * count).reshape(rows, count)
 
 
-@lru_cache(maxsize=128)
-def _pairs(directions: int, lmasks: tuple[int, ...], rmasks: tuple[int, ...]):
-    """Positions in the two mask lists, target masks, each pair's target
-    and sign, for the product table's pairs between the two lists."""
-    table = _product_table(directions)
-    lpos, rpos = np.full((2, 1 << directions), -1)
-    lpos[np.array(lmasks, dtype=np.intp)] = np.arange(len(lmasks))
-    rpos[np.array(rmasks, dtype=np.intp)] = np.arange(len(rmasks))
-    left, right, target, sign = table[:, (lpos[table[0]] >= 0) & (rpos[table[1]] >= 0)]
-    targets, inverse = np.unique(target, return_inverse=True)
-    return (
-        _frozen(lpos[left]),
-        _frozen(rpos[right]),
-        tuple(targets.tolist()),
-        _frozen(inverse),
-        _frozen(sign.astype(float)),
-    )
-
-
 class _Round(NamedTuple):
     """Registers ``lo:hi``, each the sum from +0.0 of the signed products
     ``register[left] * register[right] * sign`` of its pairs, in order."""
@@ -410,7 +325,7 @@ class _Schedule:
     times the coordinate; round 0 scales each term's first factor by its
     coefficient, and round ``j`` multiplies in the ``j``-th factor of the
     terms that have one.  A product pairs the coefficients of its two
-    operands in ``_product_table`` order.  ``sums`` lists the registers of
+    operands in ``_pairs`` order.  ``sums`` lists the registers of
     each term's final value, in term order, and the ``output * 2**n +
     mask`` each one is added to.
     """

@@ -19,8 +19,8 @@ and monomials that the package's product runs on.  The ``Fraction``
 dictionary references sort odd words by counting inversions and build no
 ``SuperExpr``, so they check the package's integer numerators over shared
 denominators from outside.  The numeric references loop over
-coefficients one pair at a time instead of using the package's product
-tables.  The linear-algebra references are Laplace expansion and dense
+coefficients one pair at a time instead of using the package's pairing
+of subsets.  The linear-algebra references are Laplace expansion and dense
 Gauss-Jordan elimination, the textbook routines the package's kernels
 replace.
 """
@@ -36,6 +36,7 @@ import numpy as np
 from supermech import (
     Chart,
     GradedForm,
+    GrassmannValue,
     Parity,
     SuperExpr,
     VectorFieldAlong,
@@ -46,6 +47,7 @@ from supermech import (
     parity_product,
     substitute,
 )
+from supermech.algebra import grassmann_coefficients, koszul
 
 # -- independent reference: one even coordinate q[0..n] --------------------
 # A polynomial is a dict mapping exponent tuples to Fraction coefficients;
@@ -188,10 +190,14 @@ def random_expr(
         factors = [rng.choice(gens) for _ in range(degree)]
         raw.append((Fraction(rng.randint(-6, 6), rng.randint(1, 3)), factors))
     expr = normalize(raw)
-    if parity is not None:
-        even_part, odd_part = expr.parity_split()
-        expr = even_part if parity is Parity.EVEN else odd_part
-    return expr
+    return expr if parity is None else parity_part(expr, parity)
+
+
+def parity_part(expr: SuperExpr, parity: Parity) -> SuperExpr:
+    """The terms of one parity, from the grade involution k = koszul(e, 1):
+    the even part is (e + k)/2 and the odd part (e - k)/2."""
+    flipped = koszul(expr, 1)
+    return (expr + flipped if parity is Parity.EVEN else expr - flipped) * Fraction(1, 2)
 
 
 def random_homogeneous(
@@ -487,7 +493,14 @@ def reference_on_shell(dynamics, expr: SuperExpr) -> SuperExpr:
 # -- independent reference: Grassmann products and RK4 ----------------------
 # Values are coefficient arrays indexed by subset bitmask, as in
 # GrassmannValue.coeffs; the loops below add terms in the order the
-# package's product tables use, so results agree bit for bit.
+# package's pairing of subsets uses, so results agree bit for bit.
+
+
+def grassmann_value(terms, directions: int) -> GrassmannValue:
+    """A value from ``(coefficient, direction indices)`` terms, read as the
+    parser reads a ``simulate`` block's ``init`` values: repeated indices
+    kill a term and odd permutations flip its sign."""
+    return GrassmannValue(directions, grassmann_coefficients(terms, directions))
 
 
 def merge_sign(left_mask: int, right_mask: int) -> int:

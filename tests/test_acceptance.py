@@ -47,6 +47,7 @@ from helpers import (
     classical_field_equation,
     classical_momentum,
     form_degree_parity,
+    grassmann_value,
     poly_to_expr,
     random_expr,
     random_field,
@@ -117,7 +118,7 @@ def scalar_state(chart, order, values):
     return NumericState(
         0.0,
         {
-            wide.gen(name, j): GrassmannValue.scalar(v, 0)
+            wide.gen(name, j): GrassmannValue(0, [v])
             for (name, j), v in values.items()
         },
         0,
@@ -187,7 +188,7 @@ def test_guarantee_3_structural_identities():
             assert exterior_d(data.omega).is_zero()
             t_field = total_derivative_field(lag.chart, 2 * k - 1)
             chain = interior(t_field, data.omega) - exterior_d(
-                GradedForm.from_function(data.energy)
+                GradedForm({(): data.energy})
             )
             assert chain == data.delta
             # both raise if a differential sits above its stated level
@@ -274,9 +275,11 @@ def test_guarantee_4_calculus_battery():
                 continue
             semibasic_check(form, level)
             lhs = interior(lift_vector_field(x, 3), form).coefficient(())
-            rhs = interior(
-                lift_vector_field(x, level).widen_target(upper + level), form
-            ).coefficient(())
+            lifted = lift_vector_field(x, level)
+            wide = VectorFieldAlong(
+                lifted.chart, lifted.source_order, upper + level, lifted.components, lifted.parity
+            )
+            rhs = interior(wide, form).coefficient(())
             assert lhs == rhs
             done += 1
             cases += 1
@@ -301,7 +304,7 @@ def test_guarantee_5_dynamics_solve_the_symplectic_equation():
             assert is_sode(gamma)
             residual = dyn.reduce_form(
                 interior(gamma, data.omega)
-                - exterior_d(GradedForm.from_function(data.energy))
+                - exterior_d(GradedForm({(): data.energy}))
             )
             assert residual.is_zero()
             checked += 1
@@ -398,10 +401,10 @@ def test_guarantee_7_numeric_conservation():
         initial = NumericState(
             0.0,
             {
-                chart.gen("q", 0): GrassmannValue.scalar(0.0, 2),
-                chart.gen("q", 1): GrassmannValue.scalar(1.0, 2),
-                chart.gen("th", 0): GrassmannValue.direction(0, 2),
-                chart.gen("th", 1): GrassmannValue.scalar(0.0, 2),
+                chart.gen("q", 0): GrassmannValue(2),
+                chart.gen("q", 1): grassmann_value([(1.0, [])], 2),
+                chart.gen("th", 0): grassmann_value([(1.0, [0])], 2),
+                chart.gen("th", 1): GrassmannValue(2),
             },
             2,
         )

@@ -49,6 +49,7 @@ from helpers import (
     fraction_sum,
     fraction_term,
     fraction_terms,
+    parity_part,
     random_expr,
     reference_even_partial,
     reference_product,
@@ -181,20 +182,14 @@ def test_constant_term_and_degrees():
     assert SuperExpr.zero().max_jet_order() == -1
 
 
-def test_parity_split_partitions_terms():
-    e = coord("q", 0) + coord("th", 0) + 2
-    even_part, odd_part = e.parity_split()
-    assert even_part == coord("q", 0) + 2
-    assert odd_part == coord("th", 0)
-    assert even_part + odd_part == e
-
-
 def test_koszul_is_the_grade_involution():
     rng = random.Random(114)
     for _ in range(40):
         a = random_expr(rng, CHART, 2, 3, 4)
         b = random_expr(rng, CHART, 2, 3, 4)
-        even_part, odd_part = a.parity_split()
+        terms = a.items()
+        even_part = SuperExpr({key: c for key, c in terms if len(key[1]) % 2 == 0})
+        odd_part = SuperExpr({key: c for key, c in terms if len(key[1]) % 2})
         assert koszul(a, 0) == a
         assert koszul(a, 1) == even_part - odd_part
         assert koszul(koszul(a, 1), 1) == a
@@ -306,9 +301,6 @@ def test_operations_stay_canonical_and_match_the_fraction_reference(a, b, c, k, 
     assert_exact(a ** k, fraction_power(fa, k))
     assert_exact(koszul(a, 1), {key: -v if len(key[1]) % 2 else v for key, v in fa.items()})
     assert_exact(left_partial(a, x), fraction_left_partial(fa, x))
-    even_part, odd_part = a.parity_split()
-    assert_exact(even_part, {key: v for key, v in fa.items() if len(key[1]) % 2 == 0})
-    assert_exact(odd_part, {key: v for key, v in fa.items() if len(key[1]) % 2})
     assert_exact(a.body(), {key: v for key, v in fa.items() if not key[1]})
     # a sum that cancels to zero, or to a part with a smaller denominator
     assert_exact((a + b) - b, fa)
@@ -405,7 +397,7 @@ def test_constants_hash_as_the_numbers_they_equal():
 def test_substitute_is_canonical_and_matches_the_fraction_reference(e, u, v, x, y):
     # each value is the part of its generator's parity
     values = {
-        g: value.parity_split()[g.parity.value]
+        g: parity_part(value, g.parity)
         for g, value in ((x, u), (y, v))
     }
     reference = fraction_substitute(fraction_terms(e), {g: fraction_terms(w) for g, w in values.items()})
@@ -463,7 +455,7 @@ def test_total_derivative_shifts_each_factor_as_the_product_reference(e):
 @given(WIDE_EXPRS, WIDE_EXPRS, st.sampled_from(GENS), RAW_TERMS)
 def test_substitute_keeps_terms_without_an_assigned_factor(u, e, x, free):
     # the terms of ``free`` without x pass through as they are
-    value = u.parity_split()[x.parity.value]
+    value = parity_part(u, x.parity)
     e = e + normalize([(c, f) for c, f in free if x not in f])
     reference = fraction_substitute(fraction_terms(e), {x: fraction_terms(value)})
     assert_exact(substitute(e, {x: value}), reference)
@@ -643,7 +635,7 @@ def test_odd_words_in_both_operands_match_the_fraction_reference(a, b, sign, x):
     for g, d in partials(a).items():
         assert_exact(d, fraction_left_partial(fa, g))
     assert_exact(shift_derivative(a), fraction_total_derivative(fa))
-    value = b.parity_split()[1]
+    value = parity_part(b, Parity.ODD)
     assert_exact(substitute(a, {x: value}), fraction_substitute(fa, {x: fraction_terms(value)}))
 
 

@@ -741,7 +741,7 @@ def test_sums_of_terms_are_written_one_way():
         r" + \tfrac{2}{3} \, \theta_{0} \, \mathrm{d}q_{0} \wedge \mathrm{d}\theta_{1}"
         r" - \tfrac{3}{4} \, q_{1} \, \mathrm{d}q_{1} - \mathrm{d}\theta_{0} + \mathrm{d}\theta_{1}"
     )
-    zero_form = GradedForm.from_function(several)
+    zero_form = GradedForm({(): several})
     assert str(zero_form) == "-1/2 + 2*q[0] - q[1]^2"
     assert latex_form(zero_form) == r"-\tfrac{1}{2} + 2 \, q_{0} - q_{1}^{2}"
     expr = Fraction(-3, 4) * q1 * th0 - q0 + Fraction(5, 2) * q1 * q1

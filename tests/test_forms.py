@@ -121,7 +121,7 @@ def test_form_accessors():
     assert not form.is_one_form()
     assert form.differential_order() == 1
     assert form.coefficient_order() == 2
-    assert GradedForm.from_function(coord("q", 0)).degrees() == {0}
+    assert GradedForm({(): coord("q", 0)}).degrees() == {0}
     assert str(d("q", 0).scale(coord("q", 1))) == "q[1]*d(q[0])"
 
 
@@ -225,8 +225,8 @@ def test_form_total_derivative_agrees_on_functions():
     rng = random.Random(307)
     for _ in range(10):
         f = random_expr(rng, CHART, 2, 3, 3)
-        assert form_total_derivative(GradedForm.from_function(f)) == (
-            GradedForm.from_function(total_derivative(f))
+        assert form_total_derivative(GradedForm({(): f})) == (
+            GradedForm({(): total_derivative(f)})
         )
 
 
@@ -385,13 +385,13 @@ def test_transpose_vertical_examples():
 
 def test_cartan_operator_first_order_is_vertical_transpose():
     lag = Fraction(1, 2) * coord("q", 1) ** 2 - Fraction(1, 2) * coord("q", 0) ** 2
-    theta = cartan_operator(exterior_d(GradedForm.from_function(lag)), 1)
+    theta = cartan_operator(exterior_d(GradedForm({(): lag})), 1)
     assert theta == d("q", 0).scale(coord("q", 1))
 
 
 def test_cartan_operator_second_order_example():
     lag = Fraction(1, 2) * coord("q", 2) ** 2
-    theta = cartan_operator(exterior_d(GradedForm.from_function(lag)), 2)
+    theta = cartan_operator(exterior_d(GradedForm({(): lag})), 2)
     assert theta == d("q", 0).scale(-coord("q", 3)) + d("q", 1).scale(coord("q", 2))
 
 
@@ -432,7 +432,9 @@ def test_pair_agrees_with_interior():
             continue
         semibasic_check(form, l)
         lhs = interior(lift_vector_field(x, k), form).coefficient(())
-        rhs = interior(lift_vector_field(x, l).widen_target(r + l), form).coefficient(())
+        lifted = lift_vector_field(x, l)
+        wide = VectorFieldAlong(CHART, lifted.source_order, r + l, lifted.components, lifted.parity)
+        rhs = interior(wide, form).coefficient(())
         assert lhs == rhs
 
 

@@ -148,7 +148,7 @@ def test_structural_identities(build):
     # the field equations equal i_T Omega - dE
     t_field = total_derivative_field(lag.chart, 2 * k - 1)
     chain = interior(t_field, data.omega) - exterior_d(
-        GradedForm.from_function(data.energy)
+        GradedForm({(): data.energy})
     )
     assert chain == data.delta
     # momentum form is semibasic at level k-1, field equations at level 0
@@ -263,7 +263,7 @@ def test_dynamics_satisfy_field_equations(build):
     # the solved field satisfies the symplectic equation modulo constraints
     residual = dyn.reduce_form(
         interior(dyn.field(), data.omega)
-        - exterior_d(GradedForm.from_function(data.energy))
+        - exterior_d(GradedForm({(): data.energy}))
     )
     assert residual.is_zero()
 

@@ -35,24 +35,26 @@ from supermech import (
 from supermech import numeric
 from supermech.numeric import _field_schedule, _rk4, _Schedule
 
-from helpers import oracle_evaluate, oracle_product, random_expr, reference_rk4
+from helpers import grassmann_value, oracle_evaluate, oracle_product, random_expr, reference_rk4
 
 
 def g(index, directions=3):
-    return GrassmannValue.direction(index, directions)
+    return grassmann_value([(1.0, [index])], directions)
 
 
 def scalar(value, directions=3):
-    return GrassmannValue.scalar(value, directions)
+    return grassmann_value([(value, [])], directions)
 
 
-# -- Grassmann arithmetic --------------------------------------------------
+# -- Grassmann products ------------------------------------------------------
 
 
 def test_directions_anticommute_and_square_to_zero():
-    assert g(0) * g(1) == -(g(1) * g(0))
-    assert (g(0) * g(0)).sup_norm() == 0.0
-    assert (g(0) + g(1)) * (g(0) + g(1)) == scalar(0.0)
+    assert g(0) * g(1) == grassmann_value([(1.0, [0, 1])], 3)
+    assert g(1) * g(0) == grassmann_value([(-1.0, [0, 1])], 3)
+    assert g(0) * g(0) == scalar(0.0)
+    both = grassmann_value([(1.0, [0]), (1.0, [1])], 3)
+    assert both * both == scalar(0.0)
 
 
 def test_products_follow_subset_signs():
@@ -60,56 +62,31 @@ def test_products_follow_subset_signs():
     # g2*g0*g1 = +g0*g1*g2 after two transpositions... one for g2 past g0,
     # one for g2 past g1
     assert prod == g(0) * g(1) * g(2)
-    assert g(1) * g(0) * g(2) == -(g(0) * g(1) * g(2))
-
-
-def test_from_terms_and_body():
-    v = GrassmannValue.from_terms([(2.0, []), (0.5, [1, 0])], 2)
-    assert v.body() == 2.0
-    # [1, 0] lists the factors in product order, so the coefficient flips
-    assert v == scalar(2.0, 2) - 0.5 * (g(0, 2) * g(1, 2))
-    assert v.sup_norm() == 2.0
-
-
-def test_scalar_mixing_and_power():
-    v = scalar(3.0) + 2.0 * g(0)
-    assert v * 0.5 == scalar(1.5) + g(0)
-    assert v ** 2 == scalar(9.0) + 12.0 * g(0)
-    with pytest.raises(NumericError):
-        v ** -1
+    assert g(1) * g(0) * g(2) == grassmann_value([(-1.0, [0, 1, 2])], 3)
 
 
 def test_parity_support():
-    assert scalar(1.0).is_even_support()
-    assert g(0).is_odd_support()
-    assert (g(0) * g(1)).is_even_support()
-    mixed = scalar(1.0) + g(0)
-    assert not mixed.is_even_support()
-    assert not mixed.is_odd_support()
-    assert scalar(0.0).supports_parity(Parity.ODD)
+    assert scalar(1.0).supports_parity(Parity.EVEN)
     assert g(0).supports_parity(Parity.ODD)
+    assert (g(0) * g(1)).supports_parity(Parity.EVEN)
+    mixed = grassmann_value([(1.0, []), (1.0, [0])], 3)
+    assert not mixed.supports_parity(Parity.EVEN)
+    assert not mixed.supports_parity(Parity.ODD)
+    assert scalar(0.0).supports_parity(Parity.ODD)
     assert not g(0).supports_parity(Parity.EVEN)
 
 
 def test_direction_count_limits():
-    with pytest.raises(Exception):
-        GrassmannValue.direction(0, 9)
-    with pytest.raises(Exception):
-        GrassmannValue.direction(2, 2)
-
-
-def test_scalar_factors_of_any_real_type():
-    v = scalar(1.5) + g(0) * g(1)
-    doubled = GrassmannValue(3, v.coeffs * 2.0)
-    for factor in (2, 2.0, np.int64(2), np.float32(2.0), Fraction(2)):
-        assert v * factor == doubled
-        assert factor * v == doubled
-    assert GrassmannValue.direction(0, 2) * np.int64(2) == 2.0 * GrassmannValue.direction(0, 2)
+    for directions in (-1, 9):
+        with pytest.raises(NumericError, match="^between 0 and 8 odd directions are supported$"):
+            GrassmannValue(directions)
+    with pytest.raises(NumericError, match=r"^expected 4 coefficients, got \(3,\)$"):
+        GrassmannValue(2, np.zeros(3))
 
 
 def test_mismatched_directions_rejected():
-    with pytest.raises(Exception):
-        scalar(1.0, 2) + scalar(1.0, 3)
+    with pytest.raises(NumericError, match="^mismatched numbers of odd directions$"):
+        scalar(1.0, 2) * scalar(1.0, 3)
 
 
 # -- products against the double-loop oracle --------------------------------
@@ -119,23 +96,60 @@ finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def grassmann(draw, directions, parity=None):
-    """A value with up to 64 nonzero coefficients; ``parity`` 0 or 1
-    restricts them to even or odd subsets."""
+    """A value with up to 64 nonzero coefficients, some of them -0.0, or
+    now and then none; ``parity`` 0 or 1 restricts them to even or odd
+    subsets."""
     masks = [m for m in range(1 << directions) if parity in (None, m.bit_count() % 2)]
     coeffs = np.zeros(1 << directions)
-    if masks:
-        for mask, value in draw(st.dictionaries(st.sampled_from(masks), finite, max_size=64)).items():
+    if masks and draw(st.integers(0, 9)):
+        drawn = draw(st.dictionaries(st.sampled_from(masks), finite | st.just(-0.0), max_size=64))
+        for mask, value in drawn.items():
             coeffs[mask] = value
     return GrassmannValue(directions, coeffs)
 
 
 @settings(max_examples=80)
 @given(st.data())
-def test_table_product_matches_double_loop(data):
+def test_product_matches_double_loop(data):
     n = data.draw(st.integers(0, 8))
     left, right = data.draw(grassmann(n)), data.draw(grassmann(n))
-    # the table adds the same terms in the same order as the loop
-    assert np.array_equal((left * right).coeffs, oracle_product(left.coeffs, right.coeffs))
+    # the pairing adds the same terms in the same order as the loop, and
+    # a -0.0 coefficient, like +0.0, takes part in no pair
+    assert (left * right).coeffs.tobytes() == oracle_product(left.coeffs, right.coeffs).tobytes()
+    zero = GrassmannValue(n)
+    assert (zero * right).coeffs.tobytes() == np.zeros(1 << n).tobytes()
+    other = data.draw(grassmann(data.draw(st.integers(0, 8).filter(lambda m: m != n))))
+    with pytest.raises(NumericError, match="^mismatched numbers of odd directions$"):
+        left * other
+
+
+def crossing_sign(left_mask: int, right_mask: int) -> float:
+    """The sign of the word of the left subset's indices followed by the
+    right subset's, by its inversions."""
+    word = [i for mask in (left_mask, right_mask) for i in range(mask.bit_length()) if mask >> i & 1]
+    inversions = sum(a > b for k, a in enumerate(word) for b in word[k + 1 :])
+    return -1.0 if inversions % 2 else 1.0
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_pairs_match_a_double_loop_over_the_mask_lists(data):
+    n = data.draw(st.integers(0, 12))
+    masks = st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=80).map(sorted)
+    lmasks, rmasks = tuple(data.draw(masks)), tuple(data.draw(masks))
+    pairs = [
+        (i, j, a | b, crossing_sign(a, b))
+        for i, a in enumerate(lmasks)
+        for j, b in enumerate(rmasks)
+        if not a & b
+    ]
+    left, right, targets, inverse, sign = numeric._pairs(n, lmasks, rmasks)
+    assert targets == tuple(sorted({target for _, _, target, _ in pairs}))
+    got = [
+        (i, j, targets[t], s)
+        for i, j, t, s in zip(left.tolist(), right.tolist(), inverse.tolist(), sign.tolist())
+    ]
+    assert got == pairs
 
 
 @settings(max_examples=60)
@@ -145,7 +159,8 @@ def test_product_is_associative(data):
     a, b, c = (data.draw(grassmann(n)) for _ in range(3))
     scale = np.prod([np.abs(v.coeffs).sum() for v in (a, b, c)])
     # each coefficient sums at most 2**n rounded terms per product
-    assert ((a * b) * c - a * (b * c)).sup_norm() <= 1e-12 * max(scale, 1.0)
+    difference = ((a * b) * c).coeffs - (a * (b * c)).coeffs
+    assert np.abs(difference).max() <= 1e-12 * max(scale, 1.0)
 
 
 @settings(max_examples=60)
@@ -154,10 +169,10 @@ def test_product_parity(data):
     n = data.draw(st.integers(0, 8))
     even, odd = data.draw(grassmann(n, 0)), data.draw(grassmann(n, 1))
     other_even, other_odd = data.draw(grassmann(n, 0)), data.draw(grassmann(n, 1))
-    assert (even * odd).is_odd_support()
-    assert (odd * even).is_odd_support()
-    assert (even * other_even).is_even_support()
-    assert (odd * other_odd).is_even_support()
+    assert (even * odd).supports_parity(Parity.ODD)
+    assert (odd * even).supports_parity(Parity.ODD)
+    assert (even * other_even).supports_parity(Parity.EVEN)
+    assert (odd * other_odd).supports_parity(Parity.EVEN)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -180,25 +195,27 @@ def test_evaluate_is_a_homomorphism_randomized():
     state = make_state(
         chart,
         {
-            ("q", 0): scalar(1.25) + 0.5 * (g(0) * g(1)),
+            ("q", 0): grassmann_value([(1.25, []), (0.5, [0, 1])], 3),
             ("q", 1): scalar(-0.75),
-            ("q", 2): scalar(2.0) + g(1) * g(2),
-            ("th", 0): 0.5 * g(0) + g(2),
+            ("q", 2): grassmann_value([(2.0, []), (1.0, [1, 2])], 3),
+            ("th", 0): grassmann_value([(0.5, [0]), (1.0, [2])], 3),
             ("th", 1): g(1),
-            ("th", 2): -1.5 * g(0),
+            ("th", 2): grassmann_value([(-1.5, [0])], 3),
         },
     )
     # coefficients like 1/3 only evaluate to the nearest float, so the
     # homomorphism holds up to roundoff rather than exactly
     def close(left, right):
-        scale = max(1.0, left.sup_norm(), right.sup_norm())
-        return (left - right).sup_norm() <= 1e-12 * scale
+        scale = max(1.0, np.abs(left).max(), np.abs(right).max())
+        return np.abs(left - right).max() <= 1e-12 * scale
 
     for _ in range(25):
         a = random_expr(rng, chart, 2, 2, 3)
         b = random_expr(rng, chart, 2, 2, 3)
-        assert close(evaluate(a * b, state), evaluate(a, state) * evaluate(b, state))
-        assert close(evaluate(a + b, state), evaluate(a, state) + evaluate(b, state))
+        product = evaluate(a, state) * evaluate(b, state)
+        assert close(evaluate(a * b, state).coeffs, product.coeffs)
+        total = evaluate(a, state).coeffs + evaluate(b, state).coeffs
+        assert close(evaluate(a + b, state).coeffs, total)
 
 
 def test_evaluate_odd_order_matters():
@@ -213,12 +230,12 @@ def test_evaluate_matches_oracle_with_powers():
     rng = random.Random(402)
     chart = numeric_chart()
     values = {
-        ("q", 0): scalar(1.25) + 0.5 * (g(0) * g(1)),
-        ("q", 1): scalar(-0.75) + g(1) * g(2),
-        ("q", 2): scalar(2.0) + g(0) * g(2),
-        ("th", 0): 0.5 * g(0) + g(2),
-        ("th", 1): g(1) - 0.25 * g(0) * g(1) * g(2),
-        ("th", 2): -1.5 * g(0),
+        ("q", 0): grassmann_value([(1.25, []), (0.5, [0, 1])], 3),
+        ("q", 1): grassmann_value([(-0.75, []), (1.0, [1, 2])], 3),
+        ("q", 2): grassmann_value([(2.0, []), (1.0, [0, 2])], 3),
+        ("th", 0): grassmann_value([(0.5, [0]), (1.0, [2])], 3),
+        ("th", 1): grassmann_value([(1.0, [1]), (-0.25, [0, 1, 2])], 3),
+        ("th", 2): grassmann_value([(-1.5, [0])], 3),
     }
     state = make_state(chart, values)
     coeffs = {gen: value.coeffs for gen, value in state.values.items()}
@@ -260,14 +277,14 @@ def test_free_particle_is_exact():
     initial = NumericState(
         0.0,
         {
-            chart.gen("q", 0): GrassmannValue.scalar(0.0, 0),
-            chart.gen("q", 1): GrassmannValue.scalar(1.0, 0),
+            chart.gen("q", 0): scalar(0.0, 0),
+            chart.gen("q", 1): scalar(1.0, 0),
         },
         0,
     )
     traj = integrate(dyn, initial, dt=1e-2, t_end=1.0)
     assert len(traj.states) == 101
-    final = traj.states[-1].get(chart.gen("q", 0)).body()
+    final = traj.states[-1].get(chart.gen("q", 0)).coeffs[0]
     assert abs(final - 1.0) < 1e-12
 
 
@@ -276,13 +293,13 @@ def test_oscillator_tracks_cosine():
     initial = NumericState(
         0.0,
         {
-            chart.gen("q", 0): GrassmannValue.scalar(1.0, 0),
-            chart.gen("q", 1): GrassmannValue.scalar(0.0, 0),
+            chart.gen("q", 0): scalar(1.0, 0),
+            chart.gen("q", 1): scalar(0.0, 0),
         },
         0,
     )
     traj = integrate(dyn, initial, dt=1e-3, t_end=1.0)
-    final = traj.states[-1].get(chart.gen("q", 0)).body()
+    final = traj.states[-1].get(chart.gen("q", 0)).coeffs[0]
     assert abs(final - math.cos(1.0)) < 1e-10
     energy = chart.coord("q", 0) ** 2 * Fraction(1, 2) + chart.coord(
         "q", 1
@@ -305,9 +322,9 @@ def superparticle_state(chart, theta1):
     return NumericState(
         0.0,
         {
-            chart.gen("q", 0): GrassmannValue.scalar(0.0, 2),
-            chart.gen("q", 1): GrassmannValue.scalar(1.0, 2),
-            chart.gen("th", 0): GrassmannValue.direction(0, 2),
+            chart.gen("q", 0): scalar(0.0, 2),
+            chart.gen("q", 1): scalar(1.0, 2),
+            chart.gen("th", 0): g(0, 2),
             chart.gen("th", 1): theta1,
         },
         2,
@@ -317,19 +334,19 @@ def superparticle_state(chart, theta1):
 def test_superparticle_charges_are_exact():
     chart, dyn = superparticle_setup()
     traj = integrate(
-        dyn, superparticle_state(chart, GrassmannValue.scalar(0.0, 2)), dt=1e-3, t_end=1.0
+        dyn, superparticle_state(chart, scalar(0.0, 2)), dt=1e-3, t_end=1.0
     )
     assert traj.constraint_drift() == 0.0
     charge = chart.coord("q", 1) * chart.coord("th", 0)
     report = conservation_report(traj, {"susy": charge})
     assert report["susy"] == 0.0
     # theta itself never moves because theta' is constrained to zero
-    assert traj.states[-1].get(chart.gen("th", 0)) == GrassmannValue.direction(0, 2)
+    assert traj.states[-1].get(chart.gen("th", 0)) == g(0, 2)
 
 
 def test_integrate_rejects_violated_constraints():
     chart, dyn = superparticle_setup()
-    bad = superparticle_state(chart, GrassmannValue.direction(1, 2))
+    bad = superparticle_state(chart, g(1, 2))
     with pytest.raises(ConstraintViolation):
         integrate(dyn, bad, dt=1e-3, t_end=1.0)
 
@@ -363,8 +380,8 @@ def test_integrate_rejects_bad_spans():
     initial = NumericState(
         0.0,
         {
-            chart.gen("q", 0): GrassmannValue.scalar(1.0, 0),
-            chart.gen("q", 1): GrassmannValue.scalar(0.0, 0),
+            chart.gen("q", 0): scalar(1.0, 0),
+            chart.gen("q", 1): scalar(0.0, 0),
         },
         0,
     )
@@ -379,7 +396,7 @@ def test_integrate_rejects_bad_spans():
 def test_integrate_requires_full_initial_data():
     chart, dyn = oscillator_dynamics()
     partial = NumericState(
-        0.0, {chart.gen("q", 0): GrassmannValue.scalar(1.0, 0)}, 0
+        0.0, {chart.gen("q", 0): scalar(1.0, 0)}, 0
     )
     with pytest.raises(MissingValue):
         integrate(dyn, partial, dt=1e-3, t_end=1.0)
@@ -397,8 +414,8 @@ def test_integrate_aborts_on_blowup():
     initial = NumericState(
         0.0,
         {
-            chart.gen("q", 0): GrassmannValue.scalar(10.0, 0),
-            chart.gen("q", 1): GrassmannValue.scalar(10.0, 0),
+            chart.gen("q", 0): scalar(10.0, 0),
+            chart.gen("q", 1): scalar(10.0, 0),
         },
         0,
     )
@@ -412,8 +429,8 @@ def test_trajectory_export_rows():
     initial = NumericState(
         0.0,
         {
-            chart.gen("q", 0): GrassmannValue.scalar(1.0, 0),
-            chart.gen("q", 1): GrassmannValue.scalar(0.0, 0),
+            chart.gen("q", 0): scalar(1.0, 0),
+            chart.gen("q", 1): scalar(0.0, 0),
         },
         0,
     )
@@ -492,12 +509,12 @@ def coupled_setup():
 
 def coupled_state(chart, dyn):
     values = {
-        chart.gen("q", 0): scalar(0.5) + 0.25 * g(0) * g(1),
-        chart.gen("q", 1): scalar(-0.25) + 0.5 * g(1) * g(2),
-        chart.gen("p", 0): scalar(0.75) + 0.5 * g(0) * g(2),
+        chart.gen("q", 0): grassmann_value([(0.5, []), (0.25, [0, 1])], 3),
+        chart.gen("q", 1): grassmann_value([(-0.25, []), (0.5, [1, 2])], 3),
+        chart.gen("p", 0): grassmann_value([(0.75, []), (0.5, [0, 2])], 3),
         chart.gen("p", 1): scalar(0.1),
-        chart.gen("a", 0): g(0) + 0.5 * g(1),
-        chart.gen("b", 0): g(2) - 0.25 * g(0) * g(1) * g(2),
+        chart.gen("a", 0): grassmann_value([(1.0, [0]), (0.5, [1])], 3),
+        chart.gen("b", 0): grassmann_value([(1.0, [2]), (-0.25, [0, 1, 2])], 3),
         chart.gen("a", 1): scalar(0.0),
         chart.gen("b", 1): scalar(0.0),
     }
@@ -522,7 +539,7 @@ def oscillator_case():
 
 def superparticle_case():
     chart, dyn = superparticle_setup()
-    return dyn, superparticle_state(chart, GrassmannValue.scalar(0.0, 2)), 1e-3, 1000
+    return dyn, superparticle_state(chart, scalar(0.0, 2)), 1e-3, 1000
 
 
 def coupled_case():
@@ -571,7 +588,7 @@ def test_chunked_reports_match_per_state_evaluation(seed):
     constrained = [gen for gen in dyn.constraints if gen.jet_order <= dyn.order]
     assert constrained
     assert traj.constraint_drift() == max(
-        evaluate(SuperExpr.generator(gen) - dyn.constraints[gen], state).sup_norm()
+        np.abs(evaluate(SuperExpr.generator(gen) - dyn.constraints[gen], state).coeffs).max()
         for state in traj.states
         for gen in constrained
     )
@@ -781,7 +798,9 @@ def test_numpy_step_matches_straight_line_and_reference_rk4_at_scale(seed, direc
     drawn = random_state(rng, coordinates, directions, 0.0)
     scale = 10.0**exponent
     initial = NumericState(
-        0.0, {gen: value * scale for gen, value in drawn.values.items()}, directions
+        0.0,
+        {gen: GrassmannValue(directions, v.coeffs * scale) for gen, v in drawn.values.items()},
+        directions,
     )
     dt, steps = rng.choice([0.01, 0.1, 0.5]), rng.randint(1, 12)
     outcome = run_both_paths(dyn, initial, dt, steps)
@@ -814,7 +833,7 @@ def test_blowup_raises_the_same_error_on_both_paths(evaluation, directions):
     values[chart.gen("q", 0)] = scalar(10.0, directions)
     values[chart.gen("q", 1)] = scalar(10.0, directions)
     if directions:
-        values[chart.gen("a", 0)] = g(0, directions) + g(1, directions)
+        values[chart.gen("a", 0)] = grassmann_value([(1.0, [0]), (1.0, [1])], directions)
     initial = NumericState(0.0, values, directions)
     outcome = run_both_paths(dyn, initial, 1e-2, 1000)
     assert outcome.startswith("non-finite value for q[")
@@ -967,14 +986,22 @@ def test_the_closure_reaches_exactly_the_targets_of_the_schedule(seed, direction
 
 
 def test_schedule_is_built_once_per_run():
-    # a finite n=6 run with powers and products never calls the product
-    # of two values: the schedule, built before the first step, holds
-    # every pair
+    # a finite n=6 run with powers and products pairs no subsets once it
+    # steps: the schedule, built before the first step, holds every pair
     chart, dyn = quartic_dynamics()
     coordinates = chart.at_order(1).coordinates()
     initial = random_state(random.Random(7), coordinates, 6, 0.0)
     assert schedule_for(dyn, initial).ops > numeric._KERNEL_MAX_OPS
-    with mock.patch.object(numeric, "_product", wraps=numeric._product) as product:
+    paired_while_stepping = []
+
+    def rk4(*args):
+        before = pairs.call_count
+        _rk4(*args)
+        paired_while_stepping.append(pairs.call_count - before)
+
+    with mock.patch.object(numeric, "_pairs", wraps=numeric._pairs) as pairs, mock.patch.object(
+        numeric, "_rk4", rk4
+    ):
         trajectory = integrate(dyn, initial, dt=0.01, t_end=0.2)
-    assert product.call_count == 0
+    assert pairs.call_count > 0 and paired_while_stepping == [0]
     assert np.isfinite(trajectory.values).all()

@@ -24,7 +24,7 @@ from supermech import (
 )
 from supermech.problems import MAX_NESTING, _kind, _position, _tokens
 
-from helpers import reference_expression
+from helpers import grassmann_value, reference_expression
 from test_cli_fuzz import problem_texts
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "problems"
@@ -72,10 +72,10 @@ def test_parse_superparticle():
     assert sim is not None
     assert (sim.directions, sim.dt, sim.t_end) == (2, 0.001, 1.0)
     state = problem.initial_state()
-    assert state.get(chart.gen("q", 1)) == GrassmannValue.scalar(1.0, 2)
-    assert state.get(chart.gen("th", 0)) == GrassmannValue.direction(0, 2)
+    assert state.get(chart.gen("q", 1)) == grassmann_value([(1.0, [])], 2)
+    assert state.get(chart.gen("th", 0)) == grassmann_value([(1.0, [0])], 2)
     # unlisted coordinates default to zero
-    assert state.get(chart.gen("q", 0)) == GrassmannValue.scalar(0.0, 2)
+    assert state.get(chart.gen("q", 0)) == GrassmannValue(2)
 
 
 def test_declarations_may_precede_the_order():
@@ -417,16 +417,16 @@ def _initial_values(draw):
     return _INIT_PROBLEM.format(n=directions, gen=gen, value=text), gen, directions, terms, offsets
 
 
-def _summed_products(terms, directions: int) -> GrassmannValue:
-    """Each term as a number times the product of its directions, summed
-    in term order by the numeric layer's own arithmetic."""
-    out = GrassmannValue(directions)
+def _summed_products(terms, directions: int) -> np.ndarray:
+    """Each term as a number times the product of its directions, formed
+    by the numeric layer's own product, and the terms summed in order."""
+    out = np.zeros(1 << directions)
     with np.errstate(over="ignore", invalid="ignore"):
         for coeff, indices in terms:
-            product = GrassmannValue.scalar(1.0, directions)
+            product = grassmann_value([(1.0, [])], directions)
             for index in indices:
-                product = product * GrassmannValue.direction(index, directions)
-            out = out + coeff * product
+                product = product * grassmann_value([(1.0, [index])], directions)
+            out = out + product.coeffs * float(coeff)
     return out
 
 
@@ -446,8 +446,8 @@ def test_parsed_initial_values_match_the_numeric_layer(case):
         assert isinstance(err, IndexOutOfRange)
         assert str(err) == f"line 1, column {offset + 1}: direction g[{index}] needs directions > {index}"
         return
-    expected = GrassmannValue.from_terms(terms, directions)
-    assert expected.coeffs.tobytes() == _summed_products(terms, directions).coeffs.tobytes()
+    expected = grassmann_value(terms, directions)
+    assert expected.coeffs.tobytes() == _summed_products(terms, directions).tobytes()
     parity = Parity.EVEN if gen.startswith("q") else Parity.ODD
     if not np.isfinite(expected.coeffs).all():
         event("a sum out of range")
