@@ -83,6 +83,10 @@ class NoWitness(LagrangianError):
     pass
 
 
+# why a quantity that is not constant along regular dynamics has no witness
+_NOT_CONSTANT = "no witness field of any degree: the quantity is not constant along the dynamics"
+
+
 # bound on the columns of one degree of the witness search on a system that
 # is not regular, where no constancy check ends the search at the quantity's
 # degree.  On a 2-core x86 VM one exact elimination took 0.8 s at 5460
@@ -301,8 +305,14 @@ def _int_quotient(dividend: int, divisor: int) -> int:
     return quotient
 
 
-def _mat_vec(a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr]) -> list[SuperExpr]:
-    return [sum_of_products((1, x, y) for x, y in zip(row, v)) for row in a]
+def _mat_vec(
+    a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr], signs: Sequence[Sequence[int]] | None = None
+) -> list[SuperExpr]:
+    """The product a v, each entry of ``a`` times its sign in ``signs``
+    when given."""
+    if signs is None:
+        return [sum_of_products((1, x, y) for x, y in zip(row, v)) for row in a]
+    return [sum_of_products(zip(sign_row, row, v)) for sign_row, row in zip(signs, a)]
 
 
 # an expression as its part free of the unknowns and the coefficient of each
@@ -416,16 +426,72 @@ def _until_stable(step, value, passes: int, failure: str):
 @dataclass(frozen=True)
 class _Sector:
     """A square block of field equations ``matrix u = rhs`` over the
-    unknowns, split once by ``_sector``, with the body of the matrix (each
-    entry's body taken once) and its determinant, with the adjugate when
-    the determinant is nonzero."""
+    unknowns, split once by ``_sector``, with the determinant of the body
+    of the matrix (each entry's body taken once), the adjugate of the body
+    when the determinant is nonzero, and the nilpotent rest of the matrix,
+    empty when the matrix is its body."""
 
     matrix: tuple[Sequence[SuperExpr], ...] = ()
     rhs: tuple[SuperExpr, ...] = ()
     unknowns: tuple[GeneratorSymbol, ...] = ()
-    body: tuple[Sequence[SuperExpr], ...] = ()
+    soul: tuple[Sequence[SuperExpr], ...] = ()
     det: SuperExpr = SuperExpr.constant(1)
     adjugate: tuple[Sequence[SuperExpr], ...] = ()
+
+    def solve(
+        self,
+        rhs: Sequence[SuperExpr],
+        labels: Sequence[GeneratorSymbol],
+        nilpotency_cap: int,
+        what: str,
+        twist: Parity | None = None,
+    ) -> dict[GeneratorSymbol, SuperExpr]:
+        """Solve ``matrix u = rhs`` with the kept determinant and adjugate
+        of the body B of the matrix, one value per label, of the label's
+        parity; the determinant must be a nonzero constant.  With S the
+        nilpotent rest of the matrix, the iteration ``u <- B^-1 (rhs - S
+        u)`` from ``u = B^-1 rhs`` runs through the partial sums of the
+        finite geometric series and stops when ``u`` does; with S zero,
+        ``B^-1 rhs`` is the answer.  The result is verified exactly and
+        each value must have its parity.
+
+        With ``twist`` the parity |G| of a quantity, solve instead the row
+        system of its witness, one value W_a of parity p_a + |G| per
+        equation a (labelled by its base coordinate, of parity p_a):
+        ``sum_a s_ab A_ab W_a = rhs_b`` for each unknown b, with ``s_ab =
+        -(-1)^(|G| p_a + p_a p_b + p_b)``.  The body of A vanishes off the
+        blocks where p_a = p_b, and there ``s_ab = -(-1)^(|G| p_a)``, so
+        the inverse of the twisted body is the kept adjugate transposed,
+        row a scaled by ``-(-1)^(|G| p_a)``, over the same determinant."""
+        det = self.det
+        if det.is_zero() or det.max_jet_order() >= 0:
+            raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
+        matrix, soul, adjugate = self.matrix, self.soul, self.adjugate
+        parities = [label.parity for label in labels]
+        scale, signs, adjugate_signs = det.constant_term(), None, None
+        if twist is not None:
+            g = twist.value
+            rows = [p.value for p in parities]
+            matrix, soul, adjugate = (tuple(zip(*block)) for block in (matrix, soul, adjugate))
+            signs = [[-(-1) ** (g * pa + (pa + 1) * u.parity.value) for pa in rows] for u in self.unknowns]
+            adjugate_signs = [[-(-1) ** (g * pa)] * len(rows) for pa in rows]
+            parities = [parity_product(p, twist) for p in parities]
+
+        def inverse_body(v):
+            return [x / scale for x in _mat_vec(adjugate, v, adjugate_signs)]
+
+        u = inverse_body(rhs)
+        if soul:
+            u = _until_stable(
+                lambda v: inverse_body([r - x for r, x in zip(rhs, _mat_vec(soul, v, signs))]),
+                u, nilpotency_cap + 1, "nilpotent correction failed to terminate",
+            )
+        if _mat_vec(matrix, u, signs) != list(rhs):
+            raise SingularSystem("affine solve verification failed")
+        for label, parity, value in zip(labels, parities, u):
+            if not has_parity(value, parity):
+                raise SingularSystem(f"{what} for {label} has the wrong parity")
+        return dict(zip(labels, u))
 
 
 @dataclass(frozen=True)
@@ -449,7 +515,10 @@ def _sector(rows: Sequence[_Split], unknowns: Sequence[GeneratorSymbol]) -> _Sec
     body = tuple([e.body() for e in row] for row in matrix)
     det, adjugate = _det_adjugate(body)
     rhs = tuple(-rest for rest, _ in rows)
-    return _Sector(matrix, rhs, tuple(unknowns), body, det, tuple(adjugate or ()))
+    soul = ()
+    if matrix != body:
+        soul = tuple([e - b for e, b in zip(row, body_row)] for row, body_row in zip(matrix, body))
+    return _Sector(matrix, rhs, tuple(unknowns), soul, det, tuple(adjugate or ()))
 
 
 def _solve_plan(lag: SuperLagrangian, delta_check: CheckForm) -> _SolvePlan:
@@ -536,35 +605,6 @@ def solve_dynamics(lag: SuperLagrangian, data: CartanData | None = None) -> Dyna
     return (data or cartan_data(lag)).dynamics
 
 
-def _solve_affine(sector: _Sector, nilpotency_cap: int, what: str) -> dict[GeneratorSymbol, SuperExpr]:
-    """Solve a sector A u = rhs with the kept determinant and adjugate of
-    the body B of A; the determinant must be a nonzero constant.  With S
-    the nilpotent rest of A, the iteration ``u <- B^-1 (rhs - S u)`` from
-    ``u = B^-1 rhs`` runs through the partial sums of the finite geometric
-    series and stops when ``u`` does; with S zero, ``B^-1 rhs`` is the
-    answer.  The result is verified exactly and each value must have its
-    unknown's parity."""
-    det = sector.det
-    if det.is_zero() or det.max_jet_order() >= 0:
-        raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
-    matrix, rhs = sector.matrix, sector.rhs
-    inv_body = [[e / det.constant_term() for e in row] for row in sector.adjugate]
-    soul = [[e - b for e, b in zip(row, body_row)] for row, body_row in zip(matrix, sector.body)]
-    u = _mat_vec(inv_body, rhs)
-    if any(not e.is_zero() for row in soul for e in row):
-        u = _until_stable(
-            lambda v: _mat_vec(inv_body, [r - x for r, x in zip(rhs, _mat_vec(soul, v))]),
-            u, nilpotency_cap + 1, "nilpotent correction failed to terminate",
-        )
-    residual = [r - b for r, b in zip(_mat_vec(matrix, u), rhs)]
-    if any(not r.is_zero() for r in residual):
-        raise SingularSystem("affine solve verification failed")
-    for gen, value in zip(sector.unknowns, u):
-        if not has_parity(value, gen.parity):
-            raise SingularSystem(f"{what} for {gen} has the wrong parity")
-    return dict(zip(sector.unknowns, u))
-
-
 def _solve_dynamics(data: CartanData) -> Dynamics:
     lag = data.lagrangian
     chart = lag.chart
@@ -574,8 +614,9 @@ def _solve_dynamics(data: CartanData) -> Dynamics:
         raise NotRegular(plan.report)
 
     n_odd_symbols = len(chart.base_odd) * (2 * k + 1)
-    forces = _solve_affine(plan.dynamical, n_odd_symbols, "force")
-    constraints = _solve_affine(plan.constraints, n_odd_symbols, "constraint value")
+    dynamical, lower = plan.dynamical, plan.constraints
+    forces = dynamical.solve(dynamical.rhs, dynamical.unknowns, n_odd_symbols, "force")
+    constraints = lower.solve(lower.rhs, lower.unknowns, n_odd_symbols, "constraint value")
     # prolong each solved relation up to top order; the top level
     # supplies the otherwise undetermined odd forces
     for gen in plan.constraints.unknowns:
@@ -637,7 +678,8 @@ def check_constant_of_motion(g_expr: SuperExpr, dyn: Dynamics) -> bool:
     This needs the solved dynamics.  The certificates of charges and
     witnesses need none: they check the first-variation identity
     (``_check_first_variation``).  ``conservation_witness`` calls this
-    only to end its search early on a regular system."""
+    only on a regular system, to end its search early or to tell a
+    quantity that is not constant from a failed closed form."""
     value = dyn.field().apply(g_expr)
     return dyn.reduce(value).is_zero()
 
@@ -645,20 +687,17 @@ def check_constant_of_motion(g_expr: SuperExpr, dyn: Dynamics) -> bool:
 # -- symmetry and conserved quantity correspondence ------------------------
 
 
-def _check_first_variation(
-    rate: SuperExpr, field: VectorFieldAlong, data: CartanData, failure: str
-) -> None:
-    """Check T(G) + i_W delta == 0 exactly, with ``rate`` the total
+def _check_first_variation(rate: SuperExpr, field: VectorFieldAlong, data: CartanData) -> bool:
+    """Whether T(G) + i_W delta == 0 exactly, with ``rate`` the total
     derivative T(G) of a quantity G and W a field along the projection to
-    the base; raise LagrangianError(failure) when it fails.
+    the base.
 
     delta is semibasic at level 0, so i_W delta is sum_a W_a E_a over the
     field equations E_a, with the Koszul sign of ``interior``.  The
     identity holds on jets, off shell: it makes G constant along every
     solution of the field equations, and no dynamics is solved to check it
     (Olver, GTM 107, sections 4.3 and 5.3)."""
-    if not (rate + interior(field, data.delta).coefficient(())).is_zero():
-        raise LagrangianError(failure)
+    return (rate + interior(field, data.delta).coefficient(())).is_zero()
 
 
 def _monomials(
@@ -787,16 +826,16 @@ def conservation_witness(
 ) -> VectorFieldAlong:
     """Find a field along the projection to the base whose interior
     product with the variational form reproduces the total derivative of
-    the quantity (with a minus sign).  Components are sought as
-    polynomials of growing degree, from the first degree a witness can
-    have up to deg G + 2k; raises NoWitness when that bound is exhausted.
+    the quantity (with a minus sign), checked by the first-variation
+    identity T(G) = -i_W delta (``_check_first_variation``), which makes
+    the quantity constant on shell.
 
-    The witness found is checked by the first-variation identity
-    T(G) = -i_W delta (``_check_first_variation``), which makes the
-    quantity constant on shell.  So once the search reaches the
-    quantity's own degree without a witness, a regular system checks that
-    along its dynamics, and a quantity that is not constant raises
-    NoWitness at once: no degree would give a witness."""
+    When every field equation reaches jet order 2k and the system is
+    regular, the witness is unique and found in closed form
+    (``_closed_form_witness``), and a quantity that is not constant is
+    decided at once.  Every other system is searched
+    (``_search_witness``); one with an equation of lower order is routed
+    there without a solve plan."""
     data = data or cartan_data(lag)
     chart = lag.chart
     k = lag.order
@@ -805,6 +844,26 @@ def conservation_witness(
     chart.at_order(2 * k - 1).validate(g_expr)
     g_parity = parity_of(g_expr)
     target = expr_total_derivative(g_expr)
+    if (
+        all(data.delta_check.component(base).max_jet_order() == 2 * k for base in chart.at_order(0).coordinates())
+        and data.regularity.verdict is Regularity.REGULAR
+    ):
+        return _closed_form_witness(g_expr, g_parity, target, data)
+    return _search_witness(g_expr, g_parity, target, data)
+
+
+def _search_witness(
+    g_expr: SuperExpr, g_parity: Parity, target: SuperExpr, data: CartanData
+) -> VectorFieldAlong:
+    """Seek the components of the witness of G, with ``target`` = T(G),
+    as polynomials of growing degree, from the first degree a witness can
+    have up to deg G + 2k; raise NoWitness when that bound is exhausted.
+    Once the search reaches the quantity's own degree without a witness,
+    a regular system checks the quantity along its dynamics, and one that
+    is not constant raises NoWitness at once: no degree would give a
+    witness."""
+    chart = data.lagrangian.chart
+    k = data.lagrangian.order
     delta_check = data.delta_check
     g_degree = g_expr.total_degree()
     cap = g_degree + 2 * k
@@ -828,10 +887,7 @@ def conservation_witness(
             and data.regularity.verdict is Regularity.REGULAR
             and not check_constant_of_motion(g_expr, data.dynamics)
         ):
-            raise NoWitness(
-                "no witness field of any degree: the quantity is not constant "
-                "along the dynamics"
-            )
+            raise NoWitness(_NOT_CONSTANT)
         monomials = {p: _monomials(ambient, degree, p) for p in {p for _, _, p in scaled}}
         width = sum(len(monomials[p]) for _, _, p in scaled)
         if width > _MAX_WITNESS_COLUMNS and data.regularity.verdict is not Regularity.REGULAR:
@@ -858,11 +914,41 @@ def conservation_witness(
                 parts.setdefault(base, []).append((1, SuperExpr.constant(coeff), mono))
         components = {base: sum_of_products(terms) for base, terms in parts.items()}
         witness = VectorFieldAlong(chart, 0, 2 * k - 1, components, g_parity)
-        _check_first_variation(target, witness, data, "witness verification failed")
+        if not _check_first_variation(target, witness, data):
+            raise LagrangianError("witness verification failed")
         return witness
     raise NoWitness(
         f"no witness field with polynomial components of degree <= {cap}"
     )
+
+
+def _closed_form_witness(
+    g_expr: SuperExpr, g_parity: Parity, target: SuperExpr, data: CartanData
+) -> VectorFieldAlong:
+    """The witness of G on a regular system whose field equations F_a all
+    reach the top jets u^(2k), from the top-jet part of the identity
+    T(G) = -sum_a koszul(F_a, |G|) W_a.  With F_a affine in the u_b^(2k)
+    with coefficients A_ab, and T(G) holding u_b^(2k) dG/du_b^(2k-1), the
+    coefficients of u_b^(2k) give the row system the dynamical sector
+    solves with its ``twist`` (Olver, GTM 107, sections 4.3 and 5.3); its
+    body is invertible, so W is unique.  When W fails the identity, the
+    quantity is either not constant along the dynamics (NoWitness) or an
+    internal identity has failed."""
+    chart = data.lagrangian.chart
+    k = data.lagrangian.order
+    sector = data._plan.dynamical
+    derivs = partials(g_expr)
+    rhs = [derivs.get(u.shifted(-1), SuperExpr.zero()) for u in sector.unknowns]
+    values = sector.solve(
+        rhs, chart.at_order(0).coordinates(), len(chart.base_odd) * (2 * k + 1), "witness component", g_parity
+    )
+    components = {base: value for base, value in values.items() if not value.is_zero()}
+    witness = VectorFieldAlong(chart, 0, 2 * k - 1, components, g_parity)
+    if _check_first_variation(target, witness, data):
+        return witness
+    if check_constant_of_motion(g_expr, data.dynamics):
+        raise LagrangianError("internal identity failure: the unique witness of a constant quantity fails")
+    raise NoWitness(_NOT_CONSTANT)
 
 
 def _homotopy(target: SuperExpr) -> tuple[dict[GeneratorSymbol, SuperExpr], SuperExpr]:
@@ -951,11 +1037,8 @@ def noether_charge(
         raise NotProjectable(
             f"charge involves jet order {charge.max_jet_order()}, above {2 * k - 1}"
         )
-    if verify:
-        _check_first_variation(
-            expr_total_derivative(charge), x_field, data,
-            "charge verification failed: the first-variation identity does not hold",
-        )
+    if verify and not _check_first_variation(expr_total_derivative(charge), x_field, data):
+        raise LagrangianError("charge verification failed: the first-variation identity does not hold")
     return charge
 
 

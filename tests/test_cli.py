@@ -19,6 +19,7 @@ from supermech import (
     forms,
     jets,
     lagrangian,
+    parse_expression,
     parse_problem,
     problems,
 )
@@ -538,25 +539,29 @@ def _count_calls(monkeypatch, stages, module=lagrangian) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "argv, counts",
+    "problem, argv, counts",
     [
-        (["derive"], (1, 1, 1, 0, 2, 0, 6)),
-        (["derive", "--emit", "latex"], (1, 1, 0, 0, 2, 0, 0)),
-        (["noether", "--symmetry", "susy"], (1, 1, 0, 0, 2, 0, 0)),
-        (["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 1, 0)),
-        (["simulate"], (1, 1, 1, 0, 2, 0, 6)),
+        ("superparticle.sm", ["derive"], (1, 1, 1, 0, 2, 0, 6)),
+        ("superparticle.sm", ["derive", "--emit", "latex"], (1, 1, 0, 0, 2, 0, 0)),
+        ("superparticle.sm", ["noether", "--symmetry", "susy"], (1, 1, 0, 0, 2, 0, 0)),
+        ("superparticle.sm", ["noether", "--from-charge", "q[1]*theta[0]"], (1, 0, 0, 0, 0, 1, 0)),
+        ("superparticle.sm", ["simulate"], (1, 1, 1, 0, 2, 0, 6)),
+        ("ostrogradski.sm", ["noether", "--from-charge=-q[3]"], (1, 1, 0, 0, 1, 0, 0)),
     ],
-    ids=["derive", "derive-latex", "symmetry", "inverse", "simulate"],
+    ids=["derive", "derive-latex", "symmetry", "inverse", "simulate", "inverse-closed-form"],
 )
-def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
+def test_each_command_derives_once(problem, argv, counts, monkeypatch, capsys):
     # theta built, solve plan run, dynamics solved only by the commands
     # that report or integrate it (charges are certified by the
     # first-variation identity, with no dynamics and no conservation check
     # along it), one determinant and adjugate per sector of the plan, one
     # rational system per degree of the witness search (the superparticle's
     # susy charge q[1]*theta[0] is searched from degree 1, the first a
-    # witness can have), and one substitution per pass of the on-shell and
-    # constraint loops; generating functions of symmetries solve no system
+    # witness can have, and its odd constraint sector keeps the search from
+    # reading the plan), and one substitution per pass of the on-shell and
+    # constraint loops; generating functions of symmetries solve no system.
+    # Every field equation of ostrogradski reaches the top jets, so its
+    # witness is one solve of the plan's one sector, with no search
     stages = (
         "cartan_operator",
         "_solve_plan",
@@ -567,7 +572,7 @@ def test_each_command_derives_once(argv, counts, monkeypatch, capsys):
         "substitute",
     )
     calls = _count_calls(monkeypatch, stages)
-    code = main([argv[0], str(PROBLEMS / "superparticle.sm"), *argv[1:]])
+    code = main([argv[0], str(PROBLEMS / problem), *argv[1:]])
     capsys.readouterr()
     assert code == 0
     assert tuple(calls[stage] for stage in stages) == counts
@@ -699,11 +704,18 @@ def _not_conserved_calls(path, charge, monkeypatch, capsys) -> Counter:
     return calls
 
 
+# an odd th whose equation th[1] is of lower order makes a constraint
+# sector, which keeps a system's witnesses on the search
+WITH_CONSTRAINT = "odd th; L = 1/2*th[0]*th[1] + "
+FREE = "order 1; even q; L = 1/2*q[1]^2;"
+
+
 def test_from_charge_not_conserved_stops_at_its_own_degree(problem_file, monkeypatch, capsys):
     # T(q[0]^2) has degree 2 and the field equation degree 1, so the search
     # starts at degree 1; at degree 2, the charge's own, the dynamics show
     # it is not conserved, so no degree up to 4 is tried
-    calls = _not_conserved_calls(problem_file(OSCILLATOR), "q[0]^2", monkeypatch, capsys)
+    path = problem_file(OSCILLATOR.replace("L = ", WITH_CONSTRAINT))
+    calls = _not_conserved_calls(path, "q[0]^2", monkeypatch, capsys)
     assert calls == {"_solve_rational": 1, "check_constant_of_motion": 1}
 
 
@@ -711,9 +723,50 @@ def test_from_charge_search_starts_at_the_first_degree_a_witness_can_have(proble
     # the free particle's field equation q[2] has degree 1, so no witness
     # of degree below 127 can give T(G), of degree 128: one system is
     # solved, not the 128 of degrees 0..127
-    free = "order 1; even q; L = 1/2*q[1]^2;"
-    calls = _not_conserved_calls(problem_file(free), "q[0]^64*q[1]^64", monkeypatch, capsys)
+    path = problem_file(FREE.replace("L = ", WITH_CONSTRAINT))
+    calls = _not_conserved_calls(path, "q[0]^64*q[1]^64", monkeypatch, capsys)
     assert calls == {"_solve_rational": 1, "check_constant_of_motion": 1}
+
+
+@pytest.mark.parametrize(
+    "text, charge", [(OSCILLATOR, "q[0]^2"), (FREE, "q[0]^64*q[1]^64")], ids=["oscillator", "free"]
+)
+def test_from_charge_not_conserved_is_decided_with_no_search(text, charge, problem_file, monkeypatch, capsys):
+    # with no constraint sector, the one witness the closed form finds
+    # fails the first-variation identity, and the dynamics tell why: no
+    # rational system is solved
+    calls = _not_conserved_calls(problem_file(text), charge, monkeypatch, capsys)
+    assert calls == Counter(check_constant_of_motion=1)
+
+
+def _chain(n, k):
+    """A Fermi-Pasta-Ulam chain of n unit masses of order k between fixed
+    walls: kinetic terms 1/2*x[k]^2 and springs 1/2*d^2 + 1/4*d^4 on each
+    stretch d."""
+    xs = [f"x{i}" for i in range(n)]
+    stretches = [f"{xs[0]}[0]", *(f"({b}[0] - {a}[0])" for a, b in zip(xs, xs[1:])), f"{xs[-1]}[0]"]
+    kinetic = " + ".join(f"1/2*{x}[{k}]^2" for x in xs)
+    springs = " ".join(f"- 1/2*{d}^2 - 1/4*{d}^4" for d in stretches)
+    time = " ".join(f"{x} -> {x}[1];" for x in xs)
+    return f"order {k}; even {', '.join(xs)}; L = {kinetic} {springs}; symmetry time {{ {time} }}"
+
+
+def test_from_charge_of_a_squared_energy_solves_one_sector(problem_file, monkeypatch, capsys):
+    # the square of the energy of the order-2 chain of four masses needs a
+    # witness of degree 5, which the search reached after seconds; every
+    # field equation reaches x[4], so the closed form solves the plan's one
+    # sector, with no search and no dynamics, for the witness 2*E*x[1]
+    path = problem_file(_chain(4, 2))
+    assert main(["noether", path, "--symmetry", "time"]) == 0
+    energy = json.loads(capsys.readouterr().out)["charge"]
+    calls = _count_calls(monkeypatch, ["_solve_rational", "_solve_dynamics"])
+    assert main(["noether", path, f"--from-charge=({energy})^2"]) == 0
+    assert calls == Counter()
+    symmetry = json.loads(capsys.readouterr().out)["symmetry"]
+    chart = Chart.create([f"x{i}" for i in range(4)], [], 3)
+    for name, component in symmetry.items():
+        expected = 2 * parse_expression(energy, chart, 3) * chart.coord(name, 1)
+        assert parse_expression(component, chart, 3) == expected
 
 
 # -- rendering -------------------------------------------------------------

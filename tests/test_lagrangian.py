@@ -28,7 +28,9 @@ from supermech import (
     interior,
     is_sode,
     liouville_field,
+    parse_expression,
     parse_problem,
+    parity_of,
     regularity,
     semibasic_check,
     solve_dynamics,
@@ -39,7 +41,15 @@ from supermech import (
 )
 from supermech import algebra, forms, jets, lagrangian
 from supermech.algebra import normalize
-from supermech.lagrangian import NoWitness, _affine_split, _homotopy, _mat_vec, check_symmetry
+from supermech.lagrangian import (
+    NoWitness,
+    _affine_split,
+    _homotopy,
+    _mat_vec,
+    _search_witness,
+    check_symmetry,
+)
+from perfbench import gen
 
 from helpers import random_expr, reference_on_shell, reference_variational_derivative
 
@@ -342,6 +352,95 @@ def test_without_regular_dynamics_the_search_ends_at_its_degree_bound():
     assert cartan_data(lag).regularity.verdict is Regularity.DEGENERATE
     with pytest.raises(NoWitness, match="degree <= 3$"):
         conservation_witness(lag.chart.coord("q", 0), lag)
+
+
+def _odd_pairs(pairs, soul, coupling):
+    """An even q with ``pairs`` odd pairs a_i, b_i, each dynamical through
+    a_i[1]*b_i[1] and entering the mass of q with the nilpotent soul
+    ``soul * a_i[0]*b_i[0]`` and the potential with ``coupling``: every
+    field equation reaches the top jets, as in tests/data/odd-top.sm."""
+    names = [n for i in range(pairs) for n in (f"a{i}", f"b{i}")]
+    chart = Chart.create(["q"], names, 1)
+    q0, q1 = chart.coord("q", 0), chart.coord("q", 1)
+    mass, expr = SuperExpr.constant(1), -Fraction(1, 2) * q0**2
+    for i in range(pairs):
+        a, b = chart.coord(f"a{i}", 0), chart.coord(f"b{i}", 0)
+        mass += soul * a * b
+        expr += chart.coord(f"a{i}", 1) * chart.coord(f"b{i}", 1) - coupling * q0 * a * b
+    return SuperLagrangian(chart, Fraction(1, 2) * mass * q1**2 + expr)
+
+
+def _closed_form_and_search(lag, g):
+    """The witness of ``g`` by ``conservation_witness`` and by the search,
+    or the message of the NoWitness each raises; every field equation
+    reaches the top jets of a regular system, so the first is the closed
+    form."""
+    data = cartan_data(lag)
+    assert data.regularity.verdict is Regularity.REGULAR
+    for base in lag.chart.at_order(0).coordinates():
+        assert data.delta_check.component(base).max_jet_order() == 2 * lag.order
+    found = []
+    for find in (
+        lambda: conservation_witness(g, lag, data),
+        lambda: _search_witness(g, parity_of(g), total_derivative(g), data),
+    ):
+        try:
+            witness = find()
+        except NoWitness as refusal:
+            found.append(str(refusal))
+        else:
+            found.append((dict(witness.components), witness.parity))
+    return found
+
+
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2), st.integers(1, 3),
+    st.sampled_from(["E", "E^2", "3E - 2", "x^d"]),
+)
+@example(1, 4, 2, 1, "E^2")
+def test_closed_form_witness_is_the_search_witness_on_generated_systems(seed, n_even, order, d, charge):
+    # every field equation of a generated system with no odd coordinate
+    # reaches the top jets, so the witness is unique: the closed form must
+    # return the search's witness, or refuse with its message
+    lag = parse_problem(gen.system(random.Random(seed), n_even, 0, order).text).lagrangian()
+    energy = cartan_data(lag).energy
+    g = {"E": energy, "E^2": energy**2, "3E - 2": 3 * energy - 2, "x^d": lag.chart.coord("x0", 0) ** d}[charge]
+    closed, searched = _closed_form_and_search(lag, g)
+    assert closed == searched
+    assert isinstance(closed, tuple) == (charge != "x^d")
+
+
+@given(
+    st.integers(1, 2),
+    st.fractions(-2, 2, max_denominator=3),
+    st.fractions(-2, 2, max_denominator=3),
+    st.sampled_from(["E", "E^2", "3E - 2", "q^d"]),
+    st.integers(1, 3),
+)
+@example(1, Fraction(1), Fraction(1), "E", 1)
+def test_closed_form_witness_is_the_search_witness_with_odd_top_equations(pairs, soul, coupling, charge, d):
+    # odd pairs of top order put odd-odd entries and a nilpotent soul in
+    # the leading matrix, the signs and the series the closed form must get
+    # right
+    lag = _odd_pairs(pairs, soul, coupling)
+    energy = cartan_data(lag).energy
+    g = {"E": energy, "E^2": energy**2, "3E - 2": 3 * energy - 2, "q^d": lag.chart.coord("q", 0) ** d}[charge]
+    closed, searched = _closed_form_and_search(lag, g)
+    assert closed == searched
+    assert isinstance(closed, tuple) == (charge != "q^d")
+
+
+@pytest.mark.parametrize("charge", ["a0[1]", "b0[1]", "q[1]*a0[1]", "a0[1]*b0[1]*q[1]"])
+def test_closed_form_witness_of_odd_and_product_charges(charge):
+    # on the free system every velocity is conserved; an odd charge twists
+    # the row system by |G| = 1, and a product of charges needs a witness
+    # with several components
+    lag = _odd_pairs(1, Fraction(0), Fraction(0))
+    lag = SuperLagrangian(lag.chart, lag.expr + Fraction(1, 2) * lag.chart.coord("q", 0) ** 2)
+    g = parse_expression(charge, lag.chart, 1)
+    closed, searched = _closed_form_and_search(lag, g)
+    assert closed == searched
+    assert closed[1] is parity_of(g)
 
 
 # -- generating functions --------------------------------------------------
