@@ -42,10 +42,14 @@ adds their keys: it is zero when the odd bits overlap, and its sign is
 the parity of the crossings of the two words' bits, counted with
 ``int.bit_count``.  An exponent that reaches a guard bit raises
 ``ExponentTooLarge``; no carry passes silently into the next field.  Keys
-are decoded only at the boundary: ``items()`` and the constructor
+are decoded only at the boundary, once per key by ``_unpack``, which also
+writes the monomial's text: ``items()`` and the constructor
 ``SuperExpr(mapping)`` take and return ``(even-monomial, odd-word)`` keys
 in sort order, with ``Fraction`` coefficients reduced term by term, and
-pickling goes through that mapping.
+pickling goes through that mapping.  The printers (``str`` here and in
+``forms``, the LaTeX writer of ``cli``) read ``printed_terms``: the cached
+text of each key and its coefficient as two ints, reduced by one gcd with
+the denominator, with no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -103,13 +107,14 @@ class ExponentTooLarge(AlgebraError):
     """An exponent does not fit the field of its generator in a term key."""
 
 
-def coefficient_text(value: int | Fraction) -> str:
-    """``str(value)`` for an exact coefficient, numerator or denominator;
-    raises ``CoefficientTooLarge`` past the interpreter's digit limit
+def coefficient_text(numerator: int, denominator: int = 1) -> str:
+    """The text of a reduced ratio of ints, ``str(Fraction(numerator,
+    denominator))`` with no ``Fraction``: ``p`` or ``p/q``.  Raises
+    ``CoefficientTooLarge`` past the interpreter's digit limit
     (``sys.get_int_max_str_digits``, 4300 by default) instead of its
     ``ValueError``."""
     try:
-        return str(value)
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
     except ValueError:
         raise CoefficientTooLarge(
             f"a coefficient has more than {sys.get_int_max_str_digits()} digits, "
@@ -365,10 +370,12 @@ def _pack(factors: Iterable[tuple[GeneratorSymbol, int]]) -> tuple[int, int] | N
 
 
 @lru_cache(maxsize=_DECODED)
-def _unpack(key: int) -> tuple[int, TermKey, tuple]:
-    """``(sign, (even-monomial, odd-word), sort key)`` of a packed key, both
-    parts in sort order: the sign puts the odd word from bit order in sort
-    order, and the sort key orders the terms of ``items()``."""
+def _unpack(key: int) -> tuple[tuple, int, TermKey, str]:
+    """``(sort key, sign, (even-monomial, odd-word), text)`` of a packed
+    key, both parts in sort order: the sort key orders the terms of
+    ``items()`` and the printers, the sign puts the odd word from bit order
+    in sort order, and the text is the monomial as ``str`` writes it
+    (``x0[1]^2*th0[0]``, empty for the constant key)."""
     even = []
     odd = []
     for g, e in _factors(key):
@@ -379,7 +386,8 @@ def _unpack(key: int) -> tuple[int, TermKey, tuple]:
     even.sort(key=lambda item: item[0].sort_key)
     sign, word = reorder(odd, 0) if len(odd) > 1 else (1, tuple(odd))
     order = (tuple((g.sort_key, e) for g, e in even), tuple(g.sort_key for g in word))
-    return sign, (tuple(even), word), order
+    text = "*".join([*(f"{g}^{e}" if e > 1 else str(g) for g, e in even), *map(str, word)])
+    return order, sign, (tuple(even), word), text
 
 
 class SuperExpr:
@@ -410,9 +418,13 @@ class SuperExpr:
         return _raw({})
 
     @staticmethod
-    def constant(value: Scalar) -> "SuperExpr":
-        value = Fraction(value)
-        return _raw({0: value.numerator} if value else {}, value.denominator)
+    def constant(value: Scalar, denominator: int = 1) -> "SuperExpr":
+        """The constant ``value / denominator``, the denominator a positive
+        int."""
+        if type(value) is not int:
+            value = Fraction(value)
+            value, denominator = value.numerator, value.denominator * denominator
+        return _reduced({0: value}, denominator) if value else _raw({})
 
     @staticmethod
     def generator(gen: GeneratorSymbol) -> "SuperExpr":
@@ -423,8 +435,7 @@ class SuperExpr:
     def items(self) -> list[tuple[TermKey, Fraction]]:
         """The terms, sorted, each coefficient a reduced ``Fraction``."""
         den = self._den
-        decoded = sorted(((_unpack(key), n) for key, n in self._nums.items()), key=lambda it: it[0][2])
-        return [(term, Fraction(sign * n, den)) for (sign, term, _), n in decoded]
+        return [(term, Fraction(sign * n, den)) for (_, sign, term, _), n in _decoded(self)]
 
     def numerators(self) -> tuple[Mapping[int, int], int]:
         """The integer numerators by packed term key, unsorted and
@@ -483,13 +494,16 @@ class SuperExpr:
         return _coerce(other) * self
 
     def __truediv__(self, other: Scalar) -> "SuperExpr":
-        other = Fraction(other)
-        if other == 0:
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        p, q = other.numerator, other.denominator
+        if not p:
             raise ZeroDivisionError("division of a SuperExpr by zero")
         # divide by |p/q| and move the sign of p onto the numerators
-        scale = other.denominator if other > 0 else -other.denominator
-        nums = {key: n * scale for key, n in self._nums.items()}
-        return _reduced(nums, self._den * abs(other.numerator))
+        if p < 0:
+            p, q = -p, -q
+        nums = self._nums if q == 1 else {key: n * q for key, n in self._nums.items()}
+        return _reduced(nums, self._den * p)
 
     def __pow__(self, exponent: int) -> "SuperExpr":
         if not isinstance(exponent, int) or exponent < 0:
@@ -523,8 +537,7 @@ class SuperExpr:
 
     def __str__(self) -> str:
         return signed_sum(
-            scaled(coefficient_text(coeff), _format_monomial(key), "*")
-            for key, coeff in self.items()
+            scaled(coefficient_text(n, d), text, "*") for _, text, n, d in printed_terms(self)
         )
 
     def __repr__(self) -> str:
@@ -624,19 +637,35 @@ def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> Supe
     return _reduced(out, den)
 
 
+def _decoded(expr: SuperExpr) -> list[tuple[tuple[tuple, int, TermKey, str], int]]:
+    """The terms as ``(_unpack(key), numerator)``, in sort order."""
+    nums = expr._nums
+    return sorted(zip(map(_unpack, nums), nums.values()), key=_by_order)
+
+
+def _by_order(term: tuple[tuple[tuple, int, TermKey, str], int]) -> tuple:
+    return term[0][0]
+
+
+def printed_terms(expr: SuperExpr) -> list[tuple[TermKey, str, int, int]]:
+    """The terms in sort order as ``(key, monomial text, numerator,
+    denominator)``, each coefficient reduced on its own by one gcd of its
+    numerator with the expression's denominator: what the text and LaTeX
+    printers read, with no ``Fraction``."""
+    den = expr._den
+    out = []
+    for (_, sign, term, text), n in _decoded(expr):
+        common = math.gcd(n, den)
+        out.append((term, text, sign * n // common, den // common))
+    return out
+
+
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:
     if isinstance(value, SuperExpr):
         return value
     if isinstance(value, (int, Fraction)):
         return SuperExpr.constant(value)
     raise TypeError(f"cannot interpret {value!r} as a SuperExpr")
-
-
-def _format_monomial(key: TermKey) -> str:
-    even, odd = key
-    parts = [f"{g}^{e}" if e > 1 else str(g) for g, e in even]
-    parts.extend(str(g) for g in odd)
-    return "*".join(parts)
 
 
 def normalize(raw: Iterable[RawTerm], declared: Iterable[GeneratorSymbol] | None = None) -> SuperExpr:

@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Mapping
 
 from .algebra import (
@@ -43,6 +42,7 @@ from .algebra import (
     SuperExpr,
     TermKey,
     coefficient_text,
+    printed_terms,
     scaled,
     signed_sum,
 )
@@ -373,12 +373,13 @@ def latex_name(name: str) -> str:
     return rf"\mathrm{{{name}}}"
 
 
-def _latex_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return coefficient_text(value.numerator)
-    sign = "-" if value < 0 else ""
-    numerator = coefficient_text(abs(value.numerator))
-    return rf"{sign}\tfrac{{{numerator}}}{{{coefficient_text(value.denominator)}}}"
+def _latex_fraction(numerator: int, denominator: int) -> str:
+    """A reduced ratio of ints: ``p``, or a ``tfrac`` with the sign in
+    front."""
+    if denominator == 1:
+        return coefficient_text(numerator)
+    sign = "-" if numerator < 0 else ""
+    return rf"{sign}\tfrac{{{coefficient_text(abs(numerator))}}}{{{coefficient_text(denominator)}}}"
 
 
 def _latex_generator(gen: GeneratorSymbol) -> str:
@@ -394,8 +395,8 @@ def _latex_monomial(key: TermKey) -> str:
 
 def latex_expr(expr: SuperExpr) -> str:
     return signed_sum(
-        scaled(_latex_fraction(coeff), _latex_monomial(key), r" \, ")
-        for key, coeff in expr.items()
+        scaled(_latex_fraction(n, d), _latex_monomial(key), r" \, ")
+        for key, _, n, d in printed_terms(expr)
     )
 
 

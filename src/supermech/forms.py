@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
@@ -152,11 +153,7 @@ class GradedForm:
 
     def __str__(self) -> str:
         return signed_sum(
-            scaled(
-                f"({coeff})" if grouped_coefficient(coeff, word) else str(coeff),
-                "^".join(f"d({g})" for g in word),
-                "*",
-            )
+            scaled(f"({coeff})" if grouped_coefficient(coeff, word) else str(coeff), _word_text(word), "*")
             for word, coeff in self.items()
         )
 
@@ -181,6 +178,13 @@ def _ordered(entries: Iterable[Entry]) -> Iterable[Entry]:
         if ordered is not None:
             sign, canonical = ordered
             yield canonical, sign * weight, left, right
+
+
+@lru_cache(maxsize=4096)
+def _word_text(word: WedgeWord) -> str:
+    """A canonical word as ``GradedForm.__str__`` writes it, ``d(q[0])^d(th[1])``,
+    built once per word."""
+    return "^".join(f"d({g})" for g in word)
 
 
 def grouped_coefficient(coeff: SuperExpr, word: WedgeWord) -> bool:
@@ -287,7 +291,7 @@ def cartan_operator(form: GradedForm, k: int) -> GradedForm:
         piece = transposed = transpose_vertical(transposed, k)
         for _ in range(l - 1):
             piece = total_derivative(piece)
-        entries.extend(piece._entries((-1) ** (l + 1), SuperExpr.constant(Fraction(1, factorial))))
+        entries.extend(piece._entries((-1) ** (l + 1), SuperExpr.constant(1, factorial)))
     return _collect(entries)
 
 

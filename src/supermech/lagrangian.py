@@ -220,6 +220,8 @@ def cartan_data(lag: SuperLagrangian) -> CartanData:
 
 # -- linear algebra over the superalgebra ----------------------------------
 
+_ONE = SuperExpr.constant(1)
+
 
 def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]] | None]:
     """Determinant and adjugate of a square matrix A whose entries are free
@@ -277,18 +279,17 @@ def _det_adjugate(matrix: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, lis
                 elif a:
                     row[j] = _int_quotient(pivot * a, previous)
         previous = pivot
-    return SuperExpr.constant(Fraction(sign * previous, scale**n)), [
-        [SuperExpr.constant(Fraction(sign * e, scale ** (n - 1))) for e in row[n:]] for row in rows
+    return SuperExpr.constant(sign * previous, scale**n), [
+        [SuperExpr.constant(sign * e, scale ** (n - 1)) for e in row[n:]] for row in rows
     ]
 
 
 def _faddeev_leverrier(a: Sequence[Sequence[SuperExpr]]) -> tuple[SuperExpr, list[list[SuperExpr]] | None]:
     n = len(a)
-    one = SuperExpr.constant(1)
     # M_1 = I and A M_1 = A
-    m, product = [[one if i == j else SuperExpr.zero() for j in range(n)] for i in range(n)], a
+    m, product = [[_ONE if i == j else SuperExpr.zero() for j in range(n)] for i in range(n)], a
     for k in range(1, n + 1):
-        c = sum_of_products((-1, product[i][i], one) for i in range(n)) / k
+        c = sum_of_products((-1, product[i][i], _ONE) for i in range(n)) / k
         if k < n:
             m = [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(product)]
             product = [[sum_of_products((1, x, y) for x, y in zip(row, col)) for col in zip(*m)] for row in a]
@@ -334,7 +335,7 @@ def _affine_split(expr: SuperExpr, unknowns: set[GeneratorSymbol]) -> _Split:
             )
         coeffs[u] = coeff
     terms = ((-1, c, SuperExpr.generator(u)) for u, c in coeffs.items())
-    rest = sum_of_products([(1, expr, SuperExpr.constant(1)), *terms])
+    rest = sum_of_products([(1, expr, _ONE), *terms])
     return rest, coeffs
 
 
@@ -435,7 +436,7 @@ class _Sector:
     rhs: tuple[SuperExpr, ...] = ()
     unknowns: tuple[GeneratorSymbol, ...] = ()
     soul: tuple[Sequence[SuperExpr], ...] = ()
-    det: SuperExpr = SuperExpr.constant(1)
+    det: SuperExpr = _ONE
     adjugate: tuple[Sequence[SuperExpr], ...] = ()
 
     def solve(

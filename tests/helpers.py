@@ -1,6 +1,6 @@
 """Shared test utilities.
 
-Eight kinds of helpers live here: seeded random generators for
+Nine kinds of helpers live here: seeded random generators for
 expressions, forms, and fields; a small independent polynomial calculator
 for the one-even-coordinate case; a reference product and even partial
 that spell each term out as a list of factors; a reference reader of
@@ -10,7 +10,8 @@ dictionaries, one coefficient per term; a reference variational
 derivative and on-shell substitution written as the textbook sum and the
 nested loop the package's single passes replace; a reference Grassmann
 product, evaluator and Runge-Kutta stepper for the numeric
-layer; and reference exact linear algebra.  The calculator represents
+layer; reference exact linear algebra; and reference printers of
+expressions, forms and LaTeX.  The calculator represents
 polynomials as plain exponent-tuple dictionaries and knows nothing about
 the package internals, so momenta and field equations computed with it
 are a second opinion, not an echo.  The factor-list references hand every
@@ -22,7 +23,9 @@ denominators from outside.  The numeric references loop over
 coefficients one pair at a time instead of using the package's pairing
 of subsets.  The linear-algebra references are Laplace expansion and dense
 Gauss-Jordan elimination, the textbook routines the package's kernels
-replace.
+replace.  The reference printers write each term from its ``items()``
+``Fraction`` and decoded key, not from the package's cached monomial
+texts and integer coefficients.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from supermech import (
     parity_product,
     substitute,
 )
-from supermech.algebra import grassmann_coefficients, koszul
+from supermech.algebra import grassmann_coefficients, koszul, scaled, signed_sum
+from supermech.cli import latex_name
 
 # -- independent reference: one even coordinate q[0..n] --------------------
 # A polynomial is a dict mapping exponent tuples to Fraction coefficients;
@@ -639,3 +643,59 @@ def dense_solve_rational(columns: list, target: SuperExpr) -> list | None:
     for i, col in enumerate(pivot_cols):
         solution[col] = rows[i][-1]
     return solution
+
+
+# -- reference printers ------------------------------------------------------
+# Each term is written from its ``items()`` Fraction and its decoded key,
+# with ``str`` of the Fraction and of each generator, and summed with
+# ``signed_sum`` and ``scaled``: none of the package's packed-term printing.
+
+
+def reference_text(expr: SuperExpr) -> str:
+    def monomial(key) -> str:
+        even, odd = key
+        return "*".join([*(f"{g}^{e}" if e > 1 else str(g) for g, e in even), *(str(g) for g in odd)])
+
+    return signed_sum(scaled(str(coeff), monomial(key), "*") for key, coeff in expr.items())
+
+
+def reference_form_text(form: GradedForm) -> str:
+    """A coefficient of more than one term is grouped in parentheses when
+    differentials follow it."""
+
+    def term(word, coeff) -> str:
+        text = reference_text(coeff)
+        if word and len(coeff.items()) > 1:
+            text = f"({text})"
+        return scaled(text, "^".join(f"d({g})" for g in word), "*")
+
+    return signed_sum(term(word, coeff) for word, coeff in form.items())
+
+
+def _latex_generator(g) -> str:
+    return rf"{latex_name(g.name)}_{{{g.jet_order}}}"
+
+
+def reference_latex(expr: SuperExpr) -> str:
+    def fraction(coeff: Fraction) -> str:
+        if coeff.denominator == 1:
+            return str(coeff.numerator)
+        sign = "-" if coeff < 0 else ""
+        return rf"{sign}\tfrac{{{abs(coeff.numerator)}}}{{{coeff.denominator}}}"
+
+    def monomial(key) -> str:
+        even, odd = key
+        factors = [_latex_generator(g) + (rf"^{{{e}}}" if e > 1 else "") for g, e in even]
+        return r" \, ".join([*factors, *(_latex_generator(g) for g in odd)])
+
+    return signed_sum(scaled(fraction(coeff), monomial(key), r" \, ") for key, coeff in expr.items())
+
+
+def reference_latex_form(form: GradedForm) -> str:
+    def term(word, coeff) -> str:
+        differentials = r" \wedge ".join(rf"\mathrm{{d}}{_latex_generator(g)}" for g in word)
+        if word and len(coeff.items()) > 1:
+            return rf"\left( {reference_latex(coeff)} \right) {differentials}"
+        return scaled(reference_latex(coeff), differentials, r" \, ")
+
+    return signed_sum(term(word, coeff) for word, coeff in form.items())

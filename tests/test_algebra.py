@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from supermech import (
     Chart,
     GeneratorSymbol,
+    GradedForm,
     MixedParity,
     Parity,
     ParityMismatch,
@@ -38,6 +39,7 @@ from supermech.algebra import (
     shift_derivative,
     sum_of_products,
 )
+from supermech.cli import latex_expr, latex_form
 
 from helpers import (
     factor_list,
@@ -52,7 +54,11 @@ from helpers import (
     parity_part,
     random_expr,
     reference_even_partial,
+    reference_form_text,
+    reference_latex,
+    reference_latex_form,
     reference_product,
+    reference_text,
 )
 
 CHART = Chart.create(["q", "r"], ["th", "ps"], 3)
@@ -95,6 +101,12 @@ def test_string_form_is_sorted_and_exact():
     assert str(SuperExpr.zero()) == "0"
     assert str(coord("th", 0) * coord("th", 1)) == "th[0]*th[1]"
     assert str(SuperExpr.constant(Fraction(-2, 3))) == "-2/3"
+    # over the one denominator 6 the numerators are -3, 1, -6 and 2: each
+    # term is reduced on its own, and a unit is written as a sign
+    expr = Fraction(1, 6) * coord("q", 0) + Fraction(1, 3) * coord("r", 1) - coord("th", 0) * coord("q", 0)
+    expr = expr - Fraction(1, 2)
+    assert expr.numerators()[1] == 6
+    assert str(expr) == "-1/2 + 1/6*q[0] - q[0]*th[0] + 1/3*r[1]"
 
 
 def test_generator_symbol_ordering_and_shift():
@@ -298,6 +310,9 @@ def test_operations_stay_canonical_and_match_the_fraction_reference(a, b, c, k, 
     assert_exact(a * b, fraction_product(fa, fb))
     assert_exact(c * a, {key: c * v for key, v in fa.items()})
     assert_exact(a / c, {key: v / c for key, v in fa.items()})
+    assert_exact(a / c.numerator, {key: v / c.numerator for key, v in fa.items()})
+    assert_exact(SuperExpr.constant(c.numerator, c.denominator), {((), ()): c})
+    assert_exact(SuperExpr.constant(c, 7), {((), ()): c / 7})
     assert_exact(a ** k, fraction_power(fa, k))
     assert_exact(koszul(a, 1), {key: -v if len(key[1]) % 2 else v for key, v in fa.items()})
     assert_exact(left_partial(a, x), fraction_left_partial(fa, x))
@@ -380,6 +395,36 @@ def test_every_way_into_an_expression_matches_the_fraction_reference(terms):
     assert_exact(SuperExpr(mapping), reference)
     assert_exact(normalize(raw), reference)
     assert_exact(parse_expression(text or "0", CHART, 2), reference)
+
+
+# -- printers ----------------------------------------------------------------
+
+# Coefficients whose terms reduce differently over one denominator (1/6 and
+# 1/3 share 6, over which 1/3 is 2/6), signs, and the units, which print as a
+# sign alone.
+PRINT_COEFFS = st.one_of(
+    st.sampled_from([1, -1, Fraction(1, 6), Fraction(1, 3), Fraction(-1, 2), Fraction(5, 4)]),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    WIDE_COEFFS,
+)
+PRINT_EXPRS = st.lists(
+    st.tuples(PRINT_COEFFS, st.lists(st.tuples(st.sampled_from(GENS), st.integers(1, 3)), max_size=4)),
+    max_size=6,
+).map(lambda terms: normalize((c, [g for g, e in powers for _ in range(e)]) for c, powers in terms))
+# words of at most three differentials; an odd differential may repeat
+PRINT_FORMS = st.lists(
+    st.tuples(PRINT_EXPRS, st.lists(st.sampled_from(CHART.at_order(1).coordinates()), max_size=3)),
+    max_size=4,
+).map(lambda terms: GradedForm.sum(GradedForm.term(c, word) for c, word in terms))
+
+
+@settings(max_examples=200)
+@given(PRINT_EXPRS, PRINT_FORMS)
+def test_printers_match_the_fraction_reference(expr, form):
+    assert str(expr) == reference_text(expr)
+    assert latex_expr(expr) == reference_latex(expr)
+    assert str(form) == reference_form_text(form)
+    assert latex_form(form) == reference_latex_form(form)
 
 
 def test_constants_hash_as_the_numbers_they_equal():

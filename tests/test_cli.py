@@ -927,6 +927,20 @@ def test_coefficient_too_long_to_print_is_math_failure(problem_file, capsys, emi
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("emit", ["json", "latex"])
+def test_denominator_too_long_to_print_is_math_failure(problem_file, capsys, emit):
+    # each literal is as long as the parser allows; their product, the
+    # denominator of the potential, is twice as long as the interpreter prints
+    text = f"order 1; even q; L = 1/2*q[1]^2 - 1/{'9' * 4300}*1/{'7' * 4300}*q[0]^2;"
+    code = main(["derive", "--emit", emit, problem_file(text)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("supermech: ")
+    assert captured.err.count("\n") == 1
+    assert "4300 digits" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["derive", "superparticle.sm"], ["simulate", "oscillator.sm"]],
