@@ -370,12 +370,13 @@ def _pack(factors: Iterable[tuple[GeneratorSymbol, int]]) -> tuple[int, int] | N
 
 
 @lru_cache(maxsize=_DECODED)
-def _unpack(key: int) -> tuple[tuple, int, TermKey, str]:
-    """``(sort key, sign, (even-monomial, odd-word), text)`` of a packed
-    key, both parts in sort order: the sort key orders the terms of
+def _unpack(key: int) -> tuple[tuple, int, TermKey, str, int]:
+    """``(sort key, sign, (even-monomial, odd-word), text, key)`` of a
+    packed key, both parts in sort order: the sort key orders the terms of
     ``items()`` and the printers, the sign puts the odd word from bit order
-    in sort order, and the text is the monomial as ``str`` writes it
-    (``x0[1]^2*th0[0]``, empty for the constant key)."""
+    in sort order, the text is the monomial as ``str`` writes it
+    (``x0[1]^2*th0[0]``, empty for the constant key), and the key itself
+    lets a printer cache its own text by it."""
     even = []
     odd = []
     for g, e in _factors(key):
@@ -387,7 +388,7 @@ def _unpack(key: int) -> tuple[tuple, int, TermKey, str]:
     sign, word = reorder(odd, 0) if len(odd) > 1 else (1, tuple(odd))
     order = (tuple((g.sort_key, e) for g, e in even), tuple(g.sort_key for g in word))
     text = "*".join([*(f"{g}^{e}" if e > 1 else str(g) for g, e in even), *map(str, word)])
-    return order, sign, (tuple(even), word), text
+    return order, sign, (tuple(even), word), text, key
 
 
 class SuperExpr:
@@ -435,7 +436,7 @@ class SuperExpr:
     def items(self) -> list[tuple[TermKey, Fraction]]:
         """The terms, sorted, each coefficient a reduced ``Fraction``."""
         den = self._den
-        return [(term, Fraction(sign * n, den)) for (_, sign, term, _), n in _decoded(self)]
+        return [(term, Fraction(sign * n, den)) for (_, sign, term, _, _), n in _decoded(self)]
 
     def numerators(self) -> tuple[Mapping[int, int], int]:
         """The integer numerators by packed term key, unsorted and
@@ -637,27 +638,34 @@ def sum_of_products(triples: Iterable[tuple[int, SuperExpr, SuperExpr]]) -> Supe
     return _reduced(out, den)
 
 
-def _decoded(expr: SuperExpr) -> list[tuple[tuple[tuple, int, TermKey, str], int]]:
+def _decoded(expr: SuperExpr) -> list[tuple[tuple[tuple, int, TermKey, str, int], int]]:
     """The terms as ``(_unpack(key), numerator)``, in sort order."""
     nums = expr._nums
     return sorted(zip(map(_unpack, nums), nums.values()), key=_by_order)
 
 
-def _by_order(term: tuple[tuple[tuple, int, TermKey, str], int]) -> tuple:
+def _by_order(term: tuple[tuple[tuple, int, TermKey, str, int], int]) -> tuple:
     return term[0][0]
 
 
-def printed_terms(expr: SuperExpr) -> list[tuple[TermKey, str, int, int]]:
-    """The terms in sort order as ``(key, monomial text, numerator,
+def printed_terms(expr: SuperExpr) -> list[tuple[int, str, int, int]]:
+    """The terms in sort order as ``(packed key, monomial text, numerator,
     denominator)``, each coefficient reduced on its own by one gcd of its
     numerator with the expression's denominator: what the text and LaTeX
-    printers read, with no ``Fraction``."""
+    printers read, with no ``Fraction``.  A printer that writes its own
+    monomial text caches it by the packed key, which ``decode_key``
+    decodes."""
     den = expr._den
     out = []
-    for (_, sign, term, text), n in _decoded(expr):
+    for (_, sign, _, text, key), n in _decoded(expr):
         common = math.gcd(n, den)
-        out.append((term, text, sign * n // common, den // common))
+        out.append((key, text, sign * n // common, den // common))
     return out
+
+
+def decode_key(key: int) -> TermKey:
+    """The ``(even-monomial, odd-word)`` of a packed key, in sort order."""
+    return _unpack(key)[2]
 
 
 def _coerce(value: "SuperExpr | Scalar") -> SuperExpr:

@@ -37,11 +37,12 @@ import sys
 from typing import Mapping
 
 from .algebra import (
+    _DECODED,
     AlgebraError,
     GeneratorSymbol,
     SuperExpr,
-    TermKey,
     coefficient_text,
+    decode_key,
     printed_terms,
     scaled,
     signed_sum,
@@ -386,8 +387,11 @@ def _latex_generator(gen: GeneratorSymbol) -> str:
     return rf"{latex_name(gen.name)}_{{{gen.jet_order}}}"
 
 
-def _latex_monomial(key: TermKey) -> str:
-    even, odd = key
+@functools.lru_cache(maxsize=_DECODED)
+def _latex_monomial(key: int) -> str:
+    """The monomial of a packed key in LaTeX, written once per key as the
+    text printer's is."""
+    even, odd = decode_key(key)
     factors = [_latex_generator(g) + (rf"^{{{e}}}" if e > 1 else "") for g, e in even]
     factors.extend(_latex_generator(g) for g in odd)
     return r" \, ".join(factors)

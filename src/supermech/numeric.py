@@ -41,15 +41,21 @@ is zero for the whole run gives no term, where pairing it would give NaN.
 
 The schedule is evaluated in two ways:
 
-* batched numpy over ``(states, registers)``, in chunks of states whose
-  temporaries hold about ``_CHUNK_BYTES``: ``evaluate``, the initial
-  constraint check and the conservation and constraint reports.
+* batched numpy over ``(registers, states)``, register-major, in chunks
+  of states whose arrays alive at once hold about ``_CHUNK_BYTES``:
+  ``evaluate``, the initial constraint check and the conservation and
+  constraint reports.  Each gather copies whole rows, and each output's
+  sup norm reduces its ``2**n`` rows of states.
 * RK4 steps of the field.  The schedule's size gives the float
   operations of one step, and that count picks the code: at most
   ``_KERNEL_MAX_OPS``, straight-line Python float code, one name per
   register, compiled once per run; more, a numpy step on one flat
   register array, two fixed gathers and one ``bincount`` per round.  Both
-  store the same floats.
+  store the same floats.  The straight-line step folds out each still
+  register, one that no sum targets: its slope is 0.0 in every stage
+  and 0.0 times a finite positive step is +0.0, so its stage input and
+  its update are both ``y + 0.0``, computed once per step, with no slope
+  or stage arithmetic.
 
 Integration is classic fixed-step fourth-order Runge-Kutta, stored as one
 ``(steps + 1, coordinates, 2**n)`` array.
@@ -89,13 +95,14 @@ _CHUNK_BYTES = 1 << 18
 # under 200 KB and the benchmark's generated ones under 1 MB
 _MAX_TRAJECTORY_BYTES = 1 << 30
 # bound on the float operations of one RK4 step that runs as straight-line
-# Python code; a larger step runs the numpy step (see ``integrate``).
-# Measured on a 2-core x86 VM, straight-line code costs 12-30 ns per
-# operation per step and 3-8 us per operation to compile, and the numpy
-# step 15-70 us per step on the same fields, so at 400 operations the
-# compile is repaid within 40-140 steps.  On the coefficients their data
-# reaches, the shipped problems need 42-76 operations and the seed-1
-# grassmann-sim systems (n=4..8) 165-2268.
+# Python code, as emitted, still registers folded (``_Schedule.ops``); a
+# larger step runs the numpy step (see ``integrate``).  Measured on a
+# 2-core x86 VM, straight-line code costs 12-30 ns per operation per step
+# and 3-8 us per operation to compile, and the numpy step 15-70 us per
+# step on the same fields, so at 400 operations the compile is repaid
+# within 40-140 steps.  On the coefficients their data reaches, the
+# shipped problems need 27-65 operations and the seed-1 grassmann-sim
+# systems (n=4..8) 132-2268.
 _KERNEL_MAX_OPS = 400
 # largest sup-norm constraint residual ``integrate`` accepts initially
 _CONSTRAINT_TOL = 1e-9
@@ -280,12 +287,12 @@ def _chain(index: Mapping[GeneratorSymbol, int], even, odd) -> list[tuple[int, i
 
 
 def _binned(terms: np.ndarray, bins: np.ndarray, count: int) -> np.ndarray:
-    """Sum the ``(rows, pairs)`` terms into ``(rows, count)`` bins, each bin
-    from +0.0 in the terms' order: ``bincount`` adds its weights in input
-    order, and each row goes to bins of its own."""
-    rows = len(terms)
-    bins = (np.arange(rows)[:, None] * count + bins).ravel()
-    return np.bincount(bins, terms.ravel(), rows * count).reshape(rows, count)
+    """Sum the ``(pairs, states)`` terms into ``(count, states)`` bins, each
+    bin from +0.0 in pair order: ``bincount`` adds its weights in input
+    order, and each state goes to bins of its own."""
+    states = terms.shape[1]
+    bins = ((bins * states)[:, None] + np.arange(states)).ravel()
+    return np.bincount(bins, terms.ravel(), count * states).reshape(count, states)
 
 
 class _Round(NamedTuple):
@@ -301,13 +308,13 @@ class _Round(NamedTuple):
 
 
 def _run(rounds: Sequence[_Round], registers: np.ndarray):
-    """Compute the rounds' registers of a ``(batch, registers)`` array in
+    """Compute the rounds' registers of a ``(registers, batch)`` array in
     place, in order."""
     for rnd in rounds:
-        terms = registers[:, rnd.left]
-        terms *= registers[:, rnd.right]
-        terms *= rnd.sign
-        registers[:, rnd.lo : rnd.hi] = _binned(terms, rnd.target, rnd.hi - rnd.lo)
+        terms = registers[rnd.left]
+        terms *= registers[rnd.right]
+        terms *= rnd.sign[:, None]
+        registers[rnd.lo : rnd.hi] = _binned(terms, rnd.target, rnd.hi - rnd.lo)
 
 
 class _Schedule:
@@ -398,12 +405,22 @@ class _Schedule:
         widest = max((len(r.left) for r in self.powers + self.rounds), default=0)
         # the float operations of one RK4 step of a field: four
         # evaluations, each pair a multiply and an add, then the stage and
-        # update arithmetic
-        self.ops = 4 * (2 * sum(len(r.left) for r in self.powers + self.rounds)
-                        + len(sources) + len(summed)) + 13 * self.state
-        # states per batch: registers, a round's or the sums' terms, their
-        # gathered factors and bins, and the outputs
-        per_state = self.registers + 3 * max(widest, len(summed)) + self.outputs * size
+        # update arithmetic as the straight-line step emits it, 13 for a
+        # register that some sum targets and 2 for a still one (a field's
+        # sums target state registers, one per distinct target)
+        moving = len(set(targets))
+        pairs = sum(len(r.left) for r in self.powers + self.rounds)
+        self.ops = (4 * (2 * pairs + len(sources) + len(summed))
+                    + 13 * moving + 2 * (self.state - moving))
+        # states per batch, counting every array of a chunk that is alive
+        # at once: the registers with a round's terms, its gathered factors
+        # (or bins) and its sums, or with the sums' terms, bins and
+        # outputs; then the outputs and one temporary of the report
+        per_state = max(
+            self.registers + 3 * widest,
+            self.registers + 2 * len(summed) + self.outputs * size,
+            2 * self.outputs * size,
+        )
         self.chunk = max(1, _CHUNK_BYTES // (8 * max(1, per_state)))
 
     def _allocate(self, masks: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -427,23 +444,27 @@ class _Schedule:
 
     def evaluate(self, states: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Evaluate on ``(count, coordinates, 2**n)`` states, ``chunk``
-        states at a time; yields each chunk's first index and its ``(chunk,
-        outputs, 2**n)`` values."""
+        states at a time, register-major: yields each chunk's first index
+        and its ``(outputs, 2**n, chunk)`` values."""
         flat = states.reshape(len(states), -1)
-        size = 1 << self.directions
+        for first in range(0, len(states), self.chunk):
+            yield first, self._evaluate_chunk(flat[first : first + self.chunk])
+
+    def _evaluate_chunk(self, block: np.ndarray) -> np.ndarray:
+        """The ``(outputs, 2**n, states)`` values of ``(states, coordinates
+        * 2**n)`` flat states; the registers are freed on return."""
         lo, hi, sources, coeffs = self.first
         summed, targets = self.sums
-        for first in range(0, len(states), self.chunk):
-            block = flat[first : first + self.chunk]
-            registers = np.empty((len(block), self.registers))
-            registers[:, : self.state] = block[:, self.index]
-            if self.unit is not None:
-                registers[:, self.unit] = 1.0
-            _run(self.powers, registers)
-            registers[:, lo:hi] = registers[:, sources] * coeffs
-            _run(self.rounds, registers)
-            values = _binned(registers[:, summed], targets, self.outputs * size)
-            yield first, values.reshape(len(block), self.outputs, size)
+        registers = np.empty((self.registers, len(block)))
+        registers[: self.state] = block[:, self.index].T
+        if self.unit is not None:
+            registers[self.unit] = 1.0
+        _run(self.powers, registers)
+        registers[lo:hi] = registers[sources] * coeffs[:, None]
+        _run(self.rounds, registers)
+        size = 1 << self.directions
+        values = _binned(registers[summed], targets, self.outputs * size)
+        return values.reshape(self.outputs, size, len(block))
 
 
 def _reached(chains, support: np.ndarray, directions: int) -> Iterator[int]:
@@ -516,17 +537,20 @@ def _largest_norms(schedule: _Schedule, states: np.ndarray, labels, drifts=None)
     # overflow is reported by the finiteness check alone
     with np.errstate(over="ignore", invalid="ignore"):
         for first, values in schedule.evaluate(states):
-            norms = np.abs(values).max(axis=-1)
+            # (outputs, states): each a reduction over the short mask axis
+            magnitudes = np.abs(values)
+            norms = magnitudes.max(axis=1)
             finite = np.isfinite(norms)
             if drifts is not None:
-                start = values[0] if start is None else start
-                norms = np.abs(values - start).max(axis=-1)
+                start = values[:, :, :1].copy() if start is None else start
+                np.abs(np.subtract(values, start, out=magnitudes), out=magnitudes)
+                norms = magnitudes.max(axis=1)
             bad = ~(finite & np.isfinite(norms))
             if bad.any():
-                step, which = np.argwhere(bad)[0]
-                label = (labels if not finite[step, which] else drifts)[which]
+                step, which = np.argwhere(bad.T)[0]
+                label = (labels if not finite[which, step] else drifts)[which]
                 raise NumericError(f"non-finite {label} at step {first + step}")
-            worst = np.maximum(worst, norms.max(axis=0))
+            worst = np.maximum(worst, norms.max(axis=1))
     return worst
 
 
@@ -538,7 +562,7 @@ def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
     schedule = _Schedule([expr], coordinates, state.directions, stacked != 0)
     with np.errstate(over="ignore", invalid="ignore"):
         _, values = next(schedule.evaluate(stacked[None]))
-    return GrassmannValue(state.directions, values[0, 0])
+    return GrassmannValue(state.directions, values[0, :, 0])
 
 
 def _residual_norms(dynamics: Dynamics, coordinates, directions: int, support, states) -> dict:
@@ -636,6 +660,10 @@ def _straight_line_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray
     lo, _, sources, coeffs = schedule.first
     # round 0 registers that no pair reads go straight into their sums
     paired = {register for r in schedule.rounds for register in r.left.tolist()}
+    # a still register is one that no sum targets
+    targeted = set(schedule.sums[1].tolist())
+    moving = [i for i in range(size) if i in targeted]
+    still = [i for i in range(size) if i not in targeted]
 
     for s, (slope, factor) in enumerate(zip(slopes, ("h2", "h2", "h", None))):
         inputs = stage if s else state
@@ -668,12 +696,19 @@ def _straight_line_steps(schedule: _Schedule, dt: float) -> Callable[[np.ndarray
         operands: list[list[str]] = [[] for _ in range(size)]
         for register, target in zip(*(part.tolist() for part in schedule.sums)):
             operands[target].append(scaled.get(register) or name(register))
-        for i, terms in enumerate(operands):
-            lines.append(f"{slope[i]} = " + " + ".join(["0.0", *terms]))
+        for i in moving:
+            lines.append(f"{slope[i]} = " + " + ".join(["0.0", *operands[i]]))
         if factor is not None:
-            lines += [f"{z} = {y} + {k}*{factor}" for y, z, k in zip(state, stage, slope)]
-    for y, k1, k2, k3, k4 in zip(state, *slopes):
+            lines += [f"{stage[i]} = {state[i]} + {slope[i]}*{factor}" for i in moving]
+        if s == 0:
+            # a still register's slope is 0.0 in every stage, and 0.0 times
+            # a finite positive step is +0.0: each stage input, and the
+            # step's update, is y + 0.0
+            lines += [f"{stage[i]} = {state[i]} + 0.0" for i in still]
+    for i in moving:
+        y, k1, k2, k3, k4 = state[i], *(slope[i] for slope in slopes)
         lines.append(f"{y} = {y} + ({k1} + 2.0*{k2} + 2.0*{k3} + {k4})*h6")
+    lines += [f"{state[i]} = {stage[i]}" for i in still]
 
     names = ", ".join(state + [""])
     source = "\n".join(
@@ -826,7 +861,7 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
     # a blow-up is reported once, by the finiteness check, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(schedule, values, dt, coordinates)
-    times = (initial.time,) + tuple(initial.time + step * dt for step in range(1, steps + 1))
+    times = (initial.time, *(initial.time + np.arange(1, steps + 1) * dt).tolist())
     return Trajectory(dynamics, times, coordinates, _frozen(values), directions)
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: report shapes, exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -378,6 +379,26 @@ def test_simulate_trajectory_out(problem_file, tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "time\tcoordinate\tmask\tvalue"
     assert len(lines) == 1 + 1001 * 2
+
+
+# the digest of the ``--trajectory-out`` file of each shipped problem, by
+# file name ``<problem>.tsv``, read from ``sha256sum`` lines
+TRAJECTORY_DIGESTS = {
+    name: digest
+    for digest, name in map(
+        str.split, (ROOT / "data" / "shipped-trajectories.sha256").read_text().splitlines()
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+def test_shipped_trajectories_are_pinned(name, tmp_path, capsys):
+    # every stored float of each shipped run, as the file writes it
+    out_path = tmp_path / name
+    problem = PROBLEMS / name.replace(".tsv", ".sm")
+    assert main(["simulate", str(problem), "--trajectory-out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == TRAJECTORY_DIGESTS[name]
 
 
 # Every pinned output (tests/pinned.py) is checked by exactly one test,

@@ -578,7 +578,8 @@ def test_chunked_reports_match_per_state_evaluation(seed):
     exprs = [random_expr(rng, chart, 1, 2, 3) for _ in range(2)]
     schedule = _Schedule(exprs, coords, 8, traj.support)
     assert schedule.chunk < 2000
-    batched = np.concatenate([chunk for _, chunk in schedule.evaluate(values)])
+    # each chunk is register-major, (outputs, 2**n, chunk)
+    batched = np.concatenate([chunk.transpose(2, 0, 1) for _, chunk in schedule.evaluate(values)])
     single = np.array([[evaluate(e, state).coeffs for e in exprs] for state in traj.states])
     assert np.array_equal(batched, single)
 
@@ -661,6 +662,42 @@ def test_reports_name_a_quantity_that_is_not_finite(monkeypatch, chunk_bytes):
     residual = r"^non-finite residual of the th\[1\] constraint at step 3$"
     with pytest.raises(NumericError, match=residual):
         run(1.0, [0.0, 0.0, 0.0, math.inf]).constraint_drift()
+
+
+@pytest.mark.parametrize("chunk_bytes", [numeric._CHUNK_BYTES, 1], ids=["default", "one-state"])
+def test_reports_name_the_first_state_then_output_that_is_not_finite(monkeypatch, chunk_bytes):
+    # two outputs stop being finite: at the same step the first in order is
+    # named, and at different steps the one that fails first, whatever its
+    # place among the outputs
+    monkeypatch.setattr(numeric, "_CHUNK_BYTES", chunk_bytes)
+    chart, dyn = superparticle_setup()
+    coords = chart.at_order(1).coordinates()
+    q1 = chart.coord("q", 1)
+
+    def run(q_velocity, q_position=0.0):
+        values = np.zeros((4, len(coords), 4))
+        values[:, 0, 0] = q_position
+        values[:, 1, 0] = q_velocity
+        return Trajectory(dyn, (0.0, 0.1, 0.2, 0.3), coords, values, 2)
+
+    assert coords[:2] == (chart.gen("q", 0), chart.gen("q", 1))
+    square, cube = q1 * q1, q1 * q1 * q1
+    same = run([1.0, 2.0, 1e200, 3.0])
+    with pytest.raises(NumericError, match="^non-finite value of square at step 2$"):
+        conservation_report(same, {"square": square, "cube": cube})
+    with pytest.raises(NumericError, match="^non-finite value of cube at step 2$"):
+        conservation_report(same, {"cube": cube, "square": square})
+    # the cube overflows at step 1 and the square at step 2
+    apart = run([1.0, 1e120, 1e200, 3.0])
+    with pytest.raises(NumericError, match="^non-finite value of cube at step 1$"):
+        conservation_report(apart, {"square": square, "cube": cube})
+    # a drift of the first output and a value of the second, at one step
+    swing = run([1e308, -1e308, 1.0, 1.0], [1.0, 1e200, 1.0, 1.0])
+    q0 = chart.coord("q", 0)
+    with pytest.raises(NumericError, match="^non-finite drift of speed at step 1$"):
+        conservation_report(swing, {"speed": q1, "potential": q0 * q0})
+    with pytest.raises(NumericError, match="^non-finite value of potential at step 1$"):
+        conservation_report(swing, {"potential": q0 * q0, "speed": q1})
 
 
 # -- the scheduled RK4 steps -------------------------------------------------
@@ -813,6 +850,88 @@ def test_numpy_step_matches_straight_line_and_reference_rk4_at_scale(seed, direc
             assert trajectory.values.tobytes() == outcome
 
 
+def still_field_case(rng, directions):
+    """A random field with still registers, coefficients whose slope has no
+    term: ``c`` is a constant coordinate, ``p`` has no force, and the force
+    of ``q`` or ``a`` may have no terms; the coefficients of ``c`` and of
+    ``p``'s velocity start at -0.0, 1e308, inf or an ordinary value."""
+    chart = Chart.create(["q", "p", "c"], ["a"], 1)
+    forces = {
+        gen.shifted(2): random_expr(rng, chart, 1, 4, rng.randint(0, 5), gen.parity)
+        if gen.name in "qa" and rng.random() < 0.7
+        else SuperExpr.zero()
+        for gen in chart.at_order(0).coordinates()
+    }
+    dyn = Dynamics(SuperLagrangian(chart, SuperExpr.zero()), forces, {})
+    coordinates = chart.at_order(1).coordinates()
+    drawn = random_state(rng, coordinates, directions, 0.0)
+    values = dict(drawn.values)
+    values[chart.gen("c", 1)] = GrassmannValue(directions)
+    for gen in (chart.gen("c", 0), chart.gen("p", 1)):
+        coeffs = np.zeros(1 << directions)
+        for mask in range(1 << directions):
+            if mask.bit_count() % 2 == 0:
+                coeffs[mask] = rng.choice([-0.0, 1e308, math.inf, 0.5, -0.25])
+        values[gen] = GrassmannValue(directions, coeffs)
+    return dyn, NumericState(0.0, values, directions)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_still_registers_are_folded_out_of_the_straight_line_step(seed, directions):
+    # a still register gets one stage input y + 0.0 and no slope, stage
+    # update or term of the update; both steps store the same bytes, -0.0,
+    # 1e308 and inf included, up to the sign of a NaN, which Python floats
+    # and numpy may set apart after a blow-up; integrate stores those bytes
+    # or names the same first state that is not finite
+    rng = random.Random(seed)
+    dyn, initial = still_field_case(rng, directions)
+    coordinates = dyn.lagrangian.chart.at_order(1).coordinates()
+    schedule = schedule_for(dyn, initial)
+    dt, steps = rng.choice([0.01, 0.1, 0.5]), rng.randint(1, 8)
+    stored = []
+    sources = []
+
+    def compile_spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    for steps_of in (numeric._straight_line_steps, numeric._numpy_steps):
+        values = np.zeros((steps + 1, len(coordinates), 1 << directions))
+        values[0] = [initial.get(gen).coeffs for gen in coordinates]
+        with mock.patch.object(numeric, "compile", compile_spy, create=True):
+            advance = steps_of(schedule, dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            advance(values.reshape(steps + 1, -1))
+        stored.append(values)
+    if np.isfinite(stored[0]).all():
+        assert stored[0].tobytes() == stored[1].tobytes()
+    else:
+        assert np.array_equal(stored[0], stored[1], equal_nan=True)
+
+    targeted = set(schedule.sums[1].tolist())
+    still = [i for i in range(schedule.state) if i not in targeted]
+    (source,) = sources
+    lines = [line.strip() for line in source.splitlines()]
+    for i in range(schedule.state):
+        slopes = [line for line in lines if line.startswith(tuple(f"k{s}_{i} =" for s in range(1, 5)))]
+        updates = [line for line in lines if line.startswith((f"z{i} =", f"y{i} ="))]
+        if i in still:
+            assert slopes == [] and updates == [f"z{i} = y{i} + 0.0", f"y{i} = z{i}"]
+        else:
+            assert len(slopes) == 4 and len(updates) == 4
+
+    outcome = run_both_paths(dyn, initial, dt, steps)
+    for ops in EVALUATIONS.values():
+        with mock.patch.object(numeric, "_KERNEL_MAX_OPS", ops):
+            try:
+                trajectory = integrate(dyn, initial, dt=dt, t_end=steps * dt)
+            except IntegrationError as exc:
+                assert str(exc) == outcome
+            else:
+                assert trajectory.values.tobytes() == outcome == stored[0].tobytes()
+
+
 def quartic_dynamics():
     """q'' = q^3 + q*a*a' and a'' = q^2*a: solutions reach infinity in
     finite time."""
@@ -939,10 +1058,10 @@ def test_which_path_each_system_takes():
     initial = superparticle_state(chart, scalar(0.0, 2))
     assert schedule_for(dyn, initial).ops <= numeric._KERNEL_MAX_OPS
     # the seed-1 benchmark system at n=8 touches 11 of its 512
-    # coefficients, so its step needs 207 operations, not 9728
+    # coefficients, 3 of them still, so its step needs 174 operations
     problem = parse_problem((DATA / "sparse-n8.sm").read_text(encoding="utf-8"))
     schedule = schedule_for(solve_dynamics(problem.lagrangian()), problem.initial_state())
-    assert (schedule.state, schedule.ops) == (11, 207)
+    assert (schedule.state, schedule.ops) == (11, 174)
     start = np.array([initial.get(gen).coeffs for gen in coordinates])
     with pytest.raises(ParityViolation, match=r"q\[1\] has support of the wrong parity"):
         _field_schedule(wrong_parity_field(chart), coordinates, 2, start)
@@ -959,7 +1078,7 @@ def test_the_support_closes_before_the_one_schedule_is_built():
     ) as passes:
         schedule = schedule_for(dyn, problem.initial_state())
     assert build.call_count == 1 and passes.call_count > 1
-    assert (schedule.state, schedule.ops) == (11, 207)
+    assert (schedule.state, schedule.ops) == (11, 174)
 
 
 @settings(max_examples=60)
