@@ -72,7 +72,6 @@ from .lagrangian import (
     SingularSystem,
     SuperLagrangian,
     cartan_data,
-    cartan_one_form,
     certify_symmetry,
     check_constant_of_motion,
     check_symmetry,
@@ -176,7 +175,6 @@ __all__ = [
     "VectorFieldAlong",
     "ZeroExpression",
     "cartan_data",
-    "cartan_one_form",
     "cartan_operator",
     "certify_symmetry",
     "check_constant_of_motion",

@@ -156,11 +156,6 @@ def _momentum(lag: SuperLagrangian, dl: GradedForm) -> GradedForm:
     return theta
 
 
-def cartan_one_form(lag: SuperLagrangian) -> GradedForm:
-    """The momentum one-form on T^(2k-1); semibasic at level k-1."""
-    return _momentum(lag, exterior_d(lag.expr))
-
-
 @dataclass(frozen=True)
 class CartanData:
     """The derived geometry of one Lagrangian, each piece computed once.
@@ -306,14 +301,9 @@ def _int_quotient(dividend: int, divisor: int) -> int:
     return quotient
 
 
-def _mat_vec(
-    a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr], signs: Sequence[Sequence[int]] | None = None
-) -> list[SuperExpr]:
-    """The product a v, each entry of ``a`` times its sign in ``signs``
-    when given."""
-    if signs is None:
-        return [sum_of_products((1, x, y) for x, y in zip(row, v)) for row in a]
-    return [sum_of_products(zip(sign_row, row, v)) for sign_row, row in zip(signs, a)]
+def _mat_vec(a: Sequence[Sequence[SuperExpr]], v: Sequence[SuperExpr]) -> list[SuperExpr]:
+    """The product a v."""
+    return [sum_of_products((1, x, y) for x, y in zip(row, v)) for row in a]
 
 
 # an expression as its part free of the unknowns and the coefficient of each
@@ -443,54 +433,38 @@ class _Sector:
         self,
         rhs: Sequence[SuperExpr],
         labels: Sequence[GeneratorSymbol],
-        nilpotency_cap: int,
         what: str,
-        twist: Parity | None = None,
+        shift: Parity = Parity.EVEN,
     ) -> dict[GeneratorSymbol, SuperExpr]:
         """Solve ``matrix u = rhs`` with the kept determinant and adjugate
         of the body B of the matrix, one value per label, of the label's
-        parity; the determinant must be a nonzero constant.  With S the
-        nilpotent rest of the matrix, the iteration ``u <- B^-1 (rhs - S
-        u)`` from ``u = B^-1 rhs`` runs through the partial sums of the
-        finite geometric series and stops when ``u`` does; with S zero,
-        ``B^-1 rhs`` is the answer.  The result is verified exactly and
-        each value must have its parity.
-
-        With ``twist`` the parity |G| of a quantity, solve instead the row
-        system of its witness, one value W_a of parity p_a + |G| per
-        equation a (labelled by its base coordinate, of parity p_a):
-        ``sum_a s_ab A_ab W_a = rhs_b`` for each unknown b, with ``s_ab =
-        -(-1)^(|G| p_a + p_a p_b + p_b)``.  The body of A vanishes off the
-        blocks where p_a = p_b, and there ``s_ab = -(-1)^(|G| p_a)``, so
-        the inverse of the twisted body is the kept adjugate transposed,
-        row a scaled by ``-(-1)^(|G| p_a)``, over the same determinant."""
+        parity shifted by ``shift``; the determinant must be a nonzero
+        constant.  With S the nilpotent rest of the matrix, the iteration
+        ``u <- B^-1 (rhs - S u)`` from ``u = B^-1 rhs`` runs through the
+        partial sums of the series in -B^-1 S and stops when ``u`` does:
+        each power multiplies in one more entry of S, every term of which
+        holds one of the m distinct odd generators of S, so the power m+1
+        is zero and m+1 passes suffice.  The result is verified exactly
+        and each value must have its parity."""
         det = self.det
         if det.is_zero() or det.max_jet_order() >= 0:
             raise SingularSystem(f"leading matrix has non-invertible body determinant {det}")
-        matrix, soul, adjugate = self.matrix, self.soul, self.adjugate
-        parities = [label.parity for label in labels]
-        scale, signs, adjugate_signs = det.constant_term(), None, None
-        if twist is not None:
-            g = twist.value
-            rows = [p.value for p in parities]
-            matrix, soul, adjugate = (tuple(zip(*block)) for block in (matrix, soul, adjugate))
-            signs = [[-(-1) ** (g * pa + (pa + 1) * u.parity.value) for pa in rows] for u in self.unknowns]
-            adjugate_signs = [[-(-1) ** (g * pa)] * len(rows) for pa in rows]
-            parities = [parity_product(p, twist) for p in parities]
+        scale = det.constant_term()
 
         def inverse_body(v):
-            return [x / scale for x in _mat_vec(adjugate, v, adjugate_signs)]
+            return [x / scale for x in _mat_vec(self.adjugate, v)]
 
         u = inverse_body(rhs)
-        if soul:
+        if self.soul:
+            odd = {g for row in self.soul for e in row for g in e.generators() if g.parity is Parity.ODD}
             u = _until_stable(
-                lambda v: inverse_body([r - x for r, x in zip(rhs, _mat_vec(soul, v, signs))]),
-                u, nilpotency_cap + 1, "nilpotent correction failed to terminate",
+                lambda v: inverse_body([r - x for r, x in zip(rhs, _mat_vec(self.soul, v))]),
+                u, len(odd) + 1, "nilpotent correction failed to terminate",
             )
-        if _mat_vec(matrix, u, signs) != list(rhs):
+        if _mat_vec(self.matrix, u) != list(rhs):
             raise SingularSystem("affine solve verification failed")
-        for label, parity, value in zip(labels, parities, u):
-            if not has_parity(value, parity):
+        for label, value in zip(labels, u):
+            if not has_parity(value, parity_product(label.parity, shift)):
                 raise SingularSystem(f"{what} for {label} has the wrong parity")
         return dict(zip(labels, u))
 
@@ -614,10 +588,9 @@ def _solve_dynamics(data: CartanData) -> Dynamics:
     if plan.report.verdict is not Regularity.REGULAR:
         raise NotRegular(plan.report)
 
-    n_odd_symbols = len(chart.base_odd) * (2 * k + 1)
     dynamical, lower = plan.dynamical, plan.constraints
-    forces = dynamical.solve(dynamical.rhs, dynamical.unknowns, n_odd_symbols, "force")
-    constraints = lower.solve(lower.rhs, lower.unknowns, n_odd_symbols, "constraint value")
+    forces = dynamical.solve(dynamical.rhs, dynamical.unknowns, "force")
+    constraints = lower.solve(lower.rhs, lower.unknowns, "constraint value")
     # prolong each solved relation up to top order; the top level
     # supplies the otherwise undetermined odd forces
     for gen in plan.constraints.unknowns:
@@ -640,8 +613,6 @@ def _solve_dynamics(data: CartanData) -> Dynamics:
 
     dyn = Dynamics(lag, forces, constraints)
     gamma = dyn.field()
-    if gamma.parity is not Parity.EVEN:
-        raise SingularSystem("the dynamics field is not even")
     if not is_sode(gamma):
         raise SingularSystem("the dynamics field is not second-order-type")
 
@@ -930,20 +901,25 @@ def _closed_form_witness(
     reach the top jets u^(2k), from the top-jet part of the identity
     T(G) = -sum_a koszul(F_a, |G|) W_a.  With F_a affine in the u_b^(2k)
     with coefficients A_ab, and T(G) holding u_b^(2k) dG/du_b^(2k-1), the
-    coefficients of u_b^(2k) give the row system the dynamical sector
-    solves with its ``twist`` (Olver, GTM 107, sections 4.3 and 5.3); its
-    body is invertible, so W is unique.  When W fails the identity, the
-    quantity is either not constant along the dynamics (NoWitness) or an
-    internal identity has failed."""
+    coefficient of u_b^(2k) is ``sum_a s_ab A_ab W_a = dG/du_b^(2k-1)``
+    with ``s_ab = -(-1)^(|G| p_a + p_a p_b + p_b)``, p_a the parity of the
+    base coordinate a.  A is the graded Hessian of L in the top
+    velocities, ``A_ab = (-1)^(p_a p_b) A_ba`` (the top-order Helmholtz
+    condition, Olver, GTM 107, section 5.4), so with ``u_a = (-1)^(|G|
+    p_a) W_a`` these rows are the forces' own system ``A u = r``, ``r_b =
+    -(-1)^(p_b) dG/du_b^(2k-1)``, over the sector's unknowns, the bases'
+    top jets in base order.  Its body is invertible, so W is unique.  When
+    W fails the identity, the quantity is either not constant along the
+    dynamics (NoWitness) or an internal identity has failed."""
     chart = data.lagrangian.chart
     k = data.lagrangian.order
-    sector = data._plan.dynamical
     derivs = partials(g_expr)
-    rhs = [derivs.get(u.shifted(-1), SuperExpr.zero()) for u in sector.unknowns]
-    values = sector.solve(
-        rhs, chart.at_order(0).coordinates(), len(chart.base_odd) * (2 * k + 1), "witness component", g_parity
-    )
-    components = {base: value for base, value in values.items() if not value.is_zero()}
+    bases = chart.at_order(0).coordinates()
+    slopes = [derivs.get(base.shifted(2 * k - 1), SuperExpr.zero()) for base in bases]
+    rhs = [s if base.parity is Parity.ODD else -s for base, s in zip(bases, slopes)]
+    values = data._plan.dynamical.solve(rhs, bases, "witness component", g_parity)
+    flip = g_parity is Parity.ODD
+    components = {a: -v if flip and a.parity is Parity.ODD else v for a, v in values.items() if not v.is_zero()}
     witness = VectorFieldAlong(chart, 0, 2 * k - 1, components, g_parity)
     if _check_first_variation(target, witness, data):
         return witness

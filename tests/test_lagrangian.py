@@ -20,7 +20,6 @@ from supermech import (
     SuperExpr,
     SuperLagrangian,
     cartan_data,
-    cartan_one_form,
     cartan_operator,
     check_constant_of_motion,
     conservation_witness,
@@ -133,7 +132,6 @@ def test_superparticle_cartan_package():
     assert str(data.omega) == "d(q[0])^d(q[1]) - 1/2*d(th[0])^d(th[0])"
     assert str(data.energy) == "1/2*q[1]^2"
     assert str(data.delta) == "-q[2]*d(q[0]) - th[1]*d(th[0])"
-    assert cartan_one_form(lag) == data.theta
 
 
 def test_second_order_chain_cartan_package():
@@ -354,20 +352,70 @@ def test_without_regular_dynamics_the_search_ends_at_its_degree_bound():
         conservation_witness(lag.chart.coord("q", 0), lag)
 
 
-def _odd_pairs(pairs, soul, coupling):
-    """An even q with ``pairs`` odd pairs a_i, b_i, each dynamical through
-    a_i[1]*b_i[1] and entering the mass of q with the nilpotent soul
-    ``soul * a_i[0]*b_i[0]`` and the potential with ``coupling``: every
-    field equation reaches the top jets, as in tests/data/odd-top.sm."""
+def _odd_pairs(pairs, soul, coupling, order=1, mixed=0):
+    """An even q with ``pairs`` odd pairs a_i, b_i at order k, each
+    dynamical through a_i[k]*b_i[k] and entering the mass of q with the
+    nilpotent soul ``soul * a_i[0]*b_i[0]``, the potential with
+    ``coupling`` and the top velocities with ``mixed * q[k]*a_i[0]*b_i[k]``,
+    which puts the odd entry ``mixed * a_i[0]`` in the even-odd blocks of
+    the leading matrix: every field equation reaches the top jets, as in
+    tests/data/odd-top.sm."""
     names = [n for i in range(pairs) for n in (f"a{i}", f"b{i}")]
-    chart = Chart.create(["q"], names, 1)
-    q0, q1 = chart.coord("q", 0), chart.coord("q", 1)
+    chart = Chart.create(["q"], names, order)
+    q0, qk = chart.coord("q", 0), chart.coord("q", order)
     mass, expr = SuperExpr.constant(1), -Fraction(1, 2) * q0**2
     for i in range(pairs):
-        a, b = chart.coord(f"a{i}", 0), chart.coord(f"b{i}", 0)
+        a, b, bk = chart.coord(f"a{i}", 0), chart.coord(f"b{i}", 0), chart.coord(f"b{i}", order)
         mass += soul * a * b
-        expr += chart.coord(f"a{i}", 1) * chart.coord(f"b{i}", 1) - coupling * q0 * a * b
-    return SuperLagrangian(chart, Fraction(1, 2) * mass * q1**2 + expr)
+        expr += chart.coord(f"a{i}", order) * bk - coupling * q0 * a * b + mixed * qk * a * bk
+    return SuperLagrangian(chart, Fraction(1, 2) * mass * qk**2 + expr)
+
+
+def _assert_graded_symmetric_sector(lag):
+    """On a regular system whose field equations all reach the top jets,
+    the dynamical sector's unknowns are the bases' top jets in base order
+    and its matrix A, the graded Hessian of L in the top velocities, has
+    ``A_ab = (-1)^(p_a p_b) A_ba``: the top-order Helmholtz condition
+    (Olver, GTM 107, section 5.4) that lets the closed-form witness solve
+    the forces' own system."""
+    data = cartan_data(lag)
+    k = lag.order
+    bases = lag.chart.at_order(0).coordinates()
+    assert data.regularity.verdict is Regularity.REGULAR
+    for base in bases:
+        assert data.delta_check.component(base).max_jet_order() == 2 * k
+    sector = data._plan.dynamical
+    assert sector.unknowns == tuple(base.shifted(2 * k) for base in bases)
+    parities = [base.parity.value for base in bases]
+    for a, row in enumerate(sector.matrix):
+        for b, entry in enumerate(row):
+            assert entry == (-1) ** (parities[a] * parities[b]) * sector.matrix[b][a]
+
+
+@given(
+    st.integers(1, 3),
+    st.fractions(-2, 2, max_denominator=3),
+    st.fractions(-2, 2, max_denominator=3),
+    st.integers(1, 3),
+    st.fractions(-2, 2, max_denominator=3),
+)
+@example(1, Fraction(0), Fraction(0), 1, Fraction(1))
+@example(1, Fraction(0), Fraction(1), 3, Fraction(2))
+def test_leading_matrix_is_graded_symmetric_with_odd_top_equations(pairs, soul, coupling, order, mixed):
+    _assert_graded_symmetric_sector(_odd_pairs(pairs, soul, coupling, order, mixed))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2))
+def test_leading_matrix_is_graded_symmetric_on_generated_systems(seed, n_even, order):
+    _assert_graded_symmetric_sector(
+        parse_problem(gen.system(random.Random(seed), n_even, 0, order).text).lagrangian()
+    )
+
+
+@pytest.mark.parametrize("name", ["odd-top.sm", "sheared.sm"])
+def test_leading_matrix_is_graded_symmetric_on_stored_systems(name):
+    text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    _assert_graded_symmetric_sector(parse_problem(text).lagrangian())
 
 
 def _closed_form_and_search(lag, g):
@@ -411,18 +459,24 @@ def test_closed_form_witness_is_the_search_witness_on_generated_systems(seed, n_
 
 
 @given(
-    st.integers(1, 2),
+    st.sampled_from([(1, 1), (2, 1), (1, 2), (1, 3)]),
+    st.fractions(-2, 2, max_denominator=3),
     st.fractions(-2, 2, max_denominator=3),
     st.fractions(-2, 2, max_denominator=3),
     st.sampled_from(["E", "E^2", "3E - 2", "q^d"]),
     st.integers(1, 3),
 )
-@example(1, Fraction(1), Fraction(1), "E", 1)
-def test_closed_form_witness_is_the_search_witness_with_odd_top_equations(pairs, soul, coupling, charge, d):
+@example((1, 1), Fraction(1), Fraction(1), Fraction(0), "E", 1)
+@example((1, 1), Fraction(0), Fraction(0), Fraction(1), "E^2", 2)
+@example((1, 3), Fraction(0), Fraction(1), Fraction(2), "E^2", 2)
+def test_closed_form_witness_is_the_search_witness_with_odd_top_equations(shape, soul, coupling, mixed, charge, d):
     # odd pairs of top order put odd-odd entries and a nilpotent soul in
-    # the leading matrix, the signs and the series the closed form must get
-    # right
-    lag = _odd_pairs(pairs, soul, coupling)
+    # the leading matrix, and the mixed coupling odd entries in its
+    # even-odd blocks: the signs and the series the closed form must get
+    # right.  Two pairs stay at order 1: at order 2 the search's columns
+    # for E^2 already take seconds
+    pairs, order = shape
+    lag = _odd_pairs(pairs, soul, coupling, order, mixed)
     energy = cartan_data(lag).energy
     g = {"E": energy, "E^2": energy**2, "3E - 2": 3 * energy - 2, "q^d": lag.chart.coord("q", 0) ** d}[charge]
     closed, searched = _closed_form_and_search(lag, g)
@@ -432,9 +486,10 @@ def test_closed_form_witness_is_the_search_witness_with_odd_top_equations(pairs,
 
 @pytest.mark.parametrize("charge", ["a0[1]", "b0[1]", "q[1]*a0[1]", "a0[1]*b0[1]*q[1]"])
 def test_closed_form_witness_of_odd_and_product_charges(charge):
-    # on the free system every velocity is conserved; an odd charge twists
-    # the row system by |G| = 1, and a product of charges needs a witness
-    # with several components
+    # on the free system every velocity is conserved; an odd charge makes
+    # each witness component of the other parity from its coordinate's,
+    # with the sign (-1)^(|G| p_a) between it and the solved value, and a
+    # product of charges needs a witness with several components
     lag = _odd_pairs(1, Fraction(0), Fraction(0))
     lag = SuperLagrangian(lag.chart, lag.expr + Fraction(1, 2) * lag.chart.coord("q", 0) ** 2)
     g = parse_expression(charge, lag.chart, 1)
