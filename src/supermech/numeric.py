@@ -21,8 +21,9 @@ once from its data: ``integrate`` closes the initial state's nonzero
 coefficients under the field (adding every coefficient a component
 produces from the set, until nothing new appears) and runs the RK4 step
 and the initial constraint check on that set; a ``Trajectory`` keeps the
-coefficients that are nonzero in some stored state, for the conservation
-and constraint reports; ``evaluate`` takes its state's nonzero
+coefficients that are nonzero in some stored state, for the reports, and
+the residual schedule of the initial check, which the constraint drift
+reuses when the two sets agree; ``evaluate`` takes its state's nonzero
 coefficients.  A power or a partial product holds whatever the product
 reaches from its operands' supports.  A coefficient of a product is the
 IEEE sum, from +0.0 in ``_pairs`` order, of the signed pairs between
@@ -35,7 +36,9 @@ product.  While every value is finite this changes no float: each pair
 it would join has a factor of +-0.0 and adds +-0.0 to a sum that starts
 from +0.0, so every output is, byte for byte, what pairing every
 coefficient of each coordinate's parity gives, and a value does not
-depend on the other expressions compiled with it.  Only an overflowing
+depend on the other expressions compiled with it: the conservation
+report compiles each distinct quantity once (the time charge is the
+energy), and every name of it reads that output.  Only an overflowing
 run can differ, as the exact algebra does: inf times a coefficient that
 is zero for the whole run gives no term, where pairing it would give NaN.
 
@@ -565,15 +568,28 @@ def evaluate(expr: SuperExpr, state: NumericState) -> GrassmannValue:
     return GrassmannValue(state.directions, values[0, :, 0])
 
 
-def _residual_norms(dynamics: Dynamics, coordinates, directions: int, support, states) -> dict:
-    """Each solved constraint's largest residual sup norm over the states."""
-    gens = [gen for gen in dynamics.constraints if gen.jet_order <= dynamics.order]
-    if not gens:
-        return {}
-    residuals = [SuperExpr.generator(gen) - dynamics.constraints[gen] for gen in gens]
-    schedule = _Schedule(residuals, coordinates, directions, support)
-    labels = [f"residual of the {gen} constraint" for gen in gens]
-    return dict(zip(gens, _largest_norms(schedule, states, labels).tolist()))
+class _Residuals:
+    """The solved constraints' residuals ``q - C(q)``, built once, and their
+    schedule on the support they were first compiled on (none when there
+    is no constraint)."""
+
+    def __init__(self, dynamics: Dynamics, coordinates, directions: int, support: np.ndarray):
+        self.gens = [gen for gen in dynamics.constraints if gen.jet_order <= dynamics.order]
+        self.exprs = [SuperExpr.generator(gen) - dynamics.constraints[gen] for gen in self.gens]
+        self.coordinates, self.directions = coordinates, directions
+        self.schedule = _Schedule(self.exprs, coordinates, directions, support) if self.gens else None
+
+    def norms(self, states: np.ndarray, support: np.ndarray) -> dict:
+        """Each constraint's largest residual sup norm over the states: on
+        the kept schedule when ``support`` is its support, else on one
+        compiled on ``support``."""
+        if not self.gens:
+            return {}
+        schedule = self.schedule
+        if not np.array_equal(schedule.support, support):
+            schedule = _Schedule(self.exprs, self.coordinates, self.directions, support)
+        labels = [f"residual of the {gen} constraint" for gen in self.gens]
+        return dict(zip(self.gens, _largest_norms(schedule, states, labels).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,6 +606,8 @@ class Trajectory:
     values: np.ndarray
     directions: int
     support: np.ndarray = field(init=False, repr=False)
+    # the residual schedule of the initial constraint check, if any
+    _residuals: _Residuals | None = field(default=None, repr=False)
 
     def __post_init__(self):
         nonzero = self.values != 0
@@ -621,12 +639,13 @@ class Trajectory:
 
     def constraint_drift(self) -> float:
         """Largest constraint residual over the whole run (zero when the
-        dynamics has no constraints); raises on a residual that is not
-        finite."""
-        norms = _residual_norms(
-            self.dynamics, self.coordinates, self.directions, self.support, self.values
+        dynamics has no constraints), on the schedule of ``integrate``'s
+        initial check when its support is ``support`` and on one compiled
+        here otherwise; raises on a residual that is not finite."""
+        residuals = self._residuals or _Residuals(
+            self.dynamics, self.coordinates, self.directions, self.support
         )
-        return max(norms.values(), default=0.0)
+        return max(residuals.norms(self.values, self.support).values(), default=0.0)
 
     def export_rows(self) -> list[str]:
         """Tab-separated rows: time, coordinate, subset mask, coefficient."""
@@ -810,7 +829,8 @@ def _rk4(schedule: _Schedule, values: np.ndarray, dt: float, coordinates: Sequen
     for step in range(0, steps, block):
         rows = flat[step : step + block + 1]
         advance(rows)
-        finite = np.isfinite(rows[1:]).all(axis=1)
+        # the columns no step writes hold the 0.0 of ``np.zeros``
+        finite = np.isfinite(rows[1:, schedule.index]).all(axis=1)
         if not finite.all():
             # the first coordinate, in chart order, that is not finite there
             bad = step + 1 + int(np.argmin(finite))
@@ -827,7 +847,8 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
     runs its product schedule on the closure of the initial state's nonzero
     coefficients, as straight-line code when a step needs at most
     ``_KERNEL_MAX_OPS`` operations and as the numpy step otherwise; both
-    store the same floats.
+    store the same floats.  The trajectory keeps the residual schedule of
+    the initial check for ``Trajectory.constraint_drift``.
     """
     if dt <= 0:
         raise IntegrationError("dt must be positive")
@@ -851,8 +872,8 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
     start = _stack(initial, coordinates)
     schedule = _field_schedule(dynamics.field(), coordinates, directions, start)
 
-    norms = _residual_norms(dynamics, coordinates, directions, schedule.support, start[None])
-    for gen, norm in norms.items():
+    residuals = _Residuals(dynamics, coordinates, directions, schedule.support)
+    for gen, norm in residuals.norms(start[None], schedule.support).items():
         if norm > _CONSTRAINT_TOL:
             raise ConstraintViolation(f"initial data violates {gen} constraint by {norm:.3e}")
 
@@ -862,7 +883,7 @@ def integrate(dynamics: Dynamics, initial: NumericState, *, dt: float, t_end: fl
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4(schedule, values, dt, coordinates)
     times = (initial.time, *(initial.time + np.arange(1, steps + 1) * dt).tolist())
-    return Trajectory(dynamics, times, coordinates, _frozen(values), directions)
+    return Trajectory(dynamics, times, coordinates, _frozen(values), directions, residuals)
 
 
 def conservation_report(
@@ -870,14 +891,13 @@ def conservation_report(
 ) -> dict[str, float]:
     """Largest deviation of each quantity from its initial value, in the
     coefficient-wise sup norm; raises on a quantity whose value, or
-    deviation, is not finite on a stored state."""
-    names = list(quantities)
-    schedule = _Schedule(
-        [quantities[name] for name in names],
-        trajectory.coordinates,
-        trajectory.directions,
-        trajectory.support,
-    )
-    labels = [f"value of {name}" for name in names]
-    drifts = [f"drift of {name}" for name in names]
-    return dict(zip(names, _largest_norms(schedule, trajectory.values, labels, drifts).tolist()))
+    deviation, is not finite on a stored state.  Equal quantities share
+    one output, named in errors by the first name that gives it."""
+    first: dict[SuperExpr, str] = {}
+    for name, expr in quantities.items():
+        first.setdefault(expr, name)
+    schedule = _Schedule(list(first), trajectory.coordinates, trajectory.directions, trajectory.support)
+    labels = [f"value of {name}" for name in first.values()]
+    drifts = [f"drift of {name}" for name in first.values()]
+    worst = dict(zip(first, _largest_norms(schedule, trajectory.values, labels, drifts).tolist()))
+    return {name: worst[expr] for name, expr in quantities.items()}

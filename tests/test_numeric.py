@@ -25,6 +25,8 @@ from supermech import (
     SuperExpr,
     SuperLagrangian,
     Trajectory,
+    cartan_data,
+    certify_symmetry,
     conservation_report,
     evaluate,
     integrate,
@@ -32,7 +34,9 @@ from supermech import (
     solve_dynamics,
 )
 
+from perfbench import workloads
 from supermech import numeric
+from supermech.cli import main
 from supermech.numeric import _field_schedule, _rk4, _Schedule
 
 from helpers import grassmann_value, oracle_evaluate, oracle_product, random_expr, reference_rk4
@@ -1041,6 +1045,108 @@ def test_a_quantity_does_not_depend_on_what_is_evaluated_with_it():
     still = Trajectory(dyn, (0.0,), coords, values[:1], 0)
     assert conservation_report(still, {"a": a}) == {"a": 0.0}
     assert conservation_report(still, {"a": a, "b": b}) == {"a": 0.0, "b": 0.0}
+
+
+def simulate_run(problem):
+    """The run of the problem's simulate block, and the quantities
+    ``simulate`` reports on: the energy, then each declared symmetry's
+    certified charge."""
+    lag = problem.lagrangian()
+    data = cartan_data(lag)
+    quantities = {"energy": data.energy}
+    for name in problem.symmetries:
+        quantities[name] = certify_symmetry(problem.symmetry_field(name), lag, data).charge
+    sim = problem.simulation
+    trajectory = integrate(data.dynamics, problem.initial_state(), dt=sim.dt, t_end=sim.t_end)
+    return trajectory, quantities
+
+
+# every stored problem with a simulate block, and the seed-1 grassmann-sim
+# systems
+SIMULATED = [
+    (path.stem, text)
+    for path in sorted(PROBLEMS.glob("*.sm")) + sorted(DATA.glob("*.sm"))
+    if "simulate" in (text := path.read_text(encoding="utf-8"))
+] + [(p.name, p.text) for p in workloads.grassmann_sim(1, PROBLEMS.parent).problems]
+
+
+@pytest.mark.parametrize("text", [text for _, text in SIMULATED], ids=[name for name, _ in SIMULATED])
+def test_equal_quantities_share_one_output_and_keep_their_floats(text):
+    # the time charge is the energy on most of these systems, and one more
+    # name repeats it: each report is, bit for bit, the quantity's own
+    trajectory, quantities = simulate_run(parse_problem(text))
+    quantities["energy again"] = quantities["energy"]
+    together = conservation_report(trajectory, quantities)
+    alone = {name: conservation_report(trajectory, {name: q})[name] for name, q in quantities.items()}
+    assert list(together) == list(quantities)
+    assert {n: v.hex() for n, v in together.items()} == {n: v.hex() for n, v in alone.items()}
+
+
+def test_a_shared_output_is_named_by_its_first_name(tmp_path, capsys):
+    # the energy of q = 1e200 overflows at step 0; the time charge is the
+    # same polynomial, and the report names whichever comes first
+    text = (
+        "order 1; even q; L = 1/2*q[1]^2 - 1/2*q[0]^2; symmetry time { q -> q[1]; } "
+        "simulate { dt = 0.1; t = 1.0; init q[0] = 1e200; }"
+    )
+    path = tmp_path / "overflow.sm"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == "supermech: non-finite value of energy at step 0\n"
+    trajectory, quantities = simulate_run(parse_problem(text))
+    energy = quantities["energy"]
+    assert quantities["time"] == energy
+    for names in (("energy", "time"), ("time", "energy")):
+        with pytest.raises(NumericError, match=f"^non-finite value of {names[0]} at step 0$"):
+            conservation_report(trajectory, dict.fromkeys(names, energy))
+
+
+@pytest.mark.parametrize(
+    "name, outputs", [("superparticle", [4, 1, 2]), ("oscillator", [2, 1])]
+)
+def test_simulate_compiles_each_distinct_quantity_and_the_residuals_once(
+    name, outputs, monkeypatch, capsys
+):
+    # the field, the constraint residuals (the superparticle has one, the
+    # oscillator none) and the distinct quantities: the time charge is the
+    # energy, and the drift reads the initial check's residual schedule
+    built = []
+
+    def build(*args):
+        built.append(_Schedule(*args))
+        return built[-1]
+
+    monkeypatch.setattr(numeric, "_Schedule", build)
+    assert main(["simulate", str(PROBLEMS / f"{name}.sm")]) == 0
+    capsys.readouterr()
+    assert [schedule.outputs for schedule in built] == outputs
+
+
+def test_the_drift_compiles_its_own_schedule_off_the_kept_support():
+    # a seed-1 grassmann-sim run with constraints and a nonzero drift: on
+    # the kept support the drift compiles nothing; built by hand, or with
+    # a stored column zeroed, it compiles once and reads what a fresh
+    # trajectory reads
+    (text,) = [text for name, text in SIMULATED if name == "N1-M3-k1-n4-s100"]
+    trajectory, _ = simulate_run(parse_problem(text))
+    kept = trajectory._residuals.schedule
+    assert np.array_equal(kept.support, trajectory.support)
+    args = (trajectory.dynamics, trajectory.times, trajectory.coordinates)
+    values = trajectory.values.copy()
+    row, mask = np.argwhere(trajectory.support)[-1]
+    values[:, row, mask] = 0.0
+    zeroed = Trajectory(*args, values, trajectory.directions, trajectory._residuals)
+    assert not np.array_equal(kept.support, zeroed.support)
+    cases = [
+        (trajectory, 0, Trajectory(*args, trajectory.values, trajectory.directions)),
+        (Trajectory(*args, trajectory.values, trajectory.directions), 1, trajectory),
+        (zeroed, 1, Trajectory(*args, values, trajectory.directions)),
+    ]
+    for case, compiles, fresh in cases:
+        with mock.patch.object(numeric, "_Schedule", wraps=_Schedule) as build:
+            drift = case.constraint_drift()
+        assert build.call_count == compiles
+        assert drift > 0.0 and drift.hex() == fresh.constraint_drift().hex()
 
 
 def test_which_path_each_system_takes():
